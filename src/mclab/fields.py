@@ -40,7 +40,8 @@ class PolyVectorField:
         return self.components.get(root_id, self._zero())
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        assert self.frame == other.frame and self.chart is other.chart
+        if self.frame != other.frame or self.chart is not other.chart:
+            raise ValueError("cannot add fields on different charts or frames")
         keys = set(self.components) | set(other.components)
         return PolyVectorField(
             self.chart, self.frame,

@@ -146,7 +146,9 @@ def analyze(hs: HessenbergSet) -> HessenbergReport:
                 continue
             si = [r.id for r in rs.positive_roots if r.height == 1]
             s = rs.add(si[i], si[j])
-            assert (s is not None) == rs.adjacent_simples(i, j)
+            if (s is not None) != rs.adjacent_simples(i, j):
+                raise HessenbergError(
+                    "Cartan adjacency disagrees with root addition")
 
     maximal = []
     for mu in R:
@@ -155,7 +157,8 @@ def analyze(hs: HessenbergSet) -> HessenbergReport:
     maximal.sort()
 
     shadows = {mu: frozenset(a for a in R if rs.leq(a, mu)) for mu in maximal}
-    assert frozenset().union(*shadows.values()) == R if shadows else R == frozenset()
+    if frozenset().union(*shadows.values()) != R:
+        raise HessenbergError("shadows of the maximal roots do not cover R")
 
     # dark zones: union-find over the shadow-intersection graph
     parent = {mu: mu for mu in maximal}
@@ -181,7 +184,8 @@ def analyze(hs: HessenbergSet) -> HessenbergReport:
     boundary = set()
     for nu in maximal:
         support = rs.simple_support(nu)
-        assert rs.is_connected_simple_set(support)
+        if not rs.is_connected_simple_set(support):
+            raise HessenbergError("maximal root has disconnected support")
         for i in range(rs.rank):
             if i in support:
                 continue

@@ -8,6 +8,7 @@ every basis this package produces is reproducible bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction as Q
 from math import gcd
 from typing import Callable
@@ -175,12 +176,10 @@ def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None
 # ---------------------------------------------------------------------------
 
 def _row_to_int(row: dict[int, Q]) -> dict[int, int]:
-    if not row:
-        return {}
     den = 1
     for v in row.values():
         den = den * v.denominator // gcd(den, v.denominator)
-    ints = {c: int(v * den) for c, v in row.items()}
+    ints = {c: int(v * den) for c, v in row.items() if v}
     g = 0
     for v in ints.values():
         g = gcd(g, abs(v))
@@ -194,42 +193,57 @@ def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
 
     Fraction-free: rows are scaled to coprime integers and eliminated by
     cross-multiplication, removing integer content after every step.
-    Pivoting is deterministic (columns left to right, first usable row),
-    and each basis vector is normalized to leading coefficient one, so the
-    basis depends only on the input, never on dict ordering.
+    Columns are eliminated left to right, so the pivot columns are those
+    independent of the columns before them, and the basis vector of free
+    column f has a one at f and zeros at the other free columns: the
+    reduced-echelon nullspace basis, fixed by the matrix alone.  The
+    pivot row may therefore be chosen freely; the shortest remaining row
+    (first in input order on ties) keeps fill-in small.  A column-to-rows
+    index finds it, and the rows to eliminate, without a scan.
     """
-    work = [_row_to_int(r) for r in rows]
-    work = [r for r in work if r]
+    work: dict[int, dict[int, int]] = {}
+    rows_of_col: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        ints = _row_to_int(r)
+        if ints:
+            work[i] = ints
+            for c in ints:
+                rows_of_col.setdefault(c, set()).add(i)
     pivot_of_col: dict[int, dict[int, int]] = {}
     pivots: list[int] = []
     for col in range(ncols):
-        pr = None
-        for idx, r in enumerate(work):
-            if r.get(col):
-                pr = idx
-                break
-        if pr is None:
+        touched = rows_of_col.pop(col, None)
+        if not touched:
             continue
+        pr = min(touched, key=lambda i: (len(work[i]), i))
+        touched.discard(pr)
         piv = work.pop(pr)
+        for c in piv:
+            if c != col:
+                rows_of_col[c].discard(pr)
         pv = piv[col]
-        still = []
-        for r in work:
-            a = r.get(col)
-            if a:
-                new = {}
-                for c in set(r) | set(piv):
-                    v = r.get(c, 0) * pv - piv.get(c, 0) * a
-                    if v:
-                        new[c] = v
-                g = 0
-                for v in new.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                r = new
-            if r:
-                still.append(r)
-        work = still
+        for i in touched:
+            r = work[i]
+            a = r[col]
+            new = {}
+            for c in r.keys() | piv.keys():
+                v = r.get(c, 0) * pv - piv.get(c, 0) * a
+                if v:
+                    new[c] = v
+            g = 0
+            for v in new.values():
+                g = gcd(g, abs(v))
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+            for c in r.keys() - new.keys():
+                if c != col:
+                    rows_of_col[c].discard(i)
+            for c in new.keys() - r.keys():
+                rows_of_col.setdefault(c, set()).add(i)
+            if new:
+                work[i] = new
+            else:
+                del work[i]
         pivot_of_col[col] = piv
         pivots.append(col)
     free = [c for c in range(ncols) if c not in pivot_of_col]
@@ -237,11 +251,13 @@ def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
     for fc in free:
         vec = [Q(0)] * ncols
         vec[fc] = Q(1)
-        for col in reversed(pivots):
+        # a pivot row holds no column left of its pivot, so every pivot
+        # right of fc solves to zero
+        for col in reversed(pivots[:bisect_left(pivots, fc)]):
             piv = pivot_of_col[col]
             s = Q(0)
             for c, v in piv.items():
-                if c != col:
+                if c != col and vec[c]:
                     s += v * vec[c]
             vec[col] = -s / piv[col]
         basis.append(vec)

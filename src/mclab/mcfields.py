@@ -15,8 +15,9 @@ the first-order system, over simple roots delta in R and gamma in R,
                                                   gamma - delta in Sigma_+
 
 (the gamma = delta equations carry a free multiplier and are omitted).
-The system is graded: fields split into homogeneous parts which are
-solved separately, block by block, by exact fraction-free elimination.
+The system is graded twice: by dilation degree, and within a degree by
+the root-lattice weight of the unknowns.  Each weight block is solved
+separately by exact fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -150,34 +151,47 @@ class McSystem:
 
     def block_rows(self, degree: int,
                    unknown_index: dict[tuple[int, tuple], int]):
-        """Sparse rows of the block for one homogeneous degree."""
+        """Sparse rows of the block for one homogeneous degree.
+
+        Row (delta, gamma, m) holds the coefficient of x^m in equation
+        (delta, gamma).  An unknown (g, x^n) enters an equation either
+        through X_delta(x^n) when gamma = g, or through the ladder term
+        c_{delta,g} x^n when gamma - delta = g, never both.
+        """
         chart = self.chart
         rs = self.hs.rs
         alg = chart.algebra
         frame = chart.frame_components(self.hs.R)
+        derivative = {
+            delta: [(chart.coord_index(j), a.terms) for j, a in row.items()]
+            for delta, row in frame.items()}
+        terms_of: dict[int, list] = {}
+        for delta, gamma in self.equations:
+            terms_of.setdefault(gamma, []).append((delta, gamma, None))
+            diff = rs.add(gamma, rs.neg(delta))
+            if diff is not None and diff < rs.n_pos:
+                terms_of.setdefault(diff, []).append(
+                    (delta, gamma, alg.c[(delta, diff)]))
         rows: dict[tuple, dict[int, Q]] = {}
-        nv = chart.nvars
         for (g, mono), col in unknown_index.items():
-            xm = Poly(nv, {mono: Q(1)})
-            for delta, gamma in self.equations:
-                contrib = None
-                if gamma == g:
-                    acc = Poly.zero(nv)
-                    for j, a in frame[delta].items():
-                        acc = acc + a * xm.diff(chart.coord_index(j))
-                    contrib = acc
-                diff = rs.add(gamma, rs.neg(delta))
-                if diff is not None and diff < rs.n_pos and diff == g:
-                    term = xm * alg.c[(delta, diff)]
-                    contrib = term if contrib is None else contrib + term
-                if contrib is None or contrib.is_zero():
-                    continue
-                for m2, cf in contrib.terms.items():
-                    key = (delta, gamma, m2)
-                    rows.setdefault(key, {})[col] = \
-                        rows.get(key, {}).get(col, Q(0)) + cf
-        ordered = [rows[k] for k in sorted(rows)]
-        return [r for r in ordered if any(v != 0 for v in r.values())]
+            for delta, gamma, ladder in terms_of.get(g, ()):
+                if ladder is not None:
+                    contrib = {mono: ladder}
+                else:
+                    contrib = {}
+                    for v, a_terms in derivative[delta]:
+                        e = mono[v]
+                        if not e:
+                            continue
+                        for m, c in a_terms.items():
+                            m2 = [x + y for x, y in zip(mono, m)]
+                            m2[v] -= 1
+                            m2 = tuple(m2)
+                            contrib[m2] = contrib.get(m2, 0) + c * e
+                for m2, cf in contrib.items():
+                    if cf:
+                        rows.setdefault((delta, gamma, m2), {})[col] = cf
+        return [rows[k] for k in sorted(rows)]
 
     def to_json_dict(self) -> dict:
         rs = self.hs.rs
@@ -353,21 +367,74 @@ class McSolution:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _unknown_weights(system: McSystem,
+                     unknowns: list[tuple[int, tuple]]) -> list[tuple]:
+    """Root-lattice weight sum_v m_v root(v) - gamma of each unknown
+    (gamma, x^m), as a coefficient vector over the simple roots."""
+    rs = system.hs.rs
+    coord_coeffs = [rs.root(r).coeffs for r in system.chart.coord_roots]
+    out = []
+    for g, mono in unknowns:
+        w = [-c for c in rs.root(g).coeffs]
+        for v, e in enumerate(mono):
+            if e:
+                for i, c in enumerate(coord_coeffs[v]):
+                    w[i] += e * c
+        out.append(tuple(w))
+    return out
+
+
+def _weight_blocks(weights: list[tuple], rows: list[dict[int, Q]]
+                   ) -> list[tuple[list[int], list[dict[int, Q]]]]:
+    """Split a degree block into its root-lattice weight blocks.
+
+    Returns, per weight, the block's columns in ascending order and its
+    rows in their original order.  The equations are homogeneous for the
+    weight, so every row must touch a single weight block; a row that
+    does not is a defect in the assembly and raises McError.
+    """
+    cols: dict[tuple, list[int]] = {}
+    for k, w in enumerate(weights):
+        cols.setdefault(w, []).append(k)
+    block_rows: dict[tuple, list[dict[int, Q]]] = {w: [] for w in cols}
+    for row in rows:
+        touched = {weights[c] for c, v in row.items() if v}
+        if len(touched) != 1:
+            raise McError("multicontact equation mixes root-lattice weights "
+                          f"{sorted(touched)}: the system is not equivariant")
+        block_rows[touched.pop()].append(row)
+    return [(cols[w], block_rows[w]) for w in cols]
+
+
 def _solve_block(system: McSystem, degree: int) -> list[PolyVectorField]:
+    """Solutions of one homogeneous degree, one weight block at a time.
+
+    A block-diagonal matrix has the same pivot columns as its blocks
+    taken one at a time, so ordering the merged basis by free column (the
+    largest index with a nonzero entry) gives exactly the basis of one
+    elimination over the whole degree block.
+    """
     unknowns = system.unknown_monomials(degree)
     if not unknowns:
         return []
     index = {u: k for k, u in enumerate(unknowns)}
     rows = system.block_rows(degree, index)
-    null = linalg.sparse_nullspace(rows, len(unknowns))
+    solutions: list[list[tuple[int, Q]]] = []     # (column, value) pairs
+    for cols, brows in _weight_blocks(_unknown_weights(system, unknowns),
+                                      rows):
+        local = {c: k for k, c in enumerate(cols)}
+        null = linalg.sparse_nullspace(
+            [{local[c]: v for c, v in r.items()} for r in brows], len(cols))
+        solutions += [[(cols[k], x) for k, x in enumerate(vec) if x != 0]
+                      for vec in null]
+    solutions.sort(key=lambda entries: entries[-1][0])
     chart = system.chart
     out = []
-    for vec in null:
+    for entries in solutions:
         comps: dict[int, Poly] = {}
-        for (g, mono), k in index.items():
-            if vec[k] != 0:
-                comps.setdefault(g, Poly.zero(chart.nvars)).terms[mono] = vec[k]
-        comps = {g: p for g, p in comps.items() if not p.is_zero()}
+        for k, x in entries:
+            g, mono = unknowns[k]
+            comps.setdefault(g, Poly.zero(chart.nvars)).terms[mono] = x
         out.append(PolyVectorField(chart, "invariant", comps,
                                    slice_roots=system.hs.R))
     return out
@@ -377,29 +444,51 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
              degree_bound: int | None = None) -> McSolution:
     """Exact basis of the multicontact solution space on the slice.
 
-    The default bound is twice the highest-root height; the stabilized
-    flag records whether raising the bound by one adds no solutions.
+    Degrees -h .. degree_bound are solved one block at a time, where h is
+    the highest-root height; the default bound is 2h.
+
+    With the default bound the solve stops at the first degree d >= 0
+    whose block has no solutions.  This is Tanaka's prolongation argument
+    (N. Tanaka, J. Math. Kyoto Univ. 10, 1970; K. Yamaguchi, Adv. Stud.
+    Pure Math. 22, 1993): for F of degree d + 1, [X, F] lies in degree d
+    for every simple frame field X, hence vanishes; the simple fields
+    generate the slice algebra, so F commutes with all of it and would
+    have negative degree, hence F = 0, and so on upwards.  The result
+    then reports ``degree_bound`` 2h and ``stabilized`` True: no degree
+    above the stop, in particular none past the bound, has solutions.
+
+    An explicit ``degree_bound`` is the verification mode: every block up
+    to the bound is solved, and ``stabilized`` records whether the block
+    at degree_bound + 1 is empty.  A slice whose blocks never run empty
+    (infinite type) takes this path under the default bound as well, and
+    a nonempty block past the bound is warned about.
     """
     h = hs.rs.highest_root.height
-    if degree_bound is None:
+    prolongation_stop = degree_bound is None
+    if prolongation_stop:
         degree_bound = 2 * h
     system = assemble_mc_system(hs, chart, degree_bound)
     basis: list[PolyVectorField] = []
     degrees: list[int] = []
+    stabilized = True
     for d in range(-h, degree_bound + 1):
         block = _solve_block(system, d)
+        if prolongation_stop and d >= 0 and not block:
+            break
         basis.extend(block)
         degrees.extend([d] * len(block))
-    extra = _solve_block(system, degree_bound + 1)
-    if extra:
-        import warnings
-        warnings.warn(
-            f"multicontact dimension not stabilized at bound {degree_bound}: "
-            f"{len(extra)} further solution(s) at the next degree",
-            stacklevel=2)
+    else:
+        extra = _solve_block(system, degree_bound + 1)
+        if extra:
+            import warnings
+            warnings.warn(
+                f"multicontact dimension not stabilized at bound "
+                f"{degree_bound}: {len(extra)} further solution(s) at the "
+                f"next degree", stacklevel=2)
+            stabilized = False
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
                       basis=basis, degrees=degrees, dimension=len(basis),
-                      stabilized=not extra)
+                      stabilized=stabilized)
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,16 @@ def test_formats_and_out_file(tmp_path):
 
 
 def test_config_round_trip():
+    # replaying the recorded config passes --degree-bound, the solver's
+    # verification mode, which must reproduce the default solve exactly
     _, out = run_cli(["mc", "C", "2", "--hessenberg", "a,b,a+b"])
-    cfg = json.loads(out)["config"]
+    doc = json.loads(out)
+    cfg = doc["config"]
     args = [cfg["command"], cfg["family"], cfg["rank"].__str__(),
             "--hessenberg", cfg["hessenberg"],
             "--degree-bound", str(cfg["degree_bound"]),
             "--format", cfg["format"], "--seed", str(cfg["seed"])]
     _, again = run_cli(args)
-    assert json.loads(again)["config"] == cfg
+    replay = json.loads(again)
+    for key in ("config", "solution", "comparison"):
+        assert replay[key] == doc[key]

@@ -8,8 +8,8 @@ import pytest
 from mclab import linalg
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze, enumerate_all, type_p_subset, validate
-from mclab.liealg import left_invariant_frame
-from mclab.mcfields import (McError, assemble_mc_system,
+from mclab.liealg import left_invariant_frame, matrix_chart, second_kind_chart
+from mclab.mcfields import (McError, McSystem, assemble_mc_system,
                             compare_with_normalizer, homogeneous_degree,
                             homogeneous_parts, normalizer_basis_indices, nu,
                             project_to_slice, reduce_by_dark_zones, solve_mc,
@@ -432,6 +432,61 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
                             v[idx[(g, m)]] = c
                     vecs.append(v)
                 assert len(q_idx) - linalg.rank(vecs) == len(hs.C)
+
+
+# ---------------------------------------------------------------------------
+# prolongation stop and weight blocks
+# ---------------------------------------------------------------------------
+
+def _assert_stop_matches_bound(chart, hs, bound):
+    """The default solve, which stops at the first empty degree d >= 0,
+    agrees with the explicit-bound solve on every degree up to the bound."""
+    h = hs.rs.highest_root.height
+    stopped = solve_mc(hs, chart)
+    full = solve_mc(hs, chart, degree_bound=bound)
+    assert stopped.degree_bound == 2 * h and full.degree_bound == bound
+    keep = [k for k, d in enumerate(stopped.degrees) if d <= bound]
+    assert full.dimension == len(keep)
+    assert full.degrees == [stopped.degrees[k] for k in keep]
+    assert full.basis == [stopped.basis[k] for k in keep]
+    assert full.stabilized == stopped.stabilized
+    return stopped
+
+
+@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
+def test_prolongation_stop_equals_full_bound_small_rank(sl2, chart_sl3,
+                                                        chart_sl4, chart_sp2):
+    stabilized = 0
+    for chart in (matrix_chart(sl2), chart_sl3, chart_sl4, chart_sp2):
+        rs = chart.algebra.rs
+        for hs in enumerate_all(rs):
+            sol = _assert_stop_matches_bound(chart, hs,
+                                             2 * rs.highest_root.height)
+            stabilized += sol.stabilized
+    # finite-type slices per algebra (A1, A2, A3, C2), the empty one included
+    assert stabilized == 1 + 2 + 5 + 3
+
+
+@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
+def test_prolongation_stop_c3_below_full_bound(sp3):
+    # the full bound 2h = 10 is too slow here; 6 lies past the top degree
+    # h = 5 of the full slice, so every stabilized slice is compared whole
+    chart = second_kind_chart(sp3)
+    for hs in enumerate_all(sp3.rs):
+        _assert_stop_matches_bound(chart, hs, 6)
+
+
+def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):
+    original = McSystem.block_rows
+
+    def mixed(self, degree, unknown_index):
+        rows = original(self, degree, unknown_index)
+        return rows + [{col: Q(1) for col in unknown_index.values()}]
+
+    monkeypatch.setattr(McSystem, "block_rows", mixed)
+    hs = validate(sl3.rs, set(range(sl3.rs.n_pos)))
+    with pytest.raises(McError, match="root-lattice weights"):
+        solve_mc(hs, chart_sl3)
 
 
 # ---------------------------------------------------------------------------

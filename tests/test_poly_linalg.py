@@ -127,6 +127,24 @@ def test_sparse_nullspace_property(data):
     assert len(basis) == ncols - linalg.rank(dense)
     # determinism
     assert basis == linalg.sparse_nullspace(rows, ncols)
+    # the basis is the reduced-echelon nullspace basis, whatever the
+    # pivot rows: it depends on the matrix, not on the row order
+    assert basis == _rref_nullspace(dense, ncols)
+    assert basis == linalg.sparse_nullspace(rows[::-1], ncols)
+
+
+def _rref_nullspace(dense, ncols):
+    """Oracle: one vector per free column of the dense reduced row
+    echelon form, one at that column and zero at the other free ones."""
+    red, pivots = linalg.rref(dense) if dense else ([], [])
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Q(0)] * ncols
+        vec[fc] = Q(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][fc]
+        out.append(vec)
+    return out
 
 
 def test_symmetric_signature():
