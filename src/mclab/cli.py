@@ -22,6 +22,7 @@ from . import mcfields as mc
 from . import polybasis as pb
 from .liealg import (LieAlgebraError, build_sl, build_sp, default_chart,
                      group_multiply, left_invariant_frame, matrix_chart)
+from .poly import Poly
 from .rootsys import RootSystemError, build_root_system
 
 _ALIASES = "abcd"
@@ -338,8 +339,7 @@ def cmd_selftest(args) -> dict:
     frame = left_invariant_frame(ch3)
     xy = frame[0].bracket(frame[1]).to_invariant()
     checks.append(("sl3 frame bracket [X,Y] = U",
-                   xy.components == {2: __import__(
-                       "mclab.poly", fromlist=["Poly"]).Poly.const(3, 1)}))
+                   xy.components == {2: Poly.const(3, 1)}))
 
     payload = {
         "config": config_dict(args),

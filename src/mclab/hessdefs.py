@@ -189,7 +189,7 @@ def smoothness_certificate(eqs: HessenbergEquations) -> SmoothnessCertificate:
     else:
         point = [Q(0)] * nv
         rows = [[p.eval(point) for p in row] for row in eqs.jacobian()]
-        rank = linalg.rank(rows) if rows else 0
+        rank = linalg.rank(rows)
     return SmoothnessCertificate(
         triangular=triangular,
         diagonal=diagonal,

@@ -48,31 +48,19 @@ class Realization:
         self._prepare_decomposition()
 
     def _prepare_decomposition(self):
-        n2 = self.size * self.size
-        vecs = [[self._all[k][i][j] for k in range(self.dim)]
-                for i in range(self.size) for j in range(self.size)]
-        red, pivots = linalg.rref([row[:] for row in vecs])
-        # pivot ENTRIES: rows of the vectorized basis giving a d x d invertible block
-        chosen: list[int] = []
-        rank = 0
-        for pos_idx in range(n2):
-            trial = chosen + [pos_idx]
-            sub = [vecs[t] for t in trial]
-            if linalg.rank(sub) == len(trial):
-                chosen = trial
-                if len(chosen) == self.dim:
-                    break
-        if len(chosen) != self.dim:
+        # the matrix positions read off are the pivot columns of the
+        # dim x size^2 matrix of flattened basis matrices: the
+        # lexicographically first entries giving an invertible d x d block
+        flat = [{t: v for t, v in enumerate(x for row in b for x in row) if v}
+                for b in self._all]
+        pivots = linalg.rref(flat, self.size * self.size)
+        if len(pivots) != self.dim:
             raise LieAlgebraError("realization basis is not independent")
-        self._positions = [(t // self.size, t % self.size) for t in chosen]
-        sub = [vecs[t] for t in chosen]
-        # invert the d x d block exactly
-        aug = [row[:] + [Q(1) if i == j else Q(0) for j in range(self.dim)]
-               for i, row in enumerate(sub)]
-        red, piv = linalg.rref(aug)
-        if piv != list(range(self.dim)):
-            raise LieAlgebraError("decomposition block not invertible")
-        self._block_inv = [row[self.dim:] for row in red]
+        self._positions = [divmod(t, self.size) for t in pivots]
+        block = [[b[i][j] for b in self._all] for i, j in self._positions]
+        cols = [linalg.solve(block, unit)
+                for unit in linalg.frac_identity(self.dim)]
+        self._block_inv = [list(row) for row in zip(*cols)]
 
     def decompose(self, m):
         """Coefficients of m over [cartan..., pos..., neg...]; exact.

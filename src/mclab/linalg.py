@@ -2,13 +2,19 @@
 
 Matrices are lists of lists whose entries are either ``Fraction`` or any
 ring element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
-Elimination routines work over ``Fraction`` with deterministic pivoting so
-every basis this package produces is reproducible bit for bit.
+
+There is one eliminator, :func:`rref`: a sparse fraction-free elimination
+over the integers with deterministic (leftmost-column) pivoting, so every
+basis this package produces is reproducible bit for bit.  It returns the
+integer pivot rows of a row echelon form keyed by pivot column; ``rank``,
+``solve``, ``coordinates_in_span`` and ``sparse_nullspace`` are read off
+them.  The rows are not reduced, but the name ``rref`` stays: the pivot
+columns and the row space are those of the reduced form, and it is the
+name external tooling (the benchmark's layer trace) wraps and reports.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction as Q
 from math import gcd
 from typing import Callable
@@ -112,67 +118,7 @@ def unipotent_log(a: Matrix, identity: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination over Fraction (dense rows)
-# ---------------------------------------------------------------------------
-
-def rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form with leftmost-pivot selection."""
-    m = [row[:] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Q(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rank(rows: list[list[Q]]) -> int:
-    return len(rref(rows)[1])
-
-
-def solve(a: list[list[Q]], b: list[Q]) -> list[Q] | None:
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are pinned to zero, so the result is deterministic.
-    """
-    if not a:
-        return [] if all(x == 0 for x in b) else None
-    aug = [row[:] + [bb] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
-def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
-    """Coefficients expressing target over the given basis vectors, or None."""
-    if not basis:
-        return [] if all(x == 0 for x in target) else None
-    a = [[basis[j][i] for j in range(len(basis))] for i in range(len(target))]
-    return solve(a, list(target))
-
-
-# ---------------------------------------------------------------------------
-# sparse fraction-free nullspace
+# sparse fraction-free elimination
 # ---------------------------------------------------------------------------
 
 def _row_to_int(row: dict[int, Q]) -> dict[int, int]:
@@ -188,16 +134,17 @@ def _row_to_int(row: dict[int, Q]) -> dict[int, int]:
     return ints
 
 
-def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
-    """Exact nullspace basis of a sparse rational matrix.
+def rref(rows: list[dict[int, Q]], ncols: int) -> dict[int, dict[int, int]]:
+    """Row echelon form of a sparse rational matrix: the only eliminator.
 
-    Fraction-free: rows are scaled to coprime integers and eliminated by
-    cross-multiplication, removing integer content after every step.
-    Columns are eliminated left to right, so the pivot columns are those
-    independent of the columns before them, and the basis vector of free
-    column f has a one at f and zeros at the other free columns: the
-    reduced-echelon nullspace basis, fixed by the matrix alone.  The
-    pivot row may therefore be chosen freely; the shortest remaining row
+    Rows map column -> value.  Fraction-free: rows are scaled to coprime
+    integers and eliminated by cross-multiplication, removing integer
+    content after every step.  Columns are eliminated left to right, so
+    the pivot columns are those independent of the columns before them.
+    Returns the integer pivot rows keyed by pivot column, in ascending
+    order; a pivot row holds no column left of its pivot.  The pivot row
+    may be chosen freely, since everything built on this depends only on
+    the pivot columns and the row space; the shortest remaining row
     (first in input order on ties) keeps fill-in small.  A column-to-rows
     index finds it, and the rows to eliminate, without a scan.
     """
@@ -209,8 +156,7 @@ def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
             work[i] = ints
             for c in ints:
                 rows_of_col.setdefault(c, set()).add(i)
-    pivot_of_col: dict[int, dict[int, int]] = {}
-    pivots: list[int] = []
+    pivots: dict[int, dict[int, int]] = {}
     for col in range(ncols):
         touched = rows_of_col.pop(col, None)
         if not touched:
@@ -244,24 +190,65 @@ def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
                 work[i] = new
             else:
                 del work[i]
-        pivot_of_col[col] = piv
-        pivots.append(col)
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for fc in free:
-        vec = [Q(0)] * ncols
-        vec[fc] = Q(1)
-        # a pivot row holds no column left of its pivot, so every pivot
-        # right of fc solves to zero
-        for col in reversed(pivots[:bisect_left(pivots, fc)]):
-            piv = pivot_of_col[col]
-            s = Q(0)
-            for c, v in piv.items():
-                if c != col and vec[c]:
-                    s += v * vec[c]
-            vec[col] = -s / piv[col]
-        basis.append(vec)
-    return basis
+        pivots[col] = piv
+    return pivots
+
+
+def _free_vector(pivots: dict[int, dict[int, int]], fc: int,
+                 ncols: int) -> list[Q]:
+    """The kernel vector with a one at free column fc and zeros at the
+    other free columns, by back-substitution through the pivot rows."""
+    vec = [Q(0)] * ncols
+    vec[fc] = Q(1)
+    # a pivot row holds no column left of its pivot, so every pivot
+    # right of fc solves to zero
+    for col in reversed([c for c in pivots if c < fc]):
+        piv = pivots[col]
+        s = Q(0)
+        for c, v in piv.items():
+            if c != col and vec[c]:
+                s += v * vec[c]
+        vec[col] = -s / piv[col]
+    return vec
+
+
+def _sparse(rows: list[list[Q]]) -> list[dict[int, Q]]:
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
+    """Exact nullspace basis of a sparse rational matrix.
+
+    One vector per free column f of :func:`rref`, with a one at f and
+    zeros at the other free columns: the reduced-echelon nullspace basis,
+    fixed by the matrix alone, whatever pivot rows the elimination took.
+    """
+    pivots = rref(rows, ncols)
+    return [_free_vector(pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivots]
+
+
+def rank(rows: list[list[Q]]) -> int:
+    return len(rref(_sparse(rows), max(map(len, rows), default=0)))
+
+
+def solve(a: list[list[Q]], b: list[Q]) -> list[Q] | None:
+    """One exact solution of A x = b, or None when inconsistent.
+
+    Free variables are pinned to zero, so the result is deterministic.
+    """
+    ncols = len(a[0]) if a else 0
+    aug = _sparse([[*row, bb] for row, bb in zip(a, b)])
+    pivots = rref(aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    return [-x for x in _free_vector(pivots, ncols, ncols + 1)[:ncols]]
+
+
+def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
+    """Coefficients expressing target over the given basis vectors, or None."""
+    a = [[v[i] for v in basis] for i in range(len(target))]
+    return solve(a, list(target))
 
 
 # ---------------------------------------------------------------------------

@@ -303,26 +303,25 @@ class McSolution:
             return {"dimension": n, "bracket_closed": False}
         # structure constants tensor
         c = self.bracket_table
-        # derived series by linear algebra over flattened brackets
-        span = linalg.frac_identity(n)
+        # derived series: each term is spanned by the pivot rows of the
+        # brackets of the previous term's pivot rows
+        span = [{i: 1} for i in range(n)]
         dims = [n]
         while True:
             prods = []
             for u in span:
                 for v in span:
-                    w = [Q(0)] * n
-                    for i in range(n):
-                        for j in range(n):
-                            if u[i] and v[j]:
-                                for k in range(n):
-                                    w[k] += u[i] * v[j] * c[i][j][k]
+                    w = {}
+                    for i, ui in u.items():
+                        for j, vj in v.items():
+                            for k, ck in enumerate(c[i][j]):
+                                if ck:
+                                    w[k] = w.get(k, 0) + ui * vj * ck
                     prods.append(w)
-            red, piv = linalg.rref(prods) if prods else ([], [])
-            new = [red[t] for t in range(len(piv))]
-            dims.append(len(piv))
-            if len(piv) in (0, dims[-2]):
+            span = list(linalg.rref(prods, n).values())
+            dims.append(len(span))
+            if len(span) in (0, dims[-2]):
                 break
-            span = new
         # Killing-style form of the bracket table
         ad = []
         for i in range(n):
@@ -557,7 +556,7 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
         nu_vecs.append(v)
         if linalg.coordinates_in_span(basis_vecs, v) is None:
             contained = False
-    nu_dim = linalg.rank(nu_vecs) if nu_vecs else 0
+    nu_dim = linalg.rank(nu_vecs)
     kernel_dim = len(q_index) - nu_dim
     kernel_ok = kernel_dim == len(hs.C)
     conj = rep.dims["dim_conjecture"]

@@ -152,6 +152,17 @@ class RootSystem:
                 if s in self._id_of_coeffs:
                     self.sum_table[(a, b)] = self._id_of_coeffs[s]
 
+        # adjacency via the Cartan matrix agrees with "delta + delta' is a root"
+        simple = self.simple_ids()
+        for i in range(rank):
+            for j in range(rank):
+                if i == j:
+                    continue
+                s = self.add(simple[i], simple[j])
+                if (s is not None) != self.adjacent_simples(i, j):
+                    raise RootSystemError(
+                        "Cartan adjacency disagrees with root addition")
+
     @staticmethod
     def _expand(simples, vec) -> tuple[int, ...]:
         # solve vec = sum c_i simple_i over the rationals; results are integers

@@ -334,6 +334,18 @@ def test_solve_H0_examples(sl3, sp2, sl4):
     assert sp2.alpha_value(sp2.rs.highest_root.id, sp2.solve_H0()) == -3
 
 
+@pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sl3-ad"])
+def test_decompose_basis_matrices(name, algebras):
+    # the adjoint realization is the widest one (size dim, dim^2 entries
+    # to choose the decomposition positions from)
+    alg = algebras[name.removesuffix("-ad")]
+    real = alg.ad_realization() if name.endswith("-ad") else alg.realization
+    for k, unit in enumerate(linalg.frac_identity(real.dim)):
+        assert real.decompose(real.basis_matrix(k)) == unit
+    coeffs = [Q(k - 3, k + 1) for k in range(real.dim)]
+    assert real.decompose(real.compose(coeffs)) == coeffs
+
+
 def test_adjoint_dual_path_random_points(sl4, chart_sl4):
     pts = [[Q(1), Q(0), Q(-2), Q(1, 3), Q(2), Q(-1)],
            [Q(0), Q(1, 2), Q(1), Q(0), Q(-1, 5), Q(4)]]

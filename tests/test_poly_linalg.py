@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -92,35 +93,97 @@ def test_power_and_errors():
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _dense_rref(rows):
+    """Reference: dense Gauss-Jordan over Fraction with leftmost-pivot
+    selection; returns the reduced rows and the pivot columns."""
+    m = [row[:] for row in rows]
+    if not m:
+        return m, []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Q(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _dense_solve(a, b):
+    """Reference solution of A x = b with the free variables at zero."""
+    if not a:
+        return [] if all(x == 0 for x in b) else None
+    ncols = len(a[0])
+    red, pivots = _dense_rref([row + [bb] for row, bb in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [Q(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
+
+
+def _dense_coordinates(basis, target):
+    if not basis:
+        return [] if all(x == 0 for x in target) else None
+    a = [[v[i] for v in basis] for i in range(len(target))]
+    return _dense_solve(a, target)
+
+
+def _draw_dense(data, nrows, ncols):
+    """A sparse random rational matrix as dense rows."""
+    return [[data.draw(coeffs) if data.draw(st.booleans()) else Q(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _sparse(dense):
+    return [{i: c for i, c in enumerate(r) if c} for r in dense]
+
+
 def test_rref_and_rank():
     m = [[Q(1), Q(2)], [Q(2), Q(4)], [Q(0), Q(1)]]
-    red, piv = linalg.rref(m)
-    assert piv == [0, 1]
+    piv = linalg.rref(_sparse(m), 2)
+    assert list(piv) == [0, 1]
+    assert piv[0] == {0: 1, 1: 2} and piv[1] == {1: 1}
+    # integer rows with coprime entries, whatever the input denominators
+    assert linalg.rref([{0: Q(2, 3), 2: Q(4, 9)}], 3) == {0: {0: 3, 2: 2}}
     assert linalg.rank(m) == 2
+    assert linalg.rank([]) == 0
+    assert linalg.rref([], 4) == {}
 
 
 def test_solve_and_span():
     a = [[Q(1), Q(1)], [Q(0), Q(1)]]
     assert linalg.solve(a, [Q(3), Q(1)]) == [Q(2), Q(1)]
     assert linalg.solve([[Q(1), Q(1)], [Q(1), Q(1)]], [Q(0), Q(1)]) is None
+    # free columns are pinned to zero
+    assert linalg.solve([[Q(0), Q(2), Q(1)]], [Q(4)]) == [Q(0), Q(2), Q(0)]
     basis = [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)]]
     assert linalg.coordinates_in_span(basis, [Q(2), Q(3), Q(5)]) == \
         [Q(2), Q(3)]
     assert linalg.coordinates_in_span(basis, [Q(0), Q(0), Q(1)]) is None
+    assert linalg.coordinates_in_span([], [Q(0), Q(0)]) == []
+    assert linalg.coordinates_in_span([], [Q(0), Q(1)]) is None
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sparse_nullspace_property(data):
-    rows = []
     ncols = data.draw(st.integers(1, 6))
-    for _ in range(data.draw(st.integers(0, 6))):
-        row = {i: data.draw(coeffs) for i in range(ncols)
-               if data.draw(st.booleans())}
-        row = {i: c for i, c in row.items() if c != 0}
-        rows.append(row)
+    nrows = data.draw(st.integers(0, 6))
+    dense = _draw_dense(data, nrows, ncols)
+    rows = _sparse(dense)
     basis = linalg.sparse_nullspace(rows, ncols)
-    dense = [[r.get(i, Q(0)) for i in range(ncols)] for r in rows]
     for v in basis:
         for r in dense:
             assert sum(a * b for a, b in zip(r, v)) == 0
@@ -132,11 +195,38 @@ def test_sparse_nullspace_property(data):
     assert basis == _rref_nullspace(dense, ncols)
     assert basis == linalg.sparse_nullspace(rows[::-1], ncols)
 
+    # rank and rref against the dense Gauss-Jordan reference
+    ref_pivots = _dense_rref(dense)[1]
+    pivots = linalg.rref(rows, ncols)
+    assert list(pivots) == ref_pivots
+    assert linalg.rank(dense) == len(ref_pivots)
+    # the pivot rows are echelon, coprime integer rows spanning the rows
+    for col, row in pivots.items():
+        assert min(row) == col and all(isinstance(v, int) for v in row.values())
+        assert gcd(*row.values()) == 1
+        as_dense = [Q(row.get(i, 0)) for i in range(ncols)]
+        assert len(_dense_rref(dense + [as_dense])[1]) == len(ref_pivots)
+    # solve: a consistent right-hand side A x, or a random one, which is
+    # inconsistent whenever the rows are dependent and it misses the image
+    if data.draw(st.booleans()):
+        x = [data.draw(coeffs) for _ in range(ncols)]
+        b = [sum((a * v for a, v in zip(r, x)), Q(0)) for r in dense]
+    else:
+        b = [data.draw(coeffs) for _ in range(nrows)]
+    assert linalg.solve(dense, b) == _dense_solve(dense, b)
+    # span coordinates: the rows as a (possibly dependent) basis
+    target = [data.draw(coeffs) for _ in range(ncols)]
+    if data.draw(st.booleans()):
+        target = [sum((c * r[i] for c, r in zip(b, dense)), Q(0))
+                  for i in range(ncols)]
+    assert linalg.coordinates_in_span(dense, target) == \
+        _dense_coordinates(dense, target)
+
 
 def _rref_nullspace(dense, ncols):
     """Oracle: one vector per free column of the dense reduced row
     echelon form, one at that column and zero at the other free ones."""
-    red, pivots = linalg.rref(dense) if dense else ([], [])
+    red, pivots = _dense_rref(dense)
     out = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Q(0)] * ncols

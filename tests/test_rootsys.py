@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclab.rootsys import RootSystemError, build_root_system
+from mclab.rootsys import RootSystem, RootSystemError, build_root_system
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
              ("B", 2), ("B", 3), ("B", 4),
@@ -55,6 +55,15 @@ def test_build_rejects_bad_input():
         build_root_system("D", 2)
     with pytest.raises(RootSystemError):
         build_root_system("B", 1)
+
+
+def test_build_checks_cartan_adjacency(monkeypatch):
+    # the Cartan adjacency must agree with "delta + delta' is a root"; the
+    # check runs once, when the root system is built
+    monkeypatch.setattr(RootSystem, "adjacent_simples",
+                        lambda self, i, j: False)
+    with pytest.raises(RootSystemError, match="Cartan adjacency"):
+        build_root_system("A", 2)
 
 
 def test_root_counts_match_classical_formulas():
