@@ -5,8 +5,7 @@ from .hessenberg import (HessenbergSet, HessenbergReport, validate,
                          type_p_subset, enumerate_all, analyze, check_norma)
 from .liealg import (SplitLieAlgebra, Chart, build_sl, build_sp,
                      matrix_chart, first_kind_chart, second_kind_chart,
-                     three_factor_chart, default_chart, left_invariant_frame,
-                     group_multiply, adjoint_of_point)
+                     three_factor_chart, default_chart, adjoint_of_point)
 from .fields import PolyVectorField
 from .poly import Poly
 from .mcfields import (McSolution, tau, project_to_slice, nu,

@@ -34,7 +34,11 @@ class LieAlgebraError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Realization:
-    """A faithful matrix model of the algebra, with exact decomposition."""
+    """A faithful matrix model of the algebra, with exact decomposition.
+
+    Besides the dense basis matrices it keeps their sparse entry maps
+    ``{(i, j): value}``, from which the structure tables are derived.
+    """
 
     def __init__(self, label: str, cartan, pos, neg):
         self.label = label
@@ -45,37 +49,32 @@ class Realization:
         self.identity = linalg.frac_identity(self.size)
         self._all = list(cartan) + list(pos) + list(neg)
         self.dim = len(self._all)
-        self._prepare_decomposition()
-
-    def _prepare_decomposition(self):
+        self.entries = [{(i, j): x for i, row in enumerate(b)
+                         for j, x in enumerate(row) if x} for b in self._all]
         # the matrix positions read off are the pivot columns of the
         # dim x size^2 matrix of flattened basis matrices: the
         # lexicographically first entries giving an invertible d x d block
-        flat = [{t: v for t, v in enumerate(x for row in b for x in row) if v}
-                for b in self._all]
-        pivots = linalg.rref(flat, self.size * self.size)
-        if len(pivots) != self.dim:
+        flat = [{i * self.size + j: x for (i, j), x in e.items()}
+                for e in self.entries]
+        try:
+            self._span = linalg.SpanBasis(flat, self.size * self.size)
+        except ValueError:
             raise LieAlgebraError("realization basis is not independent")
-        self._positions = [divmod(t, self.size) for t in pivots]
-        block = [[b[i][j] for b in self._all] for i, j in self._positions]
-        cols = [linalg.solve(block, unit)
-                for unit in linalg.frac_identity(self.dim)]
-        self._block_inv = [list(row) for row in zip(*cols)]
+        self._positions = [divmod(t, self.size) for t in self._span.positions]
 
     def decompose(self, m):
         """Coefficients of m over [cartan..., pos..., neg...]; exact.
 
-        Works for Fraction or Poly entries.  The element must lie in the
-        algebra (callers conjugate algebra elements, so it always does).
+        ``m`` is a matrix with Fraction or Poly entries, or a sparse entry
+        map.  Only the decomposition positions are read, so the element
+        must lie in the algebra (callers conjugate or bracket algebra
+        elements, so it always does).
         """
-        sel = [m[i][j] for (i, j) in self._positions]
-        out = []
-        for k in range(self.dim):
-            acc = sel[0] * self._block_inv[k][0]
-            for t in range(1, self.dim):
-                acc = acc + sel[t] * self._block_inv[k][t]
-            out.append(acc)
-        return out
+        if isinstance(m, dict):
+            sel = [m.get(p, 0) for p in self._positions]
+        else:
+            sel = [m[i][j] for i, j in self._positions]
+        return self._span.coefficients(sel)
 
     def compose(self, coeffs):
         out = [[Q(0)] * self.size for _ in range(self.size)]
@@ -98,8 +97,16 @@ def _elementary(n: int, i: int, j: int, c=Q(1)):
     return m
 
 
-def _bracket(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+def _sparse_bracket(a, b):
+    """[A, B] = AB - BA of sparse entry maps {(i, j): value}, zeros dropped."""
+    out: dict[tuple[int, int], Q] = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:      # A[i][k] B[k][j] adds to (AB)[i][j]
+                out[i, j] = out.get((i, j), 0) + x * y
+            if j == i:      # B[l][i] A[i][k] adds to (BA)[l][k]
+                out[l, k] = out.get((l, k), 0) - y * x
+    return {p: v for p, v in out.items() if v}
 
 
 def _transpose(m):
@@ -145,18 +152,17 @@ class SplitLieAlgebra:
     def _derive_tables(self):
         rs = self.rs
         real = self.realization
+        entries = real.entries
         # root functionals over the Cartan basis
         self.functional: list[tuple[Q, ...]] = []
         for r in range(rs.n_pos):
             vals = []
+            x_r = entries[self.full_index(r)]
             for i in range(self.rank):
-                comm = _bracket(real.cartan[i], real.pos[r])
-                coeffs = real.decompose(comm)
-                target = coeffs[self.full_index(r)]
-                check = real.compose(
-                    [c if k == self.full_index(r) else Q(0)
-                     for k, c in enumerate(coeffs)])
-                if not linalg.mat_eq(check, comm):
+                comm = _sparse_bracket(entries[i], x_r)
+                target = real.decompose(comm)[self.full_index(r)]
+                # recomposition: [H_i, X_r] must be target * X_r exactly
+                if comm != {p: target * x for p, x in x_r.items() if target}:
                     raise LieAlgebraError("Cartan element is not diagonal")
                 vals.append(target)
             self.functional.append(tuple(vals))
@@ -167,7 +173,8 @@ class SplitLieAlgebra:
         for a in range(nroots):
             for b in range(nroots):
                 s = rs.add(a, b)
-                comm = _bracket(self.root_matrix(a), self.root_matrix(b))
+                comm = _sparse_bracket(entries[self.full_index(a)],
+                                       entries[self.full_index(b)])
                 coeffs = real.decompose(comm)
                 if s is not None:
                     c = coeffs[self.full_index(s)]
@@ -185,10 +192,10 @@ class SplitLieAlgebra:
                 else:
                     if any(x != 0 for x in coeffs):
                         raise LieAlgebraError("bracket of non-summing roots nonzero")
-        # theta scalars: theta(X_id) = s * X_{-id}
+        # theta scalars: theta(X_id) = s * X_{-id}, theta(m) = -m^T
         self.theta_scalar: dict[int, Q] = {}
         for a in range(nroots):
-            th = linalg.mat_scale(_transpose(self.root_matrix(a)), Q(-1))
+            th = {(j, i): -x for (i, j), x in entries[self.full_index(a)].items()}
             coeffs = real.decompose(th)
             tgt = self.full_index(rs.neg(a))
             if any(x != 0 for k, x in enumerate(coeffs) if k != tgt):
@@ -197,8 +204,9 @@ class SplitLieAlgebra:
 
     # ---- bilinear forms ----------------------------------------------------
     def trace_form(self, m1, m2) -> Q:
-        prod = linalg.mat_mul(m1, m2)
-        return sum((prod[i][i] for i in range(len(prod))), Q(0))
+        """tr(m1 m2) as the sum of m1[i][j] * m2[j][i] over nonzero terms."""
+        return sum((x * m2[j][i] for i, row in enumerate(m1)
+                    for j, x in enumerate(row) if x and m2[j][i]), Q(0))
 
     def killing(self, m1, m2) -> Q:
         return self.killing_factor * self.trace_form(m1, m2)
@@ -248,20 +256,21 @@ class SplitLieAlgebra:
 
     # ---- adjoint realization --------------------------------------------------
     def ad_realization(self) -> Realization:
-        """Faithful realization by adjoint matrices (structure constants only)."""
+        """Faithful realization by adjoint matrices (structure constants
+        only), read off sparse brackets of the basis entry maps."""
         if self._ad_realization is None:
             real = self.realization
 
-            def ad_matrix(m):
-                cols = []
-                for k in range(self.dim):
-                    cols.append(real.decompose(_bracket(m, real.basis_matrix(k))))
-                return [[cols[j][i] for j in range(self.dim)]
-                        for i in range(self.dim)]
+            def ad_matrix(x):
+                # column k holds the coefficients of [x, basis k]
+                cols = [real.decompose(_sparse_bracket(x, e))
+                        for e in real.entries]
+                return [list(row) for row in zip(*cols)]
 
-            cartan = [ad_matrix(h) for h in real.cartan]
-            pos = [ad_matrix(x) for x in real.pos]
-            neg = [ad_matrix(x) for x in real.neg]
+            ads = [ad_matrix(x) for x in real.entries]
+            cartan = ads[:self.rank]
+            pos = ads[self.rank:self.rank + self.n_pos]
+            neg = ads[self.rank + self.n_pos:]
             self._ad_realization = Realization("adjoint", cartan, pos, neg)
         return self._ad_realization
 
@@ -659,11 +668,6 @@ class Chart:
         return out
 
 
-def left_invariant_frame(chart: Chart) -> list[PolyVectorField]:
-    """One frame field per positive root, in chart coordinate components."""
-    return [chart.frame_field(r) for r in chart.coord_roots]
-
-
 def matrix_chart(algebra: SplitLieAlgebra) -> Chart:
     return Chart(algebra, "matrix")
 
@@ -705,10 +709,6 @@ def default_chart(algebra: SplitLieAlgebra) -> Chart:
 # ---------------------------------------------------------------------------
 # group operations and adjoint action
 # ---------------------------------------------------------------------------
-
-def group_multiply(chart: Chart, pa, pb) -> list[Q]:
-    return chart.multiply(pa, pb)
-
 
 def adjoint_of_point(chart: Chart, point, element, inverse=True):
     """Coefficients of Ad(n^{-1}) E (or Ad(n) E) over the full basis.

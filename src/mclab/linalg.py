@@ -20,6 +20,7 @@ from math import gcd
 from typing import Callable
 
 Matrix = list
+_ZERO = Q(0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,65 @@ def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None
     """Coefficients expressing target over the given basis vectors, or None."""
     a = [[v[i] for v in basis] for i in range(len(target))]
     return solve(a, list(target))
+
+
+class SpanBasis:
+    """Exact coordinates over a fixed list of independent sparse vectors.
+
+    The list is eliminated once, however many targets are then reduced
+    against it.  Its pivot positions (the pivot columns of :func:`rref`)
+    give an invertible block; the rows of the block inverse, with their
+    zero entries dropped, turn the entries of a target at those positions
+    into its coordinates.  The inverse comes from one elimination of
+    [block | I]: column k of the inverse is minus the free vector of the
+    k-th identity column.
+    """
+
+    def __init__(self, vectors: list[dict[int, Q]], ncols: int):
+        pivots = rref(vectors, ncols)
+        n = len(vectors)
+        if len(pivots) != n:
+            raise ValueError("span vectors are not independent")
+        self.vectors = vectors
+        self.positions = list(pivots)
+        aug = []
+        for t, p in enumerate(self.positions):
+            row = {k: v[p] for k, v in enumerate(vectors) if p in v}
+            row[n + t] = Q(1)
+            aug.append(row)
+        red = rref(aug, 2 * n)
+        cols = [_free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
+        self.inverse_rows = [[(t, -x) for t, x in enumerate(row) if x]
+                             for row in zip(*cols)]
+
+    def coefficients(self, sel: list) -> list:
+        """Coordinates of the span element whose entries at ``positions``
+        are ``sel``.  Entries may be Fraction or Poly; zero Fractions are
+        skipped.  Membership is not checked."""
+        out = []
+        for row in self.inverse_rows:
+            acc = _ZERO
+            for t, x in row:
+                s = sel[t]
+                if s:
+                    acc = acc + s * x
+            out.append(acc)
+        return out
+
+    def coordinates(self, target: dict[int, Q]) -> list[Q] | None:
+        """Coordinates of a sparse target, or None when it is outside the
+        span; membership is verified by recomposing the target."""
+        coeffs = self.coefficients(
+            [target.get(p, _ZERO) for p in self.positions])
+        recomposed: dict[int, Q] = {}
+        for c, v in zip(coeffs, self.vectors):
+            if c:
+                for col, x in v.items():
+                    recomposed[col] = recomposed.get(col, 0) + c * x
+        if ({c: x for c, x in recomposed.items() if x}
+                != {c: x for c, x in target.items() if x}):
+            return None
+        return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ separately by exact fraction-free elimination.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
 
 from . import linalg
@@ -234,6 +234,8 @@ class McSolution:
     stabilized: bool
     bracket_table: list[list[list[Q]]] | None = None
     bracket_closed: bool = True
+    _span: tuple[dict, linalg.SpanBasis] | None = dc_field(
+        default=None, repr=False, compare=False)
 
     # ---- span helpers ------------------------------------------------------
     def monomial_index(self) -> dict[tuple[int, tuple], int]:
@@ -258,33 +260,36 @@ class McSolution:
                 vec[index[key]] = c
         return vec
 
-    def contains(self, field: PolyVectorField) -> bool:
-        index = self.monomial_index()
+    def span(self) -> tuple[dict[tuple[int, tuple], int], linalg.SpanBasis]:
+        """The monomial index and the basis eliminated over it, once."""
+        if self._span is None:
+            index = self.monomial_index()
+            self._span = (index, linalg.SpanBasis(
+                [_sparse(self.flatten(b, index)) for b in self.basis],
+                len(index)))
+        return self._span
+
+    def coordinates(self, field: PolyVectorField) -> list[Q] | None:
+        """Exact coordinates of a slice field over the basis, or None when
+        it is outside the span."""
+        index, span = self.span()
         vec = self.flatten(field, index)
-        if vec is None:
-            return False
-        basis_vecs = [self.flatten(b, index) for b in self.basis]
-        return linalg.coordinates_in_span(basis_vecs, vec) is not None
+        return None if vec is None else span.coordinates(_sparse(vec))
+
+    def contains(self, field: PolyVectorField) -> bool:
+        return self.coordinates(field) is not None
 
     def component_span(self, root_id: int) -> list[Poly]:
         return [b.component(root_id) for b in self.basis]
 
     # ---- structure ---------------------------------------------------------
     def compute_brackets(self) -> None:
-        index = self.monomial_index()
-        basis_vecs = []
-        for b in self.basis:
-            v = self.flatten(b, index)
-            basis_vecs.append(v)
         table: list[list[list[Q]]] = []
         closed = True
         for i, a in enumerate(self.basis):
             row = []
             for b in self.basis:
-                br = a.bracket(b).to_invariant()
-                vec = self.flatten(br, index)
-                coords = (linalg.coordinates_in_span(basis_vecs, vec)
-                          if vec is not None else None)
+                coords = self.coordinates(a.bracket(b))
                 if coords is None:
                     closed = False
                     coords = []
@@ -542,19 +547,20 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
     q_index = normalizer_basis_indices(alg, rep)
     fields = [project_to_slice(taus[k], hs) for k in q_index]
 
-    index = solution.monomial_index()
+    # the solution's monomials keep their indices in the wider index, so
+    # its eliminated basis decides containment
+    index, span = solution.span()
+    index = dict(index)
     for f in fields:
         for g, p in f.components.items():
             for m in p.monomials():
                 index.setdefault((g, m), len(index))
-    basis_vecs = [_pad(solution.flatten(b, index), len(index))
-                  for b in solution.basis]
     contained = True
     nu_vecs = []
     for f in fields:
         v = _pad(solution.flatten(f, index), len(index))
         nu_vecs.append(v)
-        if linalg.coordinates_in_span(basis_vecs, v) is None:
+        if span.coordinates(_sparse(v)) is None:
             contained = False
     nu_dim = linalg.rank(nu_vecs)
     kernel_dim = len(q_index) - nu_dim
@@ -570,6 +576,10 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
         conjecture_dimension=conj,
         conjecture_matches=conj == solution.dimension,
     )
+
+
+def _sparse(vec: list[Q]) -> dict[int, Q]:
+    return {i: x for i, x in enumerate(vec) if x}
 
 
 def _pad(vec, length):

@@ -23,8 +23,7 @@ from mclab.fields import PolyVectorField
 from mclab.hessdefs import defining_equations, graph_map, smoothness_certificate
 from mclab.hessenberg import analyze, check_norma, enumerate_all, \
     type_p_subset, validate
-from mclab.liealg import (build_sl, build_sp, left_invariant_frame,
-                          matrix_chart, second_kind_chart)
+from mclab.liealg import build_sl, build_sp, matrix_chart, second_kind_chart
 from mclab.mcfields import (compare_with_normalizer, homogeneous_parts,
                             normalizer_basis_indices, project_to_slice,
                             reduce_by_dark_zones, solve_mc, tau, tau_basis)
@@ -456,7 +455,7 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
 def test_criterion_9_ristretto(sl4, chart_sl4):
     hs = type_p_subset(sl4.rs, 2)
     rng = random.Random(2026)
-    frame_full = left_invariant_frame(chart_sl4)
+    frame_full = [chart_sl4.frame_field(r) for r in chart_sl4.coord_roots]
     csub = {chart_sl4.coord_index(r): Q(0) for r in hs.C}
 
     def project(field):

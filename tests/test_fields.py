@@ -6,7 +6,6 @@ import pytest
 
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import type_p_subset
-from mclab.liealg import left_invariant_frame
 from mclab.mcfields import solve_mc, tau
 from mclab.poly import Poly
 
@@ -26,7 +25,7 @@ def test_frame_conversion_round_trip_on_slice(sl4, chart_sl4):
 
 
 def test_field_arithmetic(chart_sl3):
-    frame = left_invariant_frame(chart_sl3)
+    frame = [chart_sl3.frame_field(r) for r in chart_sl3.coord_roots]
     x, y = frame[0], frame[1]
     s = x + y * Q(2)
     assert s.component(chart_sl3.coord_roots[0]) == Poly.const(3, 1)
@@ -35,7 +34,7 @@ def test_field_arithmetic(chart_sl3):
 
 
 def test_apply_is_derivation(chart_sl3):
-    frame = left_invariant_frame(chart_sl3)
+    frame = [chart_sl3.frame_field(r) for r in chart_sl3.coord_roots]
     y = frame[1]
     p = Poly.var(3, 0) * Poly.var(3, 2)
     q = Poly.var(3, 1) + 1
@@ -55,5 +54,5 @@ def test_conversion_rejects_outside_span(sl4, chart_sl4):
 
 
 def test_render(chart_sp2):
-    frame = left_invariant_frame(chart_sp2)
+    frame = [chart_sp2.frame_field(r) for r in chart_sp2.coord_roots]
     assert frame[1].render() == {"01": "1", "11": "u", "21": "1/2*u^2"}

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from mclab import linalg
 from mclab.liealg import (adjoint_of_point, adjoint_series_of_point,
-                          first_kind_chart, group_multiply,
-                          left_invariant_frame, matrix_chart,
+                          first_kind_chart, matrix_chart,
                           second_kind_chart, three_factor_chart)
 from mclab.poly import Poly
 
@@ -142,7 +141,7 @@ def test_functionals_match_cartan_matrix(sl4):
 def test_group_multiply_sp2_formula(chart_sp2):
     u, x, y, z = Q(2), Q(-1, 2), Q(3), Q(1, 4)
     u2, x2, y2, z2 = Q(-1), Q(5), Q(1, 3), Q(2)
-    prod = group_multiply(chart_sp2, [u, x, y, z], [u2, x2, y2, z2])
+    prod = chart_sp2.multiply([u, x, y, z], [u2, x2, y2, z2])
     assert prod == [u + u2, x + x2, y + y2 + u * x2,
                     z + z2 + u * y2 + u * u * x2 / 2]
 
@@ -150,10 +149,10 @@ def test_group_multiply_sp2_formula(chart_sp2):
 def test_group_identity_and_inverse(chart_sl4):
     pt = [Q(1), Q(-2), Q(3), Q(1, 2), Q(0), Q(7)]
     e = chart_sl4.identity_coords()
-    assert group_multiply(chart_sl4, e, pt) == pt
-    assert group_multiply(chart_sl4, pt, e) == pt
+    assert chart_sl4.multiply(e, pt) == pt
+    assert chart_sl4.multiply(pt, e) == pt
     inv = chart_sl4.inverse(pt)
-    assert group_multiply(chart_sl4, pt, inv) == e
+    assert chart_sl4.multiply(pt, inv) == e
 
 
 @settings(max_examples=25, deadline=None)
@@ -163,8 +162,8 @@ def test_group_associativity(sp2, chart_sp2, data):
         return [Q(data.draw(st.integers(-8, 8)),
                   data.draw(st.integers(1, 5))) for _ in range(4)]
     p, q, r = point(), point(), point()
-    lhs = group_multiply(chart_sp2, group_multiply(chart_sp2, p, q), r)
-    rhs = group_multiply(chart_sp2, p, group_multiply(chart_sp2, q, r))
+    lhs = chart_sp2.multiply(chart_sp2.multiply(p, q), r)
+    rhs = chart_sp2.multiply(p, chart_sp2.multiply(q, r))
     assert lhs == rhs
 
 
@@ -194,13 +193,13 @@ def test_chart_changes_are_mutually_inverse(sl3, sl4, sp2):
 
 def test_frame_sl3_matches_reference(chart_sl3):
     # X = d/dx, Y = d/dy + x d/du, U = d/du in the entries chart
-    frame = left_invariant_frame(chart_sl3)
+    frame = [chart_sl3.frame_field(r) for r in chart_sl3.coord_roots]
     rendered = [f.render() for f in frame]
     assert rendered == [{"10": "1"}, {"01": "1", "11": "x"}, {"11": "1"}]
 
 
 def test_frame_sp2_matches_reference(chart_sp2):
-    frame = left_invariant_frame(chart_sp2)
+    frame = [chart_sp2.frame_field(r) for r in chart_sp2.coord_roots]
     rendered = [f.render() for f in frame]
     assert rendered == [
         {"10": "1"},

@@ -8,7 +8,7 @@ import pytest
 from mclab import linalg
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze, enumerate_all, type_p_subset, validate
-from mclab.liealg import left_invariant_frame, matrix_chart, second_kind_chart
+from mclab.liealg import matrix_chart, second_kind_chart
 from mclab.mcfields import (McError, McSystem, assemble_mc_system,
                             compare_with_normalizer, homogeneous_degree,
                             homogeneous_parts, normalizer_basis_indices, nu,
@@ -122,7 +122,7 @@ def test_homogeneous_degree_examples(sl3, chart_sl3):
     w = sl3.rs.highest_root.id
     xw = Poly.var(chart_sl3.nvars, chart_sl3.coord_index(w))
     assert homogeneous_degree(xw, chart_sl3) == 2
-    frame = left_invariant_frame(chart_sl3)
+    frame = [chart_sl3.frame_field(r) for r in chart_sl3.coord_roots]
     for f, r in zip(frame, chart_sl3.coord_roots):
         assert homogeneous_degree(f.to_invariant(), chart_sl3) == \
             -sl3.rs.root(r).height
@@ -324,7 +324,7 @@ def test_projection_bracket_identity_random_points(sl4, chart_sl4):
     for random invariant fields, at 100 random rational points."""
     hs = type_p_subset(sl4.rs, 2)
     rng = random.Random(7)
-    frame_full = left_invariant_frame(chart_sl4)
+    frame_full = [chart_sl4.frame_field(r) for r in chart_sl4.coord_roots]
     csub = {chart_sl4.coord_index(r): Q(0) for r in hs.C}
 
     def random_field():
@@ -549,6 +549,29 @@ def test_solution_json_and_brackets(sp2_slice):
     assert summary["dimension"] == 8
     assert summary["derived_series"][1] == 8
     assert summary["killing_rank"] == 8
+
+
+def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice):
+    """The basis is eliminated once for all brackets; each bracket's
+    coordinates equal a separate solve against the whole basis."""
+    for hs, sol in (sl3_full, sp2_slice):
+        sol.compute_brackets()
+        index = sol.monomial_index()
+        basis_vecs = [sol.flatten(b, index) for b in sol.basis]
+        for i, a in enumerate(sol.basis):
+            for j, b in enumerate(sol.basis):
+                vec = sol.flatten(a.bracket(b).to_invariant(), index)
+                assert sol.bracket_table[i][j] == \
+                    linalg.coordinates_in_span(basis_vecs, vec)
+        combo = sol.basis[0] * Q(3) + sol.basis[-1] * Q(-1, 2)
+        expect = [Q(0)] * sol.dimension
+        expect[0], expect[-1] = Q(3), Q(-1, 2)
+        assert sol.coordinates(combo) == expect and sol.contains(combo)
+        g = sorted(hs.R)[0]
+        far = PolyVectorField(sol.chart, "invariant",
+                              {g: Poly.var(sol.chart.nvars, 0) ** 7},
+                              slice_roots=hs.R)
+        assert sol.coordinates(far) is None and not sol.contains(far)
 
 
 def test_system_json(sl4, chart_sl4):

@@ -223,6 +223,36 @@ def test_sparse_nullspace_property(data):
         _dense_coordinates(dense, target)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_span_basis_property(data):
+    """One elimination of an independent basis serves every target: the
+    coordinates equal the dense reference, and None marks a target
+    outside the span."""
+    ncols = data.draw(st.integers(1, 6))
+    basis = []
+    for row in _draw_dense(data, data.draw(st.integers(0, 6)), ncols):
+        if len(_dense_rref(basis + [row])[1]) > len(basis):
+            basis.append(row)
+    span = linalg.SpanBasis(_sparse(basis), ncols)
+    assert span.positions == _dense_rref(basis)[1]
+    for _ in range(3):
+        target = [data.draw(coeffs) for _ in range(ncols)]
+        if data.draw(st.booleans()):
+            w = [data.draw(coeffs) for _ in basis]
+            target = [sum((c * r[i] for c, r in zip(w, basis)), Q(0))
+                      for i in range(ncols)]
+        coords = span.coordinates(_sparse([target])[0])
+        assert coords == _dense_coordinates(basis, target)
+        # Poly entries at the positions give the same coefficients
+        sel = [target[p] for p in span.positions]
+        assert span.coefficients([Poly.const(2, x) for x in sel]) == \
+            [Poly.const(2, x) for x in span.coefficients(sel)]
+    if basis:
+        with pytest.raises(ValueError):
+            linalg.SpanBasis(_sparse(basis + [basis[-1]]), ncols)
+
+
 def _rref_nullspace(dense, ncols):
     """Oracle: one vector per free column of the dense reduced row
     echelon form, one at that column and zero at the other free ones."""

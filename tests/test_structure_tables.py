@@ -1,0 +1,242 @@
+"""Structure tables of the split algebras.
+
+The library derives the root functionals, the structure constants, the
+Cartan brackets, the theta-scalars and the adjoint realization from sparse
+entry maps of the basis matrices.  Here they are compared with the dense
+derivation (full Fraction matrix products, each result solved for its
+coordinates over all basis matrices), checked for antisymmetry and the
+Jacobi identity on larger ranks, and every derivation check is shown to
+fire on a broken realization.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+from itertools import combinations
+
+import pytest
+
+from mclab import linalg
+from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
+                          build_sl, build_sp)
+
+
+# ---------------------------------------------------------------------------
+# dense oracle
+# ---------------------------------------------------------------------------
+
+def _dense_bracket(a, b):
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+class DenseOracle:
+    """The tables by dense matrix products and dense decomposition."""
+
+    def __init__(self, rs, real):
+        self.basis = [real.basis_matrix(k) for k in range(real.dim)]
+        self._flat = [[x for row in b for x in row] for b in self.basis]
+        self._derive(rs)
+
+    def decompose(self, m):
+        coeffs = linalg.coordinates_in_span(self._flat,
+                                            [x for row in m for x in row])
+        assert coeffs is not None, "element outside the algebra"
+        return coeffs
+
+    def _derive(self, rs):
+        rank = rs.rank
+
+        def full(root_id):
+            return rank + root_id
+
+        self.functional = []
+        for r in range(rs.n_pos):
+            vals = []
+            x_r = self.basis[full(r)]
+            for i in range(rank):
+                comm = _dense_bracket(self.basis[i], x_r)
+                target = self.decompose(comm)[full(r)]
+                if not linalg.mat_eq(comm, linalg.mat_scale(x_r, target)):
+                    raise LieAlgebraError("Cartan element is not diagonal")
+                vals.append(target)
+            self.functional.append(tuple(vals))
+        self.c, self.h_of_bracket = {}, {}
+        nroots = 2 * rs.n_pos
+        for a in range(nroots):
+            for b in range(nroots):
+                s = rs.add(a, b)
+                coeffs = self.decompose(_dense_bracket(
+                    self.basis[full(a)],
+                    self.basis[full(b)]))
+                if s is not None:
+                    if any(x for k, x in enumerate(coeffs)
+                           if k != full(s)):
+                        raise LieAlgebraError("bracket leaves its root space")
+                    if coeffs[full(s)]:
+                        self.c[(a, b)] = coeffs[full(s)]
+                elif rs.neg(a) == b:
+                    if a < rs.n_pos:
+                        self.h_of_bracket[a] = tuple(coeffs[:rank])
+                    if any(coeffs[rank:]):
+                        raise LieAlgebraError("[X_a, X_-a] not in the Cartan")
+                elif any(coeffs):
+                    raise LieAlgebraError("bracket of non-summing roots nonzero")
+        self.theta_scalar = {}
+        for a in range(nroots):
+            m = self.basis[full(a)]
+            coeffs = self.decompose(
+                linalg.mat_scale([list(r) for r in zip(*m)], Q(-1)))
+            tgt = full(rs.neg(a))
+            if any(x for k, x in enumerate(coeffs) if k != tgt):
+                raise LieAlgebraError("theta does not map root space to opposite")
+            self.theta_scalar[a] = coeffs[tgt]
+
+    def ad_matrices(self):
+        """ad(e_i) with column k the coordinates of [e_i, e_k]."""
+        out = []
+        for x in self.basis:
+            cols = [self.decompose(_dense_bracket(x, b)) for b in self.basis]
+            out.append([list(row) for row in zip(*cols)])
+        return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3"])
+def test_tables_match_dense_oracle(name, request):
+    alg = request.getfixturevalue(name)
+    oracle = DenseOracle(alg.rs, alg.realization)
+    assert alg.functional == oracle.functional
+    # values and key order: the JSON output follows insertion order
+    assert list(alg.c.items()) == list(oracle.c.items())
+    assert list(alg.h_of_bracket.items()) == list(oracle.h_of_bracket.items())
+    assert list(alg.theta_scalar.items()) == list(oracle.theta_scalar.items())
+    ad = alg.ad_realization()
+    assert [ad.basis_matrix(k) for k in range(ad.dim)] == oracle.ad_matrices()
+    # the trace form over nonzero entries is tr(m1 m2)
+    for m1 in oracle.basis:
+        for m2 in oracle.basis:
+            prod = linalg.mat_mul(m1, m2)
+            assert alg.trace_form(m1, m2) == sum(
+                (prod[i][i] for i in range(len(prod))), Q(0))
+
+
+# ---------------------------------------------------------------------------
+# structure identities on larger ranks
+# ---------------------------------------------------------------------------
+
+def _table_brackets(alg):
+    """[e_i, e_j] over the full basis as sparse coefficient maps, read
+    from ``functional``, ``c`` and ``h_of_bracket`` alone."""
+    rs, rank = alg.rs, alg.rank
+    nroots = 2 * rs.n_pos
+    table = [[{} for _ in range(alg.dim)] for _ in range(alg.dim)]
+    for a in range(nroots):
+        ia = alg.full_index(a)
+        for i in range(rank):
+            unit = [Q(int(k == i)) for k in range(rank)]
+            v = alg.alpha_value(a, unit)
+            if v:
+                table[i][ia] = {ia: v}
+                table[ia][i] = {ia: -v}
+        for b in range(nroots):
+            s = rs.add(a, b)
+            if s is not None:
+                c = alg.c.get((a, b), Q(0))
+                table[ia][alg.full_index(b)] = {alg.full_index(s): c} if c else {}
+            elif rs.neg(a) == b:
+                h = (alg.h_of_bracket[a] if a < rs.n_pos
+                     else tuple(-x for x in alg.h_of_bracket[b]))
+                table[ia][alg.full_index(b)] = {k: x for k, x in enumerate(h)
+                                                if x}
+    return table
+
+
+def _bracket(table, u, v):
+    out: dict[int, Q] = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            for k, z in table[i][j].items():
+                out[k] = out.get(k, 0) + x * y * z
+    return {k: x for k, x in out.items() if x}
+
+
+@pytest.fixture(scope="module", params=["sl6", "sp4"])
+def large_algebra(request):
+    return build_sl(6) if request.param == "sl6" else build_sp(4)
+
+
+def test_structure_identities_large_rank(large_algebra):
+    alg = large_algebra
+    rs = alg.rs
+    ids = range(2 * rs.n_pos)
+    for a in ids:
+        for b in ids:
+            assert alg.c.get((a, b), Q(0)) == -alg.c.get((b, a), Q(0))
+    table = _table_brackets(alg)
+    unit = [{k: Q(1)} for k in range(alg.dim)]
+    assert not any(table[i][i] for i in range(alg.dim))
+    for i, j in combinations(range(alg.dim), 2):
+        assert table[i][j] == {k: -x for k, x in table[j][i].items()}
+    # with antisymmetry, the cyclic Jacobi sum is alternating, so
+    # increasing triples cover every triple
+    for i, j, k in combinations(range(alg.dim), 3):
+        ei, ej, ek = unit[i], unit[j], unit[k]
+        total: dict[int, Q] = {}
+        for term in (_bracket(table, ei, table[j][k]),
+                     _bracket(table, ej, table[k][i]),
+                     _bracket(table, ek, table[i][j])):
+            for t, x in term.items():
+                total[t] = total.get(t, 0) + x
+        assert not any(total.values()), (i, j, k)
+    # the adjoint realization carries the same brackets
+    ad = alg.ad_realization()
+    for i in range(alg.dim):
+        m = ad.basis_matrix(i)
+        for j in range(alg.dim):
+            assert {k: m[k][j] for k in range(alg.dim) if m[k][j]} == table[i][j]
+
+
+# ---------------------------------------------------------------------------
+# every derivation check fires on a broken realization
+# ---------------------------------------------------------------------------
+
+def _conjugate(m, g, g_inv):
+    return linalg.mat_mul(linalg.mat_mul(g, m), g_inv)
+
+
+def _mutated_sl3(kind):
+    real = build_sl(3).realization
+    cartan, pos, neg = list(real.cartan), list(real.pos), list(real.neg)
+    if kind == "not a weight vector":
+        pos[0] = linalg.mat_add(pos[0], pos[1])         # E01 + E12
+    elif kind == "leaves its root space":
+        pos[2], neg[0] = neg[0], pos[2]                 # X_{a+b} <-> X_{-a}
+    elif kind == "not in the Cartan":
+        neg = [neg[2], neg[0], neg[1]]                  # X_{-a} = E20
+    elif kind == "non-summing nonzero":
+        neg[1], neg[2] = neg[2], neg[1]                 # X_{-b} = E20
+    elif kind == "theta":
+        # conjugating by a non-orthogonal g keeps every bracket but not
+        # theta(m) = -m^T
+        g = linalg.frac_identity(3)
+        g[0][1] = Q(1)
+        g_inv = linalg.unipotent_inverse(g, linalg.frac_identity(3))
+        cartan, pos, neg = ([_conjugate(m, g, g_inv) for m in ms]
+                            for ms in (cartan, pos, neg))
+    return Realization("matrix", cartan, pos, neg)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("not a weight vector", "Cartan element is not diagonal"),
+    ("leaves its root space", "bracket leaves its root space"),
+    ("not in the Cartan", r"\[X_a, X_-a\] not in the Cartan"),
+    ("non-summing nonzero", "bracket of non-summing roots nonzero"),
+    ("theta", "theta does not map root space to opposite"),
+])
+def test_derivation_checks_reject_broken_realization(kind, message, sl3):
+    real = _mutated_sl3(kind)
+    with pytest.raises(LieAlgebraError, match=message):
+        SplitLieAlgebra(sl3.rs, "sl", 3, real, normalized=True,
+                        killing_factor=Q(6), b0_lambda=Q(1))
+    # the dense derivation agrees that the realization is broken
+    with pytest.raises(LieAlgebraError, match=message):
+        DenseOracle(sl3.rs, real)
