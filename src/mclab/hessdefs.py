@@ -101,7 +101,7 @@ def defining_equations(algebra: SplitLieAlgebra, chart: Chart,
     order = sorted(hs.C, key=lambda a: (rs.root(a).height, a))
     if symbolic:
         nv = chart.nvars + algebra.rank
-        gen = chart._build_generic(nv, 0)
+        gen = chart._build_generic(nv)
         ident = [[Poly.const(nv, Q(1) if i == j else Q(0))
                   for j in range(chart.realization.size)]
                  for i in range(chart.realization.size)]

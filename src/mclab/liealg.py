@@ -12,7 +12,10 @@ a generic point (a matrix of polynomials in the chart coordinates),
 extract coordinates back from a matrix, multiply points, and compute its
 left-invariant frame, all in exact arithmetic.  Frame fields are the
 standard ones generated by right translation along the one-parameter
-subgroups of the basis vectors.
+subgroups of the basis vectors.  They are read off the Maurer-Cartan form
+of the generic point g: the coefficients W[k][gamma] of g^{-1} d_k g form
+a unitriangular matrix (contract order), and X = W^{-1} d, one formula
+for every chart kind.
 """
 
 from __future__ import annotations
@@ -442,7 +445,7 @@ class Chart:
     # ---- generic point -------------------------------------------------------
     def generic_matrix(self):
         if self._generic is None:
-            self._generic = self._build_generic(self.nvars, 0)
+            self._generic = self._build_generic(self.nvars)
         return self._generic
 
     def generic_inverse(self):
@@ -451,9 +454,9 @@ class Chart:
                 self.generic_matrix(), self._poly_identity(self.nvars))
         return self._generic_inv
 
-    def _build_generic(self, nvars: int, offset: int):
-        """Generic point with coordinate k as variable offset+k of a ring
-        with ``nvars`` variables."""
+    def _build_generic(self, nvars: int):
+        """Generic point with coordinate k as variable k of a ring with
+        ``nvars`` variables (later variables stay free)."""
         alg = self.algebra
         size = self.realization.size
         ident = self._poly_identity(nvars)
@@ -462,13 +465,13 @@ class Chart:
                 m = self._poly_identity(nvars)
                 for k, r in enumerate(self.coord_roots):
                     i, j = _sl_position(alg.rs.root(r).coeffs)
-                    m[i][j] = m[i][j] + Poly.var(nvars, offset + k)
+                    m[i][j] = m[i][j] + Poly.var(nvars, k)
                 return m
             if alg.family == "sp" and alg.param == 2:
-                u = Poly.var(nvars, offset + 0)
-                x = Poly.var(nvars, offset + 1)
-                y = Poly.var(nvars, offset + 2)
-                z = Poly.var(nvars, offset + 3)
+                u = Poly.var(nvars, 0)
+                x = Poly.var(nvars, 1)
+                y = Poly.var(nvars, 2)
+                z = Poly.var(nvars, 3)
                 one = Poly.const(nvars, 1)
                 zero = Poly.zero(nvars)
                 return [
@@ -482,14 +485,14 @@ class Chart:
             nil = [[Poly.zero(nvars) for _ in range(size)] for _ in range(size)]
             for k, r in enumerate(self.coord_roots):
                 term = self._lift_const(self.realization.pos[r], nvars)
-                term = linalg.mat_scale(term, Poly.var(nvars, offset + k))
+                term = linalg.mat_scale(term, Poly.var(nvars, k))
                 nil = linalg.mat_add(nil, term)
             return linalg.nilpotent_exp(nil, ident)
         if self.kind == "second_kind":
             m = ident
             for k, r in enumerate(self.coord_roots):
                 nil = self._lift_const(self.realization.pos[r], nvars)
-                nil = linalg.mat_scale(nil, Poly.var(nvars, offset + k))
+                nil = linalg.mat_scale(nil, Poly.var(nvars, k))
                 m = linalg.mat_mul(m, linalg.nilpotent_exp(nil, ident))
             return m
         if self.kind == "three_factor":
@@ -502,7 +505,7 @@ class Chart:
                     k = self.coord_index(r)
                     term = self._lift_const(self.realization.pos[r], nvars)
                     nil = linalg.mat_add(
-                        nil, linalg.mat_scale(term, Poly.var(nvars, offset + k)))
+                        nil, linalg.mat_scale(term, Poly.var(nvars, k)))
                 m = linalg.mat_mul(m, linalg.nilpotent_exp(nil, ident))
             return m
         raise LieAlgebraError(f"unknown chart kind {self.kind!r}")
@@ -608,6 +611,14 @@ class Chart:
     def frame_components(self, slice_roots=None) -> dict[int, dict[int, Poly]]:
         """Row gamma: coefficients of d/dx_j in the frame field X_gamma.
 
+        The frame comes from the Maurer-Cartan form of the generic point g
+        (Varadarajan, GTM 102, Thm 2.14.3): W[k][gamma] is the coefficient
+        of X_gamma in g^{-1} d_k g, so d_k = sum_gamma W[k][gamma] X_gamma
+        as left-invariant fields.  W is unitriangular in contract (height)
+        order, hence X_gamma = sum_k (W^{-1})[gamma][k] d_k, with W^{-1}
+        from the finite Neumann series.  The formula is the same for every
+        chart kind; only the generic point differs.
+
         With ``slice_roots`` the complement coordinates are set to zero and
         only slice rows/columns are kept.
         """
@@ -620,30 +631,25 @@ class Chart:
                     for r in self.coord_roots if r not in key}
             rows = {}
             for g in key:
-                rows[g] = {
-                    j: p.subs(csub) for j, p in full[g].items()
-                    if j in key and not p.subs(csub).is_zero()
-                }
+                restricted = ((j, p.subs(csub)) for j, p in full[g].items()
+                              if j in key)
+                rows[g] = {j: p for j, p in restricted if not p.is_zero()}
             self._frame_cache[key] = rows
             return rows
-        ext = self.nvars + 1
-        eps = self.nvars
-        gen = self._build_generic(ext, 0)
-        ident = self._poly_identity(ext)
-        rows: dict[int, dict[int, Poly]] = {}
-        for r in self.coord_roots:
-            step = self._lift_const(self.realization.pos[r], ext)
-            step = linalg.mat_scale(step, Poly.var(ext, eps))
-            moved = linalg.mat_mul(gen, linalg.mat_add(ident, step))
-            coords = self.extract(moved)
-            row = {}
-            for k, c in enumerate(coords):
-                d = c.diff(eps).subs({eps: 0})
-                if not d.is_zero():
-                    # eps exponent is zero everywhere; drop that slot
-                    row[self.coord_roots[k]] = d.lift(
-                        self.nvars, list(range(self.nvars)) + [0])
-            rows[r] = row
+        gen = self.generic_matrix()
+        gen_inv = self.generic_inverse()
+        cols = [self.algebra.full_index(r) for r in self.coord_roots]
+        w = []
+        for k in range(self.nvars):
+            d_k = [[p.diff(k) for p in row] for row in gen]
+            coeffs = self.realization.decompose(linalg.mat_mul(gen_inv, d_k))
+            w.append([coeffs[c] for c in cols])
+        ident = [[Poly.const(self.nvars, Q(1) if i == j else Q(0))
+                  for j in range(self.nvars)] for i in range(self.nvars)]
+        w_inv = linalg.unipotent_inverse(w, ident)
+        rows = {r: {self.coord_roots[k]: p for k, p in enumerate(w_inv[g])
+                    if not p.is_zero()}
+                for g, r in enumerate(self.coord_roots)}
         self._frame_cache[None] = rows
         return rows
 
@@ -739,6 +745,13 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
     ``element_coeffs`` are full-basis coefficients; returns coefficients.
     The point is converted to its logarithm and the finite ad-exponential
     is applied in the adjoint realization.
+
+    This is an independent cross-check of :func:`adjoint_of_point`, not a
+    fast path: at the generic point of the sp(3) second-kind chart it
+    takes about 0.5 s per element (a ``Poly`` matrix log and a dense
+    exponential in the 21-dimensional adjoint realization), while
+    :func:`adjoint_of_point` takes about 2-3 ms per element once the
+    chart's generic inverse is built.
     """
     alg = chart.algebra
     ad = alg.ad_realization()

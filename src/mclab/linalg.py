@@ -71,23 +71,29 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def unipotent_inverse(a: Matrix, identity: Matrix) -> Matrix:
-    """Inverse of I + N with N nilpotent, by the finite Neumann series."""
+    """Inverse of I + N with N nilpotent, by the finite Neumann series.
+
+    Raises ``ValueError`` if ``a`` is not unipotent (N^n != 0), where the
+    truncated series would be silently wrong; so do :func:`nilpotent_exp`
+    and :func:`unipotent_log`.
+    """
     n = len(a)
     nil = mat_sub(a, identity)
     out = [row[:] for row in identity]
     power = [row[:] for row in identity]
     for k in range(1, n + 1):
         power = mat_mul(power, nil)
-        if all(_is_zeroish(x) for row in power for x in row):
+        if _is_zero_matrix(power):
             break
         out = mat_add(out, power) if k % 2 == 0 else mat_sub(out, power)
+    else:
+        raise ValueError("unipotent_inverse: matrix is not unipotent")
     return out
 
 
-def _is_zeroish(x) -> bool:
-    if isinstance(x, Q) or isinstance(x, int):
-        return x == 0
-    return x.is_zero()
+def _is_zero_matrix(m: Matrix) -> bool:
+    return all(x == 0 if isinstance(x, (Q, int)) else x.is_zero()
+               for row in m for x in row)
 
 
 def nilpotent_exp(nil: Matrix, identity: Matrix) -> Matrix:
@@ -97,10 +103,12 @@ def nilpotent_exp(nil: Matrix, identity: Matrix) -> Matrix:
     fact = Q(1)
     for k in range(1, n + 1):
         power = mat_mul(power, nil)
-        if all(_is_zeroish(x) for row in power for x in row):
+        if _is_zero_matrix(power):
             break
         fact *= k
         out = mat_add(out, mat_scale(power, Q(1) / fact))
+    else:
+        raise ValueError("nilpotent_exp: matrix is not nilpotent")
     return out
 
 
@@ -111,10 +119,12 @@ def unipotent_log(a: Matrix, identity: Matrix) -> Matrix:
     power = [row[:] for row in identity]
     for k in range(1, n + 1):
         power = mat_mul(power, nil)
-        if all(_is_zeroish(x) for row in power for x in row):
+        if _is_zero_matrix(power):
             break
         sign = Q(1, k) if k % 2 == 1 else Q(-1, k)
         out = mat_add(out, mat_scale(power, sign))
+    else:
+        raise ValueError("unipotent_log: matrix is not unipotent")
     return out
 
 

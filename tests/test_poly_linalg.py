@@ -285,3 +285,28 @@ def test_nilpotent_series():
     log = linalg.unipotent_log(u, ident)
     exp = linalg.nilpotent_exp(log, ident)
     assert linalg.mat_eq(exp, u)
+
+
+
+_X = Poly.var(1, 0)
+_O = Poly.zero(1)
+_I = Poly.const(1, 1)
+
+
+@pytest.mark.parametrize("series,bad,poly_bad", [
+    # unipotent_inverse and unipotent_log see N = a - I = [[1, 1], [0, 0]]
+    # (N^2 = N) and [[x, 0], [0, 0]]; nilpotent_exp sees N = a itself
+    (linalg.unipotent_inverse, [[Q(2), Q(1)], [Q(0), Q(1)]],
+     [[_X + 1, _O], [_O, _I]]),
+    (linalg.unipotent_log, [[Q(2), Q(1)], [Q(0), Q(1)]],
+     [[_X + 1, _O], [_O, _I]]),
+    (linalg.nilpotent_exp, [[Q(0), Q(1)], [Q(1), Q(0)]],
+     [[_O, _X], [_X, _O]]),
+])
+def test_series_reject_non_unipotent(series, bad, poly_bad):
+    """A truncated series would be silently wrong: inputs whose nilpotent
+    part N has N^n != 0 raise instead, for Fraction and Poly entries."""
+    with pytest.raises(ValueError, match="not (unipotent|nilpotent)"):
+        series(bad, linalg.frac_identity(2))
+    with pytest.raises(ValueError, match="not (unipotent|nilpotent)"):
+        series(poly_bad, [[_I, _O], [_O, _I]])
