@@ -284,62 +284,48 @@ class McSolution:
 
     # ---- structure ---------------------------------------------------------
     def compute_brackets(self) -> None:
-        table: list[list[list[Q]]] = []
+        """Bracket table over the basis: cell (i, j) holds the coordinates
+        of [b_i, b_j] over the basis, or [] when that bracket leaves the
+        span, in which case ``bracket_closed`` is False.
+
+        Each basis field is converted to the coordinate frame once and only
+        the pairs i < j are bracketed; the other cells follow from
+        antisymmetry, [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0.
+        """
+        n = self.dimension
+        fields = [b.to_coordinate() for b in self.basis]
+        table: list[list[list[Q]]] = [[[] for _ in range(n)]
+                                      for _ in range(n)]
         closed = True
-        for i, a in enumerate(self.basis):
-            row = []
-            for b in self.basis:
-                coords = self.coordinates(a.bracket(b))
+        for i in range(n):
+            table[i][i] = [Q(0)] * n
+            for j in range(i + 1, n):
+                coords = self.coordinates(fields[i].bracket(fields[j]))
                 if coords is None:
                     closed = False
-                    coords = []
-                row.append(coords)
-            table.append(row)
+                else:
+                    table[i][j] = coords
+                    table[j][i] = [-x for x in coords]
         self.bracket_table = table
         self.bracket_closed = closed
 
     def algebra_summary(self) -> dict:
         """Dimension, derived-series dimensions, and the rank/signature of
-        the trace form of the bracket table."""
+        the trace form (a, b) -> tr(ad a ad b) of the bracket table; only
+        dimension and closure when the brackets leave the span.  Both the
+        derived series and the trace form work on the nonzero structure
+        constants (``_ad_columns``)."""
         if self.bracket_table is None:
             self.compute_brackets()
         n = self.dimension
         if not self.bracket_closed:
             return {"dimension": n, "bracket_closed": False}
-        # structure constants tensor
-        c = self.bracket_table
-        # derived series: each term is spanned by the pivot rows of the
-        # brackets of the previous term's pivot rows
-        span = [{i: 1} for i in range(n)]
-        dims = [n]
-        while True:
-            prods = []
-            for u in span:
-                for v in span:
-                    w = {}
-                    for i, ui in u.items():
-                        for j, vj in v.items():
-                            for k, ck in enumerate(c[i][j]):
-                                if ck:
-                                    w[k] = w.get(k, 0) + ui * vj * ck
-                    prods.append(w)
-            span = list(linalg.rref(prods, n).values())
-            dims.append(len(span))
-            if len(span) in (0, dims[-2]):
-                break
-        # Killing-style form of the bracket table
-        ad = []
-        for i in range(n):
-            m = [[c[i][j][k] for j in range(n)] for k in range(n)]
-            ad.append(m)
-        killing = [[sum(ad[i][p][q] * ad[j][q][p]
-                        for p in range(n) for q in range(n))
-                    for j in range(n)] for i in range(n)]
-        rank_k, pos_k, neg_k = linalg.symmetric_signature(killing)
+        ad = _ad_columns(self.bracket_table)
+        rank_k, pos_k, neg_k = linalg.symmetric_signature(_trace_form(ad))
         return {
             "dimension": n,
             "bracket_closed": True,
-            "derived_series": dims,
+            "derived_series": _derived_series(ad),
             "killing_rank": rank_k,
             "killing_signature": [pos_k, neg_k],
         }
@@ -369,6 +355,68 @@ class McSolution:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _ad_columns(table: list[list[list[Q]]]
+                ) -> list[dict[int, dict[int, Q]]]:
+    """ad of each basis element as sparse columns: ``ad[i][j]`` maps k to
+    the nonzero coefficients of b_k in [b_i, b_j]; zero brackets are
+    left out."""
+    ad = []
+    for row in table:
+        cols = {}
+        for j, cell in enumerate(row):
+            col = {k: x for k, x in enumerate(cell) if x}
+            if col:
+                cols[j] = col
+        ad.append(cols)
+    return ad
+
+
+def _trace_form(ad: list[dict[int, dict[int, Q]]]) -> list[list[Q]]:
+    """The form tr(ad_i ad_j), summed over the nonzero entries
+    (ad_i)_pq = ad[i][q][p] only, each times (ad_j)_qp.  The form is
+    symmetric, so the upper triangle is computed and mirrored."""
+    n = len(ad)
+    form = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            adj = ad[j]
+            s = Q(0)
+            for q, col in ad[i].items():
+                for p, x in col.items():
+                    y = adj.get(p, {}).get(q)
+                    if y:
+                        s += x * y
+            form[i][j] = form[j][i] = s
+    return form
+
+
+def _derived_series(ad: list[dict[int, dict[int, Q]]]) -> list[int]:
+    """Dimensions of the derived series, down to zero or a fixed term.
+
+    Each term is spanned by the brackets of pairs of the previous term's
+    pivot rows; by antisymmetry the pairs u < v suffice."""
+    n = len(ad)
+    span: list[dict[int, int]] = [{i: 1} for i in range(n)]
+    dims = [n]
+    while True:
+        prods = []
+        for a, u in enumerate(span):
+            for v in span[a + 1:]:
+                w: dict[int, Q] = {}
+                for i, ui in u.items():
+                    cols = ad[i]
+                    for j, vj in v.items():
+                        col = cols.get(j)
+                        if col:
+                            for k, ck in col.items():
+                                w[k] = w.get(k, 0) + ui * vj * ck
+                prods.append(w)
+        span = list(linalg.rref(prods, n).values())
+        dims.append(len(span))
+        if len(span) in (0, dims[-2]):
+            return dims
 
 
 def _unknown_weights(system: McSystem,

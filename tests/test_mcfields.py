@@ -1,19 +1,20 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction as Q
 
 import pytest
 
-from mclab import linalg
+from mclab import linalg, mcfields
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze, enumerate_all, type_p_subset, validate
 from mclab.liealg import matrix_chart, second_kind_chart
-from mclab.mcfields import (McError, McSystem, assemble_mc_system,
-                            compare_with_normalizer, homogeneous_degree,
-                            homogeneous_parts, normalizer_basis_indices, nu,
-                            project_to_slice, reduce_by_dark_zones, solve_mc,
-                            tau, tau_basis)
+from mclab.mcfields import (McError, McSolution, McSystem,
+                            assemble_mc_system, compare_with_normalizer,
+                            homogeneous_degree, homogeneous_parts,
+                            normalizer_basis_indices, nu, project_to_slice,
+                            reduce_by_dark_zones, solve_mc, tau, tau_basis)
 from mclab.poly import Poly, monomials_of_weighted_degree
 
 
@@ -551,18 +552,49 @@ def test_solution_json_and_brackets(sp2_slice):
     assert summary["killing_rank"] == 8
 
 
-def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice):
-    """The basis is eliminated once for all brackets; each bracket's
-    coordinates equal a separate solve against the whole basis."""
-    for hs, sol in (sl3_full, sp2_slice):
-        sol.compute_brackets()
+@pytest.fixture(scope="module")
+def small_stabilized(sl2, chart_sl3, chart_sl4, chart_sp2):
+    """Solutions, with bracket tables, of every Hessenberg set of A1-A3
+    and C2 whose solution is stabilized."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "multicontact dimension not stabilized")
+        for chart in (matrix_chart(sl2), chart_sl3, chart_sl4, chart_sp2):
+            for hs in enumerate_all(chart.algebra.rs):
+                sol = solve_mc(hs, chart)
+                if sol.stabilized:
+                    sol.compute_brackets()
+                    out.append((hs, sol))
+    # A1, A2, A3 and C2 have 1, 2, 5 and 3 finite-type slices
+    assert len(out) == 1 + 2 + 5 + 3
+    return out
+
+
+def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
+                                                 small_stabilized):
+    """The basis is eliminated once for all brackets and only the pairs
+    i < j are bracketed; all n^2 cells, diagonal and lower triangle
+    included, equal a direct bracket of the two basis fields solved
+    against the whole basis, on every stabilized set of A1-A3 and C2."""
+    dims = []
+    for hs, sol in small_stabilized:
+        dims.append(sol.dimension)
         index = sol.monomial_index()
         basis_vecs = [sol.flatten(b, index) for b in sol.basis]
+        closed = True
         for i, a in enumerate(sol.basis):
             for j, b in enumerate(sol.basis):
                 vec = sol.flatten(a.bracket(b).to_invariant(), index)
-                assert sol.bracket_table[i][j] == \
-                    linalg.coordinates_in_span(basis_vecs, vec)
+                expect = (None if vec is None
+                          else linalg.coordinates_in_span(basis_vecs, vec))
+                if expect is None:
+                    closed = False
+                    expect = []
+                assert sol.bracket_table[i][j] == expect, (sorted(hs.R), i, j)
+        assert sol.bracket_closed == closed
+    assert max(dims) == 15 and 0 in dims
+    for hs, sol in (sl3_full, sp2_slice):
         combo = sol.basis[0] * Q(3) + sol.basis[-1] * Q(-1, 2)
         expect = [Q(0)] * sol.dimension
         expect[0], expect[-1] = Q(3), Q(-1, 2)
@@ -572,6 +604,84 @@ def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice):
                               {g: Poly.var(sol.chart.nvars, 0) ** 7},
                               slice_roots=hs.R)
         assert sol.coordinates(far) is None and not sol.contains(far)
+
+
+def _dense_trace_form(c, n):
+    """The n^4 reference: tr(ad_i ad_j) with ad_i[k][j] = c[i][j][k]."""
+    ad = [[[c[i][j][k] for j in range(n)] for k in range(n)]
+          for i in range(n)]
+    return [[sum(ad[i][p][q] * ad[j][q][p]
+                 for p in range(n) for q in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def _dense_derived_series(c, n):
+    """The reference product loop: every ordered pair of the previous
+    term's pivot rows, over dense bracket-table cells."""
+    span = [{i: 1} for i in range(n)]
+    dims = [n]
+    while True:
+        prods = []
+        for u in span:
+            for v in span:
+                w = {}
+                for i, ui in u.items():
+                    for j, vj in v.items():
+                        for k, ck in enumerate(c[i][j]):
+                            if ck:
+                                w[k] = w.get(k, 0) + ui * vj * ck
+                prods.append(w)
+        span = list(linalg.rref(prods, n).values())
+        dims.append(len(span))
+        if len(span) in (0, dims[-2]):
+            return dims
+
+
+def test_trace_form_and_derived_series_oracle(small_stabilized):
+    """The sparse trace form equals the dense n^4 sum entry by entry, and
+    the sparse derived series equals the dense product loop."""
+    ranks = set()
+    for hs, sol in small_stabilized:
+        assert sol.bracket_closed
+        n, table = sol.dimension, sol.bracket_table
+        ad = mcfields._ad_columns(table)
+        form = mcfields._trace_form(ad)
+        dense = _dense_trace_form(table, n)
+        for i in range(n):
+            for j in range(n):
+                assert form[i][j] == dense[i][j], (sorted(hs.R), i, j)
+        series = mcfields._derived_series(ad)
+        assert series == _dense_derived_series(table, n)
+        summary = sol.algebra_summary()
+        rank_k, pos_k, neg_k = linalg.symmetric_signature(dense)
+        assert summary["derived_series"] == series
+        assert summary["killing_rank"] == rank_k
+        assert summary["killing_signature"] == [pos_k, neg_k]
+        ranks.add((n, rank_k))
+    # both degenerate and nondegenerate forms occur
+    assert (15, 15) in ranks and any(r < n for n, r in ranks)
+
+
+def test_non_closed_bracket_table(sp2_slice):
+    """Without its degree -2 field the C2 slice basis is not closed: the
+    bracket of the two degree -1 fields leaves the smaller span."""
+    hs, sol = sp2_slice
+    assert sol.degrees[:3] == [-2, -1, -1]
+    basis = sol.basis[1:]
+    index = sol.monomial_index()
+    vecs = [sol.flatten(b, index) for b in basis]
+    outside = sol.flatten(basis[0].bracket(basis[1]).to_invariant(), index)
+    assert linalg.coordinates_in_span(vecs, outside) is None
+    small = McSolution(hs=hs, chart=sol.chart,
+                       degree_bound=sol.degree_bound, basis=basis,
+                       degrees=sol.degrees[1:], dimension=len(basis),
+                       stabilized=True)
+    small.compute_brackets()
+    assert small.bracket_closed is False
+    assert small.bracket_table[0][1] == [] and small.bracket_table[1][0] == []
+    assert small.bracket_table[0][0] == [Q(0)] * len(basis)
+    assert small.algebra_summary() == {"dimension": len(basis),
+                                       "bracket_closed": False}
 
 
 def test_system_json(sl4, chart_sl4):
