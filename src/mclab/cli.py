@@ -111,7 +111,15 @@ def algebra_for(family: str, rank: int):
 
 
 def max_rank_cap() -> int:
-    return int(os.environ.get("MCLAB_MAX_RANK", "4"))
+    text = os.environ.get("MCLAB_MAX_RANK", "4")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise CliError(
+            f"MCLAB_MAX_RANK must be a positive integer, got {text!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +192,10 @@ def cmd_rootsys(args) -> dict:
 def _hess_reports(args, rs):
     spec = parse_hessenberg_spec(rs, args.hessenberg)
     if spec == "all":
-        if rs.rank > max_rank_cap():
-            raise CliError(
-                f"rank {rs.rank} exceeds MCLAB_MAX_RANK={max_rank_cap()}")
-        return [hb.analyze(h) for h in hb.enumerate_all(rs, max_rank_cap())]
+        cap = max_rank_cap()
+        if rs.rank > cap:
+            raise CliError(f"rank {rs.rank} exceeds MCLAB_MAX_RANK={cap}")
+        return [hb.analyze(h) for h in hb.enumerate_all(rs, cap)]
     return [hb.analyze(spec)]
 
 

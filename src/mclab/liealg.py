@@ -726,16 +726,14 @@ def adjoint_of_point(chart: Chart, point, element, inverse=True):
     if point is None:
         n = chart.generic_matrix()
         n_inv = chart.generic_inverse()
-        elem = chart._lift_const(element, chart.nvars)
     else:
         n = chart.point_matrix(point)
         ident = linalg.frac_identity(chart.realization.size)
         n_inv = linalg.unipotent_inverse(n, ident)
-        elem = element
     if inverse:
-        conj = linalg.mat_mul(linalg.mat_mul(n_inv, elem), n)
+        conj = linalg.mat_mul(linalg.mat_mul(n_inv, element), n)
     else:
-        conj = linalg.mat_mul(linalg.mat_mul(n, elem), n_inv)
+        conj = linalg.mat_mul(linalg.mat_mul(n, element), n_inv)
     return chart.realization.decompose(conj)
 
 

@@ -27,17 +27,36 @@ _ZERO = Q(0)
 # generic matrix arithmetic
 # ---------------------------------------------------------------------------
 
+def _is_zero(x) -> bool:
+    return x == 0 if isinstance(x, (Q, int)) else x.is_zero()
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
+    """Matrix product that skips zero entries, row by row (Gustavson,
+    ACM TOMS 4(3), 1978).
+
+    The nonzero products of each output entry are summed in increasing
+    inner index, the order of the dense triple loop, so every ``Poly``
+    entry keeps the dense loop's term order.  An entry with no nonzero
+    product is the dense loop's own zero ``a[i][0] * b[0][j]``, which
+    keeps its type and ring.  The result equals the dense loop's when
+    the entries of each operand are of one kind (all ``Fraction`` or all
+    ``Poly`` over one ring).
+    """
+    m = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if not _is_zero(y)]
+              for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
+    for ai in a:
+        row = [None] * m
+        for x, bt in zip(ai, b_rows):
+            if not bt or _is_zero(x):
+                continue
+            for j, y in bt:
+                acc = row[j]
+                row[j] = x * y if acc is None else acc + x * y
+        out.append([ai[0] * b[0][j] if acc is None else acc
+                    for j, acc in enumerate(row)])
     return out
 
 
@@ -92,8 +111,7 @@ def unipotent_inverse(a: Matrix, identity: Matrix) -> Matrix:
 
 
 def _is_zero_matrix(m: Matrix) -> bool:
-    return all(x == 0 if isinstance(x, (Q, int)) else x.is_zero()
-               for row in m for x in row)
+    return all(_is_zero(x) for row in m for x in row)
 
 
 def nilpotent_exp(nil: Matrix, identity: Matrix) -> Matrix:

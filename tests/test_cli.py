@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from mclab.cli import main, parse_root_token
 from mclab.rootsys import build_root_system
@@ -149,6 +150,17 @@ def test_max_rank_env(monkeypatch):
     monkeypatch.setenv("MCLAB_MAX_RANK", "3")
     code, out = run_cli(["hess", "A", "3", "--hessenberg", "all"])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["x", "2.5", "", "0", "-1"])
+def test_max_rank_env_rejects_bad_value(monkeypatch, value):
+    monkeypatch.setenv("MCLAB_MAX_RANK", value)
+    code, out = run_cli(["hess", "A", "3", "--hessenberg", "all"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "CliError"
+    assert error["message"] == (
+        f"MCLAB_MAX_RANK must be a positive integer, got {value!r}")
 
 
 def test_formats_and_out_file(tmp_path):

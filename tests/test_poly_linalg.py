@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab import linalg
+from mclab.liealg import Chart, adjoint_of_point
 from mclab.poly import Poly, monomials_of_weighted_degree, parse_fraction
 
 
@@ -310,3 +311,101 @@ def test_series_reject_non_unipotent(series, bad, poly_bad):
         series(bad, linalg.frac_identity(2))
     with pytest.raises(ValueError, match="not (unipotent|nilpotent)"):
         series(poly_bad, [[_I, _O], [_O, _I]])
+
+
+# ---------------------------------------------------------------------------
+# sparse matrix product against the dense triple loop
+# ---------------------------------------------------------------------------
+
+def _dense_mat_mul(a, b):
+    """Reference: the dense triple loop, every product summed in
+    increasing inner index, zero entries included."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for t in range(1, k):
+                acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _assert_same_entries(got, want):
+    """Equal entries of equal type; Poly entries over the same ring with
+    their terms in the same order (the order fixes the output bytes)."""
+    assert len(got) == len(want)
+    for rg, rw in zip(got, want):
+        assert len(rg) == len(rw)
+        for x, y in zip(rg, rw):
+            assert type(x) is type(y)
+            assert x == y
+            if isinstance(y, Poly):
+                assert x.nvars == y.nvars
+                assert list(x.terms.items()) == list(y.terms.items())
+
+
+# few monomials and small coefficients, so sums collide and cancel: a
+# cancelled monomial that comes back moves to the end of the term dict
+_small = st.sampled_from([Q(-2), Q(-1), Q(1, 2), Q(1), Q(2)])
+
+
+def _draw_entry(data, kind):
+    if kind is Q:
+        return data.draw(_small) if data.draw(st.booleans()) else Q(0)
+    terms = {}
+    if data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(1, 3))):
+            mono = tuple(data.draw(st.integers(0, 1)) for _ in range(2))
+            terms[mono] = data.draw(_small)
+    return Poly(2, terms)
+
+
+def _draw_matrix(data, kind, nrows, ncols):
+    m = [[_draw_entry(data, kind) for _ in range(ncols)]
+         for _ in range(nrows)]
+    zero = Q(0) if kind is Q else Poly.zero(2)
+    for i in data.draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        m[i] = [zero] * ncols
+    for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in m:
+            row[j] = zero
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       kinds=st.sampled_from([(Q, Q), (Poly, Poly), (Poly, Q), (Q, Poly)]))
+def test_mat_mul_matches_dense_loop(data, kinds):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = _draw_matrix(data, kinds[0], n, k)
+    b = _draw_matrix(data, kinds[1], k, m)
+    _assert_same_entries(linalg.mat_mul(a, b), _dense_mat_mul(a, b))
+
+
+_ADJOINT_CASES = [(a, k) for a in ("sl3", "sl4", "sl5", "sp2")
+                  for k in ("matrix", "second_kind")] + [("sp3", "second_kind")]
+
+
+@pytest.mark.parametrize("alg_name,kind", _ADJOINT_CASES)
+def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
+                                                    alg_name, kind):
+    """tau's adjoint action at the generic point against a reference with
+    every product through the dense loop (generic point and its inverse
+    included) and the element lifted to constant Polys."""
+    alg = request.getfixturevalue(alg_name)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "mat_mul", _dense_mat_mul)
+        old = Chart(alg, kind)
+        n, n_inv = old.generic_matrix(), old.generic_inverse()
+        want = []
+        for k in range(alg.dim):
+            elem = old._lift_const(alg.realization.basis_matrix(k), old.nvars)
+            conj = _dense_mat_mul(_dense_mat_mul(n_inv, elem), n)
+            want.append(old.realization.decompose(conj))
+    new = Chart(alg, kind)
+    got = [adjoint_of_point(new, None, alg.realization.basis_matrix(k))
+           for k in range(alg.dim)]
+    _assert_same_entries(got, want)
