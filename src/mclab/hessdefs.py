@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from . import linalg
 from .fields import PolyVectorField
 from .hessenberg import HessenbergSet
-from .liealg import Chart, SplitLieAlgebra
+from .liealg import Chart, SplitLieAlgebra, adjoint_of_point
 from .poly import Poly
 
 
@@ -94,39 +94,29 @@ def defining_equations(algebra: SplitLieAlgebra, chart: Chart,
     """Complement components of Ad(n^{-1}) H as exact polynomials.
 
     ``h_coeffs``: Cartan coefficients of H, or None for symbolic H (one
-    extra variable per Cartan coordinate).
+    extra variable l_i per Cartan coordinate).  Ad(n^{-1}) is linear, so
+    the components are sum_i l_i Ad(n^{-1}) H_i over the Cartan basis.
     """
     rs = algebra.rs
     symbolic = h_coeffs is None
     order = sorted(hs.C, key=lambda a: (rs.root(a).height, a))
     if symbolic:
         nv = chart.nvars + algebra.rank
-        gen = chart._build_generic(nv)
-        ident = [[Poly.const(nv, Q(1) if i == j else Q(0))
-                  for j in range(chart.realization.size)]
-                 for i in range(chart.realization.size)]
-        n_inv = linalg.unipotent_inverse(gen, ident)
-        hmat = [[Poly.zero(nv) for _ in range(chart.realization.size)]
-                for _ in range(chart.realization.size)]
-        for i in range(algebra.rank):
-            lam = Poly.var(nv, chart.nvars + i)
-            base = chart._lift_const(algebra.realization.cartan[i], nv)
-            hmat = linalg.mat_add(hmat, linalg.mat_scale(base, lam))
-        conj = linalg.mat_mul(linalg.mat_mul(n_inv, hmat), gen)
-        coeffs = chart.realization.decompose(conj)
-        polys = {a: coeffs[algebra.full_index(a)] for a in order}
-        return HessenbergEquations(
-            algebra=algebra, chart=chart, hs=hs, h_coeffs=None,
-            symbolic=True, nvars=nv, polynomials=polys, order=order)
-    h_coeffs = tuple(Q(c) for c in h_coeffs)
-    _regularity_check(algebra, h_coeffs)
-    from .liealg import adjoint_of_point
-    hmat = algebra.cartan_element(h_coeffs)
-    coeffs = adjoint_of_point(chart, None, hmat, inverse=True)
-    polys = {a: coeffs[algebra.full_index(a)] for a in order}
+        lams = [Poly.var(nv, chart.nvars + i) for i in range(algebra.rank)]
+    else:
+        h_coeffs = tuple(Q(c) for c in h_coeffs)
+        _regularity_check(algebra, h_coeffs)
+        nv = chart.nvars
+        lams = h_coeffs
+    polys = {a: Poly.zero(nv) for a in order}
+    for lam, h in zip(lams, chart.realization.cartan):
+        coeffs = adjoint_of_point(chart, None, h)
+        for a in order:
+            c = coeffs[algebra.full_index(a)]
+            polys[a] = polys[a] + (c.lift(nv) if symbolic else c) * lam
     return HessenbergEquations(
         algebra=algebra, chart=chart, hs=hs, h_coeffs=h_coeffs,
-        symbolic=False, nvars=chart.nvars, polynomials=polys, order=order)
+        symbolic=symbolic, nvars=nv, polynomials=polys, order=order)
 
 
 @dataclass
@@ -244,14 +234,3 @@ def pushforward_frame(eqs: HessenbergEquations) -> dict[int, PolyVectorField]:
                 comps[a] = val
         out[r] = PolyVectorField(chart, "coordinate", comps)
     return out
-
-
-def jacobian_csv(eqs: HessenbergEquations) -> str:
-    names = eqs.var_names()
-    rs = eqs.hs.rs
-    lines = ["equation," + ",".join(chart_name for chart_name
-                                    in eqs.chart.var_names)]
-    for a, row in zip(eqs.order, eqs.jacobian()):
-        lines.append(rs.root_name(a) + ","
-                     + ",".join(p.render(names) for p in row))
-    return "\n".join(lines) + "\n"

@@ -69,33 +69,33 @@ class HessenbergReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _closure_witness(rs: RootSystem, R) -> tuple[int, int, int] | None:
+    """The first (alpha, beta, alpha - beta) with alpha in R, beta and
+    alpha - beta positive roots and alpha - beta missing from R, or None
+    when R is of Hessenberg type.  The complement C is then an ideal:
+    gamma in C with gamma + beta in R would leave gamma missing from R."""
+    for a in R:
+        for b in range(rs.n_pos):
+            diff = rs.add(a, rs.neg(b))
+            if diff is not None and diff < rs.n_pos and diff not in R:
+                return a, b, diff
+    return None
+
+
 def validate(rs: RootSystem, R) -> HessenbergSet:
     """Check the Hessenberg condition; the error carries a witness pair."""
     R = frozenset(R)
     pos = set(range(rs.n_pos))
     if not R <= pos:
         raise HessenbergError("R contains non-positive-root ids")
-    for a in R:
-        for b in pos:
-            diff = rs.add(a, rs.neg(b))
-            if diff is not None and diff < rs.n_pos and diff not in R:
-                raise HessenbergError(
-                    f"Hessenberg condition fails: {rs.root_name(a)} - "
-                    f"{rs.root_name(b)} = {rs.root_name(diff)} missing from R",
-                    witness=(a, b))
-    hs = HessenbergSet(rs=rs, R=R, C=frozenset(pos - R))
-    _assert_ideal(hs)
-    return hs
-
-
-def _assert_ideal(hs: HessenbergSet) -> None:
-    # C-closure: alpha in C, alpha + beta a positive root => alpha + beta in C
-    rs = hs.rs
-    for a in hs.C:
-        for b in range(rs.n_pos):
-            s = rs.add(a, b)
-            if s is not None and s < rs.n_pos and s not in hs.C:
-                raise HessenbergError("complement is not an ideal", witness=(a, b))
+    witness = _closure_witness(rs, R)
+    if witness is not None:
+        a, b, diff = witness
+        raise HessenbergError(
+            f"Hessenberg condition fails: {rs.root_name(a)} - "
+            f"{rs.root_name(b)} = {rs.root_name(diff)} missing from R",
+            witness=(a, b))
+    return HessenbergSet(rs=rs, R=R, C=frozenset(pos - R))
 
 
 def type_p_subset(rs: RootSystem, p: int) -> HessenbergSet:
@@ -115,19 +115,10 @@ def enumerate_all(rs: RootSystem, max_rank: int = 4) -> list[HessenbergSet]:
     n = rs.n_pos
     for mask in range(1 << n):
         R = frozenset(i for i in range(n) if mask >> i & 1)
-        if _is_hessenberg(rs, R):
+        if _closure_witness(rs, R) is None:
             out.append(HessenbergSet(rs=rs, R=R, C=frozenset(set(range(n)) - R)))
     out.sort(key=lambda h: (len(h.R), sorted(h.R)))
     return out
-
-
-def _is_hessenberg(rs: RootSystem, R: frozenset[int]) -> bool:
-    for a in R:
-        for b in range(rs.n_pos):
-            diff = rs.add(a, rs.neg(b))
-            if diff is not None and diff < rs.n_pos and diff not in R:
-                return False
-    return True
 
 
 def _simple_index(rs: RootSystem, simple_id: int) -> int:

@@ -10,12 +10,15 @@ classical structure-constant identities hold exactly.
 Charts parametrize the Iwasawa group N = exp(n).  Every chart can produce
 a generic point (a matrix of polynomials in the chart coordinates),
 extract coordinates back from a matrix, multiply points, and compute its
-left-invariant frame, all in exact arithmetic.  Frame fields are the
-standard ones generated by right translation along the one-parameter
-subgroups of the basis vectors.  They are read off the Maurer-Cartan form
-of the generic point g: the coefficients W[k][gamma] of g^{-1} d_k g form
-a unitriangular matrix (contract order), and X = W^{-1} d, one formula
-for every chart kind.
+left-invariant frame, all in exact arithmetic.  The exponential charts
+(first kind, second kind, three-factor) are one construction: an ordered
+product of exponentials of root groups, fixed per chart as
+``Chart.groups``; the matrix-entry charts have closed forms.  Frame
+fields are the standard ones generated by right translation along the
+one-parameter subgroups of the basis vectors.  They are read off the
+Maurer-Cartan form of the generic point g: the coefficients W[k][gamma]
+of g^{-1} d_k g form a unitriangular matrix (contract order), and
+X = W^{-1} d, one formula for every chart kind.
 """
 
 from __future__ import annotations
@@ -426,6 +429,21 @@ class Chart:
                 self.var_names = [
                     "x_" + "".join(str(c) for c in rs.root(r).coeffs)
                     for r in self.coord_roots]
+        # g = exp(sum_{r in G_1} x_r X_r) ... exp(sum_{r in G_m} x_r X_r)
+        # over the root groups G_i; None for the matrix-entry charts
+        if kind == "matrix":
+            self.groups = None
+        elif kind == "first_kind":
+            self.groups = [self.coord_roots]
+        elif kind == "second_kind":
+            self.groups = [[r] for r in self.coord_roots]
+        elif kind == "three_factor":
+            od = rs.omega_decompose()
+            groups = [[rs.highest_root.id], sorted(od.sigma_half),
+                      sorted(od.sigma0)]
+            self.groups = [g for g in groups if g]
+        else:
+            raise LieAlgebraError(f"unknown chart kind {kind!r}")
         self._generic = None
         self._generic_inv = None
         self._frame_cache: dict = {}
@@ -439,13 +457,10 @@ class Chart:
         return [[Poly.const(nvars, Q(1) if i == j else Q(0))
                  for j in range(size)] for i in range(size)]
 
-    def _lift_const(self, m, nvars):
-        return [[Poly.const(nvars, x) for x in row] for row in m]
-
     # ---- generic point -------------------------------------------------------
     def generic_matrix(self):
         if self._generic is None:
-            self._generic = self._build_generic(self.nvars)
+            self._generic = self._build_generic()
         return self._generic
 
     def generic_inverse(self):
@@ -454,12 +469,10 @@ class Chart:
                 self.generic_matrix(), self._poly_identity(self.nvars))
         return self._generic_inv
 
-    def _build_generic(self, nvars: int):
-        """Generic point with coordinate k as variable k of a ring with
-        ``nvars`` variables (later variables stay free)."""
+    def _build_generic(self):
+        """Generic point with coordinate k as variable k."""
         alg = self.algebra
-        size = self.realization.size
-        ident = self._poly_identity(nvars)
+        nvars = self.nvars
         if self.kind == "matrix":
             if alg.family == "sl":
                 m = self._poly_identity(nvars)
@@ -481,45 +494,37 @@ class Chart:
                     [y - u * x, x * 2, zero, one],
                 ]
             raise LieAlgebraError("matrix chart unavailable for this algebra")
-        if self.kind == "first_kind":
-            nil = [[Poly.zero(nvars) for _ in range(size)] for _ in range(size)]
-            for k, r in enumerate(self.coord_roots):
-                term = self._lift_const(self.realization.pos[r], nvars)
-                term = linalg.mat_scale(term, Poly.var(nvars, k))
-                nil = linalg.mat_add(nil, term)
-            return linalg.nilpotent_exp(nil, ident)
-        if self.kind == "second_kind":
-            m = ident
-            for k, r in enumerate(self.coord_roots):
-                nil = self._lift_const(self.realization.pos[r], nvars)
-                nil = linalg.mat_scale(nil, Poly.var(nvars, k))
-                m = linalg.mat_mul(m, linalg.nilpotent_exp(nil, ident))
-            return m
-        if self.kind == "three_factor":
-            groups = self._three_factor_groups()
-            m = ident
-            for group in groups:
-                nil = [[Poly.zero(nvars) for _ in range(size)]
-                       for _ in range(size)]
-                for r in group:
-                    k = self.coord_index(r)
-                    term = self._lift_const(self.realization.pos[r], nvars)
-                    nil = linalg.mat_add(
-                        nil, linalg.mat_scale(term, Poly.var(nvars, k)))
-                m = linalg.mat_mul(m, linalg.nilpotent_exp(nil, ident))
-            return m
-        raise LieAlgebraError(f"unknown chart kind {self.kind!r}")
+        ident = self._poly_identity(nvars)
+        m = ident
+        for group in self.groups:
+            xs = [Poly.var(nvars, self._index[r]) for r in group]
+            m = linalg.mat_mul(m, self._group_exp(group, xs, ident))
+        return m
 
-    def _three_factor_groups(self):
-        od = self.algebra.rs.omega_decompose()
-        omega = self.algebra.rs.highest_root.id
-        half = sorted(od.sigma_half)
-        zero = sorted(od.sigma0)
-        return [[omega], half, zero]
+    def _group_exp(self, group, coeffs, ident):
+        """exp(sum_r c_r X_r) over the roots r of one factor group."""
+        zero = ident[0][0] * 0
+        size = self.realization.size
+        nil = [[zero] * size for _ in range(size)]
+        entries = self.realization.entries
+        for r, c in zip(group, coeffs):
+            for (i, j), x in entries[self.algebra.full_index(r)].items():
+                nil[i][j] = nil[i][j] + c * x
+        return linalg.nilpotent_exp(nil, ident)
 
     # ---- extraction -----------------------------------------------------------
     def extract(self, m):
-        """Chart coordinates of a group matrix; entries may be Fraction or Poly."""
+        """Chart coordinates of a group matrix; entries may be Fraction or Poly.
+
+        The exponential charts peel one factor group at a time: the log of
+        the remaining product, decomposed, gives the coefficients of the
+        group at one end, and multiplying by the inverse exponential
+        removes it.  Second-kind charts peel from the left.  First-kind
+        and three-factor charts peel from the right: the roots of the
+        earlier groups span an ideal of n, so modulo it the product is the
+        exponential of its last group alone.  From the left, the highest
+        root's coefficient would pick up Baker-Campbell-Hausdorff brackets.
+        """
         alg = self.algebra
         if self.kind == "matrix":
             if alg.family == "sl":
@@ -534,56 +539,26 @@ class Chart:
             z = m[2][0] + u * y * Q(1, 2)
             return [u, x, y, z]
         ident = self._ident_like(m)
-        if self.kind == "first_kind":
-            w = linalg.unipotent_log(m, ident)
-            coeffs = self.realization.decompose(w)
-            return [coeffs[self.algebra.full_index(r)] for r in self.coord_roots]
-        if self.kind == "second_kind":
-            out = []
-            cur = m
-            for r in self.coord_roots:
-                w = linalg.unipotent_log(cur, ident)
-                c = self.realization.decompose(w)[self.algebra.full_index(r)]
-                out.append(c)
-                gen = self._scaled_generator(r, c, ident, negate=True)
-                cur = linalg.mat_mul(gen, cur)
-            return out
-        if self.kind == "three_factor":
-            groups = self._three_factor_groups()
-            vals: dict[int, object] = {}
-            cur = m
-            for group in reversed(groups):
-                if not group:
-                    continue
-                w = linalg.unipotent_log(cur, ident)
-                coeffs = self.realization.decompose(w)
-                nil = linalg.mat_scale(ident, Q(0))
-                for r in group:
-                    c = coeffs[self.algebra.full_index(r)]
-                    vals[r] = c
-                    base = self.realization.pos[r]
-                    if isinstance(c, Poly):
-                        base = self._lift_const(base, c.nvars)
-                    nil = linalg.mat_add(nil, linalg.mat_scale(base, c))
-                peel = linalg.nilpotent_exp(linalg.mat_scale(nil, Q(-1)), ident)
-                cur = linalg.mat_mul(cur, peel)
-            return [vals[r] for r in self.coord_roots]
-        raise LieAlgebraError(f"unknown chart kind {self.kind!r}")
+        left = self.kind == "second_kind"
+        order = self.groups if left else self.groups[::-1]
+        vals: dict[int, object] = {}
+        cur = m
+        for k, group in enumerate(order):
+            coeffs = self.realization.decompose(
+                linalg.unipotent_log(cur, ident))
+            cs = [coeffs[alg.full_index(r)] for r in group]
+            vals.update(zip(group, cs))
+            if k + 1 < len(order):
+                peel = self._group_exp(group, [-c for c in cs], ident)
+                cur = (linalg.mat_mul(peel, cur) if left
+                       else linalg.mat_mul(cur, peel))
+        return [vals[r] for r in self.coord_roots]
 
     def _ident_like(self, m):
         probe = m[0][0]
         if isinstance(probe, Poly):
             return self._poly_identity(probe.nvars)
         return linalg.frac_identity(self.realization.size)
-
-    def _scaled_generator(self, root_id: int, scalar, ident, negate=False):
-        base = self.realization.pos[root_id]
-        if isinstance(scalar, Poly):
-            nil = self._lift_const(base, scalar.nvars)
-        else:
-            nil = [row[:] for row in base]
-        c = scalar * Q(-1) if negate else scalar
-        return linalg.nilpotent_exp(linalg.mat_scale(nil, c), ident)
 
     # ---- points ---------------------------------------------------------------
     def point_matrix(self, values):

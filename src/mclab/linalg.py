@@ -2,6 +2,8 @@
 
 Matrices are lists of lists whose entries are either ``Fraction`` or any
 ring element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
+The unipotent inverse, exp and log are one finite series in a nilpotent
+matrix, summed until its power vanishes.
 
 There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, so every
@@ -16,7 +18,7 @@ name external tooling (the benchmark's layer trace) wraps and reports.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import factorial, gcd
 from typing import Callable
 
 Matrix = list
@@ -81,69 +83,51 @@ def frac_zero(n: int, m: int | None = None) -> Matrix:
     return [[Q(0)] * m for _ in range(n)]
 
 
-def mat_map(a: Matrix, f: Callable) -> Matrix:
-    return [[f(x) for x in row] for row in a]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def unipotent_inverse(a: Matrix, identity: Matrix) -> Matrix:
-    """Inverse of I + N with N nilpotent, by the finite Neumann series.
-
-    Raises ``ValueError`` if ``a`` is not unipotent (N^n != 0), where the
-    truncated series would be silently wrong; so do :func:`nilpotent_exp`
-    and :func:`unipotent_log`.
-    """
-    n = len(a)
-    nil = mat_sub(a, identity)
-    out = [row[:] for row in identity]
-    power = [row[:] for row in identity]
-    for k in range(1, n + 1):
-        power = mat_mul(power, nil)
-        if _is_zero_matrix(power):
-            break
-        out = mat_add(out, power) if k % 2 == 0 else mat_sub(out, power)
-    else:
-        raise ValueError("unipotent_inverse: matrix is not unipotent")
-    return out
 
 
 def _is_zero_matrix(m: Matrix) -> bool:
     return all(_is_zero(x) for row in m for x in row)
 
 
-def nilpotent_exp(nil: Matrix, identity: Matrix) -> Matrix:
-    n = len(nil)
-    out = [row[:] for row in identity]
-    power = [row[:] for row in identity]
-    fact = Q(1)
-    for k in range(1, n + 1):
+def _nilpotent_series(nil: Matrix, identity: Matrix, start: Matrix,
+                      coeff: Callable[[int], Q]) -> Matrix:
+    """start + sum_{k >= 1} coeff(k) nil^k, summed until nil^k = 0.
+
+    Raises ``ValueError`` when nil^n != 0 for an n x n matrix: the
+    truncated series would then be silently wrong.
+    """
+    out = [row[:] for row in start]
+    power = identity
+    for k in range(1, len(nil) + 1):
         power = mat_mul(power, nil)
         if _is_zero_matrix(power):
-            break
-        fact *= k
-        out = mat_add(out, mat_scale(power, Q(1) / fact))
-    else:
-        raise ValueError("nilpotent_exp: matrix is not nilpotent")
-    return out
+            return out
+        out = mat_add(out, mat_scale(power, coeff(k)))
+    raise ValueError("matrix is not nilpotent")
+
+
+def unipotent_inverse(a: Matrix, identity: Matrix) -> Matrix:
+    """Inverse of I + N with N nilpotent, by the finite Neumann series.
+
+    Raises ``ValueError`` if ``a`` is not unipotent; so do
+    :func:`nilpotent_exp` (for ``nil`` not nilpotent) and
+    :func:`unipotent_log`.
+    """
+    return _nilpotent_series(mat_sub(a, identity), identity, identity,
+                             lambda k: Q((-1) ** k))
+
+
+def nilpotent_exp(nil: Matrix, identity: Matrix) -> Matrix:
+    return _nilpotent_series(nil, identity, identity,
+                             lambda k: Q(1, factorial(k)))
 
 
 def unipotent_log(a: Matrix, identity: Matrix) -> Matrix:
-    n = len(a)
     nil = mat_sub(a, identity)
-    out = [[x * Q(0) for x in row] for row in nil]
-    power = [row[:] for row in identity]
-    for k in range(1, n + 1):
-        power = mat_mul(power, nil)
-        if _is_zero_matrix(power):
-            break
-        sign = Q(1, k) if k % 2 == 1 else Q(-1, k)
-        out = mat_add(out, mat_scale(power, sign))
-    else:
-        raise ValueError("unipotent_log: matrix is not unipotent")
-    return out
+    return _nilpotent_series(nil, identity, mat_scale(nil, Q(0)),
+                             lambda k: Q((-1) ** (k + 1), k))
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,11 @@ class McSolution:
         return seen
 
     def flatten(self, field: PolyVectorField,
-                index: dict[tuple[int, tuple], int]) -> list[Q] | None:
-        """Coefficient vector of a slice field over the solution monomials;
-        None when the field involves monomials outside the span support."""
-        vec = [Q(0)] * len(index)
+                index: dict[tuple[int, tuple], int]) -> dict[int, Q] | None:
+        """Sparse coefficient vector {column: value} of a slice field over
+        the solution monomials; None when the field involves monomials
+        outside the span support."""
+        vec = {}
         inv = field.to_invariant()
         for g, p in inv.components.items():
             for m, c in p.terms.items():
@@ -265,7 +266,7 @@ class McSolution:
         if self._span is None:
             index = self.monomial_index()
             self._span = (index, linalg.SpanBasis(
-                [_sparse(self.flatten(b, index)) for b in self.basis],
+                [self.flatten(b, index) for b in self.basis],
                 len(index)))
         return self._span
 
@@ -274,7 +275,7 @@ class McSolution:
         it is outside the span."""
         index, span = self.span()
         vec = self.flatten(field, index)
-        return None if vec is None else span.coordinates(_sparse(vec))
+        return None if vec is None else span.coordinates(vec)
 
     def contains(self, field: PolyVectorField) -> bool:
         return self.coordinates(field) is not None
@@ -606,11 +607,13 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
     contained = True
     nu_vecs = []
     for f in fields:
-        v = _pad(solution.flatten(f, index), len(index))
+        v = solution.flatten(f, index)
+        if v is None:
+            raise McError("field outside the joint monomial support")
         nu_vecs.append(v)
-        if span.coordinates(_sparse(v)) is None:
+        if span.coordinates(v) is None:
             contained = False
-    nu_dim = linalg.rank(nu_vecs)
+    nu_dim = len(linalg.rref(nu_vecs, len(index)))
     kernel_dim = len(q_index) - nu_dim
     kernel_ok = kernel_dim == len(hs.C)
     conj = rep.dims["dim_conjecture"]
@@ -624,16 +627,6 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
         conjecture_dimension=conj,
         conjecture_matches=conj == solution.dimension,
     )
-
-
-def _sparse(vec: list[Q]) -> dict[int, Q]:
-    return {i: x for i, x in enumerate(vec) if x}
-
-
-def _pad(vec, length):
-    if vec is None:
-        raise McError("field outside the joint monomial support")
-    return vec + [Q(0)] * (length - len(vec))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,15 @@ def test_hessdefs_command():
     validate_against("hessdefs", out)
 
 
+def test_hessdefs_jacobian_csv():
+    code, out = run_cli(["hessdefs", "A", "3", "--hessenberg", "type-2",
+                         "--H", " -1,1/2,-1/2,1", "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "equation,x,y,t,u,v,z"
+    assert lines[1].startswith("111,")
+
+
 def test_selftest_command():
     code, out = run_cli(["selftest", "--seed", "11"])
     assert code == 0

@@ -23,12 +23,12 @@ from mclab.poly import Poly
 def reference_frame(chart):
     ext = chart.nvars + 1
     eps = chart.nvars
-    gen = chart._build_generic(ext)
+    gen = [[p.lift(ext) for p in row] for row in chart.generic_matrix()]
     ident = chart._poly_identity(ext)
     rows = {}
     for r in chart.coord_roots:
-        step = chart._lift_const(chart.realization.pos[r], ext)
-        step = linalg.mat_scale(step, Poly.var(ext, eps))
+        step = [[Poly.var(ext, eps, x) for x in row]
+                for row in chart.realization.pos[r]]
         moved = linalg.mat_mul(gen, linalg.mat_add(ident, step))
         row = {}
         for k, c in enumerate(chart.extract(moved)):
@@ -62,6 +62,16 @@ CASES = [(a, k) for a in ("sl2", "sl3", "sl4", "sl5", "sp2", "sp3")
 @pytest.mark.parametrize("name,kind", CASES)
 def test_frame_matches_extraction_oracle(name, kind, request):
     _assert_same_frame(_CHARTS[kind](request.getfixturevalue(name)))
+
+
+@pytest.mark.parametrize("name,kind", CASES)
+def test_extract_inverts_generic_point(name, kind, request):
+    """Extraction, on which the oracle rests, inverts the generic point:
+    coordinate k comes back as variable k, for every chart kind."""
+    chart = _CHARTS[kind](request.getfixturevalue(name))
+    n = chart.nvars
+    assert chart.extract(chart.generic_matrix()) == \
+        [Poly.var(n, k) for k in range(n)]
 
 
 def test_frame_matches_oracle_adjoint_realization(sl3):

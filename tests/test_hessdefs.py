@@ -6,8 +6,7 @@ import pytest
 
 from mclab import linalg
 from mclab.hessdefs import (HessDefError, defining_equations, graph_map,
-                            jacobian_csv, pushforward_frame,
-                            smoothness_certificate)
+                            pushforward_frame, smoothness_certificate)
 from mclab.hessenberg import enumerate_all, type_p_subset, validate
 from mclab.liealg import build_sl, build_sp, matrix_chart
 from mclab.poly import Poly
@@ -202,10 +201,3 @@ def test_graph_points_lie_on_the_manifold(sl4, chart_sl4):
         for a, p in eqs.polynomials.items():
             assert p.eval(pt) == 0
 
-
-def test_jacobian_csv(sl4, chart_sl4):
-    hs = type_p_subset(sl4.rs, 2)
-    eqs = defining_equations(sl4, chart_sl4, hs, H_SL4)
-    text = jacobian_csv(eqs)
-    assert text.splitlines()[0] == "equation,x,y,t,u,v,z"
-    assert text.splitlines()[1].startswith("111,")

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab import linalg
-from mclab.liealg import (adjoint_of_point, adjoint_series_of_point,
-                          first_kind_chart, matrix_chart,
-                          second_kind_chart, three_factor_chart)
+from mclab.liealg import (Chart, LieAlgebraError, adjoint_of_point,
+                          adjoint_series_of_point, first_kind_chart,
+                          matrix_chart, second_kind_chart,
+                          three_factor_chart)
 from mclab.poly import Poly
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "sp2"]
@@ -189,6 +190,11 @@ def test_chart_changes_are_mutually_inverse(sl3, sl4, sp2):
             for dst in charts:
                 other = dst.coords_of_matrix(m)
                 assert src.coords_of_matrix(dst.point_matrix(other)) == pt
+
+
+def test_unknown_chart_kind_fails_at_construction(sl3):
+    with pytest.raises(LieAlgebraError, match="unknown chart kind"):
+        Chart(sl3, "bogus")
 
 
 def test_frame_sl3_matches_reference(chart_sl3):

@@ -571,6 +571,13 @@ def small_stabilized(sl2, chart_sl3, chart_sl4, chart_sp2):
     return out
 
 
+def _dense(vec, index):
+    """A sparse ``McSolution.flatten`` vector as the dense list
+    ``linalg.coordinates_in_span`` takes; None stays None."""
+    return None if vec is None else [vec.get(k, Q(0))
+                                     for k in range(len(index))]
+
+
 def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
                                                  small_stabilized):
     """The basis is eliminated once for all brackets and only the pairs
@@ -581,11 +588,13 @@ def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
     for hs, sol in small_stabilized:
         dims.append(sol.dimension)
         index = sol.monomial_index()
-        basis_vecs = [sol.flatten(b, index) for b in sol.basis]
+        basis_vecs = [_dense(sol.flatten(b, index), index)
+                      for b in sol.basis]
         closed = True
         for i, a in enumerate(sol.basis):
             for j, b in enumerate(sol.basis):
-                vec = sol.flatten(a.bracket(b).to_invariant(), index)
+                vec = _dense(sol.flatten(a.bracket(b).to_invariant(), index),
+                             index)
                 expect = (None if vec is None
                           else linalg.coordinates_in_span(basis_vecs, vec))
                 if expect is None:
@@ -669,8 +678,9 @@ def test_non_closed_bracket_table(sp2_slice):
     assert sol.degrees[:3] == [-2, -1, -1]
     basis = sol.basis[1:]
     index = sol.monomial_index()
-    vecs = [sol.flatten(b, index) for b in basis]
-    outside = sol.flatten(basis[0].bracket(basis[1]).to_invariant(), index)
+    vecs = [_dense(sol.flatten(b, index), index) for b in basis]
+    outside = _dense(sol.flatten(basis[0].bracket(basis[1]).to_invariant(),
+                                 index), index)
     assert linalg.coordinates_in_span(vecs, outside) is None
     small = McSolution(hs=hs, chart=sol.chart,
                        degree_bound=sol.degree_bound, basis=basis,

@@ -402,7 +402,8 @@ def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
         n, n_inv = old.generic_matrix(), old.generic_inverse()
         want = []
         for k in range(alg.dim):
-            elem = old._lift_const(alg.realization.basis_matrix(k), old.nvars)
+            elem = [[Poly.const(old.nvars, x) for x in row]
+                    for row in alg.realization.basis_matrix(k)]
             conj = _dense_mat_mul(_dense_mat_mul(n_inv, elem), n)
             want.append(old.realization.decompose(conj))
     new = Chart(alg, kind)
