@@ -137,7 +137,10 @@ class SplitLieAlgebra:
         self.rank = rs.rank
         self.n_pos = rs.n_pos
         self.dim = realization.dim
+        # lazily filled caches of immutable results
         self._ad_realization: Realization | None = None
+        self._cartan_gram: dict[str, list[list[Q]]] = {}
+        self._h_rep: dict[tuple[int, str], tuple[Q, ...]] = {}
         self._derive_tables()
 
     # full-basis indexing: cartan 0..rank-1, then roots by id
@@ -172,12 +175,14 @@ class SplitLieAlgebra:
                     raise LieAlgebraError("Cartan element is not diagonal")
                 vals.append(target)
             self.functional.append(tuple(vals))
-        # structure constants for root pairs
-        self.c: dict[tuple[int, int], Q] = {}
+        # structure constants for root pairs: [X_b, X_a] = -[X_a, X_b]
+        # exactly and [X_a, X_a] = 0, so only the pairs a < b are
+        # bracketed; a check failing at (b, a) fails at (a, b) first
+        half: dict[tuple[int, int], Q] = {}
         self.h_of_bracket: dict[int, tuple[Q, ...]] = {}
         nroots = 2 * rs.n_pos
         for a in range(nroots):
-            for b in range(nroots):
+            for b in range(a + 1, nroots):
                 s = rs.add(a, b)
                 comm = _sparse_bracket(entries[self.full_index(a)],
                                        entries[self.full_index(b)])
@@ -189,7 +194,7 @@ class SplitLieAlgebra:
                     if rest:
                         raise LieAlgebraError("bracket leaves its root space")
                     if c != 0:
-                        self.c[(a, b)] = c
+                        half[(a, b)] = c
                 elif rs.neg(a) == b:
                     if a < rs.n_pos:
                         self.h_of_bracket[a] = tuple(coeffs[:self.rank])
@@ -198,6 +203,14 @@ class SplitLieAlgebra:
                 else:
                     if any(x != 0 for x in coeffs):
                         raise LieAlgebraError("bracket of non-summing roots nonzero")
+        # keys in the full (a, b) order, which the JSON output follows
+        self.c: dict[tuple[int, int], Q] = {}
+        for a in range(nroots):
+            for b in range(nroots):
+                if (a, b) in half:
+                    self.c[(a, b)] = half[(a, b)]
+                elif (b, a) in half:
+                    self.c[(a, b)] = -half[(b, a)]
         # theta scalars: theta(X_id) = s * X_{-id}, theta(m) = -m^T
         self.theta_scalar: dict[int, Q] = {}
         for a in range(nroots):
@@ -240,16 +253,22 @@ class SplitLieAlgebra:
             pair = self.killing
         else:
             raise LieAlgebraError(f"unknown form {form!r}")
-        gram = [[pair(hi, hj) for hj in self.realization.cartan]
-                for hi in self.realization.cartan]
-        if root_id < self.n_pos:
-            rhs = list(self.functional[root_id])
-        else:
-            rhs = [-v for v in self.functional[root_id - self.n_pos]]
-        sol = linalg.solve(gram, rhs)
-        if sol is None:
-            raise LieAlgebraError("degenerate Cartan Gram matrix")
-        return tuple(sol)
+        key = (root_id, form)
+        if key not in self._h_rep:
+            gram = self._cartan_gram.get(form)
+            if gram is None:
+                cartan = self.realization.cartan
+                gram = [[pair(hi, hj) for hj in cartan] for hi in cartan]
+                self._cartan_gram[form] = gram
+            if root_id < self.n_pos:
+                rhs = list(self.functional[root_id])
+            else:
+                rhs = [-v for v in self.functional[root_id - self.n_pos]]
+            sol = linalg.solve(gram, rhs)
+            if sol is None:
+                raise LieAlgebraError("degenerate Cartan Gram matrix")
+            self._h_rep[key] = tuple(sol)
+        return self._h_rep[key]
 
     def solve_H0(self):
         """Cartan coefficients of H_0 with delta(H_0) = -1 for all simples."""

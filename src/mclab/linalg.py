@@ -21,6 +21,8 @@ from fractions import Fraction as Q
 from math import factorial, gcd
 from typing import Callable
 
+from .poly import Poly
+
 Matrix = list
 _ZERO = Q(0)
 
@@ -30,7 +32,9 @@ _ZERO = Q(0)
 # ---------------------------------------------------------------------------
 
 def _is_zero(x) -> bool:
-    return x == 0 if isinstance(x, (Q, int)) else x.is_zero()
+    # an exact type test: isinstance against Fraction goes through
+    # ABCMeta.__instancecheck__ for every int and Poly
+    return x.is_zero() if type(x) is Poly else x == 0
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -295,15 +299,18 @@ class SpanBasis:
 
     def coefficients(self, sel: list) -> list:
         """Coordinates of the span element whose entries at ``positions``
-        are ``sel``.  Entries may be Fraction or Poly; zero Fractions are
-        skipped.  Membership is not checked."""
+        are ``sel``.  Entries may be Fraction or Poly; zero entries are
+        skipped, but a zero Poly still makes its coordinate a Poly.
+        Membership is not checked."""
         out = []
         for row in self.inverse_rows:
             acc = _ZERO
             for t, x in row:
                 s = sel[t]
-                if s:
+                if not _is_zero(s):
                     acc = acc + s * x
+                elif type(s) is Poly and type(acc) is not Poly:
+                    acc = s + acc
             out.append(acc)
         return out
 

@@ -8,6 +8,7 @@ the unique one with an empty term dict.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Q]
@@ -106,12 +107,16 @@ class Poly:
         acc: dict[tuple, Q] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = acc.get(m, Q(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(m, None)
+                m = tuple(map(add, m1, m2))
+                s = acc.get(m)
+                if s is None:       # both factors are nonzero
+                    acc[m] = c1 * c2
                 else:
-                    acc[m] = s
+                    s += c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
         out = Poly(self.nvars)
         out.terms = acc
         return out

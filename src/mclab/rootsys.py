@@ -142,6 +142,7 @@ class RootSystem:
             if any(c > t for c, t in zip(r.coeffs, top.coeffs)):
                 raise RootSystemError("no dominant highest root found")
         self.highest_root = top
+        self._omega = self._decompose_by_highest_root()
 
         self.sum_table: dict[tuple[int, int], int] = {}
         all_ids = list(range(2 * self.n_pos))
@@ -249,6 +250,10 @@ class RootSystem:
         return chain
 
     def omega_decompose(self) -> "OmegaDecomposition":
+        """Sigma_+ split by the highest-root pairing, fixed at construction."""
+        return self._omega
+
+    def _decompose_by_highest_root(self) -> "OmegaDecomposition":
         w = self.highest_root.id
         ww = self.pairing(w, w)
         sigma0, half, one = set(), set(), set()

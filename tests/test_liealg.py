@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from mclab import linalg
 from mclab.liealg import (Chart, LieAlgebraError, adjoint_of_point,
-                          adjoint_series_of_point, first_kind_chart,
-                          matrix_chart, second_kind_chart,
+                          adjoint_series_of_point, build_sl, build_sp,
+                          first_kind_chart, matrix_chart, second_kind_chart,
                           three_factor_chart)
 from mclab.poly import Poly
 
@@ -133,6 +133,41 @@ def test_functionals_match_cartan_matrix(sl4):
             num = 2 * sl4.alpha_value(si, h)
             den = sl4.alpha_value(sj, h)
             assert num / den == rs.cartan_matrix[i][j]
+
+
+def _fresh_h_representing(alg, root_id, pair):
+    """H_alpha from a Gram matrix built and solved anew."""
+    cartan = alg.realization.cartan
+    gram = [[pair(hi, hj) for hj in cartan] for hi in cartan]
+    rhs = [alg.alpha_value(root_id, [Q(int(k == i)) for k in range(alg.rank)])
+           for i in range(alg.rank)]
+    return tuple(linalg.solve(gram, rhs))
+
+
+@pytest.mark.parametrize("builder, arg", [(build_sl, 3), (build_sl, 4),
+                                          (build_sp, 2)])
+def test_h_representing_cache(builder, arg, monkeypatch):
+    """Cached H_alpha equal a fresh Gram solve on the first and on a
+    repeated call, with one Gram matrix per form."""
+    alg = builder(arg)
+    trace_form = alg.trace_form
+    grams = []
+
+    def counting(m1, m2):
+        grams.append((m1, m2))
+        return trace_form(m1, m2)
+
+    monkeypatch.setattr(alg, "trace_form", counting)
+    forms = {"normalization": alg.b0_lambda, "killing": alg.killing_factor}
+    for _ in range(2):
+        for form, scale in forms.items():
+            for a in range(2 * alg.n_pos):
+                fresh = _fresh_h_representing(
+                    alg, a, lambda m1, m2: scale * trace_form(m1, m2))
+                assert alg.h_representing(a, form) == fresh
+    assert len(grams) == len(forms) * alg.rank ** 2
+    with pytest.raises(LieAlgebraError, match="unknown form"):
+        alg.h_representing(0, "bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,58 @@ def test_power_and_errors():
         Poly.var(2, 0) + Poly.var(3, 0)
 
 
+def _loop_mul(p, q):
+    """Reference product: every term pair summed through
+    ``acc.get(m, 0)``, a cancelled monomial popped."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = acc.get(m, Q(0)) + c1 * c2
+            if s == 0:
+                acc.pop(m, None)
+            else:
+                acc[m] = s
+    out = Poly(p.nvars)
+    out.terms = acc
+    return out
+
+
+def _assert_same_poly(got, want):
+    assert got.nvars == want.nvars
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_mul_reinserts_cancelled_monomial_last():
+    p = Poly(1, {(0,): 1, (1,): 1, (2,): 1})
+    q = Poly(1, {(2,): 1, (1,): -1, (0,): 1})
+    # (1 + x + x^2)(1 - x + x^2) = 1 + x^4 + x^2: x^2 enters as 1*x^2,
+    # cancels against x*(-x) and comes back last as x^2*1
+    assert list((p * q).terms.items()) == [((0,), 1), ((4,), 1), ((2,), 1)]
+    _assert_same_poly(p * q, _loop_mul(p, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 9))
+def test_mul_matches_loop_reference(data, nvars):
+    """Same terms in the same order as the reference loop; few monomials
+    and small coefficients, so sums collide, cancel and come back."""
+    def factor():
+        terms = {}
+        for _ in range(data.draw(st.integers(0, 6))):
+            mono = [0] * nvars
+            mono[data.draw(st.integers(0, nvars - 1))] = \
+                data.draw(st.integers(0, 2))
+            terms[tuple(mono)] = data.draw(st.sampled_from(
+                [Q(-2), Q(-1), Q(1, 2), Q(1), Q(2)]))
+        return Poly(nvars, terms)
+
+    p, q, r = factor(), factor(), factor()
+    _assert_same_poly(p * q, _loop_mul(p, q))
+    _assert_same_poly((p + q) * r, _loop_mul(p + q, r))
+    _assert_same_poly(p * q * r, _loop_mul(_loop_mul(p, q), r))
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -252,6 +304,46 @@ def test_span_basis_property(data):
     if basis:
         with pytest.raises(ValueError):
             linalg.SpanBasis(_sparse(basis + [basis[-1]]), ncols)
+
+
+def _loop_coefficients(span, sel):
+    """Reference: the loop that multiplies in every truthy entry, which
+    is every Poly, zero or not (Poly defines no ``__bool__``)."""
+    out = []
+    for row in span.inverse_rows:
+        acc = Q(0)
+        for t, x in row:
+            s = sel[t]
+            if s:
+                acc = acc + s * x
+        out.append(acc)
+    return out
+
+
+# independent, with a dense inverse: every coordinate reads every entry
+_SPAN3 = [{0: Q(1), 1: Q(2), 2: Q(-1)}, {0: Q(1), 1: Q(-1), 2: Q(1)},
+          {1: Q(1), 2: Q(3)}]
+
+
+def test_span_coefficients_of_zero_polys_stay_polys():
+    span = linalg.SpanBasis(_SPAN3, 3)
+    sel = [Poly.zero(2)] * 3
+    got = span.coefficients(sel)
+    assert all(isinstance(x, Poly) and x.is_zero() for x in got)
+    _assert_same_entries([got], [_loop_coefficients(span, sel)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_span_coefficients_skip_zero_entries(data):
+    """Skipping zero entries of any kind gives the reference's values,
+    types and term order, for Poly, Fraction and mixed selections."""
+    span = linalg.SpanBasis(_SPAN3, 3)
+    kinds = data.draw(st.sampled_from([(Poly,), (Q,), (Poly, Q)]))
+    sel = [_draw_entry(data, data.draw(st.sampled_from(kinds)))
+           for _ in range(3)]
+    _assert_same_entries([span.coefficients(sel)],
+                         [_loop_coefficients(span, sel)])
 
 
 def _rref_nullspace(dense, ncols):

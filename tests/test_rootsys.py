@@ -207,6 +207,28 @@ def test_omega_decompose_examples(a2):
         assert od.sigma1 == {rs.highest_root.id}
 
 
+def test_omega_decompose_fixed_at_construction(monkeypatch):
+    """One decomposition per root system: later calls return the stored
+    object and pair no roots."""
+    systems = [build_root_system(fam, rank) for fam, rank in ALL_SMALL]
+
+    def no_pairing(self, a, b):
+        raise AssertionError("pairing after construction")
+
+    monkeypatch.setattr(RootSystem, "pairing", no_pairing)
+    for rs in systems:
+        assert rs.omega_decompose() is rs.omega_decompose()
+
+
+def test_omega_series_out_of_range_fails_at_construction(monkeypatch):
+    # with every pairing equal, no root pairs to 0 or half of <w, w>
+    monkeypatch.setattr(RootSystem, "pairing", lambda self, a, b: Q(1))
+    build_root_system("A", 1)      # the highest root alone is in range
+    with pytest.raises(RootSystemError,
+                       match="highest-root series out of range"):
+        build_root_system("A", 2)
+
+
 def test_simple_support_examples(a3, c2):
     assert a3.simple_support(a3.id_of((1, 1, 0))) == {0, 1}
     assert a3.is_connected_support(a3.id_of((1, 1, 0)))

@@ -2,11 +2,12 @@
 
 The library derives the root functionals, the structure constants, the
 Cartan brackets, the theta-scalars and the adjoint realization from sparse
-entry maps of the basis matrices.  Here they are compared with the dense
-derivation (full Fraction matrix products, each result solved for its
-coordinates over all basis matrices), checked for antisymmetry and the
-Jacobi identity on larger ranks, and every derivation check is shown to
-fire on a broken realization.
+entry maps of the basis matrices, bracketing each unordered root pair
+once.  Here they are compared with the dense derivation (full Fraction
+matrix products, each result solved for its coordinates over all basis
+matrices) and with the sparse derivation over every ordered root pair,
+checked for antisymmetry and the Jacobi identity on larger ranks, and
+every derivation check is shown to fire on a broken realization.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from itertools import combinations
 
 import pytest
 
-from mclab import linalg
+from mclab import liealg, linalg
 from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
-                          build_sl, build_sp)
+                          _sparse_bracket, build_sl, build_sp)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,71 @@ def test_structure_identities_large_rank(large_algebra):
         m = ad.basis_matrix(i)
         for j in range(alg.dim):
             assert {k: m[k][j] for k in range(alg.dim) if m[k][j]} == table[i][j]
+
+
+# ---------------------------------------------------------------------------
+# half table against the full ordered-pair derivation
+# ---------------------------------------------------------------------------
+
+def _full_pair_tables(alg):
+    """``c``, ``h_of_bracket`` and ``theta_scalar`` with every ordered
+    root pair (a, b) bracketed and decomposed, in the full loop order."""
+    rs, real = alg.rs, alg.realization
+    entries = real.entries
+    c, h_of_bracket, theta = {}, {}, {}
+    nroots = 2 * rs.n_pos
+    for a in range(nroots):
+        for b in range(nroots):
+            s = rs.add(a, b)
+            coeffs = real.decompose(_sparse_bracket(
+                entries[alg.full_index(a)], entries[alg.full_index(b)]))
+            if s is not None and coeffs[alg.full_index(s)]:
+                c[(a, b)] = coeffs[alg.full_index(s)]
+            elif s is None and rs.neg(a) == b and a < rs.n_pos:
+                h_of_bracket[a] = tuple(coeffs[:alg.rank])
+    for a in range(nroots):
+        th = {(j, i): -x for (i, j), x in entries[alg.full_index(a)].items()}
+        theta[a] = real.decompose(th)[alg.full_index(rs.neg(a))]
+    return c, h_of_bracket, theta
+
+
+def _assert_half_tables_match(alg):
+    c, h_of_bracket, theta = _full_pair_tables(alg)
+    # values and key order: the JSON output follows insertion order
+    assert list(alg.c.items()) == list(c.items())
+    assert list(alg.h_of_bracket.items()) == list(h_of_bracket.items())
+    assert list(alg.theta_scalar.items()) == list(theta.items())
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3"])
+def test_half_tables_match_full_pair_derivation(name, request):
+    _assert_half_tables_match(request.getfixturevalue(name))
+
+
+def test_half_tables_match_full_pair_derivation_large_rank(large_algebra):
+    _assert_half_tables_match(large_algebra)
+
+
+@pytest.mark.parametrize("name", ["sl3", "sp2"])
+def test_root_pairs_bracketed_once(name, request, monkeypatch):
+    """Construction brackets each unordered root pair once, as (a, b)
+    with a < b, and never a root with itself."""
+    alg = request.getfixturevalue(name)
+    real = alg.realization
+    index = {id(e): k for k, e in enumerate(real.entries)}
+    seen = []
+
+    def counting(a, b):
+        seen.append((index[id(a)], index[id(b)]))
+        return _sparse_bracket(a, b)
+
+    monkeypatch.setattr(liealg, "_sparse_bracket", counting)
+    SplitLieAlgebra(alg.rs, alg.family, alg.param, real,
+                    normalized=alg.normalized,
+                    killing_factor=alg.killing_factor,
+                    b0_lambda=alg.b0_lambda)
+    root_pairs = [(i, j) for i, j in seen if i >= alg.rank and j >= alg.rank]
+    assert root_pairs == list(combinations(range(alg.rank, alg.dim), 2))
 
 
 # ---------------------------------------------------------------------------
