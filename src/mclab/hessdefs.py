@@ -110,7 +110,7 @@ def defining_equations(algebra: SplitLieAlgebra, chart: Chart,
         lams = h_coeffs
     polys = {a: Poly.zero(nv) for a in order}
     for lam, h in zip(lams, chart.realization.cartan):
-        coeffs = adjoint_of_point(chart, None, h)
+        coeffs = adjoint_of_point(chart, h)
         for a in order:
             c = coeffs[algebra.full_index(a)]
             polys[a] = polys[a] + (c.lift(nv) if symbolic else c) * lam

@@ -121,11 +121,6 @@ def enumerate_all(rs: RootSystem, max_rank: int = 4) -> list[HessenbergSet]:
     return out
 
 
-def _simple_index(rs: RootSystem, simple_id: int) -> int:
-    coeffs = rs.root(simple_id).coeffs
-    return next(i for i, c in enumerate(coeffs) if c)
-
-
 def analyze(hs: HessenbergSet) -> HessenbergReport:
     rs = hs.rs
     R = hs.R

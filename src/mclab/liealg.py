@@ -46,13 +46,11 @@ class Realization:
     ``{(i, j): value}``, from which the structure tables are derived.
     """
 
-    def __init__(self, label: str, cartan, pos, neg):
-        self.label = label
+    def __init__(self, cartan, pos, neg):
         self.cartan = cartan
         self.pos = pos
         self.neg = neg
         self.size = len(cartan[0])
-        self.identity = linalg.frac_identity(self.size)
         self._all = list(cartan) + list(pos) + list(neg)
         self.dim = len(self._all)
         self.entries = [{(i, j): x for i, row in enumerate(b)
@@ -81,17 +79,6 @@ class Realization:
         else:
             sel = [m[i][j] for i, j in self._positions]
         return self._span.coefficients(sel)
-
-    def compose(self, coeffs):
-        out = [[Q(0)] * self.size for _ in range(self.size)]
-        for c, b in zip(coeffs, self._all):
-            if c == 0:
-                continue
-            for i in range(self.size):
-                for j in range(self.size):
-                    if b[i][j]:
-                        out[i][j] += c * b[i][j]
-        return out
 
     def basis_matrix(self, full_index: int):
         return self._all[full_index]
@@ -151,12 +138,6 @@ class SplitLieAlgebra:
         if root_id < self.n_pos:
             return self.realization.pos[root_id]
         return self.realization.neg[root_id - self.n_pos]
-
-    def cartan_element(self, coeffs):
-        out = [[Q(0)] * self.realization.size for _ in range(self.realization.size)]
-        for c, h in zip(coeffs, self.realization.cartan):
-            out = linalg.mat_add(out, linalg.mat_scale(h, Q(c)))
-        return out
 
     def _derive_tables(self):
         rs = self.rs
@@ -270,15 +251,6 @@ class SplitLieAlgebra:
             self._h_rep[key] = tuple(sol)
         return self._h_rep[key]
 
-    def solve_H0(self):
-        """Cartan coefficients of H_0 with delta(H_0) = -1 for all simples."""
-        simples = self.rs.simple_ids()
-        a = [[self.functional[s][j] for j in range(self.rank)] for s in simples]
-        sol = linalg.solve(a, [Q(-1)] * self.rank)
-        if sol is None:
-            raise LieAlgebraError("Cartan matrix unexpectedly singular")
-        return tuple(sol)
-
     # ---- adjoint realization --------------------------------------------------
     def ad_realization(self) -> Realization:
         """Faithful realization by adjoint matrices (structure constants
@@ -296,25 +268,8 @@ class SplitLieAlgebra:
             cartan = ads[:self.rank]
             pos = ads[self.rank:self.rank + self.n_pos]
             neg = ads[self.rank + self.n_pos:]
-            self._ad_realization = Realization("adjoint", cartan, pos, neg)
+            self._ad_realization = Realization(cartan, pos, neg)
         return self._ad_realization
-
-    def structure_json_dict(self) -> dict:
-        rs = self.rs
-        triples = []
-        for (a, b), c in sorted(self.c.items()):
-            triples.append([rs.root_name(a), rs.root_name(b), str(c)])
-        return {
-            "family": self.family,
-            "param": self.param,
-            "normalized": self.normalized,
-            "killing_factor": str(self.killing_factor),
-            "structure_constants": triples,
-            "theta_scalars": {rs.root_name(a): str(s)
-                              for a, s in sorted(self.theta_scalar.items())},
-            "cartan_brackets": {rs.root_name(a): [str(x) for x in v]
-                                for a, v in sorted(self.h_of_bracket.items())},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +293,7 @@ def build_sl(n: int) -> SplitLieAlgebra:
         i, j = _sl_position(r.coeffs)
         pos.append(_elementary(n, i, j))
         neg.append(_elementary(n, j, i))
-    real = Realization("matrix", cartan, pos, neg)
+    real = Realization(cartan, pos, neg)
     return SplitLieAlgebra(rs, "sl", n, real, normalized=True,
                            killing_factor=Q(2 * n), b0_lambda=Q(1))
 
@@ -372,7 +327,7 @@ def build_sp(l: int) -> SplitLieAlgebra:
         pos = [EU, EX, EY, EZ]          # contract order: a, b, a+b, 2a+b
         scalars = [Q(2), Q(1, 4), Q(1, 2), Q(1)]
         neg = [linalg.mat_scale(_transpose(m), s) for m, s in zip(pos, scalars)]
-        real = Realization("matrix", cartan, pos, neg)
+        real = Realization(cartan, pos, neg)
         return SplitLieAlgebra(rs, "sp", 2, real, normalized=True,
                                killing_factor=Q(2 * l + 2), b0_lambda=Q(1))
     size = 2 * l
@@ -407,7 +362,7 @@ def build_sp(l: int) -> SplitLieAlgebra:
                                    _elementary(size, j, l + i))
         pos.append(m)
         neg.append(_transpose(m))
-    real = Realization("matrix", cartan, pos, neg)
+    real = Realization(cartan, pos, neg)
     return SplitLieAlgebra(rs, "sp", l, real, normalized=False,
                            killing_factor=Q(2 * l + 2), b0_lambda=None)
 
@@ -593,14 +548,6 @@ class Chart:
         prod = linalg.mat_mul(self.point_matrix(pa), self.point_matrix(pb))
         return self.coords_of_matrix(prod)
 
-    def identity_coords(self) -> list[Q]:
-        return [Q(0)] * self.nvars
-
-    def inverse(self, pa) -> list[Q]:
-        m = self.point_matrix(pa)
-        ident = linalg.frac_identity(self.realization.size)
-        return self.coords_of_matrix(linalg.unipotent_inverse(m, ident))
-
     # ---- frame ------------------------------------------------------------------
     def frame_components(self, slice_roots=None) -> dict[int, dict[int, Poly]]:
         """Row gamma: coefficients of d/dx_j in the frame field X_gamma.
@@ -707,78 +654,13 @@ def default_chart(algebra: SplitLieAlgebra) -> Chart:
 
 
 # ---------------------------------------------------------------------------
-# group operations and adjoint action
+# adjoint action
 # ---------------------------------------------------------------------------
 
-def adjoint_of_point(chart: Chart, point, element, inverse=True):
-    """Coefficients of Ad(n^{-1}) E (or Ad(n) E) over the full basis.
-
-    ``point`` is a coordinate sequence (Fractions) or None for the generic
-    point, in which case coefficients are polynomials in the chart
-    coordinates.  ``element`` is a matrix in the chart's realization.
-    """
-    if point is None:
-        n = chart.generic_matrix()
-        n_inv = chart.generic_inverse()
-    else:
-        n = chart.point_matrix(point)
-        ident = linalg.frac_identity(chart.realization.size)
-        n_inv = linalg.unipotent_inverse(n, ident)
-    if inverse:
-        conj = linalg.mat_mul(linalg.mat_mul(n_inv, element), n)
-    else:
-        conj = linalg.mat_mul(linalg.mat_mul(n, element), n_inv)
+def adjoint_of_point(chart: Chart, element):
+    """Coefficients of Ad(n^{-1}) E over the full basis at the generic
+    point n, polynomials in the chart coordinates.  ``element`` is a
+    matrix in the chart's realization."""
+    conj = linalg.mat_mul(linalg.mat_mul(chart.generic_inverse(), element),
+                          chart.generic_matrix())
     return chart.realization.decompose(conj)
-
-
-def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
-    """Same adjoint action through exp(-ad nu) on coefficient vectors.
-
-    ``element_coeffs`` are full-basis coefficients; returns coefficients.
-    The point is converted to its logarithm and the finite ad-exponential
-    is applied in the adjoint realization.
-
-    This is an independent cross-check of :func:`adjoint_of_point`, not a
-    fast path: at the generic point of the sp(3) second-kind chart it
-    takes about 0.5 s per element (a ``Poly`` matrix log and a dense
-    exponential in the 21-dimensional adjoint realization), while
-    :func:`adjoint_of_point` takes about 2-3 ms per element once the
-    chart's generic inverse is built.
-    """
-    alg = chart.algebra
-    ad = alg.ad_realization()
-    if point is None:
-        n = chart.generic_matrix()
-        ident = chart._poly_identity(chart.nvars)
-    else:
-        n = chart.point_matrix(point)
-        ident = linalg.frac_identity(chart.realization.size)
-    nu = linalg.unipotent_log(n, ident)
-    nu_coeffs = chart.realization.decompose(nu)
-    poly_mode = point is None
-    size = ad.size
-    if poly_mode:
-        ad_nu = [[Poly.zero(chart.nvars) for _ in range(size)] for _ in range(size)]
-    else:
-        ad_nu = linalg.frac_zero(size)
-    for k, ck in enumerate(nu_coeffs):
-        if (ck.is_zero() if isinstance(ck, Poly) else ck == 0):
-            continue
-        base = ad.basis_matrix(k)
-        if poly_mode:
-            base = [[Poly.const(chart.nvars, x) for x in row] for row in base]
-        ad_nu = linalg.mat_add(ad_nu, linalg.mat_scale(base, ck))
-    if inverse:
-        ad_nu = linalg.mat_scale(ad_nu, Q(-1))
-    ident_big = ([[Poly.const(chart.nvars, Q(1) if i == j else Q(0))
-                   for j in range(size)] for i in range(size)]
-                 if poly_mode else linalg.frac_identity(size))
-    expm = linalg.nilpotent_exp(ad_nu, ident_big)
-    vec = element_coeffs
-    out = []
-    for i in range(size):
-        acc = expm[i][0] * vec[0]
-        for j in range(1, size):
-            acc = acc + expm[i][j] * vec[j]
-        out.append(acc)
-    return out

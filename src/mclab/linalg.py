@@ -9,10 +9,11 @@ There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, so every
 basis this package produces is reproducible bit for bit.  It returns the
 integer pivot rows of a row echelon form keyed by pivot column; ``rank``,
-``solve``, ``coordinates_in_span`` and ``sparse_nullspace`` are read off
-them.  The rows are not reduced, but the name ``rref`` stays: the pivot
-columns and the row space are those of the reduced form, and it is the
-name external tooling (the benchmark's layer trace) wraps and reports.
+``solve``, ``sparse_nullspace`` and the span coordinates of
+:class:`SpanBasis` are read off them.  The rows are not reduced, but the
+name ``rref`` stays: the pivot columns and the row space are those of the
+reduced form, and it is the name external tooling (the benchmark's layer
+trace) wraps and reports.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def mat_scale(a: Matrix, c) -> Matrix:
 
 def frac_identity(n: int) -> Matrix:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
-def frac_zero(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[Q(0)] * m for _ in range(n)]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -260,12 +256,6 @@ def solve(a: list[list[Q]], b: list[Q]) -> list[Q] | None:
     if ncols in pivots:
         return None
     return [-x for x in _free_vector(pivots, ncols, ncols + 1)[:ncols]]
-
-
-def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
-    """Coefficients expressing target over the given basis vectors, or None."""
-    a = [[v[i] for v in basis] for i in range(len(target))]
-    return solve(a, list(target))
 
 
 class SpanBasis:

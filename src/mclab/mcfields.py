@@ -43,7 +43,7 @@ class McError(ValueError):
 
 def tau(algebra: SplitLieAlgebra, chart: Chart, element) -> PolyVectorField:
     """Multicontact field of an algebra element (matrix), on the full group."""
-    coeffs = adjoint_of_point(chart, None, element, inverse=True)
+    coeffs = adjoint_of_point(chart, element)
     comps = {}
     for r in range(algebra.rs.n_pos):
         c = coeffs[algebra.full_index(r)]
@@ -279,9 +279,6 @@ class McSolution:
 
     def contains(self, field: PolyVectorField) -> bool:
         return self.coordinates(field) is not None
-
-    def component_span(self, root_id: int) -> list[Poly]:
-        return [b.component(root_id) for b in self.basis]
 
     # ---- structure ---------------------------------------------------------
     def compute_brackets(self) -> None:

@@ -149,18 +149,6 @@ def solve_H_of_gamma(algebra: SplitLieAlgebra, gamma: int):
     return tuple(sol)
 
 
-def extend_H_by_chain(algebra: SplitLieAlgebra, gamma_simple: int,
-                      chain: list[int]):
-    """H(gamma') from H(gamma) by subtracting one third of each chain
-    element's representing Cartan vector."""
-    base = solve_H_of_gamma(algebra, gamma_simple)
-    out = list(base)
-    for d in chain:
-        hd = algebra.h_representing(d, "normalization")
-        out = [x - Q(1, 3) * y for x, y in zip(out, hd)]
-    return tuple(out)
-
-
 def gen_neg_sigma_half(algebra: SplitLieAlgebra, chart: Chart,
                        gamma: int) -> Poly:
     _require_normalized(algebra)
@@ -196,24 +184,34 @@ def gen_neg_omega(algebra: SplitLieAlgebra, chart: Chart) -> Poly:
     rational identity equivalent to the scaled form.
     """
     _require_normalized(algebra)
+    half = algebra.rs.omega_decompose().sigma_half
+    return _neg_omega(algebra, chart,
+                      {g: (gen_sigma_half(algebra, chart, g),
+                           gen_neg_sigma_half(algebra, chart, g))
+                       for g in half})
+
+
+def _neg_omega(algebra: SplitLieAlgebra, chart: Chart,
+               half_gens: dict[int, tuple[Poly, Poly]]) -> Poly:
+    """:func:`gen_neg_omega` from the generators (sigma_half, neg_sigma_half)
+    of each root of Sigma_1/2, so that a caller holding them computes
+    neither again."""
     rs = algebra.rs
-    od = rs.omega_decompose()
     w = rs.highest_root.id
     h_w = algebra.h_representing(w, "normalization")
     wHw = algebra.alpha_value(w, h_w)
     p_h = gen_cartan(algebra, chart, h_w)
     out = p_h * p_h * (Q(-1) / (2 * wHw))
-    for a in sorted(od.sigma_half):
-        comp = rs.add(w, rs.neg(a))
-        out = out - (gen_sigma_half(algebra, chart, comp)
-                     * gen_neg_sigma_half(algebra, chart, comp) * Q(1, 4))
+    for a in sorted(half_gens):
+        p_comp, p_neg_comp = half_gens[rs.add(w, rs.neg(a))]
+        out = out - p_comp * p_neg_comp * Q(1, 4)
     return out
 
 
 def oracle_omega_component(algebra: SplitLieAlgebra, chart: Chart,
                            element) -> Poly:
     """g_omega-coefficient of Ad(n^{-1}) E at the generic chart point."""
-    coeffs = adjoint_of_point(chart, None, element, inverse=True)
+    coeffs = adjoint_of_point(chart, element)
     return coeffs[algebra.full_index(algebra.rs.highest_root.id)]
 
 
@@ -252,13 +250,15 @@ def build_basis(algebra: SplitLieAlgebra,
     w = rs.highest_root.id
     table: dict[str, Poly] = {}
     table[rs.root_name(w)] = gen_omega(algebra, chart)
+    half_gens = {}
     for g in sorted(od.sigma_half):
-        table[rs.root_name(g)] = gen_sigma_half(algebra, chart, g)
-        table[rs.root_name(rs.neg(g))] = gen_neg_sigma_half(algebra, chart, g)
+        half_gens[g] = (gen_sigma_half(algebra, chart, g),
+                        gen_neg_sigma_half(algebra, chart, g))
+        table[rs.root_name(g)], table[rs.root_name(rs.neg(g))] = half_gens[g]
     for b in sorted(od.sigma0):
         table[rs.root_name(b)] = gen_sigma0(algebra, chart, b)
         table[rs.root_name(rs.neg(b))] = gen_sigma0(algebra, chart, rs.neg(b))
-    table[rs.root_name(rs.neg(w))] = gen_neg_omega(algebra, chart)
+    table[rs.root_name(rs.neg(w))] = _neg_omega(algebra, chart, half_gens)
     for i in range(algebra.rank):
         coeffs = [Q(1) if j == i else Q(0) for j in range(algebra.rank)]
         table[f"H{i + 1}"] = gen_cartan(algebra, chart, coeffs)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from fractions import Fraction as Q
+
 import pytest
 
+from mclab import linalg
 from mclab.liealg import build_sl, build_sp, matrix_chart
 from mclab.rootsys import build_root_system
 
@@ -64,6 +67,28 @@ def a3():
 @pytest.fixture(scope="session")
 def c2():
     return build_root_system("C", 2)
+
+
+# ---------------------------------------------------------------------------
+# Cartan elements
+# ---------------------------------------------------------------------------
+
+def cartan_element(alg, coeffs):
+    """The matrix sum_i coeffs[i] H_i over the realization's Cartan basis."""
+    size = alg.realization.size
+    out = [[Q(0)] * size for _ in range(size)]
+    for c, h in zip(coeffs, alg.realization.cartan):
+        out = linalg.mat_add(out, linalg.mat_scale(h, Q(c)))
+    return out
+
+
+def solve_H0(alg):
+    """Cartan coefficients of H_0 with delta(H_0) = -1 for all simples."""
+    simples = alg.rs.simple_ids()
+    a = [[alg.functional[s][j] for j in range(alg.rank)] for s in simples]
+    sol = linalg.solve(a, [Q(-1)] * alg.rank)
+    assert sol is not None, "Cartan matrix unexpectedly singular"
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------

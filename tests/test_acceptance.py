@@ -16,7 +16,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import flip_component_table, flip_poly, record_acceptance
+from conftest import (cartan_element, flip_component_table, flip_poly,
+                      record_acceptance)
 
 from mclab import linalg
 from mclab.fields import PolyVectorField
@@ -117,9 +118,9 @@ def test_criterion_2(sl3, chart_sl3):
         "U": (sl3.root_matrix(w), {(): 1}),
         "Y": (sl3.root_matrix(d2), {("x",): 1}),
         "X": (sl3.root_matrix(d1), {("y",): 1}),
-        "H_a": (sl3.cartan_element(sl3.h_representing(d1, "normalization")),
+        "H_a": (cartan_element(sl3, sl3.h_representing(d1, "normalization")),
                 {("u",): 1, ("x", "y"): -2}),
-        "H_b": (sl3.cartan_element(sl3.h_representing(d2, "normalization")),
+        "H_b": (cartan_element(sl3, sl3.h_representing(d2, "normalization")),
                 {("u",): 1, ("x", "y"): 1}),
         "theta_U": (theta(sl3.root_matrix(w)),
                     {("u", "u"): 1, ("u", "x", "y"): -1}),

@@ -17,6 +17,9 @@ from mclab.mcfields import (McError, McSolution, McSystem,
                             reduce_by_dark_zones, solve_mc, tau, tau_basis)
 from mclab.poly import Poly, monomials_of_weighted_degree
 
+from conftest import cartan_element, solve_H0
+from oracles import coordinates_in_span
+
 
 @pytest.fixture(scope="module")
 def sl4_type2(sl4, chart_sl4):
@@ -72,8 +75,8 @@ def test_tau_matches_reference_display_after_flip(sl4, chart_sl4):
 
 
 def test_tau_cartan_acts_diagonally(sl3, chart_sl3):
-    h0 = sl3.solve_H0()
-    f = tau(sl3, chart_sl3, sl3.cartan_element(h0)).to_coordinate()
+    h0 = solve_H0(sl3)
+    f = tau(sl3, chart_sl3, cartan_element(sl3, h0)).to_coordinate()
     for r in chart_sl3.coord_roots:
         ht = sl3.rs.root(r).height
         expect = Poly.var(chart_sl3.nvars, chart_sl3.coord_index(r), ht)
@@ -108,8 +111,8 @@ def test_projection_examples(sl4, chart_sl4):
     assert nu(sl4, chart_sl4, hs, sl4.root_matrix(w)).is_zero()
 
     # Cartan elements act diagonally on slice coordinates
-    h0 = sl4.solve_H0()
-    g = nu(sl4, chart_sl4, hs, sl4.cartan_element(h0)).to_coordinate()
+    h0 = solve_H0(sl4)
+    g = nu(sl4, chart_sl4, hs, cartan_element(sl4, h0)).to_coordinate()
     for r in sorted(hs.R):
         xg = Poly.var(chart_sl4.nvars, chart_sl4.coord_index(r))
         assert g.component(r) == xg * sl4.rs.root(r).height
@@ -191,7 +194,7 @@ def test_sl3_system_equivalent_to_second_order_pair(sl3, chart_sl3, sl3_full):
         return frame[d2].apply(frame[d2].apply(h))
 
     w = sl3.rs.highest_root.id
-    top = sol.component_span(w)
+    top = [b.component(w) for b in sol.basis]
     for h in top:
         assert x2(h).is_zero() and y2(h).is_zero()
     oracle = _pde_span(chart_sl3, hs, [x2, y2], w, max_wdeg=4)
@@ -211,7 +214,7 @@ def test_c2_system_equivalent_to_second_order_pair(sp2, chart_sp2, sp2_slice):
     def x2(h):
         return frame[b].apply(frame[b].apply(h))
 
-    top = sol.component_span(ab)
+    top = [b.component(ab) for b in sol.basis]
     for h in top:
         assert u2(h).is_zero() and x2(h).is_zero()
     oracle = _pde_span(chart_sp2, hs, [u2, x2], ab, max_wdeg=4)
@@ -573,7 +576,7 @@ def small_stabilized(sl2, chart_sl3, chart_sl4, chart_sp2):
 
 def _dense(vec, index):
     """A sparse ``McSolution.flatten`` vector as the dense list
-    ``linalg.coordinates_in_span`` takes; None stays None."""
+    ``coordinates_in_span`` takes; None stays None."""
     return None if vec is None else [vec.get(k, Q(0))
                                      for k in range(len(index))]
 
@@ -596,7 +599,7 @@ def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
                 vec = _dense(sol.flatten(a.bracket(b).to_invariant(), index),
                              index)
                 expect = (None if vec is None
-                          else linalg.coordinates_in_span(basis_vecs, vec))
+                          else coordinates_in_span(basis_vecs, vec))
                 if expect is None:
                     closed = False
                     expect = []
@@ -681,7 +684,7 @@ def test_non_closed_bracket_table(sp2_slice):
     vecs = [_dense(sol.flatten(b, index), index) for b in basis]
     outside = _dense(sol.flatten(basis[0].bracket(basis[1]).to_invariant(),
                                  index), index)
-    assert linalg.coordinates_in_span(vecs, outside) is None
+    assert coordinates_in_span(vecs, outside) is None
     small = McSolution(hs=hs, chart=sol.chart,
                        degree_bound=sol.degree_bound, basis=basis,
                        degrees=sol.degrees[1:], dimension=len(basis),

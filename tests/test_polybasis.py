@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
+from mclab import polybasis
 from mclab.liealg import three_factor_chart
 from mclab.mcfields import homogeneous_degree
 from mclab.poly import Poly
 from mclab.polybasis import (PolyBasisError, build_basis, chart_transport,
-                             extend_H_by_chain, gen_cartan, gen_neg_omega,
-                             gen_neg_sigma_half, gen_sigma0, gen_sigma_half,
-                             half_pairs, oracle_omega_component,
-                             solve_H_of_gamma, verify_against_oracle)
+                             gen_cartan, gen_neg_omega, gen_neg_sigma_half,
+                             gen_sigma0, gen_sigma_half, half_pairs,
+                             oracle_omega_component, solve_H_of_gamma,
+                             verify_against_oracle)
+
+from oracles import extend_H_by_chain
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +163,26 @@ def test_full_tables_match_oracle(sl3, sl4, sp2):
     for alg in (sl3, sl4, sp2):
         basis = build_basis(alg)
         assert all(verify_against_oracle(basis).values())
+
+
+def test_build_basis_makes_each_generator_once(sl5, monkeypatch):
+    """The lowest-root entry reuses the table's Sigma_1/2 generators: one
+    gen_neg_sigma_half and one solve_H_of_gamma call per root of
+    Sigma_1/2, and the entry equals gen_neg_omega term for term."""
+    calls = Counter()
+    for name in ("gen_neg_sigma_half", "solve_H_of_gamma"):
+        def counted(*args, _fn=getattr(polybasis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(polybasis, name, counted)
+    basis = build_basis(sl5)
+    assert len(sl5.rs.omega_decompose().sigma_half) == 6
+    assert calls == {"gen_neg_sigma_half": 6, "solve_H_of_gamma": 6}
+    monkeypatch.undo()
+    rs = sl5.rs
+    got = basis.table[rs.root_name(rs.neg(rs.highest_root.id))]
+    want = gen_neg_omega(sl5, basis.chart)
+    assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_grading_of_generators(sl4):

@@ -21,6 +21,8 @@ from mclab import liealg, linalg
 from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
                           _sparse_bracket, build_sl, build_sp)
 
+from oracles import coordinates_in_span
+
 
 # ---------------------------------------------------------------------------
 # dense oracle
@@ -39,8 +41,8 @@ class DenseOracle:
         self._derive(rs)
 
     def decompose(self, m):
-        coeffs = linalg.coordinates_in_span(self._flat,
-                                            [x for row in m for x in row])
+        coeffs = coordinates_in_span(self._flat,
+                                     [x for row in m for x in row])
         assert coeffs is not None, "element outside the algebra"
         return coeffs
 
@@ -288,7 +290,7 @@ def _mutated_sl3(kind):
         g_inv = linalg.unipotent_inverse(g, linalg.frac_identity(3))
         cartan, pos, neg = ([_conjugate(m, g, g_inv) for m in ms]
                             for ms in (cartan, pos, neg))
-    return Realization("matrix", cartan, pos, neg)
+    return Realization(cartan, pos, neg)
 
 
 @pytest.mark.parametrize("kind, message", [
