@@ -109,10 +109,10 @@ def defining_equations(algebra: SplitLieAlgebra, chart: Chart,
         nv = chart.nvars
         lams = h_coeffs
     polys = {a: Poly.zero(nv) for a in order}
+    indices = [algebra.full_index(a) for a in order]
     for lam, h in zip(lams, chart.realization.cartan):
-        coeffs = adjoint_of_point(chart, h)
-        for a in order:
-            c = coeffs[algebra.full_index(a)]
+        coeffs = adjoint_of_point(chart, h, indices)
+        for a, c in zip(order, coeffs):
             polys[a] = polys[a] + (c.lift(nv) if symbolic else c) * lam
     return HessenbergEquations(
         algebra=algebra, chart=chart, hs=hs, h_coeffs=h_coeffs,

@@ -19,6 +19,14 @@ one-parameter subgroups of the basis vectors.  They are read off the
 Maurer-Cartan form of the generic point g: the coefficients W[k][gamma]
 of g^{-1} d_k g form a unitriangular matrix (contract order), and
 X = W^{-1} d, one formula for every chart kind.
+
+The chart layer computes only what is read.  The generic point of an
+exponential chart multiplies in each root group's exp(N) - I as a sparse
+entry map, re-forming only the columns it touches; extraction peels with
+the same group exponential.  The frame and the adjoint action
+Ad(n^{-1}) E at the generic point form only the coefficients their callers
+ask for, each from the few matrix entries that its row of the
+decomposition inverse names (:meth:`Realization.read`).
 """
 
 from __future__ import annotations
@@ -70,15 +78,28 @@ class Realization:
         """Coefficients of m over [cartan..., pos..., neg...]; exact.
 
         ``m`` is a matrix with Fraction or Poly entries, or a sparse entry
-        map.  Only the decomposition positions are read, so the element
-        must lie in the algebra (callers conjugate or bracket algebra
-        elements, so it always does).
+        map, whose cost follows its entries.  Only the decomposition
+        positions are read, so the element must lie in the algebra
+        (callers conjugate or bracket algebra elements, so it always does).
         """
         if isinstance(m, dict):
-            sel = [m.get(p, 0) for p in self._positions]
-        else:
-            sel = [m[i][j] for i, j in self._positions]
-        return self._span.coefficients(sel)
+            n = self.size
+            return self._span.sparse_coefficients(
+                {i * n + j: x for (i, j), x in m.items()})
+        return self._span.coefficients([m[i][j] for i, j in self._positions])
+
+    def read(self, indices, entry):
+        """Coefficients at the full-basis ``indices`` of the algebra element
+        whose matrix entry (i, j) is ``entry(i, j)``.  Only the entries
+        named by the inverse rows of those coefficients are asked for,
+        each once."""
+        inverse_rows = self._span.inverse_rows
+        sel = {}
+        for c in indices:
+            for t, _ in inverse_rows[c]:
+                if t not in sel:
+                    sel[t] = entry(*self._positions[t])
+        return self._span.coefficients(sel, indices)
 
     def basis_matrix(self, full_index: int):
         return self._all[full_index]
@@ -468,23 +489,22 @@ class Chart:
                     [y - u * x, x * 2, zero, one],
                 ]
             raise LieAlgebraError("matrix chart unavailable for this algebra")
-        ident = self._poly_identity(nvars)
-        m = ident
+        m = self._poly_identity(nvars)
         for group in self.groups:
             xs = [Poly.var(nvars, self._index[r]) for r in group]
-            m = linalg.mat_mul(m, self._group_exp(group, xs, ident))
+            m = linalg.mul_unipotent(m, self._group_exp(group, xs))
         return m
 
-    def _group_exp(self, group, coeffs, ident):
-        """exp(sum_r c_r X_r) over the roots r of one factor group."""
-        zero = ident[0][0] * 0
-        size = self.realization.size
-        nil = [[zero] * size for _ in range(size)]
+    def _group_exp(self, group, coeffs):
+        """exp(sum_r c_r X_r) - I over the roots r of one factor group, as
+        a sparse entry map: the one group exponential of the chart."""
+        nil: dict = {}
         entries = self.realization.entries
         for r, c in zip(group, coeffs):
-            for (i, j), x in entries[self.algebra.full_index(r)].items():
-                nil[i][j] = nil[i][j] + c * x
-        return linalg.nilpotent_exp(nil, ident)
+            for p, x in entries[self.algebra.full_index(r)].items():
+                acc = nil.get(p)
+                nil[p] = c * x if acc is None else acc + c * x
+        return linalg.nilpotent_exp_sparse(nil, self.realization.size)
 
     # ---- extraction -----------------------------------------------------------
     def extract(self, m):
@@ -523,9 +543,8 @@ class Chart:
             cs = [coeffs[alg.full_index(r)] for r in group]
             vals.update(zip(group, cs))
             if k + 1 < len(order):
-                peel = self._group_exp(group, [-c for c in cs], ident)
-                cur = (linalg.mat_mul(peel, cur) if left
-                       else linalg.mat_mul(cur, peel))
+                peel = self._group_exp(group, [-c for c in cs])
+                cur = linalg.mul_unipotent(cur, peel, left=left)
         return [vals[r] for r in self.coord_roots]
 
     def _ident_like(self, m):
@@ -580,11 +599,26 @@ class Chart:
         gen = self.generic_matrix()
         gen_inv = self.generic_inverse()
         cols = [self.algebra.full_index(r) for r in self.coord_roots]
+        zero = Poly.zero(self.nvars)
         w = []
         for k in range(self.nvars):
-            d_k = [[p.diff(k) for p in row] for row in gen]
-            coeffs = self.realization.decompose(linalg.mat_mul(gen_inv, d_k))
-            w.append([coeffs[c] for c in cols])
+            d_cols: dict[int, list] = {}
+
+            def entry(i, j, k=k, d_cols=d_cols):
+                # (g^{-1} d_k g)[i][j], products in increasing inner index
+                d_col = d_cols.get(j)
+                if d_col is None:
+                    d_col = [(q, d) for q, row in enumerate(gen)
+                             if not (d := row[j].diff(k)).is_zero()]
+                    d_cols[j] = d_col
+                acc = None
+                row = gen_inv[i]
+                for q, d in d_col:
+                    x = row[q]
+                    if not x.is_zero():
+                        acc = x * d if acc is None else acc + x * d
+                return zero if acc is None else acc
+            w.append(self.realization.read(cols, entry))
         ident = [[Poly.const(self.nvars, Q(1) if i == j else Q(0))
                   for j in range(self.nvars)] for i in range(self.nvars)]
         w_inv = linalg.unipotent_inverse(w, ident)
@@ -657,10 +691,49 @@ def default_chart(algebra: SplitLieAlgebra) -> Chart:
 # adjoint action
 # ---------------------------------------------------------------------------
 
-def adjoint_of_point(chart: Chart, element):
-    """Coefficients of Ad(n^{-1}) E over the full basis at the generic
-    point n, polynomials in the chart coordinates.  ``element`` is a
-    matrix in the chart's realization."""
-    conj = linalg.mat_mul(linalg.mat_mul(chart.generic_inverse(), element),
-                          chart.generic_matrix())
-    return chart.realization.decompose(conj)
+def adjoint_of_point(chart: Chart, element, indices=None):
+    """Coefficients of Ad(n^{-1}) E at the generic point n, polynomials in
+    the chart coordinates, at the full-basis ``indices`` (all of them, in
+    order, when None).
+
+    ``element`` is a matrix in the chart's realization or a sparse entry
+    map {(p, q): value}.  Only the entries of n^{-1} E n that those
+    coefficients read are formed: entry (i, j) is the sum over the
+    nonzeros (p, q) of E of n^{-1}[i][p] E[p][q] n[q][j], its products
+    added as the two matrix products n^{-1} E and (n^{-1} E) n add them.
+    """
+    gen, gen_inv = chart.generic_matrix(), chart.generic_inverse()
+    items = (sorted(element.items()) if isinstance(element, dict)
+             else [((p, q), x) for p, row in enumerate(element)
+                   for q, x in enumerate(row)])
+    e_cols: dict[int, list] = {}        # column q of E: [(p, E[p][q])]
+    for (p, q), x in items:
+        if x != 0:
+            e_cols.setdefault(q, []).append((p, x))
+    zero = Poly.zero(chart.nvars)
+    left_rows: dict[int, list] = {}     # row i of n^{-1} E: [(q, value)]
+
+    def entry(i, j):
+        left = left_rows.get(i)
+        if left is None:
+            left = []
+            row = gen_inv[i]
+            for q in sorted(e_cols):
+                acc = None
+                for p, x in e_cols[q]:
+                    y = row[p]
+                    if not y.is_zero():
+                        acc = y * x if acc is None else acc + y * x
+                if acc is not None and not acc.is_zero():
+                    left.append((q, acc))
+            left_rows[i] = left
+        acc = None
+        for q, x in left:
+            y = gen[q][j]
+            if not y.is_zero():
+                acc = x * y if acc is None else acc + x * y
+        return zero if acc is None else acc
+
+    if indices is None:
+        indices = range(chart.realization.dim)
+    return chart.realization.read(indices, entry)

@@ -2,8 +2,10 @@
 
 Matrices are lists of lists whose entries are either ``Fraction`` or any
 ring element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
-The unipotent inverse, exp and log are one finite series in a nilpotent
-matrix, summed until its power vanishes.
+The unipotent inverse and log are one finite series in a nilpotent
+matrix, summed until its power vanishes.  The exponential is sparse: exp(N)
+- I of an entry map (:func:`nilpotent_exp_sparse`), multiplied into a
+matrix by :func:`mul_unipotent`.
 
 There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, so every
@@ -83,10 +85,6 @@ def frac_identity(n: int) -> Matrix:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def _is_zero_matrix(m: Matrix) -> bool:
     return all(_is_zero(x) for row in m for x in row)
 
@@ -111,23 +109,103 @@ def _nilpotent_series(nil: Matrix, identity: Matrix, start: Matrix,
 def unipotent_inverse(a: Matrix, identity: Matrix) -> Matrix:
     """Inverse of I + N with N nilpotent, by the finite Neumann series.
 
-    Raises ``ValueError`` if ``a`` is not unipotent; so do
-    :func:`nilpotent_exp` (for ``nil`` not nilpotent) and
+    Raises ``ValueError`` if ``a`` is not unipotent; so does
     :func:`unipotent_log`.
     """
     return _nilpotent_series(mat_sub(a, identity), identity, identity,
                              lambda k: Q((-1) ** k))
 
 
-def nilpotent_exp(nil: Matrix, identity: Matrix) -> Matrix:
-    return _nilpotent_series(nil, identity, identity,
-                             lambda k: Q(1, factorial(k)))
-
-
 def unipotent_log(a: Matrix, identity: Matrix) -> Matrix:
     nil = mat_sub(a, identity)
     return _nilpotent_series(nil, identity, mat_scale(nil, Q(0)),
                              lambda k: Q((-1) ** (k + 1), k))
+
+
+# ---------------------------------------------------------------------------
+# sparse unipotent factors
+# ---------------------------------------------------------------------------
+
+def _sparse_mul(a: dict, b: dict) -> dict:
+    """Product of sparse entry maps {(i, j): value}, zeros dropped.  Each
+    entry adds its products in increasing inner index, as :func:`mat_mul`
+    does."""
+    b_rows: dict[int, list] = {}
+    for q, j in sorted(b):
+        b_rows.setdefault(q, []).append((j, b[q, j]))
+    out: dict = {}
+    for i, q in sorted(a):
+        x = a[i, q]
+        for j, y in b_rows.get(q, ()):
+            acc = out.get((i, j))
+            out[i, j] = x * y if acc is None else acc + x * y
+    return {p: v for p, v in out.items() if not _is_zero(v)}
+
+
+def nilpotent_exp_sparse(nil: dict, size: int) -> dict:
+    """exp(N) - I for a nilpotent size x size matrix N given as a sparse
+    entry map, as an entry map without zeros.
+
+    The terms N^k / k! are added in increasing k and each power is a
+    :func:`_sparse_mul`, so every entry equals, term order included, the
+    one of the dense series.  Raises ``ValueError`` when N^size != 0.
+    """
+    nil = {p: v for p, v in nil.items() if not _is_zero(v)}
+    out = dict(nil)
+    power = nil
+    for k in range(2, size + 1):
+        power = _sparse_mul(power, nil)
+        if not power:
+            break
+        c = Q(1, factorial(k))
+        for p, v in power.items():
+            acc = out.get(p)
+            out[p] = v * c if acc is None else acc + v * c
+    else:
+        if power:
+            raise ValueError("matrix is not nilpotent")
+    return {p: v for p, v in out.items() if not _is_zero(v)}
+
+
+def mul_unipotent(m: Matrix, f: dict, left: bool = False) -> Matrix:
+    """m (I + F), or (I + F) m with ``left``, for F a sparse entry map.
+
+    Only the columns (with ``left``, the rows) that F touches are formed
+    again; the others are those of m.  Each new entry adds its products in
+    increasing inner index, skipping zeros, as :func:`mat_mul` does, and
+    reads the unit diagonal of I + F as an exact one.
+    """
+    lines: dict[int, dict[int, object]] = {}
+    for i, j in sorted(f):
+        line, inner = (i, j) if left else (j, i)
+        lines.setdefault(line, {})[inner] = f[i, j]
+    out = [row[:] for row in m]
+    for line, col in lines.items():
+        # None stands for the exact one of I + F on the diagonal
+        diag = col.get(line)
+        col[line] = None if diag is None else diag + 1
+        inner = sorted(col.items())
+        if left:
+            for j in range(len(m[0])):
+                acc = None
+                for q, e in inner:
+                    y = m[q][j]
+                    if _is_zero(y):
+                        continue
+                    t = y if e is None else e * y
+                    acc = t if acc is None else acc + t
+                out[line][j] = m[line][j] * 0 if acc is None else acc
+        else:
+            for i, row in enumerate(m):
+                acc = None
+                for q, e in inner:
+                    x = row[q]
+                    if _is_zero(x):
+                        continue
+                    t = x if e is None else x * e
+                    acc = t if acc is None else acc + t
+                out[i][line] = row[line] * 0 if acc is None else acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +364,24 @@ class SpanBasis:
         cols = [_free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
         self.inverse_rows = [[(t, -x) for t, x in enumerate(row) if x]
                              for row in zip(*cols)]
+        # the inverse rows reading each position, for sparse targets
+        self._slot = {p: t for t, p in enumerate(self.positions)}
+        self._rows_at: list[list[int]] = [[] for _ in self.positions]
+        for c, row in enumerate(self.inverse_rows):
+            for t, _ in row:
+                self._rows_at[t].append(c)
 
-    def coefficients(self, sel: list) -> list:
-        """Coordinates of the span element whose entries at ``positions``
-        are ``sel``.  Entries may be Fraction or Poly; zero entries are
-        skipped, but a zero Poly still makes its coordinate a Poly.
-        Membership is not checked."""
+    def coefficients(self, sel, rows=None) -> list:
+        """Coordinates of the span element whose entry at ``positions[t]``
+        is ``sel[t]`` (a list, or a map holding every slot read).  With
+        ``rows`` only those coordinates, in that order.  Entries may be
+        Fraction or Poly; zero entries are skipped, but a zero Poly still
+        makes its coordinate a Poly.  Membership is not checked."""
+        inv = self.inverse_rows
         out = []
-        for row in self.inverse_rows:
+        for c in range(len(inv)) if rows is None else rows:
             acc = _ZERO
-            for t, x in row:
+            for t, x in inv[c]:
                 s = sel[t]
                 if not _is_zero(s):
                     acc = acc + s * x
@@ -304,11 +390,28 @@ class SpanBasis:
             out.append(acc)
         return out
 
+    def sparse_coefficients(self, target: dict) -> list:
+        """:meth:`coefficients` of a sparse target {column: value}, in time
+        proportional to its entries: only the inverse rows that read one
+        of them are summed, and every other coordinate is zero."""
+        sel = {}
+        for col, v in target.items():
+            t = self._slot.get(col)
+            if t is not None:
+                sel[t] = v
+        rows = sorted({c for t in sel for c in self._rows_at[t]})
+        for c in rows:
+            for t, _ in self.inverse_rows[c]:
+                sel.setdefault(t, _ZERO)
+        out = [_ZERO] * len(self.inverse_rows)
+        for c, x in zip(rows, self.coefficients(sel, rows)):
+            out[c] = x
+        return out
+
     def coordinates(self, target: dict[int, Q]) -> list[Q] | None:
         """Coordinates of a sparse target, or None when it is outside the
         span; membership is verified by recomposing the target."""
-        coeffs = self.coefficients(
-            [target.get(p, _ZERO) for p in self.positions])
+        coeffs = self.sparse_coefficients(target)
         recomposed: dict[int, Q] = {}
         for c, v in zip(coeffs, self.vectors):
             if c:

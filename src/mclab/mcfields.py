@@ -42,25 +42,27 @@ class McError(ValueError):
 # ---------------------------------------------------------------------------
 
 def tau(algebra: SplitLieAlgebra, chart: Chart, element) -> PolyVectorField:
-    """Multicontact field of an algebra element (matrix), on the full group."""
-    coeffs = adjoint_of_point(chart, element)
-    comps = {}
-    for r in range(algebra.rs.n_pos):
-        c = coeffs[algebra.full_index(r)]
-        if not c.is_zero():
-            comps[r] = c * Q(-1)
+    """Multicontact field of an algebra element (a matrix or sparse entry
+    map in the chart's realization), on the full group."""
+    coeffs = adjoint_of_point(chart, element, [
+        algebra.full_index(r) for r in range(algebra.rs.n_pos)])
+    comps = {r: c * Q(-1) for r, c in enumerate(coeffs) if not c.is_zero()}
     return PolyVectorField(chart, "invariant", comps)
 
 
-def tau_basis(algebra: SplitLieAlgebra, chart: Chart) -> dict[int, PolyVectorField]:
-    """tau of every full-basis element, keyed by full-basis index; cached."""
+def tau_basis(algebra: SplitLieAlgebra, chart: Chart,
+              indices=None) -> dict[int, PolyVectorField]:
+    """tau of the full-basis elements at ``indices`` (all of them when
+    None), keyed by full-basis index.  Each is computed once per chart,
+    when first asked for, and cached."""
     cache = getattr(chart, "_tau_basis_cache", None)
     if cache is None:
-        cache = {}
-        for k in range(algebra.dim):
-            cache[k] = tau(algebra, chart, algebra.realization.basis_matrix(k))
-        chart._tau_basis_cache = cache
-    return cache
+        cache = chart._tau_basis_cache = {}
+    keys = range(algebra.dim) if indices is None else indices
+    for k in keys:
+        if k not in cache:
+            cache[k] = tau(algebra, chart, chart.realization.entries[k])
+    return {k: cache[k] for k in keys}
 
 
 def project_to_slice(field: PolyVectorField, hs: HessenbergSet) -> PolyVectorField:
@@ -589,8 +591,8 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
         raise McError("solution dimension is not stabilized")
     alg = chart.algebra
     rep = report if report is not None else analyze(hs)
-    taus = tau_basis(alg, chart)
     q_index = normalizer_basis_indices(alg, rep)
+    taus = tau_basis(alg, chart, q_index)
     fields = [project_to_slice(taus[k], hs) for k in q_index]
 
     # the solution's monomials keep their indices in the wider index, so

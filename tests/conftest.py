@@ -70,8 +70,13 @@ def c2():
 
 
 # ---------------------------------------------------------------------------
-# Cartan elements
+# matrices and Cartan elements
 # ---------------------------------------------------------------------------
+
+def mat_eq(a, b) -> bool:
+    """Entrywise equality of two matrices."""
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
 
 def cartan_element(alg, coeffs):
     """The matrix sum_i coeffs[i] H_i over the realization's Cartan basis."""

@@ -7,6 +7,7 @@ another way; the tests compare the two exactly.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import factorial
 
 from mclab import linalg
 from mclab.liealg import Chart, SplitLieAlgebra
@@ -17,6 +18,35 @@ from mclab.polybasis import solve_H_of_gamma
 def frac_zero(n: int, m: int | None = None):
     m = n if m is None else m
     return [[Q(0)] * m for _ in range(n)]
+
+
+def nilpotent_exp(nil, identity):
+    """exp(N) of a nilpotent matrix as the dense finite series: the
+    reference for the charts' sparse group exponential
+    ``linalg.nilpotent_exp_sparse``.  Raises ``ValueError`` when N^n != 0."""
+    return linalg._nilpotent_series(nil, identity, identity,
+                                    lambda k: Q(1, factorial(k)))
+
+
+def dense_generic_point(chart: Chart):
+    """The generic point of an exponential chart as the dense product of
+    the dense exponentials (:func:`nilpotent_exp`) of its root groups: the
+    reference for the chart's sparse construction.  The matrix-entry
+    charts' closed forms are returned as they are."""
+    if chart.groups is None:
+        return chart.generic_matrix()
+    nv = chart.nvars
+    ident = chart._poly_identity(nv)
+    size = len(ident)
+    point = ident
+    for group in chart.groups:
+        nil = [[Poly.zero(nv)] * size for _ in range(size)]
+        for r in group:
+            x_r = Poly.var(nv, chart.coord_index(r))
+            basis = chart.realization.basis_matrix(chart.algebra.full_index(r))
+            nil = linalg.mat_add(nil, [[x_r * x for x in row] for row in basis])
+        point = linalg.mat_mul(point, nilpotent_exp(nil, ident))
+    return point
 
 
 def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
@@ -82,7 +112,7 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
     ident_big = ([[Poly.const(chart.nvars, Q(1) if i == j else Q(0))
                    for j in range(size)] for i in range(size)]
                  if poly_mode else linalg.frac_identity(size))
-    expm = linalg.nilpotent_exp(ad_nu, ident_big)
+    expm = nilpotent_exp(ad_nu, ident_big)
     vec = element_coeffs
     out = []
     for i in range(size):

@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 
 import pytest
 from conftest import (cartan_element, flip_component_table, flip_poly,
-                      record_acceptance)
+                      mat_eq, record_acceptance)
 
 from mclab import linalg
 from mclab.fields import PolyVectorField
@@ -437,7 +437,7 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
                     lhs = comm(a, comm(b, c))
                     rhs = linalg.mat_add(comm(comm(a, b), c),
                                          comm(b, comm(a, c)))
-                    assert linalg.mat_eq(lhs, rhs)
+                    assert mat_eq(lhs, rhs)
         frame = {r: chart.frame_field(r) for r in chart.coord_roots}
         rs = alg.rs
         for a in chart.coord_roots:

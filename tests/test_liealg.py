@@ -8,20 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab import linalg
-from mclab.liealg import (Chart, LieAlgebraError, adjoint_of_point, build_sl,
-                          build_sp, first_kind_chart, matrix_chart,
-                          second_kind_chart, three_factor_chart)
+from mclab.liealg import (Chart, LieAlgebraError, _sparse_bracket,
+                          adjoint_of_point, build_sl, build_sp,
+                          first_kind_chart, matrix_chart, second_kind_chart,
+                          three_factor_chart)
 from mclab.poly import Poly
 
-from conftest import solve_H0
-from oracles import adjoint_series_of_point
+from conftest import mat_eq, solve_H0
+from oracles import adjoint_series_of_point, dense_generic_point
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "sp2"]
 
 
 @pytest.fixture(scope="module")
-def algebras(sl2, sl3, sl4, sp2, sp3):
-    return {"sl2": sl2, "sl3": sl3, "sl4": sl4, "sp2": sp2, "sp3": sp3}
+def algebras(sl2, sl3, sl4, sl5, sp2, sp3, sp4):
+    return {"sl2": sl2, "sl3": sl3, "sl4": sl4, "sl5": sl5, "sp2": sp2,
+            "sp3": sp3, "sp4": sp4}
+
+
+@pytest.fixture(scope="module")
+def sp4():
+    return build_sp(4)
 
 
 def test_sp3_spot_checks(sp3):
@@ -36,7 +43,7 @@ def test_sp3_spot_checks(sp3):
                 lhs = _comm(a, _comm(b, c))
                 rhs = linalg.mat_add(_comm(_comm(a, b), c),
                                      _comm(b, _comm(a, c)))
-                assert linalg.mat_eq(lhs, rhs)
+                assert mat_eq(lhs, rhs)
     for (a, b), c in sp3.c.items():
         assert c != 0
 
@@ -61,7 +68,7 @@ def test_jacobi_identity_exhaustive(name, algebras):
         lhs = _comm(a, _comm(b, c))
         mid = _comm(_comm(a, b), c)
         rhs = _comm(b, _comm(a, c))
-        assert linalg.mat_eq(lhs, linalg.mat_add(mid, rhs))
+        assert mat_eq(lhs, linalg.mat_add(mid, rhs))
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -73,7 +80,7 @@ def test_theta_involution_and_killing_invariance(name, algebras):
 
     basis = _all_basis(alg)
     for m in basis:
-        assert linalg.mat_eq(theta(theta(m)), m)
+        assert mat_eq(theta(theta(m)), m)
     for a in basis:
         for b in basis:
             assert alg.killing(theta(a), theta(b)) == alg.killing(a, b)
@@ -109,8 +116,8 @@ def test_sp2_basis_brackets(sp2):
     a, b, ab, w = 0, 1, 2, 3
     EU, EX = sp2.root_matrix(a), sp2.root_matrix(b)
     EY, EZ = sp2.root_matrix(ab), sp2.root_matrix(w)
-    assert linalg.mat_eq(_comm(EU, EX), EY)
-    assert linalg.mat_eq(_comm(EU, EY), EZ)
+    assert mat_eq(_comm(EU, EX), EY)
+    assert mat_eq(_comm(EU, EY), EZ)
     assert sp2.c[(a, b)] == 1 and sp2.c[(a, ab)] == 1
 
 
@@ -118,12 +125,12 @@ def test_sl3_and_sl2_realizations(sl2, sl3):
     # single positive-root bracket in rank one: [H, E] = 2E
     h = sl2.realization.cartan[0]
     e = sl2.root_matrix(0)
-    assert linalg.mat_eq(_comm(h, e), linalg.mat_scale(e, Q(2)))
+    assert mat_eq(_comm(h, e), linalg.mat_scale(e, Q(2)))
     # the top root space of sl(3) is the corner matrix
     top = sl3.root_matrix(sl3.rs.highest_root.id)
     expect = [[Q(0)] * 3 for _ in range(3)]
     expect[0][2] = Q(1)
-    assert linalg.mat_eq(top, expect)
+    assert mat_eq(top, expect)
 
 
 def test_functionals_match_cartan_matrix(sl4):
@@ -393,6 +400,40 @@ def test_decompose_basis_matrices(name, algebras):
         combo = linalg.mat_add(combo,
                                linalg.mat_scale(real.basis_matrix(k), c))
     assert real.decompose(combo) == coeffs
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3",
+                                  "sp4"])
+def test_sparse_decompose_matches_dense(name, algebras):
+    """A sparse entry map is decomposed from its nonzeros alone; the
+    coefficients equal those read from the dense matrix on every basis
+    bracket, in the matrix and the adjoint realization."""
+    alg = algebras[name]
+    for real in (alg.realization, alg.ad_realization()):
+        n = real.size
+        for a in real.entries:
+            for b in real.entries:
+                comm = _sparse_bracket(a, b)
+                dense = [[comm.get((i, j), Q(0)) for j in range(n)]
+                         for i in range(n)]
+                assert real.decompose(comm) == real.decompose(dense)
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl4", "sl5", "sp2", "sp3", "sp4"])
+def test_generic_point_matches_dense_exponential_product(name, algebras):
+    """The exponential charts' sparse generic point equals the dense
+    product of the dense exponentials of their root groups, term order
+    included, and extraction reads the coordinates back."""
+    alg = algebras[name]
+    for kind in ("first_kind", "second_kind", "three_factor"):
+        chart = Chart(alg, kind)
+        got = chart.generic_matrix()
+        want = dense_generic_point(chart)
+        for rg, rw in zip(got, want):
+            for x, y in zip(rg, rw):
+                assert list(x.terms.items()) == list(y.terms.items())
+        assert chart.extract(got) == [Poly.var(chart.nvars, k)
+                                      for k in range(chart.nvars)]
 
 
 def test_adjoint_dual_path_random_points(sl4, chart_sl4):

@@ -384,6 +384,27 @@ def test_compare_examples(sl4, chart_sl4, sl4_type2, sp2, chart_sp2,
     assert c3.equal and c3.nu_dimension == 8
 
 
+def test_compare_computes_tau_only_for_the_normalizer(sp3, monkeypatch):
+    """On C3 type-2 the normalizer spans 12 of the 21 basis elements of
+    sp(3); the comparison computes tau of those 12 alone, once each."""
+    chart = second_kind_chart(sp3)
+    hs = type_p_subset(sp3.rs, 2)
+    sol = solve_mc(hs, chart)
+    calls = []
+    real_tau = mcfields.tau
+
+    def counted(alg, ch, element):
+        calls.append(element)
+        return real_tau(alg, ch, element)
+
+    monkeypatch.setattr(mcfields, "tau", counted)
+    first = compare_with_normalizer(hs, chart, sol)
+    assert len(normalizer_basis_indices(sp3, analyze(hs))) == 12
+    assert len(calls) == 12
+    again = compare_with_normalizer(hs, chart, sol)
+    assert len(calls) == 12 and again.to_json_dict() == first.to_json_dict()
+
+
 def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
                                                chart_sp2):
     """nu respects brackets on the normalizer, and for sets containing all

@@ -11,7 +11,8 @@ from mclab import linalg
 from mclab.liealg import Chart, adjoint_of_point
 from mclab.poly import Poly, monomials_of_weighted_degree, parse_fraction
 
-from oracles import coordinates_in_span
+from conftest import mat_eq
+from oracles import coordinates_in_span, dense_generic_point, nilpotent_exp
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -376,10 +377,10 @@ def test_nilpotent_series():
     n = [[Q(0), Q(1), Q(2)], [Q(0), Q(0), Q(3)], [Q(0), Q(0), Q(0)]]
     u = linalg.mat_add(ident, n)
     inv = linalg.unipotent_inverse(u, ident)
-    assert linalg.mat_eq(linalg.mat_mul(u, inv), ident)
+    assert mat_eq(linalg.mat_mul(u, inv), ident)
     log = linalg.unipotent_log(u, ident)
-    exp = linalg.nilpotent_exp(log, ident)
-    assert linalg.mat_eq(exp, u)
+    exp = nilpotent_exp(log, ident)
+    assert mat_eq(exp, u)
 
 
 
@@ -395,7 +396,7 @@ _I = Poly.const(1, 1)
      [[_X + 1, _O], [_O, _I]]),
     (linalg.unipotent_log, [[Q(2), Q(1)], [Q(0), Q(1)]],
      [[_X + 1, _O], [_O, _I]]),
-    (linalg.nilpotent_exp, [[Q(0), Q(1)], [Q(1), Q(0)]],
+    (nilpotent_exp, [[Q(0), Q(1)], [Q(1), Q(0)]],
      [[_O, _X], [_X, _O]]),
 ])
 def test_series_reject_non_unipotent(series, bad, poly_bad):
@@ -479,28 +480,89 @@ def test_mat_mul_matches_dense_loop(data, kinds):
     _assert_same_entries(linalg.mat_mul(a, b), _dense_mat_mul(a, b))
 
 
-_ADJOINT_CASES = [(a, k) for a in ("sl3", "sl4", "sl5", "sp2")
-                  for k in ("matrix", "second_kind")] + [("sp3", "second_kind")]
+def _strictly_upper_after(perm, m, zero):
+    """m with every entry off the strictly upper part of the order
+    ``perm`` set to zero: nilpotent, but not triangular in the index
+    order unless perm is the identity."""
+    rank = {p: k for k, p in enumerate(perm)}
+    return [[x if rank[i] < rank[j] else zero for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Q, Poly]), left=st.booleans())
+def test_sparse_group_exponential_matches_dense(data, kind, left):
+    """exp(N) - I of a nilpotent N as a sparse entry map equals the dense
+    series, and multiplying by I + F on either side equals the dense loop
+    product: values, types and term order."""
+    n = data.draw(st.integers(1, 4))
+    zero = Q(0) if kind is Q else Poly.zero(2)
+    perm = data.draw(st.permutations(range(n)))
+    nil = _strictly_upper_after(perm, _draw_matrix(data, kind, n, n), zero)
+    ident = (linalg.frac_identity(n) if kind is Q else
+             [[Poly.const(2, int(i == j)) for j in range(n)]
+              for i in range(n)])
+    f = linalg.nilpotent_exp_sparse(
+        {(i, j): x for i, row in enumerate(nil) for j, x in enumerate(row)},
+        n)
+    want = nilpotent_exp(nil, ident)
+    assert all(x != 0 and i != j for (i, j), x in f.items())
+    _assert_same_entries(
+        [[f.get((i, j), zero) if i != j else want[i][j] for j in range(n)]
+         for i in range(n)], want)
+    m = _draw_matrix(data, kind, n, n)
+    got = linalg.mul_unipotent(m, f, left=left)
+    _assert_same_entries(got, _dense_mat_mul(want, m) if left
+                         else _dense_mat_mul(m, want))
+
+
+def test_sparse_exponential_rejects_non_nilpotent():
+    with pytest.raises(ValueError, match="not nilpotent"):
+        linalg.nilpotent_exp_sparse({(0, 1): Q(1), (1, 0): Q(1)}, 2)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        linalg.nilpotent_exp_sparse({(0, 1): _X, (1, 0): _X}, 2)
+
+
+_ADJOINT_CASES = ([(a, k) for a in ("sl3", "sl4", "sl5", "sp2")
+                   for k in ("matrix", "second_kind")]
+                  + [("sp3", "second_kind")]
+                  + [(a, k) for a in ("sl4", "sp2", "sp3")
+                     for k in ("first_kind", "three_factor")]
+                  + [("sl3", "second_kind-ad"), ("sl3", "first_kind-ad"),
+                     ("sp2", "second_kind-ad"), ("sp2", "three_factor-ad")])
 
 
 @pytest.mark.parametrize("alg_name,kind", _ADJOINT_CASES)
 def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
                                                     alg_name, kind):
     """tau's adjoint action at the generic point against a reference with
-    every product through the dense loop (generic point and its inverse
-    included) and the element lifted to constant Polys."""
+    every product through the dense loop (the generic point as the dense
+    product of dense group exponentials, and its inverse, included) and
+    the element lifted to constant Polys.  Kinds ending in ``-ad`` use the
+    structure-constant (adjoint) realization.  Every element is passed
+    both as a matrix and as a sparse entry map, and index subsets give the
+    reference's coefficients at those indices, in their order."""
     alg = request.getfixturevalue(alg_name)
+    kind, _, backend = kind.partition("-")
+    real = alg.ad_realization() if backend == "ad" else alg.realization
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "mat_mul", _dense_mat_mul)
-        old = Chart(alg, kind)
-        n, n_inv = old.generic_matrix(), old.generic_inverse()
+        old = Chart(alg, kind, realization=real)
+        n = dense_generic_point(old)
+        n_inv = linalg.unipotent_inverse(n, old._poly_identity(old.nvars))
         want = []
         for k in range(alg.dim):
             elem = [[Poly.const(old.nvars, x) for x in row]
-                    for row in alg.realization.basis_matrix(k)]
+                    for row in real.basis_matrix(k)]
             conj = _dense_mat_mul(_dense_mat_mul(n_inv, elem), n)
-            want.append(old.realization.decompose(conj))
-    new = Chart(alg, kind)
-    got = [adjoint_of_point(new, alg.realization.basis_matrix(k))
-           for k in range(alg.dim)]
+            want.append(real.decompose(conj))
+    new = Chart(alg, kind, realization=real)
+    got = [adjoint_of_point(new, real.basis_matrix(k)) for k in range(alg.dim)]
     _assert_same_entries(got, want)
+    got = [adjoint_of_point(new, real.entries[k]) for k in range(alg.dim)]
+    _assert_same_entries(got, want)
+    positive = [alg.full_index(r) for r in range(alg.n_pos)]
+    for indices in (positive, list(range(alg.dim))[::-3], []):
+        got = [adjoint_of_point(new, real.entries[k], indices)
+               for k in range(alg.dim)]
+        _assert_same_entries(got, [[w[c] for c in indices] for w in want])

@@ -185,6 +185,21 @@ def test_build_basis_makes_each_generator_once(sl5, monkeypatch):
     assert list(got.terms.items()) == list(want.terms.items())
 
 
+def test_build_basis_makes_each_cheap_generator_once(monkeypatch, sl5):
+    """One build_basis on A4 finds the Sigma_1/2 pairing once and each
+    gen_sigma_half and gen_sigma0 label once: 1, 6 and 6 calls."""
+    calls = Counter()
+    for name in ("gen_sigma_half", "half_pairs", "gen_sigma0"):
+        def counted(*args, _fn=getattr(polybasis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(polybasis, name, counted)
+    build_basis(sl5)
+    od = sl5.rs.omega_decompose()
+    assert (len(od.sigma_half), len(od.sigma0)) == (6, 3)
+    assert calls == {"half_pairs": 1, "gen_sigma_half": 6, "gen_sigma0": 6}
+
+
 def test_grading_of_generators(sl4):
     basis = build_basis(sl4)
     chart = basis.chart

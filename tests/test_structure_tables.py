@@ -21,6 +21,7 @@ from mclab import liealg, linalg
 from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
                           _sparse_bracket, build_sl, build_sp)
 
+from conftest import mat_eq
 from oracles import coordinates_in_span
 
 
@@ -59,7 +60,7 @@ class DenseOracle:
             for i in range(rank):
                 comm = _dense_bracket(self.basis[i], x_r)
                 target = self.decompose(comm)[full(r)]
-                if not linalg.mat_eq(comm, linalg.mat_scale(x_r, target)):
+                if not mat_eq(comm, linalg.mat_scale(x_r, target)):
                     raise LieAlgebraError("Cartan element is not diagonal")
                 vals.append(target)
             self.functional.append(tuple(vals))
