@@ -605,18 +605,14 @@ class Chart:
             d_cols: dict[int, list] = {}
 
             def entry(i, j, k=k, d_cols=d_cols):
-                # (g^{-1} d_k g)[i][j], products in increasing inner index
+                # (g^{-1} d_k g)[i][j]
                 d_col = d_cols.get(j)
                 if d_col is None:
-                    d_col = [(q, d) for q, row in enumerate(gen)
-                             if not (d := row[j].diff(k)).is_zero()]
-                    d_cols[j] = d_col
-                acc = None
-                row = gen_inv[i]
-                for q, d in d_col:
-                    x = row[q]
-                    if not x.is_zero():
-                        acc = x * d if acc is None else acc + x * d
+                    d_col = d_cols[j] = [
+                        (q, d) for q, row in enumerate(gen)
+                        if not (d := row[j].diff(k)).is_zero()]
+                acc = linalg.sparse_dot(d_col, gen_inv[i].__getitem__,
+                                        terms_left=False)
                 return zero if acc is None else acc
             w.append(self.realization.read(cols, entry))
         ident = [[Poly.const(self.nvars, Q(1) if i == j else Q(0))
@@ -716,22 +712,12 @@ def adjoint_of_point(chart: Chart, element, indices=None):
     def entry(i, j):
         left = left_rows.get(i)
         if left is None:
-            left = []
             row = gen_inv[i]
-            for q in sorted(e_cols):
-                acc = None
-                for p, x in e_cols[q]:
-                    y = row[p]
-                    if not y.is_zero():
-                        acc = y * x if acc is None else acc + y * x
-                if acc is not None and not acc.is_zero():
-                    left.append((q, acc))
-            left_rows[i] = left
-        acc = None
-        for q, x in left:
-            y = gen[q][j]
-            if not y.is_zero():
-                acc = x * y if acc is None else acc + x * y
+            left = left_rows[i] = [
+                (q, x) for q in sorted(e_cols)
+                if (x := linalg.sparse_dot(e_cols[q], row.__getitem__,
+                                           terms_left=False)) is not None]
+        acc = linalg.sparse_dot(left, lambda q: gen[q][j])
         return zero if acc is None else acc
 
     if indices is None:

@@ -126,20 +126,44 @@ def unipotent_log(a: Matrix, identity: Matrix) -> Matrix:
 # sparse unipotent factors
 # ---------------------------------------------------------------------------
 
+def sparse_dot(terms, factor, terms_left: bool = True):
+    """Sum of x * factor(q) (factor(q) * x when not ``terms_left``) over
+    the (q, x) of ``terms``, skipping zero factors; None when no product
+    is formed.
+
+    The products are added in the order of ``terms``.  Sorted by q, that
+    is the order in which :func:`mat_mul` adds the products of an entry,
+    so every ``Poly`` keeps the term order of the matrix product.  The
+    sparse group exponential, the adjoint action and the frame of
+    :mod:`mclab.liealg` sum their entries here.
+    """
+    acc = None
+    for q, x in terms:
+        if _is_zero(x):
+            continue
+        y = factor(q)
+        if _is_zero(y):
+            continue
+        t = x * y if terms_left else y * x
+        acc = t if acc is None else acc + t
+    return acc
+
+
 def _sparse_mul(a: dict, b: dict) -> dict:
-    """Product of sparse entry maps {(i, j): value}, zeros dropped.  Each
-    entry adds its products in increasing inner index, as :func:`mat_mul`
-    does."""
-    b_rows: dict[int, list] = {}
-    for q, j in sorted(b):
-        b_rows.setdefault(q, []).append((j, b[q, j]))
+    """Product of sparse entry maps {(i, j): value}, zeros dropped."""
+    a_rows: dict[int, list] = {}
+    for (i, q), x in sorted(a.items()):
+        a_rows.setdefault(i, []).append((q, x))
+    b_cols: dict[int, dict] = {}
+    for (q, j), y in b.items():
+        b_cols.setdefault(j, {})[q] = y
     out: dict = {}
-    for i, q in sorted(a):
-        x = a[i, q]
-        for j, y in b_rows.get(q, ()):
-            acc = out.get((i, j))
-            out[i, j] = x * y if acc is None else acc + x * y
-    return {p: v for p, v in out.items() if not _is_zero(v)}
+    for i, row in a_rows.items():
+        for j, col in b_cols.items():
+            acc = sparse_dot(row, lambda q: col.get(q, _ZERO))
+            if acc is not None and not _is_zero(acc):
+                out[i, j] = acc
+    return out
 
 
 def nilpotent_exp_sparse(nil: dict, size: int) -> dict:
@@ -168,43 +192,31 @@ def nilpotent_exp_sparse(nil: dict, size: int) -> dict:
 
 
 def mul_unipotent(m: Matrix, f: dict, left: bool = False) -> Matrix:
-    """m (I + F), or (I + F) m with ``left``, for F a sparse entry map.
+    """m (I + F), or (I + F) m with ``left``, for a square m and F a sparse
+    entry map.
 
     Only the columns (with ``left``, the rows) that F touches are formed
-    again; the others are those of m.  Each new entry adds its products in
-    increasing inner index, skipping zeros, as :func:`mat_mul` does, and
-    reads the unit diagonal of I + F as an exact one.
+    again, each entry as the :func:`sparse_dot` of that line of I + F with
+    m; the others are those of m.  The diagonal of I + F is F's plus an
+    exact one.
     """
+    # (i, j) of the product's entry k on line `line`; left is the
+    # transposed case
+    at = (lambda line, k: (line, k)) if left else (lambda line, k: (k, line))
     lines: dict[int, dict[int, object]] = {}
-    for i, j in sorted(f):
-        line, inner = (i, j) if left else (j, i)
-        lines.setdefault(line, {})[inner] = f[i, j]
+    for (i, j), x in f.items():
+        line, inner = at(i, j)
+        lines.setdefault(line, {})[inner] = x
+    # factors[k][q]: the entry of m that position q of a line meets
+    factors = [list(col) for col in zip(*m)] if left else m
     out = [row[:] for row in m]
     for line, col in lines.items():
-        # None stands for the exact one of I + F on the diagonal
-        diag = col.get(line)
-        col[line] = None if diag is None else diag + 1
-        inner = sorted(col.items())
-        if left:
-            for j in range(len(m[0])):
-                acc = None
-                for q, e in inner:
-                    y = m[q][j]
-                    if _is_zero(y):
-                        continue
-                    t = y if e is None else e * y
-                    acc = t if acc is None else acc + t
-                out[line][j] = m[line][j] * 0 if acc is None else acc
-        else:
-            for i, row in enumerate(m):
-                acc = None
-                for q, e in inner:
-                    x = row[q]
-                    if _is_zero(x):
-                        continue
-                    t = x if e is None else x * e
-                    acc = t if acc is None else acc + t
-                out[i][line] = row[line] * 0 if acc is None else acc
+        col[line] = col[line] + 1 if line in col else Q(1)
+        terms = sorted(col.items())
+        for k, factor in enumerate(factors):
+            acc = sparse_dot(terms, factor.__getitem__, terms_left=left)
+            i, j = at(line, k)
+            out[i][j] = m[i][j] * 0 if acc is None else acc
     return out
 
 

@@ -72,33 +72,37 @@ def gen_sigma_half(algebra: SplitLieAlgebra, chart: Chart, gamma: int) -> Poly:
     return Poly.var(chart.nvars, chart.coord_index(comp), c)
 
 
-def _sigma_half_table(algebra: SplitLieAlgebra, chart: Chart) -> dict[int, Poly]:
-    return {g: gen_sigma_half(algebra, chart, g)
-            for g in sorted(algebra.rs.omega_decompose().sigma_half)}
+def _kept(owner, key, make):
+    """make(), computed once per ``owner`` (the algebra or chart it depends
+    on) and kept on it, so that the generators the others are built from
+    are found once however many of those ask for them."""
+    kept = owner.__dict__.setdefault("_polybasis_kept", {})
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
 
 
-def _cheap_tables(algebra: SplitLieAlgebra, chart: Chart):
-    """The generators the others are built from, each computed once:
-    :func:`half_pairs`, and :func:`gen_sigma_half` and :func:`gen_sigma0`
-    keyed by every root they take."""
-    rs = algebra.rs
-    pairs = half_pairs(algebra)
-    half = _sigma_half_table(algebra, chart)
-    sigma0 = {nu: gen_sigma0(algebra, chart, nu, half)
-              for b in sorted(rs.omega_decompose().sigma0)
-              for nu in (b, rs.neg(b))}
-    return pairs, half, sigma0
+def _pairs(algebra: SplitLieAlgebra) -> list[tuple[int, int]]:
+    return _kept(algebra, "half_pairs", lambda: half_pairs(algebra))
 
 
-def gen_cartan(algebra: SplitLieAlgebra, chart: Chart, h_coeffs,
-               pairs=None) -> Poly:
-    """``pairs``: the :func:`half_pairs` of the algebra, found when None."""
+def _sigma_half(algebra: SplitLieAlgebra, chart: Chart, gamma: int) -> Poly:
+    return _kept(chart, ("sigma_half", gamma),
+                 lambda: gen_sigma_half(algebra, chart, gamma))
+
+
+def _sigma0(algebra: SplitLieAlgebra, chart: Chart, nu_id: int) -> Poly:
+    return _kept(chart, ("sigma0", nu_id),
+                 lambda: gen_sigma0(algebra, chart, nu_id))
+
+
+def gen_cartan(algebra: SplitLieAlgebra, chart: Chart, h_coeffs) -> Poly:
     _require_normalized(algebra)
     rs = algebra.rs
     w = rs.highest_root.id
     z = chart.coord_index(w)
     out = Poly.var(chart.nvars, z, algebra.alpha_value(w, h_coeffs))
-    for a, b in half_pairs(algebra) if pairs is None else pairs:
+    for a, b in _pairs(algebra):
         factor = (algebra.alpha_value(b, h_coeffs)
                   - algebra.alpha_value(a, h_coeffs)) * algebra.c[(a, b)]
         if factor == 0:
@@ -109,20 +113,14 @@ def gen_cartan(algebra: SplitLieAlgebra, chart: Chart, h_coeffs,
     return out
 
 
-def gen_sigma0(algebra: SplitLieAlgebra, chart: Chart, nu_id: int,
-               half=None) -> Poly:
-    """nu in Sigma_0 or -Sigma_0 (pass the root id, either sign).
-
-    ``half``: :func:`gen_sigma_half` of every root of Sigma_1/2, keyed by
-    root, computed when None."""
+def gen_sigma0(algebra: SplitLieAlgebra, chart: Chart, nu_id: int) -> Poly:
+    """nu in Sigma_0 or -Sigma_0 (pass the root id, either sign)."""
     _require_normalized(algebra)
     rs = algebra.rs
     od = rs.omega_decompose()
     base = nu_id if nu_id < rs.n_pos else rs.neg(nu_id)
     if base not in od.sigma0:
         raise PolyBasisError("label not in +-Sigma_0")
-    if half is None:
-        half = _sigma_half_table(algebra, chart)
     w = rs.highest_root.id
     out = Poly.zero(chart.nvars)
     seen: set[int] = set()
@@ -132,7 +130,7 @@ def gen_sigma0(algebra: SplitLieAlgebra, chart: Chart, nu_id: int,
             continue
         comp = rs.add(w, rs.neg(a))
         ratio = algebra.c[(a, nu_id)] / algebra.c[(a, comp)]
-        p_comp = half[comp]
+        p_comp = _sigma_half(algebra, chart, comp)
         if s == comp:
             # self-paired: the two chain orders coincide
             out = out + p_comp * p_comp * ratio * Q(1, 2)
@@ -141,19 +139,18 @@ def gen_sigma0(algebra: SplitLieAlgebra, chart: Chart, nu_id: int,
             # partner's term is equal by the structure-constant identities
             partner = rs.add(w, rs.neg(s))
             seen.add(partner)
-            p_s = half[s]
+            p_s = _sigma_half(algebra, chart, s)
             out = out + p_s * p_comp * ratio
     return out
 
 
-def solve_H_of_gamma(algebra: SplitLieAlgebra, gamma: int, pairs=None):
+def solve_H_of_gamma(algebra: SplitLieAlgebra, gamma: int):
     """Cartan coefficients of the element H(gamma) solving
 
         omega(H) = -omega(H_gamma)
         (3 alpha - omega)(H) = -alpha(H_gamma)   for all representatives,
 
-    with H_gamma representing gamma through the normalization form.
-    ``pairs``: the :func:`half_pairs` of the algebra, found when None."""
+    with H_gamma representing gamma through the normalization form."""
     _require_normalized(algebra)
     rs = algebra.rs
     od = rs.omega_decompose()
@@ -163,7 +160,7 @@ def solve_H_of_gamma(algebra: SplitLieAlgebra, gamma: int, pairs=None):
     h_gamma = algebra.h_representing(gamma, "normalization")
     rows = [list(algebra.functional[w])]
     rhs = [-algebra.alpha_value(w, h_gamma)]
-    for a, _ in half_pairs(algebra) if pairs is None else pairs:
+    for a, _ in _pairs(algebra):
         rows.append([3 * algebra.functional[a][j] - algebra.functional[w][j]
                      for j in range(algebra.rank)])
         rhs.append(-algebra.alpha_value(a, h_gamma))
@@ -177,19 +174,17 @@ def solve_H_of_gamma(algebra: SplitLieAlgebra, gamma: int, pairs=None):
 
 
 def gen_neg_sigma_half(algebra: SplitLieAlgebra, chart: Chart,
-                       gamma: int, tables=None) -> Poly:
-    """``tables``: the generators it is built from, (half_pairs,
-    gen_sigma_half by root, gen_sigma0 by root), computed when None."""
+                       gamma: int) -> Poly:
     _require_normalized(algebra)
     rs = algebra.rs
     od = rs.omega_decompose()
     if gamma not in od.sigma_half:
         raise PolyBasisError("label not in Sigma_1/2")
-    pairs, half, sigma0 = tables or _cheap_tables(algebra, chart)
     w = rs.highest_root.id
     comp = rs.add(w, rs.neg(gamma))
-    h_g = solve_H_of_gamma(algebra, gamma, pairs)
-    out = half[comp] * gen_cartan(algebra, chart, h_g, pairs) \
+    h_g = solve_H_of_gamma(algebra, gamma)
+    out = _sigma_half(algebra, chart, comp) \
+        * gen_cartan(algebra, chart, h_g) \
         * (Q(-1) / algebra.c[(gamma, comp)])
     for a in sorted(od.sigma_half):
         diff = rs.add(a, rs.neg(gamma))
@@ -200,7 +195,8 @@ def gen_neg_sigma_half(algebra: SplitLieAlgebra, chart: Chart,
             continue
         acomp = rs.add(w, rs.neg(a))
         ratio = algebra.c[(a, rs.neg(gamma))] / algebra.c[(a, acomp)]
-        out = out + half[acomp] * sigma0[diff] * ratio * Q(1, 3)
+        out = out + (_sigma_half(algebra, chart, acomp)
+                     * _sigma0(algebra, chart, diff) * ratio * Q(1, 3))
     return out
 
 
@@ -212,14 +208,14 @@ def gen_neg_omega(algebra: SplitLieAlgebra, chart: Chart) -> Poly:
     rational identity equivalent to the scaled form.
     """
     _require_normalized(algebra)
-    tables = _cheap_tables(algebra, chart)
-    pairs, half, _ = tables
-    return _neg_omega(algebra, chart, pairs,
-                      {g: (p, gen_neg_sigma_half(algebra, chart, g, tables))
-                       for g, p in half.items()})
+    half = algebra.rs.omega_decompose().sigma_half
+    return _neg_omega(algebra, chart,
+                      {g: (_sigma_half(algebra, chart, g),
+                           gen_neg_sigma_half(algebra, chart, g))
+                       for g in half})
 
 
-def _neg_omega(algebra: SplitLieAlgebra, chart: Chart, pairs,
+def _neg_omega(algebra: SplitLieAlgebra, chart: Chart,
                half_gens: dict[int, tuple[Poly, Poly]]) -> Poly:
     """:func:`gen_neg_omega` from the generators (sigma_half, neg_sigma_half)
     of each root of Sigma_1/2, so that a caller holding them computes
@@ -228,7 +224,7 @@ def _neg_omega(algebra: SplitLieAlgebra, chart: Chart, pairs,
     w = rs.highest_root.id
     h_w = algebra.h_representing(w, "normalization")
     wHw = algebra.alpha_value(w, h_w)
-    p_h = gen_cartan(algebra, chart, h_w, pairs)
+    p_h = gen_cartan(algebra, chart, h_w)
     out = p_h * p_h * (Q(-1) / (2 * wHw))
     for a in sorted(half_gens):
         p_comp, p_neg_comp = half_gens[rs.add(w, rs.neg(a))]
@@ -274,25 +270,25 @@ def build_basis(algebra: SplitLieAlgebra,
     chart = chart or three_factor_chart(algebra)
     if chart.kind != "three_factor":
         raise PolyBasisError("generators are stated on the three-factor chart")
+    od = rs.omega_decompose()
     w = rs.highest_root.id
-    tables = _cheap_tables(algebra, chart)
-    pairs, half, sigma0 = tables
     table: dict[str, Poly] = {}
     table[rs.root_name(w)] = gen_omega(algebra, chart)
     half_gens = {}
-    for g, p in half.items():
-        half_gens[g] = (p, gen_neg_sigma_half(algebra, chart, g, tables))
+    for g in sorted(od.sigma_half):
+        half_gens[g] = (_sigma_half(algebra, chart, g),
+                        gen_neg_sigma_half(algebra, chart, g))
         table[rs.root_name(g)], table[rs.root_name(rs.neg(g))] = half_gens[g]
-    for nu, p in sigma0.items():
-        table[rs.root_name(nu)] = p
-    table[rs.root_name(rs.neg(w))] = _neg_omega(algebra, chart, pairs,
-                                                half_gens)
+    for b in sorted(od.sigma0):
+        table[rs.root_name(b)] = _sigma0(algebra, chart, b)
+        table[rs.root_name(rs.neg(b))] = _sigma0(algebra, chart, rs.neg(b))
+    table[rs.root_name(rs.neg(w))] = _neg_omega(algebra, chart, half_gens)
     for i in range(algebra.rank):
         coeffs = [Q(1) if j == i else Q(0) for j in range(algebra.rank)]
-        table[f"H{i + 1}"] = gen_cartan(algebra, chart, coeffs, pairs)
+        table[f"H{i + 1}"] = gen_cartan(algebra, chart, coeffs)
     return OmegaComponentBasis(
         algebra=algebra, chart=chart, table=table,
-        representatives=[a for a, _ in pairs])
+        representatives=[a for a, _ in _pairs(algebra)])
 
 
 def verify_against_oracle(basis: OmegaComponentBasis) -> dict[str, bool]:

@@ -490,30 +490,45 @@ def _strictly_upper_after(perm, m, zero):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), kind=st.sampled_from([Q, Poly]), left=st.booleans())
-def test_sparse_group_exponential_matches_dense(data, kind, left):
+@given(data=st.data(), kind=st.sampled_from([Q, Poly]), left=st.booleans(),
+       shear=st.booleans())
+def test_sparse_group_exponential_matches_dense(data, kind, left, shear):
     """exp(N) - I of a nilpotent N as a sparse entry map equals the dense
     series, and multiplying by I + F on either side equals the dense loop
-    product: values, types and term order."""
+    product with I + F: values, types and term order.  With ``shear``, N
+    is conjugated by I + c E_ab, so that N, and F, may have diagonal
+    entries (exp(N) - I then may have -1 there, a zero of I + F)."""
     n = data.draw(st.integers(1, 4))
     zero = Q(0) if kind is Q else Poly.zero(2)
-    perm = data.draw(st.permutations(range(n)))
-    nil = _strictly_upper_after(perm, _draw_matrix(data, kind, n, n), zero)
     ident = (linalg.frac_identity(n) if kind is Q else
              [[Poly.const(2, int(i == j)) for j in range(n)]
               for i in range(n)])
+    perm = data.draw(st.permutations(range(n)))
+    nil = _strictly_upper_after(perm, _draw_matrix(data, kind, n, n), zero)
+    if shear and n > 1:
+        a, b = data.draw(st.permutations(range(n)))[:2]
+        c = data.draw(_small)
+        p, p_inv = [row[:] for row in ident], [row[:] for row in ident]
+        p[a][b], p_inv[a][b] = ident[0][0] * c, ident[0][0] * -c
+        nil = _dense_mat_mul(_dense_mat_mul(p, nil), p_inv)
     f = linalg.nilpotent_exp_sparse(
         {(i, j): x for i, row in enumerate(nil) for j, x in enumerate(row)},
         n)
     want = nilpotent_exp(nil, ident)
-    assert all(x != 0 and i != j for (i, j), x in f.items())
+    assert all(x != 0 and (shear or i != j) for (i, j), x in f.items())
+    # the diagonal of the dense series adds its terms to the identity's
+    # one, so only its values compare
+    assert all(f.get((i, i), zero) + 1 == want[i][i] for i in range(n))
     _assert_same_entries(
         [[f.get((i, j), zero) if i != j else want[i][j] for j in range(n)]
          for i in range(n)], want)
+    unipotent = [[f.get((i, j), zero) if i != j
+                  else f[i, i] + 1 if (i, i) in f else ident[i][i]
+                  for j in range(n)] for i in range(n)]
     m = _draw_matrix(data, kind, n, n)
     got = linalg.mul_unipotent(m, f, left=left)
-    _assert_same_entries(got, _dense_mat_mul(want, m) if left
-                         else _dense_mat_mul(m, want))
+    _assert_same_entries(got, _dense_mat_mul(unipotent, m) if left
+                         else _dense_mat_mul(m, unipotent))
 
 
 def test_sparse_exponential_rejects_non_nilpotent():
