@@ -68,13 +68,22 @@ def parse_root_token(rs, token: str) -> int:
     return rid
 
 
+def _parse_token(flag: str, token: str, parse):
+    """parse(token), or a CliError naming the flag and the token."""
+    try:
+        return parse(token)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag}: cannot parse {token!r}") from None
+
+
 def parse_hessenberg_spec(rs, spec: str):
     """'type-p', 'all', or a comma-separated list of positive roots."""
     spec = spec.strip()
     if spec == "all":
         return "all"
     if spec.startswith("type-"):
-        return hb.type_p_subset(rs, int(spec[5:]))
+        p = _parse_token("--hessenberg", spec, lambda t: int(t[5:]))
+        return hb.type_p_subset(rs, p)
     ids = {parse_root_token(rs, tok) for tok in spec.split(",") if tok.strip()}
     return hb.validate(rs, ids)
 
@@ -87,7 +96,8 @@ def parse_h_spec(algebra, spec: str):
             spec = "-1,1/2,-1/2,1"
         else:
             raise CliError("no named default Cartan element for this algebra")
-    vals = [Q(tok.strip()) for tok in spec.split(",") if tok.strip()]
+    vals = [_parse_token("--H", tok.strip(), Q)
+            for tok in spec.split(",") if tok.strip()]
     if len(vals) == algebra.rank:
         return tuple(vals)
     if algebra.family == "sl" and len(vals) == algebra.param:

@@ -20,6 +20,10 @@ Maurer-Cartan form of the generic point g: the coefficients W[k][gamma]
 of g^{-1} d_k g form a unitriangular matrix (contract order), and
 X = W^{-1} d, one formula for every chart kind.
 
+One rule fixes the representation: an algebra element is a sparse entry
+map ``{(i, j): value}`` of a matrix, and a group element (the generic
+point, its inverse, products, logs) is a matrix.
+
 The chart layer computes only what is read.  The generic point of an
 exponential chart multiplies in each root group's exp(N) - I as a sparse
 entry map, re-forming only the columns it touches; extraction peels with
@@ -48,23 +52,22 @@ class LieAlgebraError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Realization:
-    """A faithful matrix model of the algebra, with exact decomposition.
+    """A faithful model of the algebra by ``size x size`` matrices, with
+    exact decomposition.
 
-    Besides the dense basis matrices it keeps their sparse entry maps
-    ``{(i, j): value}``, from which the structure tables are derived.
+    The basis [cartan..., pos..., neg...] is ``entries``: one sparse entry
+    map ``{(i, j): value}`` per element, kept without zeros.  ``cartan``
+    is its first ``len(cartan)`` maps.
     """
 
-    def __init__(self, cartan, pos, neg):
-        self.cartan = cartan
-        self.pos = pos
-        self.neg = neg
-        self.size = len(cartan[0])
-        self._all = list(cartan) + list(pos) + list(neg)
-        self.dim = len(self._all)
-        self.entries = [{(i, j): x for i, row in enumerate(b)
-                         for j, x in enumerate(row) if x} for b in self._all]
+    def __init__(self, size, cartan, pos, neg):
+        self.size = size
+        self.entries = [{p: x for p, x in e.items() if x}
+                        for e in [*cartan, *pos, *neg]]
+        self.cartan = self.entries[:len(cartan)]
+        self.dim = len(self.entries)
         # the matrix positions read off are the pivot columns of the
-        # dim x size^2 matrix of flattened basis matrices: the
+        # dim x size^2 matrix of flattened basis elements: the
         # lexicographically first entries giving an invertible d x d block
         flat = [{i * self.size + j: x for (i, j), x in e.items()}
                 for e in self.entries]
@@ -75,18 +78,14 @@ class Realization:
         self._positions = [divmod(t, self.size) for t in self._span.positions]
 
     def decompose(self, m):
-        """Coefficients of m over [cartan..., pos..., neg...]; exact.
-
-        ``m`` is a matrix with Fraction or Poly entries, or a sparse entry
-        map, whose cost follows its entries.  Only the decomposition
+        """Coefficients of the entry map m over [cartan..., pos..., neg...];
+        exact, in time following its entries.  Only the decomposition
         positions are read, so the element must lie in the algebra
-        (callers conjugate or bracket algebra elements, so it always does).
+        (callers bracket or transpose basis elements, so it always does).
         """
-        if isinstance(m, dict):
-            n = self.size
-            return self._span.sparse_coefficients(
-                {i * n + j: x for (i, j), x in m.items()})
-        return self._span.coefficients([m[i][j] for i, j in self._positions])
+        n = self.size
+        return self._span.sparse_coefficients(
+            {i * n + j: x for (i, j), x in m.items()})
 
     def read(self, indices, entry):
         """Coefficients at the full-basis ``indices`` of the algebra element
@@ -101,15 +100,6 @@ class Realization:
                     sel[t] = entry(*self._positions[t])
         return self._span.coefficients(sel, indices)
 
-    def basis_matrix(self, full_index: int):
-        return self._all[full_index]
-
-
-def _elementary(n: int, i: int, j: int, c=Q(1)):
-    m = [[Q(0)] * n for _ in range(n)]
-    m[i][j] = Q(c)
-    return m
-
 
 def _sparse_bracket(a, b):
     """[A, B] = AB - BA of sparse entry maps {(i, j): value}, zeros dropped."""
@@ -123,8 +113,9 @@ def _sparse_bracket(a, b):
     return {p: v for p, v in out.items() if v}
 
 
-def _transpose(m):
-    return [list(row) for row in zip(*m)]
+def _transpose(m, scale=1):
+    """scale * m^T of an entry map."""
+    return {(j, i): scale * x for (i, j), x in m.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +145,6 @@ class SplitLieAlgebra:
     # full-basis indexing: cartan 0..rank-1, then roots by id
     def full_index(self, root_id: int) -> int:
         return self.rank + root_id
-
-    def root_matrix(self, root_id: int):
-        if root_id < self.n_pos:
-            return self.realization.pos[root_id]
-        return self.realization.neg[root_id - self.n_pos]
 
     def _derive_tables(self):
         rs = self.rs
@@ -216,8 +202,7 @@ class SplitLieAlgebra:
         # theta scalars: theta(X_id) = s * X_{-id}, theta(m) = -m^T
         self.theta_scalar: dict[int, Q] = {}
         for a in range(nroots):
-            th = {(j, i): -x for (i, j), x in entries[self.full_index(a)].items()}
-            coeffs = real.decompose(th)
+            coeffs = real.decompose(_transpose(entries[self.full_index(a)], -1))
             tgt = self.full_index(rs.neg(a))
             if any(x != 0 for k, x in enumerate(coeffs) if k != tgt):
                 raise LieAlgebraError("theta does not map root space to opposite")
@@ -225,9 +210,10 @@ class SplitLieAlgebra:
 
     # ---- bilinear forms ----------------------------------------------------
     def trace_form(self, m1, m2) -> Q:
-        """tr(m1 m2) as the sum of m1[i][j] * m2[j][i] over nonzero terms."""
-        return sum((x * m2[j][i] for i, row in enumerate(m1)
-                    for j, x in enumerate(row) if x and m2[j][i]), Q(0))
+        """tr(m1 m2) of two entry maps: m1[i, j] * m2[j, i] summed over the
+        entries of m1."""
+        return sum((x * m2[j, i] for (i, j), x in m1.items() if (j, i) in m2),
+                   Q(0))
 
     def killing(self, m1, m2) -> Q:
         return self.killing_factor * self.trace_form(m1, m2)
@@ -279,17 +265,16 @@ class SplitLieAlgebra:
         if self._ad_realization is None:
             real = self.realization
 
-            def ad_matrix(x):
-                # column k holds the coefficients of [x, basis k]
-                cols = [real.decompose(_sparse_bracket(x, e))
-                        for e in real.entries]
-                return [list(row) for row in zip(*cols)]
+            def ad_map(x):
+                # column k: the coefficients of [x, basis k], zeros and all
+                return {(i, k): c for k, e in enumerate(real.entries)
+                        for i, c in enumerate(
+                            real.decompose(_sparse_bracket(x, e)))}
 
-            ads = [ad_matrix(x) for x in real.entries]
-            cartan = ads[:self.rank]
-            pos = ads[self.rank:self.rank + self.n_pos]
-            neg = ads[self.rank + self.n_pos:]
-            self._ad_realization = Realization(cartan, pos, neg)
+            ads = [ad_map(x) for x in real.entries]
+            r, p = self.rank, self.rank + self.n_pos
+            self._ad_realization = Realization(self.dim, ads[:r], ads[r:p],
+                                               ads[p:])
         return self._ad_realization
 
 
@@ -307,28 +292,15 @@ def build_sl(n: int) -> SplitLieAlgebra:
     if n < 2:
         raise LieAlgebraError("sl(n) requires n >= 2")
     rs = build_root_system("A", n - 1)
-    cartan = [linalg.mat_sub(_elementary(n, i, i), _elementary(n, i + 1, i + 1))
-              for i in range(n - 1)]
+    cartan = [{(i, i): Q(1), (i + 1, i + 1): Q(-1)} for i in range(n - 1)]
     pos, neg = [], []
     for r in rs.positive_roots:
         i, j = _sl_position(r.coeffs)
-        pos.append(_elementary(n, i, j))
-        neg.append(_elementary(n, j, i))
-    real = Realization(cartan, pos, neg)
+        pos.append({(i, j): Q(1)})
+        neg.append({(j, i): Q(1)})
+    real = Realization(n, cartan, pos, neg)
     return SplitLieAlgebra(rs, "sl", n, real, normalized=True,
                            killing_factor=Q(2 * n), b0_lambda=Q(1))
-
-
-def _sp2_reference_basis():
-    EU = [[Q(0)] * 4 for _ in range(4)]
-    EU[1][0] = Q(-1, 2)
-    EU[2][3] = Q(1, 2)
-    EX = _elementary(4, 3, 1, 2)
-    EY = [[Q(0)] * 4 for _ in range(4)]
-    EY[2][1] = Q(1)
-    EY[3][0] = Q(1)
-    EZ = _elementary(4, 2, 0)
-    return EU, EX, EY, EZ
 
 
 def build_sp(l: int) -> SplitLieAlgebra:
@@ -338,23 +310,16 @@ def build_sp(l: int) -> SplitLieAlgebra:
         raise LieAlgebraError("sp(l) requires l >= 2")
     rs = build_root_system("C", l)
     if l == 2:
-        EU, EX, EY, EZ = _sp2_reference_basis()
-        cartan = [
-            [[Q(x) for x in row] for row in
-             [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]],
-            [[Q(x) for x in row] for row in
-             [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]],
-        ]
-        pos = [EU, EX, EY, EZ]          # contract order: a, b, a+b, 2a+b
+        cartan = [{(0, 0): Q(1), (2, 2): Q(-1)}, {(1, 1): Q(1), (3, 3): Q(-1)}]
+        # E_U, E_X, E_Y, E_Z in contract order: a, b, a+b, 2a+b
+        pos = [{(1, 0): Q(-1, 2), (2, 3): Q(1, 2)}, {(3, 1): Q(2)},
+               {(2, 1): Q(1), (3, 0): Q(1)}, {(2, 0): Q(1)}]
         scalars = [Q(2), Q(1, 4), Q(1, 2), Q(1)]
-        neg = [linalg.mat_scale(_transpose(m), s) for m, s in zip(pos, scalars)]
-        real = Realization(cartan, pos, neg)
+        neg = [_transpose(m, s) for m, s in zip(pos, scalars)]
+        real = Realization(4, cartan, pos, neg)
         return SplitLieAlgebra(rs, "sp", 2, real, normalized=True,
                                killing_factor=Q(2 * l + 2), b0_lambda=Q(1))
-    size = 2 * l
-    cartan = [linalg.mat_sub(_elementary(size, i, i),
-                             _elementary(size, l + i, l + i))
-              for i in range(l)]
+    cartan = [{(i, i): Q(1), (l + i, l + i): Q(-1)} for i in range(l)]
     # epsilon-vector of each positive root
     simple_eps = []
     for i in range(l - 1):
@@ -370,20 +335,18 @@ def build_sp(l: int) -> SplitLieAlgebra:
                for i in range(l)]
         if 2 in eps:
             i = eps.index(2)
-            m = _elementary(size, i, l + i)
+            m = {(i, l + i): Q(1)}
         else:
             i = eps.index(1)
             if -1 in eps:
                 j = eps.index(-1)
-                m = linalg.mat_sub(_elementary(size, i, j),
-                                   _elementary(size, l + j, l + i))
+                m = {(i, j): Q(1), (l + j, l + i): Q(-1)}
             else:
                 j = eps.index(1, i + 1)
-                m = linalg.mat_add(_elementary(size, i, l + j),
-                                   _elementary(size, j, l + i))
+                m = {(i, l + j): Q(1), (j, l + i): Q(1)}
         pos.append(m)
         neg.append(_transpose(m))
-    real = Realization(cartan, pos, neg)
+    real = Realization(2 * l, cartan, pos, neg)
     return SplitLieAlgebra(rs, "sp", l, real, normalized=False,
                            killing_factor=Q(2 * l + 2), b0_lambda=None)
 
@@ -511,8 +474,8 @@ class Chart:
         """Chart coordinates of a group matrix; entries may be Fraction or Poly.
 
         The exponential charts peel one factor group at a time: the log of
-        the remaining product, decomposed, gives the coefficients of the
-        group at one end, and multiplying by the inverse exponential
+        the remaining product, read at the decomposition positions, gives
+        the coefficients of the group at one end, and multiplying by the inverse exponential
         removes it.  Second-kind charts peel from the left.  First-kind
         and three-factor charts peel from the right: the roots of the
         earlier groups span an ideal of n, so modulo it the product is the
@@ -538,9 +501,9 @@ class Chart:
         vals: dict[int, object] = {}
         cur = m
         for k, group in enumerate(order):
-            coeffs = self.realization.decompose(
-                linalg.unipotent_log(cur, ident))
-            cs = [coeffs[alg.full_index(r)] for r in group]
+            log = linalg.unipotent_log(cur, ident)
+            cs = self.realization.read([alg.full_index(r) for r in group],
+                                       lambda i, j: log[i][j])
             vals.update(zip(group, cs))
             if k + 1 < len(order):
                 peel = self._group_exp(group, [-c for c in cs])
@@ -692,18 +655,15 @@ def adjoint_of_point(chart: Chart, element, indices=None):
     the chart coordinates, at the full-basis ``indices`` (all of them, in
     order, when None).
 
-    ``element`` is a matrix in the chart's realization or a sparse entry
-    map {(p, q): value}.  Only the entries of n^{-1} E n that those
-    coefficients read are formed: entry (i, j) is the sum over the
+    ``element`` is an entry map {(p, q): value} in the chart's
+    realization.  Only the entries of n^{-1} E n that those coefficients
+    read are formed: entry (i, j) is the sum over the
     nonzeros (p, q) of E of n^{-1}[i][p] E[p][q] n[q][j], its products
     added as the two matrix products n^{-1} E and (n^{-1} E) n add them.
     """
     gen, gen_inv = chart.generic_matrix(), chart.generic_inverse()
-    items = (sorted(element.items()) if isinstance(element, dict)
-             else [((p, q), x) for p, row in enumerate(element)
-                   for q, x in enumerate(row)])
     e_cols: dict[int, list] = {}        # column q of E: [(p, E[p][q])]
-    for (p, q), x in items:
+    for (p, q), x in sorted(element.items()):
         if x != 0:
             e_cols.setdefault(q, []).append((p, x))
     zero = Poly.zero(chart.nvars)

@@ -42,8 +42,8 @@ class McError(ValueError):
 # ---------------------------------------------------------------------------
 
 def tau(algebra: SplitLieAlgebra, chart: Chart, element) -> PolyVectorField:
-    """Multicontact field of an algebra element (a matrix or sparse entry
-    map in the chart's realization), on the full group."""
+    """Multicontact field of an algebra element (an entry map in the
+    chart's realization), on the full group."""
     coeffs = adjoint_of_point(chart, element, [
         algebra.full_index(r) for r in range(algebra.rs.n_pos)])
     comps = {r: c * Q(-1) for r, c in enumerate(coeffs) if not c.is_zero()}

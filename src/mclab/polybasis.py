@@ -299,14 +299,13 @@ def verify_against_oracle(basis: OmegaComponentBasis) -> dict[str, bool]:
     results = {}
     for label, poly in basis.table.items():
         if label.startswith("H"):
-            i = int(label[1:]) - 1
-            elem = alg.realization.cartan[i]
+            k = int(label[1:]) - 1
         else:
             neg = label.startswith("-")
             coeffs = tuple(int(ch) for ch in label.lstrip("-"))
-            rid = rs.id_of(coeffs if not neg
-                           else tuple(-c for c in coeffs))
-            elem = alg.root_matrix(rid)
+            k = alg.full_index(rs.id_of(coeffs if not neg
+                                        else tuple(-c for c in coeffs)))
+        elem = alg.realization.entries[k]
         results[label] = oracle_omega_component(alg, chart, elem) == poly
     return results
 

@@ -78,13 +78,23 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def cartan_element(alg, coeffs):
-    """The matrix sum_i coeffs[i] H_i over the realization's Cartan basis."""
-    size = alg.realization.size
+def dense(entry_map, size):
+    """The size x size Fraction matrix of a sparse entry map {(i, j): value},
+    for the oracles that need whole matrices."""
     out = [[Q(0)] * size for _ in range(size)]
-    for c, h in zip(coeffs, alg.realization.cartan):
-        out = linalg.mat_add(out, linalg.mat_scale(h, Q(c)))
+    for (i, j), x in entry_map.items():
+        out[i][j] = x
     return out
+
+
+def cartan_element(alg, coeffs):
+    """The entry map of sum_i coeffs[i] H_i over the realization's Cartan
+    basis, zeros dropped."""
+    out = {}
+    for c, h in zip(coeffs, alg.realization.cartan):
+        for p, x in h.items():
+            out[p] = out.get(p, 0) + Q(c) * x
+    return {p: x for p, x in out.items() if x}
 
 
 def solve_H0(alg):

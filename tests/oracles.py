@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import factorial
 
+from conftest import dense
 from mclab import linalg
 from mclab.liealg import Chart, SplitLieAlgebra
 from mclab.poly import Poly
@@ -43,7 +44,8 @@ def dense_generic_point(chart: Chart):
         nil = [[Poly.zero(nv)] * size for _ in range(size)]
         for r in group:
             x_r = Poly.var(nv, chart.coord_index(r))
-            basis = chart.realization.basis_matrix(chart.algebra.full_index(r))
+            basis = dense(chart.realization.entries[
+                chart.algebra.full_index(r)], size)
             nil = linalg.mat_add(nil, [[x_r * x for x in row] for row in basis])
         point = linalg.mat_mul(point, nilpotent_exp(nil, ident))
     return point
@@ -93,7 +95,8 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
         n = chart.point_matrix(point)
         ident = linalg.frac_identity(chart.realization.size)
     nu = linalg.unipotent_log(n, ident)
-    nu_coeffs = chart.realization.decompose(nu)
+    nu_coeffs = chart.realization.read(range(chart.realization.dim),
+                                       lambda i, j: nu[i][j])
     poly_mode = point is None
     size = ad.size
     if poly_mode:
@@ -103,7 +106,7 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
     for k, ck in enumerate(nu_coeffs):
         if (ck.is_zero() if isinstance(ck, Poly) else ck == 0):
             continue
-        base = ad.basis_matrix(k)
+        base = dense(ad.entries[k], size)
         if poly_mode:
             base = [[Poly.const(chart.nvars, x) for x in row] for row in base]
         ad_nu = linalg.mat_add(ad_nu, linalg.mat_scale(base, ck))

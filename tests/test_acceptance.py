@@ -16,8 +16,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import (cartan_element, flip_component_table, flip_poly,
-                      mat_eq, record_acceptance)
+from conftest import (cartan_element, dense, flip_component_table,
+                      flip_poly, mat_eq, record_acceptance)
 
 from mclab import linalg
 from mclab.fields import PolyVectorField
@@ -112,31 +112,31 @@ def test_criterion_2(sl3, chart_sl3):
     d1, d2 = rs.simple_ids()
 
     def theta(m):
-        return linalg.mat_scale([list(r) for r in zip(*m)], Q(-1))
+        return {(j, i): -x for (i, j), x in m.items()}
+
+    def root(r):
+        return sl3.realization.entries[sl3.full_index(r)]
 
     table = {
-        "U": (sl3.root_matrix(w), {(): 1}),
-        "Y": (sl3.root_matrix(d2), {("x",): 1}),
-        "X": (sl3.root_matrix(d1), {("y",): 1}),
+        "U": (root(w), {(): 1}),
+        "Y": (root(d2), {("x",): 1}),
+        "X": (root(d1), {("y",): 1}),
         "H_a": (cartan_element(sl3, sl3.h_representing(d1, "normalization")),
                 {("u",): 1, ("x", "y"): -2}),
         "H_b": (cartan_element(sl3, sl3.h_representing(d2, "normalization")),
                 {("u",): 1, ("x", "y"): 1}),
-        "theta_U": (theta(sl3.root_matrix(w)),
+        "theta_U": (theta(root(w)),
                     {("u", "u"): 1, ("u", "x", "y"): -1}),
-        "theta_Y": (theta(sl3.root_matrix(d2)), {("y", "u"): 1}),
-        "theta_X": (theta(sl3.root_matrix(d1)),
+        "theta_Y": (theta(root(d2)), {("y", "u"): 1}),
+        "theta_X": (theta(root(d1)),
                     {("x", "u"): 1, ("x", "x", "y"): -1}),
     }
 
     def flip_element(m):
         # the table is stated in the flipped labeling: swap the two simple
-        # directions (transpose through the antidiagonal)
-        n = len(m)
-        J = [[Q(1) if i + j == n - 1 else Q(0) for j in range(n)]
-             for i in range(n)]
-        mt = [list(r) for r in zip(*m)]
-        return linalg.mat_scale(linalg.mat_mul(linalg.mat_mul(J, mt), J), 1)
+        # directions (transpose through the antidiagonal, J m^T J)
+        n = sl3.realization.size
+        return {(n - 1 - j, n - 1 - i): x for (i, j), x in m.items()}
 
     for label, (elem, ref_terms) in table.items():
         ref = poly_from(chart_sl3, ref_terms)
@@ -417,7 +417,8 @@ def test_criterion_8(sl3, sl4):
         chart = basis.chart
         w = alg.rs.highest_root.id
         for g in sorted(alg.rs.omega_decompose().sigma_half):
-            t = tau(alg, chart, alg.root_matrix(g)).component(w)
+            elem = alg.realization.entries[alg.full_index(g)]
+            t = tau(alg, chart, elem).component(w)
             assert t == basis.table[alg.rs.root_name(g)] * Q(-1)
 
 
@@ -428,7 +429,8 @@ def test_criterion_8(sl3, sl4):
 @criterion("criterion 9a", "Jacobi and frame brackets, exhaustive")
 def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
     for alg, chart in ((sl3, chart_sl3), (sl4, chart_sl4), (sp2, chart_sp2)):
-        basis = [alg.realization.basis_matrix(k) for k in range(alg.dim)]
+        basis = [dense(e, alg.realization.size)
+                 for e in alg.realization.entries]
         comm = lambda a, b: linalg.mat_sub(linalg.mat_mul(a, b),
                                            linalg.mat_mul(b, a))
         for a in basis:
@@ -491,20 +493,22 @@ def test_criterion_9_nu(sl4, sp2, chart_sl4, chart_sp2):
     for alg, chart in ((sl4, chart_sl4), (sp2, chart_sp2)):
         taus = tau_basis(alg, chart)
         rs = alg.rs
+        real = alg.realization
         simples = set(rs.simple_ids())
         for hs in enumerate_all(rs):
             rep = analyze(hs)
             q_idx = normalizer_basis_indices(alg, rep)
             fields = {k: project_to_slice(taus[k], hs) for k in q_idx}
             for ka in q_idx:
-                ma = alg.realization.basis_matrix(ka)
+                ma = dense(real.entries[ka], real.size)
                 for kb in q_idx:
                     if kb < ka:
                         continue
-                    mb = alg.realization.basis_matrix(kb)
+                    mb = dense(real.entries[kb], real.size)
                     comm = linalg.mat_sub(linalg.mat_mul(ma, mb),
                                           linalg.mat_mul(mb, ma))
-                    coeffs = alg.realization.decompose(comm)
+                    coeffs = real.read(range(alg.dim),
+                                       lambda i, j: comm[i][j])
                     lhs = None
                     for k, c in enumerate(coeffs):
                         if c != 0:
@@ -551,7 +555,9 @@ def test_criterion_9_norma():
     for alg in (build_sl(2), build_sl(3), build_sl(4), build_sl(5),
                 build_sp(2), build_sp(3)):
         rs = alg.rs
+        real = alg.realization
         simples = set(rs.simple_ids())
+        matrix = [dense(e, real.size) for e in real.entries]
         for hs in enumerate_all(rs, max_rank=4):
             rep = analyze(hs)
             # brute force from structure constants
@@ -560,12 +566,11 @@ def test_criterion_9_norma():
                 neg = rs.neg(a)
                 ok = True
                 for g in hs.C:
-                    comm = linalg.mat_sub(
-                        linalg.mat_mul(alg.root_matrix(neg),
-                                       alg.root_matrix(g)),
-                        linalg.mat_mul(alg.root_matrix(g),
-                                       alg.root_matrix(neg)))
-                    cf = alg.realization.decompose(comm)
+                    x_neg = matrix[alg.full_index(neg)]
+                    x_g = matrix[alg.full_index(g)]
+                    comm = linalg.mat_sub(linalg.mat_mul(x_neg, x_g),
+                                          linalg.mat_mul(x_g, x_neg))
+                    cf = real.read(range(alg.dim), lambda i, j: comm[i][j])
                     for k, c in enumerate(cf):
                         if c != 0 and (k < alg.rank
                                        or (k - alg.rank) not in hs.C):

@@ -172,6 +172,18 @@ def test_max_rank_env_rejects_bad_value(monkeypatch, value):
         f"MCLAB_MAX_RANK must be a positive integer, got {value!r}")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--hessenberg", "type-2", "--H", "1/0,1,1"], "--H: cannot parse '1/0'"),
+    (["--hessenberg", "type-2", "--H", "1,2,x"], "--H: cannot parse 'x'"),
+    (["--hessenberg", "type-x"], "--hessenberg: cannot parse 'type-x'"),
+])
+def test_bad_number_token_is_a_cli_error(args, message):
+    code, out = run_cli(["hessdefs", "A", "3", *args])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"type": "CliError", "message": message}
+
+
 def test_formats_and_out_file(tmp_path):
     code, out = run_cli(["rootsys", "A", "2", "--format", "csv"])
     assert out.splitlines()[0] == "name,height,coeffs"

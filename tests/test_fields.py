@@ -12,7 +12,7 @@ from mclab.poly import Poly
 
 def test_frame_conversion_round_trip(sl4, chart_sl4):
     for k in range(sl4.dim):
-        f = tau(sl4, chart_sl4, sl4.realization.basis_matrix(k))
+        f = tau(sl4, chart_sl4, sl4.realization.entries[k])
         back = f.to_coordinate().to_invariant()
         assert back.components == f.components
 

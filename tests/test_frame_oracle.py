@@ -19,6 +19,8 @@ from mclab.liealg import (build_sp, first_kind_chart, matrix_chart,
                           second_kind_chart, three_factor_chart)
 from mclab.poly import Poly
 
+from conftest import dense
+
 
 def reference_frame(chart):
     ext = chart.nvars + 1
@@ -27,8 +29,9 @@ def reference_frame(chart):
     ident = chart._poly_identity(ext)
     rows = {}
     for r in chart.coord_roots:
+        x_r = chart.realization.entries[chart.algebra.full_index(r)]
         step = [[Poly.var(ext, eps, x) for x in row]
-                for row in chart.realization.pos[r]]
+                for row in dense(x_r, chart.realization.size)]
         moved = linalg.mat_mul(gen, linalg.mat_add(ident, step))
         row = {}
         for k, c in enumerate(chart.extract(moved)):

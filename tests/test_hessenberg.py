@@ -8,6 +8,8 @@ from mclab.hessenberg import (HessenbergError, analyze, check_norma,
 from mclab.liealg import build_sl, build_sp
 from mclab.rootsys import build_root_system
 
+from conftest import dense
+
 ENUM_SYSTEMS = [("A", 2), ("A", 3), ("A", 4),
                 ("B", 3), ("C", 2), ("C", 3), ("C", 4), ("D", 4)]
 
@@ -179,15 +181,20 @@ def _brute_force_normalizer_support(algebra, hs):
     """Negative root ids whose matrix bracket with every complement root
     vector stays inside the complement ideal."""
     rs = algebra.rs
+    real = algebra.realization
+
+    def root_matrix(r):
+        return dense(real.entries[algebra.full_index(r)], real.size)
+
     out = set()
     for a in range(rs.n_pos):
         neg = rs.neg(a)
         ok = True
         for g in hs.C:
             comm = linalg.mat_sub(
-                linalg.mat_mul(algebra.root_matrix(neg), algebra.root_matrix(g)),
-                linalg.mat_mul(algebra.root_matrix(g), algebra.root_matrix(neg)))
-            coeffs = algebra.realization.decompose(comm)
+                linalg.mat_mul(root_matrix(neg), root_matrix(g)),
+                linalg.mat_mul(root_matrix(g), root_matrix(neg)))
+            coeffs = real.read(range(algebra.dim), lambda i, j: comm[i][j])
             for k, c in enumerate(coeffs):
                 if c == 0:
                     continue

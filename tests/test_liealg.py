@@ -14,7 +14,7 @@ from mclab.liealg import (Chart, LieAlgebraError, _sparse_bracket,
                           three_factor_chart)
 from mclab.poly import Poly
 
-from conftest import mat_eq, solve_H0
+from conftest import dense, mat_eq, solve_H0
 from oracles import adjoint_series_of_point, dense_generic_point
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "sp2"]
@@ -49,7 +49,12 @@ def test_sp3_spot_checks(sp3):
 
 
 def _all_basis(alg):
-    return [alg.realization.basis_matrix(k) for k in range(alg.dim)]
+    return [dense(e, alg.realization.size) for e in alg.realization.entries]
+
+
+def _root_matrix(alg, root_id):
+    return dense(alg.realization.entries[alg.full_index(root_id)],
+                 alg.realization.size)
 
 
 def _comm(a, b):
@@ -76,11 +81,11 @@ def test_theta_involution_and_killing_invariance(name, algebras):
     alg = algebras[name]
 
     def theta(m):
-        return linalg.mat_scale([list(r) for r in zip(*m)], Q(-1))
+        return {(j, i): -x for (i, j), x in m.items()}
 
-    basis = _all_basis(alg)
+    basis = alg.realization.entries
     for m in basis:
-        assert mat_eq(theta(theta(m)), m)
+        assert theta(theta(m)) == m
     for a in basis:
         for b in basis:
             assert alg.killing(theta(a), theta(b)) == alg.killing(a, b)
@@ -92,7 +97,9 @@ def test_normalization_identities(name, algebras):
     assert alg.normalized
     rs = alg.rs
     for a in range(rs.n_pos):
-        assert alg.b0(alg.root_matrix(a), alg.root_matrix(rs.neg(a))) == 1
+        entries = alg.realization.entries
+        assert alg.b0(entries[alg.full_index(a)],
+                      entries[alg.full_index(rs.neg(a))]) == 1
         # [X_a, X_{-a}] equals the representing Cartan element
         h = alg.h_of_bracket[a]
         assert h == alg.h_representing(a, "normalization")
@@ -114,8 +121,8 @@ def test_normalization_identities(name, algebras):
 def test_sp2_basis_brackets(sp2):
     rs = sp2.rs
     a, b, ab, w = 0, 1, 2, 3
-    EU, EX = sp2.root_matrix(a), sp2.root_matrix(b)
-    EY, EZ = sp2.root_matrix(ab), sp2.root_matrix(w)
+    EU, EX = _root_matrix(sp2, a), _root_matrix(sp2, b)
+    EY, EZ = _root_matrix(sp2, ab), _root_matrix(sp2, w)
     assert mat_eq(_comm(EU, EX), EY)
     assert mat_eq(_comm(EU, EY), EZ)
     assert sp2.c[(a, b)] == 1 and sp2.c[(a, ab)] == 1
@@ -123,11 +130,11 @@ def test_sp2_basis_brackets(sp2):
 
 def test_sl3_and_sl2_realizations(sl2, sl3):
     # single positive-root bracket in rank one: [H, E] = 2E
-    h = sl2.realization.cartan[0]
-    e = sl2.root_matrix(0)
+    h = dense(sl2.realization.cartan[0], 2)
+    e = _root_matrix(sl2, 0)
     assert mat_eq(_comm(h, e), linalg.mat_scale(e, Q(2)))
     # the top root space of sl(3) is the corner matrix
-    top = sl3.root_matrix(sl3.rs.highest_root.id)
+    top = _root_matrix(sl3, sl3.rs.highest_root.id)
     expect = [[Q(0)] * 3 for _ in range(3)]
     expect[0][2] = Q(1)
     assert mat_eq(top, expect)
@@ -393,13 +400,20 @@ def test_decompose_basis_matrices(name, algebras):
     alg = algebras[name.removesuffix("-ad")]
     real = alg.ad_realization() if name.endswith("-ad") else alg.realization
     for k, unit in enumerate(linalg.frac_identity(real.dim)):
-        assert real.decompose(real.basis_matrix(k)) == unit
+        assert real.decompose(real.entries[k]) == unit
     coeffs = [Q(k - 3, k + 1) for k in range(real.dim)]
-    combo = [[Q(0)] * real.size for _ in range(real.size)]
-    for k, c in enumerate(coeffs):
-        combo = linalg.mat_add(combo,
-                               linalg.mat_scale(real.basis_matrix(k), c))
+    combo = {}
+    for c, e in zip(coeffs, real.entries):
+        for p, x in e.items():
+            combo[p] = combo.get(p, 0) + c * x
     assert real.decompose(combo) == coeffs
+    # the reader chart extraction uses, on the dense matrix of the same
+    # combination: all coefficients, and any subset in the order asked
+    m = dense(combo, real.size)
+    assert real.read(range(real.dim), lambda i, j: m[i][j]) == coeffs
+    subset = list(range(real.dim))[::-3]
+    assert real.read(subset, lambda i, j: m[i][j]) == \
+        [coeffs[k] for k in subset]
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3",
@@ -410,13 +424,13 @@ def test_sparse_decompose_matches_dense(name, algebras):
     bracket, in the matrix and the adjoint realization."""
     alg = algebras[name]
     for real in (alg.realization, alg.ad_realization()):
-        n = real.size
+        every = range(real.dim)
         for a in real.entries:
             for b in real.entries:
                 comm = _sparse_bracket(a, b)
-                dense = [[comm.get((i, j), Q(0)) for j in range(n)]
-                         for i in range(n)]
-                assert real.decompose(comm) == real.decompose(dense)
+                m = dense(comm, real.size)
+                assert real.decompose(comm) == \
+                    real.read(every, lambda i, j: m[i][j])
 
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sl5", "sp2", "sp3", "sp4"])
@@ -442,7 +456,7 @@ def test_adjoint_dual_path_random_points(sl4, chart_sl4):
     pts = [[Q(1), Q(0), Q(-2), Q(1, 3), Q(2), Q(-1)],
            [Q(0), Q(1, 2), Q(1), Q(0), Q(-1, 5), Q(4)]]
     for k in range(sl4.dim):
-        elem = sl4.realization.basis_matrix(k)
+        elem = sl4.realization.entries[k]
         coeffs = sl4.realization.decompose(elem)
         generic = adjoint_of_point(chart_sl4, elem)
         for pt in pts:
@@ -453,7 +467,7 @@ def test_adjoint_dual_path_random_points(sl4, chart_sl4):
 
 def test_adjoint_dual_path_generic(sp2, chart_sp2):
     for k in range(sp2.dim):
-        elem = sp2.realization.basis_matrix(k)
+        elem = sp2.realization.entries[k]
         coeffs = sp2.realization.decompose(elem)
         a = adjoint_of_point(chart_sp2, elem)
         b = adjoint_series_of_point(chart_sp2, None, coeffs)
@@ -462,7 +476,7 @@ def test_adjoint_dual_path_generic(sp2, chart_sp2):
 
 def test_adjoint_fixes_center_of_n(sl4, chart_sl4):
     w = sl4.rs.highest_root.id
-    elem = sl4.root_matrix(w)
+    elem = sl4.realization.entries[sl4.full_index(w)]
     coeffs = adjoint_of_point(chart_sl4, elem)
     for k, c in enumerate(coeffs):
         if k == sl4.full_index(w):

@@ -17,7 +17,7 @@ from mclab.mcfields import (McError, McSolution, McSystem,
                             reduce_by_dark_zones, solve_mc, tau, tau_basis)
 from mclab.poly import Poly, monomials_of_weighted_degree
 
-from conftest import cartan_element, solve_H0
+from conftest import cartan_element, dense, solve_H0
 from oracles import coordinates_in_span
 
 
@@ -39,10 +39,8 @@ def sp2_slice(sp2, chart_sp2):
     return hs, solve_mc(hs, chart_sp2)
 
 
-def elementary(n, i, j):
-    m = [[Q(0)] * n for _ in range(n)]
-    m[i][j] = Q(1)
-    return m
+def elementary(i, j):
+    return {(i, j): Q(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +49,7 @@ def elementary(n, i, j):
 
 def test_tau_simple_root_components(sl4, chart_sl4):
     # frame components are minus the conjugated element's coefficients
-    f = tau(sl4, chart_sl4, elementary(4, 0, 1))
+    f = tau(sl4, chart_sl4, elementary(0, 1))
     names = chart_sl4.var_names
     got = {sl4.rs.root_name(g): p.render(names)
            for g, p in f.components.items()}
@@ -68,7 +66,7 @@ def test_tau_matches_reference_display_after_flip(sl4, chart_sl4):
     -X + yU + (v - yt)Z in the flipped convention; unflipped that is the
     (3,4)-elementary field."""
     names = chart_sl4.var_names
-    f = tau(sl4, chart_sl4, elementary(4, 2, 3))
+    f = tau(sl4, chart_sl4, elementary(2, 3))
     got = {sl4.rs.root_name(g): p.render(names)
            for g, p in f.components.items()}
     assert got == {"001": "-1", "011": "y", "111": "-x*y + u"}
@@ -89,7 +87,7 @@ def test_tau_cartan_acts_diagonally(sl3, chart_sl3):
 
 def test_tau_center_is_constant_field(sl4, chart_sl4):
     w = sl4.rs.highest_root.id
-    f = tau(sl4, chart_sl4, sl4.root_matrix(w))
+    f = tau(sl4, chart_sl4, sl4.realization.entries[sl4.full_index(w)])
     assert f.components == {w: Poly.const(chart_sl4.nvars, -1)}
 
 
@@ -99,7 +97,7 @@ def test_tau_center_is_constant_field(sl4, chart_sl4):
 
 def test_projection_examples(sl4, chart_sl4):
     hs = type_p_subset(sl4.rs, 2)
-    f = nu(sl4, chart_sl4, hs, elementary(4, 2, 3))
+    f = nu(sl4, chart_sl4, hs, elementary(2, 3))
     names = chart_sl4.var_names
     got = {sl4.rs.root_name(g): p.render(names)
            for g, p in f.components.items()}
@@ -108,7 +106,8 @@ def test_projection_examples(sl4, chart_sl4):
 
     # complement ideal elements project to zero
     w = sl4.rs.highest_root.id
-    assert nu(sl4, chart_sl4, hs, sl4.root_matrix(w)).is_zero()
+    x_w = sl4.realization.entries[sl4.full_index(w)]
+    assert nu(sl4, chart_sl4, hs, x_w).is_zero()
 
     # Cartan elements act diagonally on slice coordinates
     h0 = solve_H0(sl4)
@@ -414,6 +413,7 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
     for alg, chart in ((sl4, chart_sl4), (sp2, chart_sp2)):
         taus = tau_basis(alg, chart)
         rs = alg.rs
+        real = alg.realization
         simples = set(rs.simple_ids())
         for hs in enumerate_all(rs):
             rep = analyze(hs)
@@ -421,14 +421,15 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
             fields = {k: project_to_slice(taus[k], hs) for k in q_idx}
             # homomorphism on a spanning set of bracket pairs
             for ka in q_idx:
-                ma = alg.realization.basis_matrix(ka)
+                ma = dense(real.entries[ka], real.size)
                 for kb in q_idx:
                     if kb < ka:
                         continue
-                    mb = alg.realization.basis_matrix(kb)
+                    mb = dense(real.entries[kb], real.size)
                     comm = linalg.mat_sub(linalg.mat_mul(ma, mb),
                                           linalg.mat_mul(mb, ma))
-                    coeffs = alg.realization.decompose(comm)
+                    coeffs = real.read(range(alg.dim),
+                                       lambda i, j: comm[i][j])
                     lhs = None
                     for k, c in enumerate(coeffs):
                         if c != 0:

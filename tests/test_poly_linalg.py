@@ -11,7 +11,7 @@ from mclab import linalg
 from mclab.liealg import Chart, adjoint_of_point
 from mclab.poly import Poly, monomials_of_weighted_degree, parse_fraction
 
-from conftest import mat_eq
+from conftest import dense, mat_eq
 from oracles import coordinates_in_span, dense_generic_point, nilpotent_exp
 
 
@@ -555,8 +555,8 @@ def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
     product of dense group exponentials, and its inverse, included) and
     the element lifted to constant Polys.  Kinds ending in ``-ad`` use the
     structure-constant (adjoint) realization.  Every element is passed
-    both as a matrix and as a sparse entry map, and index subsets give the
-    reference's coefficients at those indices, in their order."""
+    as its entry map, and index subsets give the reference's coefficients
+    at those indices, in their order."""
     alg = request.getfixturevalue(alg_name)
     kind, _, backend = kind.partition("-")
     real = alg.ad_realization() if backend == "ad" else alg.realization
@@ -568,12 +568,10 @@ def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
         want = []
         for k in range(alg.dim):
             elem = [[Poly.const(old.nvars, x) for x in row]
-                    for row in real.basis_matrix(k)]
+                    for row in dense(real.entries[k], real.size)]
             conj = _dense_mat_mul(_dense_mat_mul(n_inv, elem), n)
-            want.append(real.decompose(conj))
+            want.append(real.read(range(alg.dim), lambda i, j: conj[i][j]))
     new = Chart(alg, kind, realization=real)
-    got = [adjoint_of_point(new, real.basis_matrix(k)) for k in range(alg.dim)]
-    _assert_same_entries(got, want)
     got = [adjoint_of_point(new, real.entries[k]) for k in range(alg.dim)]
     _assert_same_entries(got, want)
     positive = [alg.full_index(r) for r in range(alg.n_pos)]

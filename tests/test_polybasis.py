@@ -48,8 +48,8 @@ def test_sigma_half_examples(sl3, tf3, sp2, tfC):
     ab = rsC.id_of((1, 1))
     q = gen_sigma0  # noqa: F841  (imported for the error test below)
     pC = gen_sigma_half(sp2, tfC, ab)
-    assert pC == oracle_omega_component(sp2, tfC,
-                                        sp2.root_matrix(ab))
+    assert pC == oracle_omega_component(
+        sp2, tfC, sp2.realization.entries[sp2.full_index(ab)])
 
     with pytest.raises(PolyBasisError):
         gen_sigma_half(sl3, tf3, w)
@@ -102,7 +102,8 @@ def test_sigma0_examples(sl4, tf4):
     d2 = rs.id_of((0, 1, 0))
     for nu_id in (d2, rs.neg(d2)):
         p = gen_sigma0(sl4, tf4, nu_id)
-        assert p == oracle_omega_component(sl4, tf4, sl4.root_matrix(nu_id))
+        elem = sl4.realization.entries[sl4.full_index(nu_id)]
+        assert p == oracle_omega_component(sl4, tf4, elem)
     with pytest.raises(PolyBasisError):
         gen_sigma0(sl4, tf4, rs.id_of((1, 0, 0)))
 
@@ -149,14 +150,16 @@ def test_neg_generators_match_oracle(sl3, tf3, sl4, tf4, sp2, tfC):
     for alg, chart in ((sl3, tf3), (sl4, tf4), (sp2, tfC)):
         rs = alg.rs
         od = rs.omega_decompose()
+
+        def x_neg(r):
+            return alg.realization.entries[alg.full_index(rs.neg(r))]
+
         for g in sorted(od.sigma_half):
             p = gen_neg_sigma_half(alg, chart, g)
-            assert p == oracle_omega_component(
-                alg, chart, alg.root_matrix(rs.neg(g)))
+            assert p == oracle_omega_component(alg, chart, x_neg(g))
         pw = gen_neg_omega(alg, chart)
         w = rs.highest_root.id
-        assert pw == oracle_omega_component(
-            alg, chart, alg.root_matrix(rs.neg(w)))
+        assert pw == oracle_omega_component(alg, chart, x_neg(w))
 
 
 def test_full_tables_match_oracle(sl3, sl4, sp2):

@@ -1,8 +1,8 @@
 """Structure tables of the split algebras.
 
 The library derives the root functionals, the structure constants, the
-Cartan brackets, the theta-scalars and the adjoint realization from sparse
-entry maps of the basis matrices, bracketing each unordered root pair
+Cartan brackets, the theta-scalars and the adjoint realization from the
+sparse entry maps of the basis, bracketing each unordered root pair
 once.  Here they are compared with the dense derivation (full Fraction
 matrix products, each result solved for its coordinates over all basis
 matrices) and with the sparse derivation over every ordered root pair,
@@ -21,7 +21,7 @@ from mclab import liealg, linalg
 from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
                           _sparse_bracket, build_sl, build_sp)
 
-from conftest import mat_eq
+from conftest import dense, mat_eq
 from oracles import coordinates_in_span
 
 
@@ -37,7 +37,7 @@ class DenseOracle:
     """The tables by dense matrix products and dense decomposition."""
 
     def __init__(self, rs, real):
-        self.basis = [real.basis_matrix(k) for k in range(real.dim)]
+        self.basis = [dense(e, real.size) for e in real.entries]
         self._flat = [[x for row in b for x in row] for b in self.basis]
         self._derive(rs)
 
@@ -114,12 +114,14 @@ def test_tables_match_dense_oracle(name, request):
     assert list(alg.h_of_bracket.items()) == list(oracle.h_of_bracket.items())
     assert list(alg.theta_scalar.items()) == list(oracle.theta_scalar.items())
     ad = alg.ad_realization()
-    assert [ad.basis_matrix(k) for k in range(ad.dim)] == oracle.ad_matrices()
-    # the trace form over nonzero entries is tr(m1 m2)
-    for m1 in oracle.basis:
-        for m2 in oracle.basis:
+    assert [dense(e, ad.size) for e in ad.entries] == oracle.ad_matrices()
+    assert all(all(e.values()) for e in ad.entries)
+    # the trace form over the entries of m1 is tr(m1 m2)
+    entries = alg.realization.entries
+    for e1, m1 in zip(entries, oracle.basis):
+        for e2, m2 in zip(entries, oracle.basis):
             prod = linalg.mat_mul(m1, m2)
-            assert alg.trace_form(m1, m2) == sum(
+            assert alg.trace_form(e1, e2) == sum(
                 (prod[i][i] for i in range(len(prod))), Q(0))
 
 
@@ -194,7 +196,7 @@ def test_structure_identities_large_rank(large_algebra):
     # the adjoint realization carries the same brackets
     ad = alg.ad_realization()
     for i in range(alg.dim):
-        m = ad.basis_matrix(i)
+        m = dense(ad.entries[i], ad.size)
         for j in range(alg.dim):
             assert {k: m[k][j] for k in range(alg.dim) if m[k][j]} == table[i][j]
 
@@ -269,14 +271,16 @@ def test_root_pairs_bracketed_once(name, request, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _conjugate(m, g, g_inv):
-    return linalg.mat_mul(linalg.mat_mul(g, m), g_inv)
+    prod = linalg.mat_mul(linalg.mat_mul(g, dense(m, len(g))), g_inv)
+    return {(i, j): x for i, row in enumerate(prod)
+            for j, x in enumerate(row) if x}
 
 
 def _mutated_sl3(kind):
     real = build_sl(3).realization
-    cartan, pos, neg = list(real.cartan), list(real.pos), list(real.neg)
+    cartan, pos, neg = real.cartan, real.entries[2:5], real.entries[5:]
     if kind == "not a weight vector":
-        pos[0] = linalg.mat_add(pos[0], pos[1])         # E01 + E12
+        pos[0] = {**pos[0], **pos[1]}                   # E01 + E12
     elif kind == "leaves its root space":
         pos[2], neg[0] = neg[0], pos[2]                 # X_{a+b} <-> X_{-a}
     elif kind == "not in the Cartan":
@@ -291,7 +295,7 @@ def _mutated_sl3(kind):
         g_inv = linalg.unipotent_inverse(g, linalg.frac_identity(3))
         cartan, pos, neg = ([_conjugate(m, g, g_inv) for m in ms]
                             for ms in (cartan, pos, neg))
-    return Realization(cartan, pos, neg)
+    return Realization(3, cartan, pos, neg)
 
 
 @pytest.mark.parametrize("kind, message", [

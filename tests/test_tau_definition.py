@@ -18,6 +18,8 @@ import pytest
 from mclab.liealg import matrix_chart
 from mclab.mcfields import tau
 
+from conftest import dense
+
 
 @dataclass(frozen=True)
 class Dual:
@@ -109,14 +111,15 @@ def test_tau_equals_definitional_derivative(size, sl3, sl4):
     for pt in POINTS[size]:
         n_mat = chart.point_matrix(pt)
         for k in range(alg.dim):
-            E = alg.realization.basis_matrix(k)
+            e = alg.realization.entries[k]
+            E = dense(e, size)
             # g(t) = exp(-tE) n = (I - tE) n + O(t^2)
             minus_tE = [[Dual(Q(1) if i == j else Q(0), -Q(E[i][j]))
                          for j in range(size)] for i in range(size)]
             g = mat_mul(minus_tE, dual_mat(n_mat))
             factor = big_cell_factor(g)
             # derivative of each chart coordinate at t = 0
-            field = tau(alg, chart, E).to_coordinate()
+            field = tau(alg, chart, e).to_coordinate()
             for r in chart.coord_roots:
                 i, j = _entry_position(alg, r)
                 assert factor[i][j].a == n_mat[i][j]
@@ -139,25 +142,27 @@ def test_tau_sp2_positive_and_cartan_directions(sp2, chart_sp2):
         # positive root directions: exp(-tE) n stays unipotent, so the
         # factor is the literal product
         for r in range(sp2.rs.n_pos):
-            E = sp2.root_matrix(r)
+            e = sp2.realization.entries[sp2.full_index(r)]
+            E = dense(e, 4)
             minus_tE = [[Dual(Q(1) if i == j else Q(0), -Q(E[i][j]))
                          for j in range(4)] for i in range(4)]
             g = mat_mul(minus_tE, dual_mat(n_mat))
             coords = chart_sp2.extract([[c for c in row] for row in g])
-            field = tau(sp2, chart_sp2, E).to_coordinate()
+            field = tau(sp2, chart_sp2, e).to_coordinate()
             for k, root in enumerate(chart_sp2.coord_roots):
                 assert coords[k].a == pt[k]
                 assert coords[k].b == field.component(root).eval(pt)
         # Cartan directions: exp(-tH) n exp(tH) is the factor
         for i in range(sp2.rank):
-            H = sp2.realization.cartan[i]
+            h = sp2.realization.cartan[i]
+            H = dense(h, 4)
             minus_tH = [[Dual(Q(1) if r == c else Q(0), -Q(H[r][c]))
                          for c in range(4)] for r in range(4)]
             plus_tH = [[Dual(Q(1) if r == c else Q(0), Q(H[r][c]))
                         for c in range(4)] for r in range(4)]
             g = mat_mul(mat_mul(minus_tH, dual_mat(n_mat)), plus_tH)
             coords = chart_sp2.extract([[c for c in row] for row in g])
-            field = tau(sp2, chart_sp2, H).to_coordinate()
+            field = tau(sp2, chart_sp2, h).to_coordinate()
             for k, root in enumerate(chart_sp2.coord_roots):
                 assert coords[k].b == field.component(root).eval(pt)
 
