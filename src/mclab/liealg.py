@@ -26,8 +26,9 @@ point, its inverse, products, logs) is a matrix.
 
 The chart layer computes only what is read.  The generic point of an
 exponential chart multiplies in each root group's exp(N) - I as a sparse
-entry map, re-forming only the columns it touches; extraction peels with
-the same group exponential.  The frame and the adjoint action
+entry map, re-forming only the columns it touches; its inverse multiplies
+in the groups' exp(-N) in reverse order, and extraction peels with the
+same group exponential.  The frame and the adjoint action
 Ad(n^{-1}) E at the generic point form only the coefficients their callers
 ask for, each from the few matrix entries that its row of the
 decomposition inverse names (:meth:`Realization.read`).
@@ -64,6 +65,11 @@ class Realization:
         self.size = size
         self.entries = [{p: x for p, x in e.items() if x}
                         for e in [*cartan, *pos, *neg]]
+        for e in self.entries:
+            for i, j in e:
+                if not (0 <= i < size and 0 <= j < size):
+                    raise LieAlgebraError(
+                        f"entry position {(i, j)} outside {size} x {size}")
         self.cartan = self.entries[:len(cartan)]
         self.dim = len(self.entries)
         # the matrix positions read off are the pivot columns of the
@@ -422,9 +428,16 @@ class Chart:
         return self._generic
 
     def generic_inverse(self):
+        """g^{-1} at the generic point.  For an exponential chart it is the
+        reversed product of the factor groups' exp(-N); the matrix-entry
+        charts sum the finite Neumann series."""
         if self._generic_inv is None:
-            self._generic_inv = linalg.unipotent_inverse(
-                self.generic_matrix(), self._poly_identity(self.nvars))
+            if self.groups is None:
+                self._generic_inv = linalg.unipotent_inverse(
+                    self.generic_matrix(), self._poly_identity(self.nvars))
+            else:
+                self._generic_inv = self._group_product(self.groups[::-1],
+                                                        -1)
         return self._generic_inv
 
     def _build_generic(self):
@@ -452,9 +465,14 @@ class Chart:
                     [y - u * x, x * 2, zero, one],
                 ]
             raise LieAlgebraError("matrix chart unavailable for this algebra")
-        m = self._poly_identity(nvars)
-        for group in self.groups:
-            xs = [Poly.var(nvars, self._index[r]) for r in group]
+        return self._group_product(self.groups, 1)
+
+    def _group_product(self, groups, sign):
+        """exp(sign * sum_{r in G} x_r X_r) multiplied over ``groups`` in
+        order, at the generic point."""
+        m = self._poly_identity(self.nvars)
+        for group in groups:
+            xs = [Poly.var(self.nvars, self._index[r]) * sign for r in group]
             m = linalg.mul_unipotent(m, self._group_exp(group, xs))
         return m
 

@@ -18,15 +18,24 @@ the first-order system, over simple roots delta in R and gamma in R,
 The system is graded twice: by dilation degree, and within a degree by
 the root-lattice weight of the unknowns.  Each weight block is solved
 separately by exact fraction-free elimination.
+
+By default only the blocks that the Tanaka prolongation of the slice
+algebra (:mod:`mclab.prolong`) finds nonzero are assembled and
+eliminated, each nullity checked against the prolongation's count; the
+degrees where the prolongation is zero, the largest blocks of a solve,
+are never formed.  An explicit degree bound is the verification mode:
+it eliminates every weight block of every degree through the bound and
+never consults the prolongation.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
 
-from . import linalg
+from . import linalg, prolong
 from .fields import PolyVectorField
 from .hessenberg import HessenbergSet, HessenbergReport, analyze, validate
 from .liealg import Chart, SplitLieAlgebra, adjoint_of_point
@@ -132,9 +141,12 @@ class McSystem:
     labels: list[int]                      # gamma in R, contract order
     equations: list[tuple[int, int]]       # (delta, gamma) pairs used
 
-    def unknown_monomials(self, degree: int) -> list[tuple[int, tuple]]:
+    def unknown_monomials(self, degree: int,
+                          weights=None) -> list[tuple[int, tuple]]:
         """Unknowns of the homogeneous block of field degree ``degree``:
-        pairs (gamma, monomial) in deterministic order."""
+        pairs (gamma, monomial) in deterministic order.  With ``weights``
+        (a container of root-lattice weights) only the unknowns of those
+        weights."""
         chart = self.chart
         rs = self.hs.rs
         slice_vars = [chart.coord_index(r) for r in self.labels]
@@ -149,7 +161,10 @@ class McSystem:
                 for v, e in zip(slice_vars, mono):
                     full[v] = e
                 out.append((g, tuple(full)))
-        return out
+        if weights is None:
+            return out
+        return [u for u, w in zip(out, _unknown_weights(self, out))
+                if w in weights]
 
     def block_rows(self, degree: int,
                    unknown_index: dict[tuple[int, tuple], int]):
@@ -437,13 +452,14 @@ def _unknown_weights(system: McSystem,
 
 
 def _weight_blocks(weights: list[tuple], rows: list[dict[int, Q]]
-                   ) -> list[tuple[list[int], list[dict[int, Q]]]]:
+                   ) -> list[tuple[tuple, list[int], list[dict[int, Q]]]]:
     """Split a degree block into its root-lattice weight blocks.
 
-    Returns, per weight, the block's columns in ascending order and its
-    rows in their original order.  The equations are homogeneous for the
-    weight, so every row must touch a single weight block; a row that
-    does not is a defect in the assembly and raises McError.
+    Returns, per weight, the weight, the block's columns in ascending
+    order and its rows in their original order.  The equations are
+    homogeneous for the weight, so every row must touch a single weight
+    block; a row that does not is a defect in the assembly and raises
+    McError.
     """
     cols: dict[tuple, list[int]] = {}
     for k, w in enumerate(weights):
@@ -455,28 +471,35 @@ def _weight_blocks(weights: list[tuple], rows: list[dict[int, Q]]
             raise McError("multicontact equation mixes root-lattice weights "
                           f"{sorted(touched)}: the system is not equivariant")
         block_rows[touched.pop()].append(row)
-    return [(cols[w], block_rows[w]) for w in cols]
+    return [(w, cols[w], block_rows[w]) for w in cols]
 
 
-def _solve_block(system: McSystem, degree: int) -> list[PolyVectorField]:
-    """Solutions of one homogeneous degree, one weight block at a time.
+def _solve_block(system: McSystem, degree: int, wanted=None
+                 ) -> tuple[list[PolyVectorField], dict[tuple, int]]:
+    """Solutions of one homogeneous degree, one weight block at a time,
+    and the nullity of each weight block eliminated.
 
     A block-diagonal matrix has the same pivot columns as its blocks
     taken one at a time, so ordering the merged basis by free column (the
     largest index with a nonzero entry) gives exactly the basis of one
-    elimination over the whole degree block.
+    elimination over the whole degree block.  For the same reason,
+    ``wanted`` (a container of root-lattice weights) restricts the solve
+    to those weight blocks without changing their basis: only their
+    unknowns are assembled.  None means every weight block.
     """
-    unknowns = system.unknown_monomials(degree)
+    unknowns = system.unknown_monomials(degree, wanted)
     if not unknowns:
-        return []
+        return [], {}
     index = {u: k for k, u in enumerate(unknowns)}
     rows = system.block_rows(degree, index)
     solutions: list[list[tuple[int, Q]]] = []     # (column, value) pairs
-    for cols, brows in _weight_blocks(_unknown_weights(system, unknowns),
-                                      rows):
+    nullity: dict[tuple, int] = {}
+    for w, cols, brows in _weight_blocks(_unknown_weights(system, unknowns),
+                                         rows):
         local = {c: k for k, c in enumerate(cols)}
         null = linalg.sparse_nullspace(
             [{local[c]: v for c, v in r.items()} for r in brows], len(cols))
+        nullity[w] = len(null)
         solutions += [[(cols[k], x) for k, x in enumerate(vec) if x != 0]
                       for vec in null]
     solutions.sort(key=lambda entries: entries[-1][0])
@@ -489,7 +512,7 @@ def _solve_block(system: McSystem, degree: int) -> list[PolyVectorField]:
             comps.setdefault(g, Poly.zero(chart.nvars)).terms[mono] = x
         out.append(PolyVectorField(chart, "invariant", comps,
                                    slice_roots=system.hs.R))
-    return out
+    return out, nullity
 
 
 def solve_mc(hs: HessenbergSet, chart: Chart,
@@ -499,45 +522,72 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
     Degrees -h .. degree_bound are solved one block at a time, where h is
     the highest-root height; the default bound is 2h.
 
-    With the default bound the solve stops at the first degree d >= 0
-    whose block has no solutions.  This is Tanaka's prolongation argument
-    (N. Tanaka, J. Math. Kyoto Univ. 10, 1970; K. Yamaguchi, Adv. Stud.
-    Pure Math. 22, 1993): for F of degree d + 1, [X, F] lies in degree d
-    for every simple frame field X, hence vanishes; the simple fields
-    generate the slice algebra, so F commutes with all of it and would
-    have negative degree, hence F = 0, and so on upwards.  The result
-    then reports ``degree_bound`` 2h and ``stabilized`` True: no degree
-    above the stop, in particular none past the bound, has solutions.
+    By default the blocks to solve come from the Tanaka prolongation of
+    the slice algebra (:func:`mclab.prolong.prolong`, from the structure
+    constants alone): from degree 0 on, only the (degree, weight) blocks
+    it finds nonzero are assembled and eliminated, up to the last degree
+    before its stop, the first k >= 0 with g_k = 0.  Below degree 0 (m
+    itself, a few unknowns) every weight block is eliminated.  Each
+    eliminated block's nullity must equal the prolongation's count (0 for
+    a weight it does not list), or McError names the degree and the
+    weight.  No degree from the stop on has solutions (N. Tanaka, J.
+    Math. Kyoto Univ. 10, 1970; K. Yamaguchi, Adv. Stud. Pure Math. 22,
+    1993): for F of degree d + 1, [X, F] lies in degree d for every
+    simple frame field X, hence vanishes; the simple fields generate the
+    slice algebra, so F commutes with all of it and would have negative
+    degree, hence F = 0, and so on upwards.  The result reports
+    ``degree_bound`` 2h and ``stabilized`` True.  A slice whose
+    prolongation never empties through 2h + 1 (infinite type) is solved
+    through 2h, then the nonzero blocks of degree 2h + 1 count the
+    solutions past the bound, which are warned about, and ``stabilized``
+    is False.
 
-    An explicit ``degree_bound`` is the verification mode: every block up
-    to the bound is solved, and ``stabilized`` records whether the block
-    at degree_bound + 1 is empty.  A slice whose blocks never run empty
-    (infinite type) takes this path under the default bound as well, and
-    a nonempty block past the bound is warned about.
+    An explicit ``degree_bound`` is the verification mode, which never
+    consults the prolongation: every weight block of every degree up to
+    the bound is eliminated, and ``stabilized`` records whether the
+    degree degree_bound + 1 is empty.
     """
     h = hs.rs.highest_root.height
-    prolongation_stop = degree_bound is None
-    if prolongation_stop:
+    verify = degree_bound is not None
+    if not verify:
         degree_bound = 2 * h
+        tanaka = prolong.prolong(hs, chart.algebra.c, degree_bound + 1)
     system = assemble_mc_system(hs, chart, degree_bound)
+
+    checks = []         # (degree, nullity per weight, prolongation's)
+
+    def solve(d):
+        if verify:
+            return _solve_block(system, d)[0]
+        counts = tanaka.blocks.get(d, {})
+        if d >= 0 and not counts:
+            return []
+        block, nullity = _solve_block(system, d, counts if d >= 0 else None)
+        checks.append((d, nullity, counts))
+        return block
+
     basis: list[PolyVectorField] = []
     degrees: list[int] = []
-    stabilized = True
     for d in range(-h, degree_bound + 1):
-        block = _solve_block(system, d)
-        if prolongation_stop and d >= 0 and not block:
-            break
+        block = solve(d)
         basis.extend(block)
         degrees.extend([d] * len(block))
-    else:
-        extra = _solve_block(system, degree_bound + 1)
-        if extra:
-            import warnings
-            warnings.warn(
-                f"multicontact dimension not stabilized at bound "
-                f"{degree_bound}: {len(extra)} further solution(s) at the "
-                f"next degree", stacklevel=2)
-            stabilized = False
+    extra = solve(degree_bound + 1)
+    # counts are compared once every degree is assembled, so that a defect
+    # in the assembly is reported by its own certificate first
+    for d, nullity, counts in checks:
+        for w in sorted(nullity.keys() | counts.keys()):
+            if nullity.get(w, 0) != counts.get(w, 0):
+                raise McError(
+                    f"degree {d}, weight {list(w)}: {nullity.get(w, 0)} "
+                    f"solution(s), the prolongation gives "
+                    f"{counts.get(w, 0)}")
+    stabilized = not extra
+    if not stabilized:
+        warnings.warn(
+            f"multicontact dimension not stabilized at bound "
+            f"{degree_bound}: {len(extra)} further solution(s) at the "
+            f"next degree", stacklevel=2)
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
                       basis=basis, degrees=degrees, dimension=len(basis),
                       stabilized=stabilized)

@@ -29,21 +29,24 @@ def nilpotent_exp(nil, identity):
                                     lambda k: Q(1, factorial(k)))
 
 
-def dense_generic_point(chart: Chart):
+def dense_generic_point(chart: Chart, inverse: bool = False):
     """The generic point of an exponential chart as the dense product of
     the dense exponentials (:func:`nilpotent_exp`) of its root groups: the
-    reference for the chart's sparse construction.  The matrix-entry
-    charts' closed forms are returned as they are."""
-    if chart.groups is None:
-        return chart.generic_matrix()
+    reference for the chart's sparse construction.  With ``inverse``, the
+    reversed product of the groups' exp(-N).  The matrix-entry charts'
+    closed forms are returned as they are, and inverted by the Neumann
+    series."""
     nv = chart.nvars
     ident = chart._poly_identity(nv)
+    if chart.groups is None:
+        point = chart.generic_matrix()
+        return linalg.unipotent_inverse(point, ident) if inverse else point
     size = len(ident)
     point = ident
-    for group in chart.groups:
+    for group in chart.groups[::-1] if inverse else chart.groups:
         nil = [[Poly.zero(nv)] * size for _ in range(size)]
         for r in group:
-            x_r = Poly.var(nv, chart.coord_index(r))
+            x_r = Poly.var(nv, chart.coord_index(r)) * (-1 if inverse else 1)
             basis = dense(chart.realization.entries[
                 chart.algebra.full_index(r)], size)
             nil = linalg.mat_add(nil, [[x_r * x for x in row] for row in basis])

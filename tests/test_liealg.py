@@ -450,6 +450,23 @@ def test_generic_point_matches_dense_exponential_product(name, algebras):
                                       for k in range(chart.nvars)]
 
 
+@pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sp3"])
+def test_generic_inverse_matches_neumann_series(name, algebras):
+    """The exponential charts invert the generic point as the reversed
+    product of their groups' exp(-N).  It equals the finite Neumann series
+    on the generic point, and, term order included, the dense product of
+    the dense exponentials."""
+    alg = algebras[name]
+    for kind in ("first_kind", "second_kind", "three_factor"):
+        chart = Chart(alg, kind)
+        got = chart.generic_inverse()
+        ident = chart._poly_identity(chart.nvars)
+        assert got == linalg.unipotent_inverse(chart.generic_matrix(), ident)
+        for rg, rw in zip(got, dense_generic_point(chart, inverse=True)):
+            for x, y in zip(rg, rw):
+                assert list(x.terms.items()) == list(y.terms.items())
+
+
 def test_adjoint_dual_path_random_points(sl4, chart_sl4):
     """The generic coefficients evaluated at a point equal the series
     oracle computed at that point."""

@@ -16,6 +16,7 @@ from mclab.mcfields import (McError, McSolution, McSystem,
                             normalizer_basis_indices, nu, project_to_slice,
                             reduce_by_dark_zones, solve_mc, tau, tau_basis)
 from mclab.poly import Poly, monomials_of_weighted_degree
+from mclab.prolong import prolong
 
 from conftest import cartan_element, dense, solve_H0
 from oracles import coordinates_in_span
@@ -464,42 +465,158 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
 # prolongation stop and weight blocks
 # ---------------------------------------------------------------------------
 
-def _assert_stop_matches_bound(chart, hs, bound):
-    """The default solve, which stops at the first empty degree d >= 0,
-    agrees with the explicit-bound solve on every degree up to the bound."""
+def _solve_recorded(chart, hs, bound):
+    """The explicit-bound solve, and the dimension of every (degree,
+    weight) block it eliminates, the degree past the bound included."""
+    dims: dict[int, dict[tuple, int]] = {}
+    original = mcfields._solve_block
+
+    def record(system, degree, *args):
+        block, nullity = original(system, degree, *args)
+        for f in block:
+            g, p = min(f.components.items())
+            w, = mcfields._unknown_weights(system,
+                                           [(g, next(iter(p.terms)))])
+            dims.setdefault(degree, {})
+            dims[degree][w] = dims[degree].get(w, 0) + 1
+        return block, nullity
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcfields, "_solve_block", record)
+        return solve_mc(hs, chart, degree_bound=bound), dims
+
+
+def _nonzero_blocks(tanaka, bound):
+    """The prolongation's nonzero blocks through degree bound + 1."""
+    return {d: b for d, b in tanaka.blocks.items() if b and d <= bound + 1}
+
+
+@pytest.fixture(scope="module")
+def bound_sweeps(sl2, sl3, sl4, sp2, sp3):
+    """Every Hessenberg set of A1-A3 and C2 under the full bound 2h, and of
+    C3 under 6: (set, default solve, explicit solve, its block
+    dimensions), keyed by algebra.  The full bound 2h = 10 is too slow on
+    C3; 6 lies past the top degree h = 5 of its full slice."""
+    sweeps = {}
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "multicontact dimension")
+        for name, alg, chart, bound in [
+                ("A1", sl2, matrix_chart(sl2), 2),
+                ("A2", sl3, matrix_chart(sl3), 4),
+                ("A3", sl4, matrix_chart(sl4), 6),
+                ("C2", sp2, matrix_chart(sp2), 6),
+                ("C3", sp3, second_kind_chart(sp3), 6)]:
+            sweeps[name] = (alg, bound, [
+                (hs, solve_mc(hs, chart), *_solve_recorded(chart, hs, bound))
+                for hs in enumerate_all(alg.rs)])
+    return sweeps
+
+
+def _assert_stop_matches_bound(alg, bound, hs, stopped, full, dims):
+    """The default solve, which eliminates only the blocks the
+    prolongation finds nonzero, agrees with the explicit-bound solve on
+    every degree up to the bound, and the prolongation's (degree, weight)
+    dimensions equal the explicit solve's through degree bound + 1."""
     h = hs.rs.highest_root.height
-    stopped = solve_mc(hs, chart)
-    full = solve_mc(hs, chart, degree_bound=bound)
     assert stopped.degree_bound == 2 * h and full.degree_bound == bound
     keep = [k for k, d in enumerate(stopped.degrees) if d <= bound]
     assert full.dimension == len(keep)
     assert full.degrees == [stopped.degrees[k] for k in keep]
     assert full.basis == [stopped.basis[k] for k in keep]
     assert full.stabilized == stopped.stabilized
-    return stopped
+    tanaka = prolong(hs, alg.c, bound + 1)
+    assert _nonzero_blocks(tanaka, bound) == dims, sorted(hs.R)
+    assert (tanaka.stop is not None) == full.stabilized
 
 
-@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
-def test_prolongation_stop_equals_full_bound_small_rank(sl2, chart_sl3,
-                                                        chart_sl4, chart_sp2):
+def test_prolongation_stop_equals_full_bound_small_rank(bound_sweeps):
     stabilized = 0
-    for chart in (matrix_chart(sl2), chart_sl3, chart_sl4, chart_sp2):
-        rs = chart.algebra.rs
-        for hs in enumerate_all(rs):
-            sol = _assert_stop_matches_bound(chart, hs,
-                                             2 * rs.highest_root.height)
-            stabilized += sol.stabilized
+    for name in ("A1", "A2", "A3", "C2"):
+        alg, bound, runs = bound_sweeps[name]
+        for run in runs:
+            _assert_stop_matches_bound(alg, bound, *run)
+            stabilized += run[1].stabilized
     # finite-type slices per algebra (A1, A2, A3, C2), the empty one included
     assert stabilized == 1 + 2 + 5 + 3
 
 
-@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
-def test_prolongation_stop_c3_below_full_bound(sp3):
-    # the full bound 2h = 10 is too slow here; 6 lies past the top degree
-    # h = 5 of the full slice, so every stabilized slice is compared whole
-    chart = second_kind_chart(sp3)
-    for hs in enumerate_all(sp3.rs):
-        _assert_stop_matches_bound(chart, hs, 6)
+def test_prolongation_stop_c3_below_full_bound(bound_sweeps):
+    alg, bound, runs = bound_sweeps["C3"]
+    for run in runs:
+        _assert_stop_matches_bound(alg, bound, *run)
+
+
+@pytest.mark.parametrize("name", ["A3", "C3"])
+def test_prolongation_catches_mutated_structure_constant(bound_sweeps, name):
+    """Zeroing, negating or doubling one positive-root structure constant
+    and its antisymmetric partner makes the prolongation of the full slice
+    disagree with the unmutated solver, for every such constant."""
+    alg, bound, runs = bound_sweeps[name]
+    hs, _, _, dims = runs[-1]
+    assert hs.R == frozenset(range(alg.n_pos))
+    assert _nonzero_blocks(prolong(hs, alg.c, bound + 1), bound) == dims
+    pairs = [(a, b) for a, b in alg.c if a < b < alg.n_pos]
+    assert len(pairs) == {"A3": 4, "C3": 10}[name]
+    for a, b in pairs:
+        for factor in (0, -1, 2):
+            c = dict(alg.c)
+            c[a, b] *= factor
+            c[b, a] *= factor
+            assert _nonzero_blocks(prolong(hs, c, bound + 1),
+                                   bound) != dims, (a, b, factor)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("drop", r"degree -1, weight \[-1, 0, 0\]: 1 solution\(s\), the "
+             r"prolongation gives 0"),
+    ("inflate", r"degree 1, weight \[0, 1, 0\]: 1 solution\(s\), the "
+                r"prolongation gives 2"),
+])
+def test_solve_checks_blocks_against_prolongation(sl4, chart_sl4,
+                                                  monkeypatch, change,
+                                                  message):
+    original = mcfields.prolong.prolong
+
+    def altered(hs, c, max_degree):
+        tanaka = original(hs, c, max_degree)
+        weight = (-1, 0, 0) if change == "drop" else (0, 1, 0)
+        degree = sum(weight)
+        if change == "drop":
+            del tanaka.blocks[degree][weight]
+        else:
+            tanaka.blocks[degree][weight] += 1
+        return tanaka
+
+    monkeypatch.setattr(mcfields.prolong, "prolong", altered)
+    with pytest.raises(McError, match=message):
+        solve_mc(type_p_subset(sl4.rs, 2), chart_sl4)
+
+
+def test_default_solve_skips_empty_prolongation_blocks(sl4, chart_sl4,
+                                                       monkeypatch):
+    """On the full slice of A3, g_4 = 0: the default solve never assembles
+    degree 4, and past degree 0 only the unknowns of the prolongation's
+    weights.  The verification mode assembles every unknown of every
+    degree through the bound and the one past it."""
+    calls = []
+    original = McSystem.unknown_monomials
+
+    def counted(self, degree, weights=None):
+        out = original(self, degree, weights)
+        calls.append((degree, weights is None, len(out)))
+        return out
+
+    monkeypatch.setattr(McSystem, "unknown_monomials", counted)
+    hs = type_p_subset(sl4.rs, 3)
+    assert solve_mc(hs, chart_sl4).dimension == 15
+    assert [(d, whole) for d, whole, _ in calls] == \
+        [(d, d < 0) for d in range(-3, 4)]
+    assert sum(n for *_, n in calls) == 159
+    calls.clear()
+    assert solve_mc(hs, chart_sl4, degree_bound=6).dimension == 15
+    assert [(d, whole) for d, whole, _ in calls] == \
+        [(d, True) for d in range(-3, 8)]
+    assert sum(n for *_, n in calls[:8]) == 1164
 
 
 def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):

@@ -313,3 +313,10 @@ def test_derivation_checks_reject_broken_realization(kind, message, sl3):
     # the dense derivation agrees that the realization is broken
     with pytest.raises(LieAlgebraError, match=message):
         DenseOracle(sl3.rs, real)
+
+
+def test_realization_rejects_entry_outside_matrix():
+    # (0, 2) of a 2 x 2 matrix would flatten to 2 = (1, 0) and alias E10
+    with pytest.raises(LieAlgebraError, match=r"\(0, 2\) outside 2 x 2"):
+        Realization(2, [{(0, 0): 1, (1, 1): -1}], [{(0, 1): 1}],
+                    [{(0, 2): 1}])
