@@ -282,11 +282,13 @@ def cmd_polybasis(args) -> dict:
 def cmd_hessdefs(args) -> dict:
     alg = algebra_for(args.family, args.rank)
     rs = alg.rs
-    chart = matrix_chart(alg)
     spec = parse_hessenberg_spec(rs, args.hessenberg)
     if spec == "all":
         raise CliError("hessdefs needs one Hessenberg set, not 'all'")
     h_coeffs = None if args.symbolic else parse_h_spec(alg, args.H)
+    # after the arguments, so that an argument error is reported before
+    # a missing matrix chart (sp(l >= 3))
+    chart = matrix_chart(alg)
     eqs = hd.defining_equations(alg, chart, spec, h_coeffs)
     cert = hd.smoothness_certificate(eqs)
     payload = {

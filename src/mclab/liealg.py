@@ -10,28 +10,31 @@ classical structure-constant identities hold exactly.
 Charts parametrize the Iwasawa group N = exp(n).  Every chart can produce
 a generic point (a matrix of polynomials in the chart coordinates),
 extract coordinates back from a matrix, multiply points, and compute its
-left-invariant frame, all in exact arithmetic.  The exponential charts
-(first kind, second kind, three-factor) are one construction: an ordered
-product of exponentials of root groups, fixed per chart as
-``Chart.groups``; the matrix-entry charts have closed forms.  Frame
-fields are the standard ones generated by right translation along the
-one-parameter subgroups of the basis vectors.  They are read off the
-Maurer-Cartan form of the generic point g: the coefficients W[k][gamma]
-of g^{-1} d_k g form a unitriangular matrix (contract order), and
-X = W^{-1} d, one formula for every chart kind.
+left-invariant frame, all in exact arithmetic.  Every chart kind is one
+construction: an ordered product of exponentials of root groups, fixed
+per chart as ``Chart.groups``.  The first kind has one group, the second
+kind one per root, the three-factor chart three; the matrix-entry charts
+are the second kind in the root order whose product is the matrix-entry
+point.  Frame fields are the standard ones generated by right translation
+along the one-parameter subgroups of the basis vectors.  They are read
+off the Maurer-Cartan form of the generic point g: the coefficients
+W[k][gamma] of g^{-1} d_k g form a unitriangular matrix (contract order),
+and X = W^{-1} d, one formula for every chart kind.
 
-One rule fixes the representation: an algebra element is a sparse entry
-map ``{(i, j): value}`` of a matrix, and a group element (the generic
-point, its inverse, products, logs) is a matrix.
+One rule fixes the representation: an algebra element (a basis element,
+a group exponential minus I, a log) is a sparse entry map
+``{(i, j): value}`` of a matrix, and a group element (the generic point,
+its inverse, products) is a matrix.
 
-The chart layer computes only what is read.  The generic point of an
-exponential chart multiplies in each root group's exp(N) - I as a sparse
-entry map, re-forming only the columns it touches; its inverse multiplies
-in the groups' exp(-N) in reverse order, and extraction peels with the
-same group exponential.  The frame and the adjoint action
-Ad(n^{-1}) E at the generic point form only the coefficients their callers
-ask for, each from the few matrix entries that its row of the
-decomposition inverse names (:meth:`Realization.read`).
+The chart layer computes only what is read.  The generic point
+multiplies in each root group's exp(N) - I as a sparse entry map,
+re-forming only the columns it touches; its inverse multiplies in the
+groups' exp(-N) in reverse order, and extraction peels with the same
+group exponential.  exp, the log and W^{-1} are one sparse nilpotent
+series (:func:`mclab.linalg.nilpotent_series`).  The frame and the
+adjoint action Ad(n^{-1}) E at the generic point form only the
+coefficients their callers ask for, each from the few matrix entries that
+its row of the decomposition inverse names (:meth:`Realization.read`).
 """
 
 from __future__ import annotations
@@ -394,9 +397,20 @@ class Chart:
                     "x_" + "".join(str(c) for c in rs.root(r).coeffs)
                     for r in self.coord_roots]
         # g = exp(sum_{r in G_1} x_r X_r) ... exp(sum_{r in G_m} x_r X_r)
-        # over the root groups G_i; None for the matrix-entry charts
+        # over the root groups G_i.  The matrix-entry charts are second-kind
+        # charts in the one root order whose product is I + sum x_r X_r
+        # for sl(n) (rows descending, contract order within a row) and the
+        # standard presentation's point for sp(2) (b, a+b, a, 2a+b)
         if kind == "matrix":
-            self.groups = None
+            if algebra.family == "sl":
+                order = sorted(self.coord_roots, key=lambda r: -_sl_position(
+                    rs.root(r).coeffs)[0])
+            elif algebra.family == "sp" and algebra.param == 2:
+                order = [rs.id_of(c) for c in ((0, 1), (1, 1), (1, 0), (2, 1))]
+            else:
+                raise LieAlgebraError(
+                    "matrix chart unavailable for this algebra")
+            self.groups = [[r] for r in order]
         elif kind == "first_kind":
             self.groups = [self.coord_roots]
         elif kind == "second_kind":
@@ -408,6 +422,8 @@ class Chart:
             self.groups = [g for g in groups if g]
         else:
             raise LieAlgebraError(f"unknown chart kind {kind!r}")
+        # extraction peels one group at a time from this end (see extract)
+        self._peel_left = kind in ("matrix", "second_kind")
         self._generic = None
         self._generic_inv = None
         self._frame_cache: dict = {}
@@ -423,49 +439,17 @@ class Chart:
 
     # ---- generic point -------------------------------------------------------
     def generic_matrix(self):
+        """Generic point with coordinate k as variable k."""
         if self._generic is None:
-            self._generic = self._build_generic()
+            self._generic = self._group_product(self.groups, 1)
         return self._generic
 
     def generic_inverse(self):
-        """g^{-1} at the generic point.  For an exponential chart it is the
-        reversed product of the factor groups' exp(-N); the matrix-entry
-        charts sum the finite Neumann series."""
+        """g^{-1} at the generic point: the reversed product of the factor
+        groups' exp(-N)."""
         if self._generic_inv is None:
-            if self.groups is None:
-                self._generic_inv = linalg.unipotent_inverse(
-                    self.generic_matrix(), self._poly_identity(self.nvars))
-            else:
-                self._generic_inv = self._group_product(self.groups[::-1],
-                                                        -1)
+            self._generic_inv = self._group_product(self.groups[::-1], -1)
         return self._generic_inv
-
-    def _build_generic(self):
-        """Generic point with coordinate k as variable k."""
-        alg = self.algebra
-        nvars = self.nvars
-        if self.kind == "matrix":
-            if alg.family == "sl":
-                m = self._poly_identity(nvars)
-                for k, r in enumerate(self.coord_roots):
-                    i, j = _sl_position(alg.rs.root(r).coeffs)
-                    m[i][j] = m[i][j] + Poly.var(nvars, k)
-                return m
-            if alg.family == "sp" and alg.param == 2:
-                u = Poly.var(nvars, 0)
-                x = Poly.var(nvars, 1)
-                y = Poly.var(nvars, 2)
-                z = Poly.var(nvars, 3)
-                one = Poly.const(nvars, 1)
-                zero = Poly.zero(nvars)
-                return [
-                    [one, zero, zero, zero],
-                    [u * Q(-1, 2), one, zero, zero],
-                    [z - u * y * Q(1, 2), y, one, u * Q(1, 2)],
-                    [y - u * x, x * 2, zero, one],
-                ]
-            raise LieAlgebraError("matrix chart unavailable for this algebra")
-        return self._group_product(self.groups, 1)
 
     def _group_product(self, groups, sign):
         """exp(sign * sum_{r in G} x_r X_r) multiplied over ``groups`` in
@@ -485,54 +469,46 @@ class Chart:
             for p, x in entries[self.algebra.full_index(r)].items():
                 acc = nil.get(p)
                 nil[p] = c * x if acc is None else acc + c * x
-        return linalg.nilpotent_exp_sparse(nil, self.realization.size)
+        return linalg.nilpotent_series(nil, self.realization.size,
+                                       linalg.exp_coeff)
 
     # ---- extraction -----------------------------------------------------------
     def extract(self, m):
         """Chart coordinates of a group matrix; entries may be Fraction or Poly.
 
-        The exponential charts peel one factor group at a time: the log of
-        the remaining product, read at the decomposition positions, gives
-        the coefficients of the group at one end, and multiplying by the inverse exponential
-        removes it.  Second-kind charts peel from the left.  First-kind
-        and three-factor charts peel from the right: the roots of the
-        earlier groups span an ideal of n, so modulo it the product is the
+        The charts peel one factor group at a time from the entry map
+        C = m - I of the remaining product: the log of I + C, read at the
+        decomposition positions, gives the coefficients of the group at
+        one end, and multiplying by the inverse exponential I + P removes
+        it, C <- C + P + PC (CP on the right).  Second-kind and
+        matrix-entry charts peel from the left.  First-kind and
+        three-factor charts peel from the right: the roots of the earlier
+        groups span an ideal of n, so modulo it the product is the
         exponential of its last group alone.  From the left, the highest
         root's coefficient would pick up Baker-Campbell-Hausdorff brackets.
         """
         alg = self.algebra
-        if self.kind == "matrix":
-            if alg.family == "sl":
-                out = []
-                for r in self.coord_roots:
-                    i, j = _sl_position(alg.rs.root(r).coeffs)
-                    out.append(m[i][j])
-                return out
-            u = m[1][0] * Q(-2)
-            x = m[3][1] * Q(1, 2)
-            y = m[2][1]
-            z = m[2][0] + u * y * Q(1, 2)
-            return [u, x, y, z]
-        ident = self._ident_like(m)
-        left = self.kind == "second_kind"
-        order = self.groups if left else self.groups[::-1]
+        size = self.realization.size
+        zero = m[0][0] * 0
+        cur = {}
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                cur[i, j] = x - 1 if i == j else x
+        order = self.groups if self._peel_left else self.groups[::-1]
         vals: dict[int, object] = {}
-        cur = m
         for k, group in enumerate(order):
-            log = linalg.unipotent_log(cur, ident)
+            log = linalg.nilpotent_series(cur, size, linalg.log_coeff)
             cs = self.realization.read([alg.full_index(r) for r in group],
-                                       lambda i, j: log[i][j])
+                                       lambda i, j: log.get((i, j), zero))
             vals.update(zip(group, cs))
             if k + 1 < len(order):
                 peel = self._group_exp(group, [-c for c in cs])
-                cur = linalg.mul_unipotent(cur, peel, left=left)
+                prod = (linalg.sparse_mul(peel, cur) if self._peel_left
+                        else linalg.sparse_mul(cur, peel))
+                for p, x in (*peel.items(), *prod.items()):
+                    acc = cur.get(p)
+                    cur[p] = x if acc is None else acc + x
         return [vals[r] for r in self.coord_roots]
-
-    def _ident_like(self, m):
-        probe = m[0][0]
-        if isinstance(probe, Poly):
-            return self._poly_identity(probe.nvars)
-        return linalg.frac_identity(self.realization.size)
 
     # ---- points ---------------------------------------------------------------
     def point_matrix(self, values):
@@ -541,8 +517,14 @@ class Chart:
         return [[entry.eval(values) for entry in row] for row in gen]
 
     def coords_of_matrix(self, m) -> list[Q]:
-        return [Q(c) if not isinstance(c, Poly) else c.constant_value()
-                for c in self.extract(m)]
+        """Coordinates of a rational matrix of N.  The point is recomposed
+        from them, so a matrix outside N raises ``LieAlgebraError`` (a
+        non-unipotent one may raise the log series' ``ValueError``)."""
+        coords = [Q(c) if not isinstance(c, Poly) else c.constant_value()
+                  for c in self.extract(m)]
+        if self.point_matrix(coords) != m:
+            raise LieAlgebraError("matrix is not a point of the chart's group")
+        return coords
 
     def multiply(self, pa, pb) -> list[Q]:
         prod = linalg.mat_mul(self.point_matrix(pa), self.point_matrix(pb))
@@ -557,8 +539,8 @@ class Chart:
         of X_gamma in g^{-1} d_k g, so d_k = sum_gamma W[k][gamma] X_gamma
         as left-invariant fields.  W is unitriangular in contract (height)
         order, hence X_gamma = sum_k (W^{-1})[gamma][k] d_k, with W^{-1}
-        from the finite Neumann series.  The formula is the same for every
-        chart kind; only the generic point differs.
+        from the finite Neumann series of W - I.  The formula is the same
+        for every chart kind; only the generic point differs.
 
         With ``slice_roots`` the complement coordinates are set to zero and
         only slice rows/columns are kept.
@@ -596,12 +578,20 @@ class Chart:
                                         terms_left=False)
                 return zero if acc is None else acc
             w.append(self.realization.read(cols, entry))
-        ident = [[Poly.const(self.nvars, Q(1) if i == j else Q(0))
-                  for j in range(self.nvars)] for i in range(self.nvars)]
-        w_inv = linalg.unipotent_inverse(w, ident)
-        rows = {r: {self.coord_roots[k]: p for k, p in enumerate(w_inv[g])
-                    if not p.is_zero()}
-                for g, r in enumerate(self.coord_roots)}
+        one = Poly.const(self.nvars, 1)
+        nil = {(k, g): p - one if k == g else p
+               for k, row in enumerate(w) for g, p in enumerate(row)}
+        # (W^{-1} - I)[g][k], the diagonal's one added back
+        w_inv = linalg.nilpotent_series(nil, self.nvars, linalg.inverse_coeff)
+        rows = {}
+        for g, r in enumerate(self.coord_roots):
+            row = rows[r] = {}
+            for k, s in enumerate(self.coord_roots):
+                p = w_inv.get((g, k))
+                if g == k:
+                    p = one if p is None else one + p
+                if p is not None and not p.is_zero():
+                    row[s] = p
         self._frame_cache[None] = rows
         return rows
 

@@ -2,10 +2,11 @@
 
 Matrices are lists of lists whose entries are either ``Fraction`` or any
 ring element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
-The unipotent inverse and log are one finite series in a nilpotent
-matrix, summed until its power vanishes.  The exponential is sparse: exp(N)
-- I of an entry map (:func:`nilpotent_exp_sparse`), multiplied into a
-matrix by :func:`mul_unipotent`.
+The exponential, the log and the unipotent inverse are one finite series
+in a nilpotent matrix N given as a sparse entry map, summed until its
+power vanishes (:func:`nilpotent_series`, one coefficient rule each).
+exp(N) - I is multiplied into a matrix by :func:`mul_unipotent`; the one
+product of whole matrices, :func:`mat_mul`, serves the chart's group law.
 
 There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, so every
@@ -69,59 +70,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
-def frac_identity(n: int) -> Matrix:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
-def _is_zero_matrix(m: Matrix) -> bool:
-    return all(_is_zero(x) for row in m for x in row)
-
-
-def _nilpotent_series(nil: Matrix, identity: Matrix, start: Matrix,
-                      coeff: Callable[[int], Q]) -> Matrix:
-    """start + sum_{k >= 1} coeff(k) nil^k, summed until nil^k = 0.
-
-    Raises ``ValueError`` when nil^n != 0 for an n x n matrix: the
-    truncated series would then be silently wrong.
-    """
-    out = [row[:] for row in start]
-    power = identity
-    for k in range(1, len(nil) + 1):
-        power = mat_mul(power, nil)
-        if _is_zero_matrix(power):
-            return out
-        out = mat_add(out, mat_scale(power, coeff(k)))
-    raise ValueError("matrix is not nilpotent")
-
-
-def unipotent_inverse(a: Matrix, identity: Matrix) -> Matrix:
-    """Inverse of I + N with N nilpotent, by the finite Neumann series.
-
-    Raises ``ValueError`` if ``a`` is not unipotent; so does
-    :func:`unipotent_log`.
-    """
-    return _nilpotent_series(mat_sub(a, identity), identity, identity,
-                             lambda k: Q((-1) ** k))
-
-
-def unipotent_log(a: Matrix, identity: Matrix) -> Matrix:
-    nil = mat_sub(a, identity)
-    return _nilpotent_series(nil, identity, mat_scale(nil, Q(0)),
-                             lambda k: Q((-1) ** (k + 1), k))
-
-
 # ---------------------------------------------------------------------------
 # sparse unipotent factors
 # ---------------------------------------------------------------------------
@@ -134,7 +82,7 @@ def sparse_dot(terms, factor, terms_left: bool = True):
     The products are added in the order of ``terms``.  Sorted by q, that
     is the order in which :func:`mat_mul` adds the products of an entry,
     so every ``Poly`` keeps the term order of the matrix product.  The
-    sparse group exponential, the adjoint action and the frame of
+    nilpotent series, the adjoint action and the frame of
     :mod:`mclab.liealg` sum their entries here.
     """
     acc = None
@@ -149,7 +97,7 @@ def sparse_dot(terms, factor, terms_left: bool = True):
     return acc
 
 
-def _sparse_mul(a: dict, b: dict) -> dict:
+def sparse_mul(a: dict, b: dict) -> dict:
     """Product of sparse entry maps {(i, j): value}, zeros dropped."""
     a_rows: dict[int, list] = {}
     for (i, q), x in sorted(a.items()):
@@ -166,22 +114,40 @@ def _sparse_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def nilpotent_exp_sparse(nil: dict, size: int) -> dict:
-    """exp(N) - I for a nilpotent size x size matrix N given as a sparse
-    entry map, as an entry map without zeros.
+# coefficient rules c_k of the series sum_{k >= 1} c_k N^k:
+# exp(N) - I, log(I + N) and (I + N)^{-1} - I
+def exp_coeff(k: int) -> Q:
+    return Q(1, factorial(k))
 
-    The terms N^k / k! are added in increasing k and each power is a
-    :func:`_sparse_mul`, so every entry equals, term order included, the
-    one of the dense series.  Raises ``ValueError`` when N^size != 0.
+
+def log_coeff(k: int) -> Q:
+    return Q((-1) ** (k + 1), k)
+
+
+def inverse_coeff(k: int) -> Q:
+    return Q((-1) ** k)
+
+
+def nilpotent_series(nil: dict, size: int, coeff: Callable[[int], Q]) -> dict:
+    """sum_{k >= 1} coeff(k) N^k for a nilpotent size x size matrix N
+    given as a sparse entry map, as an entry map without zeros.
+
+    With :func:`exp_coeff` it is exp(N) - I, with :func:`log_coeff`
+    log(I + N), with :func:`inverse_coeff` (I + N)^{-1} - I.  The terms
+    are added in increasing k and each power is a :func:`sparse_mul`, so
+    every entry equals, term order included, the one of the dense series.
+    Raises ``ValueError`` when N^size != 0: the truncated series would
+    then be silently wrong.
     """
     nil = {p: v for p, v in nil.items() if not _is_zero(v)}
-    out = dict(nil)
+    c = coeff(1)
+    out = {p: v * c for p, v in nil.items()}
     power = nil
     for k in range(2, size + 1):
-        power = _sparse_mul(power, nil)
+        power = sparse_mul(power, nil)
         if not power:
             break
-        c = Q(1, factorial(k))
+        c = coeff(k)
         for p, v in power.items():
             acc = out.get(p)
             out[p] = v * c if acc is None else acc + v * c
@@ -191,31 +157,22 @@ def nilpotent_exp_sparse(nil: dict, size: int) -> dict:
     return {p: v for p, v in out.items() if not _is_zero(v)}
 
 
-def mul_unipotent(m: Matrix, f: dict, left: bool = False) -> Matrix:
-    """m (I + F), or (I + F) m with ``left``, for a square m and F a sparse
-    entry map.
+def mul_unipotent(m: Matrix, f: dict) -> Matrix:
+    """m (I + F) for a square m and F a sparse entry map.
 
-    Only the columns (with ``left``, the rows) that F touches are formed
-    again, each entry as the :func:`sparse_dot` of that line of I + F with
-    m; the others are those of m.  The diagonal of I + F is F's plus an
-    exact one.
+    Only the columns that F touches are formed again, each entry as the
+    :func:`sparse_dot` of that column of I + F with a row of m; the others
+    are those of m.  The diagonal of I + F is F's plus an exact one.
     """
-    # (i, j) of the product's entry k on line `line`; left is the
-    # transposed case
-    at = (lambda line, k: (line, k)) if left else (lambda line, k: (k, line))
-    lines: dict[int, dict[int, object]] = {}
+    cols: dict[int, dict[int, object]] = {}
     for (i, j), x in f.items():
-        line, inner = at(i, j)
-        lines.setdefault(line, {})[inner] = x
-    # factors[k][q]: the entry of m that position q of a line meets
-    factors = [list(col) for col in zip(*m)] if left else m
+        cols.setdefault(j, {})[i] = x
     out = [row[:] for row in m]
-    for line, col in lines.items():
-        col[line] = col[line] + 1 if line in col else Q(1)
+    for j, col in cols.items():
+        col[j] = col[j] + 1 if j in col else Q(1)
         terms = sorted(col.items())
-        for k, factor in enumerate(factors):
-            acc = sparse_dot(terms, factor.__getitem__, terms_left=left)
-            i, j = at(line, k)
+        for i, row in enumerate(m):
+            acc = sparse_dot(terms, row.__getitem__, terms_left=False)
             out[i][j] = m[i][j] * 0 if acc is None else acc
     return out
 

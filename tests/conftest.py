@@ -78,6 +78,22 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def frac_identity(n: int):
+    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+
+
 def dense(entry_map, size):
     """The size x size Fraction matrix of a sparse entry map {(i, j): value},
     for the oracles that need whole matrices."""

@@ -17,7 +17,8 @@ from fractions import Fraction as Q
 
 import pytest
 from conftest import (cartan_element, dense, flip_component_table,
-                      flip_poly, mat_eq, record_acceptance)
+                      flip_poly, mat_add, mat_eq, mat_sub, record_acceptance)
+from oracles import unipotent_inverse
 
 from mclab import linalg
 from mclab.fields import PolyVectorField
@@ -341,7 +342,7 @@ def test_criterion_6_oracle(sl4, chart_sl4):
     # point and read the corner entry
     gen = chart_sl4.generic_matrix()
     ident = chart_sl4._poly_identity(chart_sl4.nvars)
-    n_inv = linalg.unipotent_inverse(gen, ident)
+    n_inv = unipotent_inverse(gen, ident)
     hmat = [[Poly.const(chart_sl4.nvars,
                         [Q(-1), Q(1, 2), Q(-1, 2), Q(1)][r] if r == c else 0)
              for c in range(4)] for r in range(4)]
@@ -431,13 +432,13 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
     for alg, chart in ((sl3, chart_sl3), (sl4, chart_sl4), (sp2, chart_sp2)):
         basis = [dense(e, alg.realization.size)
                  for e in alg.realization.entries]
-        comm = lambda a, b: linalg.mat_sub(linalg.mat_mul(a, b),
+        comm = lambda a, b: mat_sub(linalg.mat_mul(a, b),
                                            linalg.mat_mul(b, a))
         for a in basis:
             for b in basis:
                 for c in basis:
                     lhs = comm(a, comm(b, c))
-                    rhs = linalg.mat_add(comm(comm(a, b), c),
+                    rhs = mat_add(comm(comm(a, b), c),
                                          comm(b, comm(a, c)))
                     assert mat_eq(lhs, rhs)
         frame = {r: chart.frame_field(r) for r in chart.coord_roots}
@@ -505,7 +506,7 @@ def test_criterion_9_nu(sl4, sp2, chart_sl4, chart_sp2):
                     if kb < ka:
                         continue
                     mb = dense(real.entries[kb], real.size)
-                    comm = linalg.mat_sub(linalg.mat_mul(ma, mb),
+                    comm = mat_sub(linalg.mat_mul(ma, mb),
                                           linalg.mat_mul(mb, ma))
                     coeffs = real.read(range(alg.dim),
                                        lambda i, j: comm[i][j])
@@ -568,7 +569,7 @@ def test_criterion_9_norma():
                 for g in hs.C:
                     x_neg = matrix[alg.full_index(neg)]
                     x_g = matrix[alg.full_index(g)]
-                    comm = linalg.mat_sub(linalg.mat_mul(x_neg, x_g),
+                    comm = mat_sub(linalg.mat_mul(x_neg, x_g),
                                           linalg.mat_mul(x_g, x_neg))
                     cf = real.read(range(alg.dim), lambda i, j: comm[i][j])
                     for k, c in enumerate(cf):

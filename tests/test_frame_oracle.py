@@ -19,7 +19,7 @@ from mclab.liealg import (build_sp, first_kind_chart, matrix_chart,
                           second_kind_chart, three_factor_chart)
 from mclab.poly import Poly
 
-from conftest import dense
+from conftest import dense, mat_add
 
 
 def reference_frame(chart):
@@ -32,7 +32,7 @@ def reference_frame(chart):
         x_r = chart.realization.entries[chart.algebra.full_index(r)]
         step = [[Poly.var(ext, eps, x) for x in row]
                 for row in dense(x_r, chart.realization.size)]
-        moved = linalg.mat_mul(gen, linalg.mat_add(ident, step))
+        moved = linalg.mat_mul(gen, mat_add(ident, step))
         row = {}
         for k, c in enumerate(chart.extract(moved)):
             d = c.diff(eps).subs({eps: 0})

@@ -11,6 +11,8 @@ from mclab.hessenberg import enumerate_all, type_p_subset, validate
 from mclab.liealg import build_sl, build_sp, matrix_chart
 from mclab.poly import Poly
 
+from oracles import unipotent_inverse
+
 H_SL4 = [Q(-1), Q(-1, 2), Q(-1)]     # diag(-1, 1/2, -1/2, 1)
 
 
@@ -19,7 +21,7 @@ def literal_conjugation_entry(chart, h_diag, i, j):
     the generic matrix by direct multiplication."""
     gen = chart.generic_matrix()
     ident = chart._poly_identity(chart.nvars)
-    n_inv = linalg.unipotent_inverse(gen, ident)
+    n_inv = unipotent_inverse(gen, ident)
     hmat = [[Poly.const(chart.nvars, h_diag[r] if r == c else 0)
              for c in range(len(h_diag))] for r in range(len(h_diag))]
     conj = linalg.mat_mul(linalg.mat_mul(n_inv, hmat), gen)

@@ -8,7 +8,7 @@ from mclab.hessenberg import (HessenbergError, analyze, check_norma,
 from mclab.liealg import build_sl, build_sp
 from mclab.rootsys import build_root_system
 
-from conftest import dense
+from conftest import dense, mat_sub
 
 ENUM_SYSTEMS = [("A", 2), ("A", 3), ("A", 4),
                 ("B", 3), ("C", 2), ("C", 3), ("C", 4), ("D", 4)]
@@ -191,7 +191,7 @@ def _brute_force_normalizer_support(algebra, hs):
         neg = rs.neg(a)
         ok = True
         for g in hs.C:
-            comm = linalg.mat_sub(
+            comm = mat_sub(
                 linalg.mat_mul(root_matrix(neg), root_matrix(g)),
                 linalg.mat_mul(root_matrix(g), root_matrix(neg)))
             coeffs = real.read(range(algebra.dim), lambda i, j: comm[i][j])

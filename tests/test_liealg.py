@@ -14,16 +14,25 @@ from mclab.liealg import (Chart, LieAlgebraError, _sparse_bracket,
                           three_factor_chart)
 from mclab.poly import Poly
 
-from conftest import dense, mat_eq, solve_H0
-from oracles import adjoint_series_of_point, dense_generic_point
+from conftest import (dense, frac_identity, mat_add, mat_eq, mat_scale,
+                      mat_sub, solve_H0)
+from oracles import (adjoint_series_of_point, closed_form_generic_point,
+                     dense_generic_point, unipotent_inverse)
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "sp2"]
+_CHART_KINDS = ("matrix", "first_kind", "second_kind", "three_factor")
 
 
 @pytest.fixture(scope="module")
 def algebras(sl2, sl3, sl4, sl5, sp2, sp3, sp4):
-    return {"sl2": sl2, "sl3": sl3, "sl4": sl4, "sl5": sl5, "sp2": sp2,
-            "sp3": sp3, "sp4": sp4}
+    return {"sl2": sl2, "sl3": sl3, "sl4": sl4, "sl5": sl5,
+            "sl6": build_sl(6), "sp2": sp2, "sp3": sp3, "sp4": sp4}
+
+
+def _kinds(name):
+    """The chart kinds that exist for the algebra: every kind but the
+    matrix-entry one for sp(l >= 3)."""
+    return _CHART_KINDS[1:] if name in ("sp3", "sp4") else _CHART_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +50,7 @@ def test_sp3_spot_checks(sp3):
         for b in sample:
             for c in sample:
                 lhs = _comm(a, _comm(b, c))
-                rhs = linalg.mat_add(_comm(_comm(a, b), c),
+                rhs = mat_add(_comm(_comm(a, b), c),
                                      _comm(b, _comm(a, c)))
                 assert mat_eq(lhs, rhs)
     for (a, b), c in sp3.c.items():
@@ -58,7 +67,7 @@ def _root_matrix(alg, root_id):
 
 
 def _comm(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +82,7 @@ def test_jacobi_identity_exhaustive(name, algebras):
         lhs = _comm(a, _comm(b, c))
         mid = _comm(_comm(a, b), c)
         rhs = _comm(b, _comm(a, c))
-        assert mat_eq(lhs, linalg.mat_add(mid, rhs))
+        assert mat_eq(lhs, mat_add(mid, rhs))
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -132,7 +141,7 @@ def test_sl3_and_sl2_realizations(sl2, sl3):
     # single positive-root bracket in rank one: [H, E] = 2E
     h = dense(sl2.realization.cartan[0], 2)
     e = _root_matrix(sl2, 0)
-    assert mat_eq(_comm(h, e), linalg.mat_scale(e, Q(2)))
+    assert mat_eq(_comm(h, e), mat_scale(e, Q(2)))
     # the top root space of sl(3) is the corner matrix
     top = _root_matrix(sl3, sl3.rs.highest_root.id)
     expect = [[Q(0)] * 3 for _ in range(3)]
@@ -203,9 +212,9 @@ def test_group_identity_and_inverse(chart_sl4):
     e = [Q(0)] * chart_sl4.nvars
     assert chart_sl4.multiply(e, pt) == pt
     assert chart_sl4.multiply(pt, e) == pt
-    ident = linalg.frac_identity(chart_sl4.realization.size)
+    ident = frac_identity(chart_sl4.realization.size)
     inv = chart_sl4.coords_of_matrix(
-        linalg.unipotent_inverse(chart_sl4.point_matrix(pt), ident))
+        unipotent_inverse(chart_sl4.point_matrix(pt), ident))
     assert chart_sl4.multiply(pt, inv) == e
     assert chart_sl4.multiply(inv, pt) == e
 
@@ -249,6 +258,34 @@ def test_chart_changes_are_mutually_inverse(sl3, sl4, sp2):
 def test_unknown_chart_kind_fails_at_construction(sl3):
     with pytest.raises(LieAlgebraError, match="unknown chart kind"):
         Chart(sl3, "bogus")
+
+
+def test_matrix_chart_without_entry_order_fails_at_construction(sp3):
+    with pytest.raises(LieAlgebraError, match="matrix chart unavailable"):
+        Chart(sp3, "matrix")
+
+
+def _shifted_identity(size, i, j, c):
+    m = frac_identity(size)
+    m[i][j] = Q(c)
+    return m
+
+
+@pytest.mark.parametrize("name,bad,error", [
+    ("sl3", _shifted_identity(3, 1, 0, 5), LieAlgebraError),
+    ("sl3", [[Q(2), Q(7), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)]],
+     ValueError),
+    ("sp3", _shifted_identity(6, 3, 0, 4), LieAlgebraError),
+])
+def test_coords_of_matrix_rejects_matrix_outside_n(name, bad, error,
+                                                   algebras):
+    """Lower-triangular unipotent matrices are not points of N, and every
+    chart kind says so instead of returning coordinates.  A non-unipotent
+    matrix may instead raise the log series' ValueError, which
+    LieAlgebraError subclasses."""
+    for kind in _kinds(name):
+        with pytest.raises(error):
+            Chart(algebras[name], kind).coords_of_matrix(bad)
 
 
 def test_frame_sl3_matches_reference(chart_sl3):
@@ -399,7 +436,7 @@ def test_decompose_basis_matrices(name, algebras):
     # to choose the decomposition positions from)
     alg = algebras[name.removesuffix("-ad")]
     real = alg.ad_realization() if name.endswith("-ad") else alg.realization
-    for k, unit in enumerate(linalg.frac_identity(real.dim)):
+    for k, unit in enumerate(frac_identity(real.dim)):
         assert real.decompose(real.entries[k]) == unit
     coeffs = [Q(k - 3, k + 1) for k in range(real.dim)]
     combo = {}
@@ -433,13 +470,22 @@ def test_sparse_decompose_matches_dense(name, algebras):
                     real.read(every, lambda i, j: m[i][j])
 
 
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sl6", "sp2"])
+def test_matrix_chart_generic_point_is_closed_form(name, algebras):
+    """The matrix-entry chart's product of root-group exponentials is the
+    closed form: I + sum_r x_r E_r for sl(n), the standard presentation's
+    point for sp(2)."""
+    chart = matrix_chart(algebras[name])
+    assert chart.generic_matrix() == closed_form_generic_point(chart)
+
+
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sl5", "sp2", "sp3", "sp4"])
 def test_generic_point_matches_dense_exponential_product(name, algebras):
-    """The exponential charts' sparse generic point equals the dense
-    product of the dense exponentials of their root groups, term order
-    included, and extraction reads the coordinates back."""
+    """Every chart's sparse generic point equals the dense product of the
+    dense exponentials of its root groups, term order included, and
+    extraction reads the coordinates back."""
     alg = algebras[name]
-    for kind in ("first_kind", "second_kind", "three_factor"):
+    for kind in _kinds(name):
         chart = Chart(alg, kind)
         got = chart.generic_matrix()
         want = dense_generic_point(chart)
@@ -452,16 +498,16 @@ def test_generic_point_matches_dense_exponential_product(name, algebras):
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sp3"])
 def test_generic_inverse_matches_neumann_series(name, algebras):
-    """The exponential charts invert the generic point as the reversed
-    product of their groups' exp(-N).  It equals the finite Neumann series
-    on the generic point, and, term order included, the dense product of
-    the dense exponentials."""
+    """Every chart inverts the generic point as the reversed product of its
+    groups' exp(-N).  It equals the finite Neumann series on the generic
+    point, and, term order included, the dense product of the dense
+    exponentials."""
     alg = algebras[name]
-    for kind in ("first_kind", "second_kind", "three_factor"):
+    for kind in _kinds(name):
         chart = Chart(alg, kind)
         got = chart.generic_inverse()
         ident = chart._poly_identity(chart.nvars)
-        assert got == linalg.unipotent_inverse(chart.generic_matrix(), ident)
+        assert got == unipotent_inverse(chart.generic_matrix(), ident)
         for rg, rw in zip(got, dense_generic_point(chart, inverse=True)):
             for x, y in zip(rg, rw):
                 assert list(x.terms.items()) == list(y.terms.items())

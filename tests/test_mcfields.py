@@ -18,7 +18,7 @@ from mclab.mcfields import (McError, McSolution, McSystem,
 from mclab.poly import Poly, monomials_of_weighted_degree
 from mclab.prolong import prolong
 
-from conftest import cartan_element, dense, solve_H0
+from conftest import cartan_element, dense, mat_sub, solve_H0
 from oracles import coordinates_in_span
 
 
@@ -427,7 +427,7 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
                     if kb < ka:
                         continue
                     mb = dense(real.entries[kb], real.size)
-                    comm = linalg.mat_sub(linalg.mat_mul(ma, mb),
+                    comm = mat_sub(linalg.mat_mul(ma, mb),
                                           linalg.mat_mul(mb, ma))
                     coeffs = real.read(range(alg.dim),
                                        lambda i, j: comm[i][j])

@@ -11,8 +11,9 @@ from mclab import linalg
 from mclab.liealg import Chart, adjoint_of_point
 from mclab.poly import Poly, monomials_of_weighted_degree, parse_fraction
 
-from conftest import dense, mat_eq
-from oracles import coordinates_in_span, dense_generic_point, nilpotent_exp
+from conftest import dense, frac_identity, mat_add, mat_eq
+from oracles import (DENSE_COEFFS, coordinates_in_span, dense_generic_point,
+                     dense_nilpotent_series)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -373,39 +374,35 @@ def test_symmetric_signature():
 
 
 def test_nilpotent_series():
-    ident = linalg.frac_identity(3)
-    n = [[Q(0), Q(1), Q(2)], [Q(0), Q(0), Q(3)], [Q(0), Q(0), Q(0)]]
-    u = linalg.mat_add(ident, n)
-    inv = linalg.unipotent_inverse(u, ident)
-    assert mat_eq(linalg.mat_mul(u, inv), ident)
-    log = linalg.unipotent_log(u, ident)
-    exp = nilpotent_exp(log, ident)
-    assert mat_eq(exp, u)
-
+    n = {(0, 1): Q(1), (0, 2): Q(2), (1, 2): Q(3)}
+    u = mat_add(frac_identity(3), dense(n, 3))
+    inv = linalg.nilpotent_series(n, 3, linalg.inverse_coeff)
+    assert mat_eq(linalg.mat_mul(u, mat_add(frac_identity(3), dense(inv, 3))),
+                  frac_identity(3))
+    log = linalg.nilpotent_series(n, 3, linalg.log_coeff)
+    assert linalg.nilpotent_series(log, 3, linalg.exp_coeff) == n
 
 
 _X = Poly.var(1, 0)
-_O = Poly.zero(1)
-_I = Poly.const(1, 1)
 
 
-@pytest.mark.parametrize("series,bad,poly_bad", [
-    # unipotent_inverse and unipotent_log see N = a - I = [[1, 1], [0, 0]]
-    # (N^2 = N) and [[x, 0], [0, 0]]; nilpotent_exp sees N = a itself
-    (linalg.unipotent_inverse, [[Q(2), Q(1)], [Q(0), Q(1)]],
-     [[_X + 1, _O], [_O, _I]]),
-    (linalg.unipotent_log, [[Q(2), Q(1)], [Q(0), Q(1)]],
-     [[_X + 1, _O], [_O, _I]]),
-    (nilpotent_exp, [[Q(0), Q(1)], [Q(1), Q(0)]],
-     [[_O, _X], [_X, _O]]),
+@pytest.mark.parametrize("coeff,bad,poly_bad", [
+    # the log and the inverse of I + N for N = [[1, 1], [0, 0]] (N^2 = N)
+    # and [[x, 0], [0, 0]]; the exponential of [[0, 1], [1, 0]] and
+    # [[0, x], [x, 0]]
+    (linalg.inverse_coeff, {(0, 0): Q(1), (0, 1): Q(1)}, {(0, 0): _X}),
+    (linalg.log_coeff, {(0, 0): Q(1), (0, 1): Q(1)}, {(0, 0): _X}),
+    (linalg.exp_coeff, {(0, 1): Q(1), (1, 0): Q(1)},
+     {(0, 1): _X, (1, 0): _X}),
 ])
-def test_series_reject_non_unipotent(series, bad, poly_bad):
-    """A truncated series would be silently wrong: inputs whose nilpotent
-    part N has N^n != 0 raise instead, for Fraction and Poly entries."""
-    with pytest.raises(ValueError, match="not (unipotent|nilpotent)"):
-        series(bad, linalg.frac_identity(2))
-    with pytest.raises(ValueError, match="not (unipotent|nilpotent)"):
-        series(poly_bad, [[_I, _O], [_O, _I]])
+def test_series_reject_non_unipotent(coeff, bad, poly_bad):
+    """A truncated series would be silently wrong: inputs N with N^n != 0
+    raise instead, for Fraction and Poly entries and every coefficient
+    rule."""
+    with pytest.raises(ValueError, match="not nilpotent"):
+        linalg.nilpotent_series(bad, 2, coeff)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        linalg.nilpotent_series(poly_bad, 2, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -489,53 +486,66 @@ def _strictly_upper_after(perm, m, zero):
             for i, row in enumerate(m)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), kind=st.sampled_from([Q, Poly]), left=st.booleans(),
-       shear=st.booleans())
-def test_sparse_group_exponential_matches_dense(data, kind, left, shear):
-    """exp(N) - I of a nilpotent N as a sparse entry map equals the dense
-    series, and multiplying by I + F on either side equals the dense loop
-    product with I + F: values, types and term order.  With ``shear``, N
-    is conjugated by I + c E_ab, so that N, and F, may have diagonal
-    entries (exp(N) - I then may have -1 there, a zero of I + F)."""
-    n = data.draw(st.integers(1, 4))
+def _dense_identity(zero, n):
+    return [[zero + 1 if i == j else zero for j in range(n)]
+            for i in range(n)]
+
+
+def _draw_nilpotent(data, kind, n):
+    """A nilpotent n x n matrix, strictly upper in a drawn order.  Half of
+    the time it is conjugated by I + c E_ab, so that it may have diagonal
+    entries."""
     zero = Q(0) if kind is Q else Poly.zero(2)
-    ident = (linalg.frac_identity(n) if kind is Q else
-             [[Poly.const(2, int(i == j)) for j in range(n)]
-              for i in range(n)])
+    ident = _dense_identity(zero, n)
     perm = data.draw(st.permutations(range(n)))
     nil = _strictly_upper_after(perm, _draw_matrix(data, kind, n, n), zero)
-    if shear and n > 1:
+    if data.draw(st.booleans()) and n > 1:
         a, b = data.draw(st.permutations(range(n)))[:2]
         c = data.draw(_small)
         p, p_inv = [row[:] for row in ident], [row[:] for row in ident]
         p[a][b], p_inv[a][b] = ident[0][0] * c, ident[0][0] * -c
         nil = _dense_mat_mul(_dense_mat_mul(p, nil), p_inv)
-    f = linalg.nilpotent_exp_sparse(
+    return nil
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Q, Poly]),
+       rule=st.sampled_from(["exp", "log", "inverse"]))
+def test_nilpotent_series_matches_dense(data, kind, rule):
+    """The sparse series sum_k c_k N^k of a nilpotent entry map equals the
+    dense series with independently written coefficients, for exp, log
+    and the inverse: values, types and term order, and no zeros kept."""
+    n = data.draw(st.integers(1, 4))
+    nil = _draw_nilpotent(data, kind, n)
+    got = linalg.nilpotent_series(
         {(i, j): x for i, row in enumerate(nil) for j, x in enumerate(row)},
-        n)
-    want = nilpotent_exp(nil, ident)
-    assert all(x != 0 and (shear or i != j) for (i, j), x in f.items())
-    # the diagonal of the dense series adds its terms to the identity's
-    # one, so only its values compare
-    assert all(f.get((i, i), zero) + 1 == want[i][i] for i in range(n))
-    _assert_same_entries(
-        [[f.get((i, j), zero) if i != j else want[i][j] for j in range(n)]
-         for i in range(n)], want)
-    unipotent = [[f.get((i, j), zero) if i != j
-                  else f[i, i] + 1 if (i, i) in f else ident[i][i]
+        n, getattr(linalg, rule + "_coeff"))
+    zero = nil[0][0] * 0
+    zeros = [[zero] * n for _ in range(n)]
+    want = dense_nilpotent_series(nil, _dense_identity(zero, n), zeros,
+                                  DENSE_COEFFS[rule])
+    assert all(x != 0 for x in got.values())
+    _assert_same_entries([[got.get((i, j), zero) for j in range(n)]
+                          for i in range(n)], want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Q, Poly]))
+def test_sparse_group_exponential_matches_dense(data, kind):
+    """Multiplying a matrix by I + F, for F = exp(N) - I of a nilpotent N
+    (diagonal entries, and -1 there, included), equals the dense loop
+    product with I + F: values, types and term order."""
+    n = data.draw(st.integers(1, 4))
+    nil = _draw_nilpotent(data, kind, n)
+    f = linalg.nilpotent_series(
+        {(i, j): x for i, row in enumerate(nil) for j, x in enumerate(row)},
+        n, linalg.exp_coeff)
+    ident = _dense_identity(nil[0][0] * 0, n)
+    unipotent = [[f[i, j] + ident[i][j] if (i, j) in f else ident[i][j]
                   for j in range(n)] for i in range(n)]
     m = _draw_matrix(data, kind, n, n)
-    got = linalg.mul_unipotent(m, f, left=left)
-    _assert_same_entries(got, _dense_mat_mul(unipotent, m) if left
-                         else _dense_mat_mul(m, unipotent))
-
-
-def test_sparse_exponential_rejects_non_nilpotent():
-    with pytest.raises(ValueError, match="not nilpotent"):
-        linalg.nilpotent_exp_sparse({(0, 1): Q(1), (1, 0): Q(1)}, 2)
-    with pytest.raises(ValueError, match="not nilpotent"):
-        linalg.nilpotent_exp_sparse({(0, 1): _X, (1, 0): _X}, 2)
+    _assert_same_entries(linalg.mul_unipotent(m, f),
+                         _dense_mat_mul(m, unipotent))
 
 
 _ADJOINT_CASES = ([(a, k) for a in ("sl3", "sl4", "sl5", "sp2")

@@ -21,8 +21,8 @@ from mclab import liealg, linalg
 from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
                           _sparse_bracket, build_sl, build_sp)
 
-from conftest import dense, mat_eq
-from oracles import coordinates_in_span
+from conftest import dense, frac_identity, mat_eq, mat_scale, mat_sub
+from oracles import coordinates_in_span, unipotent_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ from oracles import coordinates_in_span
 # ---------------------------------------------------------------------------
 
 def _dense_bracket(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 class DenseOracle:
@@ -60,7 +60,7 @@ class DenseOracle:
             for i in range(rank):
                 comm = _dense_bracket(self.basis[i], x_r)
                 target = self.decompose(comm)[full(r)]
-                if not mat_eq(comm, linalg.mat_scale(x_r, target)):
+                if not mat_eq(comm, mat_scale(x_r, target)):
                     raise LieAlgebraError("Cartan element is not diagonal")
                 vals.append(target)
             self.functional.append(tuple(vals))
@@ -89,7 +89,7 @@ class DenseOracle:
         for a in range(nroots):
             m = self.basis[full(a)]
             coeffs = self.decompose(
-                linalg.mat_scale([list(r) for r in zip(*m)], Q(-1)))
+                mat_scale([list(r) for r in zip(*m)], Q(-1)))
             tgt = full(rs.neg(a))
             if any(x for k, x in enumerate(coeffs) if k != tgt):
                 raise LieAlgebraError("theta does not map root space to opposite")
@@ -290,9 +290,9 @@ def _mutated_sl3(kind):
     elif kind == "theta":
         # conjugating by a non-orthogonal g keeps every bracket but not
         # theta(m) = -m^T
-        g = linalg.frac_identity(3)
+        g = frac_identity(3)
         g[0][1] = Q(1)
-        g_inv = linalg.unipotent_inverse(g, linalg.frac_identity(3))
+        g_inv = unipotent_inverse(g, frac_identity(3))
         cartan, pos, neg = ([_conjugate(m, g, g_inv) for m in ms]
                             for ms in (cartan, pos, neg))
     return Realization(3, cartan, pos, neg)
