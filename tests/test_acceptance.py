@@ -433,13 +433,13 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
         basis = [dense(e, alg.realization.size)
                  for e in alg.realization.entries]
         comm = lambda a, b: mat_sub(linalg.mat_mul(a, b),
-                                           linalg.mat_mul(b, a))
+                                    linalg.mat_mul(b, a))
         for a in basis:
             for b in basis:
                 for c in basis:
                     lhs = comm(a, comm(b, c))
                     rhs = mat_add(comm(comm(a, b), c),
-                                         comm(b, comm(a, c)))
+                                  comm(b, comm(a, c)))
                     assert mat_eq(lhs, rhs)
         frame = {r: chart.frame_field(r) for r in chart.coord_roots}
         rs = alg.rs
@@ -507,7 +507,7 @@ def test_criterion_9_nu(sl4, sp2, chart_sl4, chart_sp2):
                         continue
                     mb = dense(real.entries[kb], real.size)
                     comm = mat_sub(linalg.mat_mul(ma, mb),
-                                          linalg.mat_mul(mb, ma))
+                                   linalg.mat_mul(mb, ma))
                     coeffs = real.read(range(alg.dim),
                                        lambda i, j: comm[i][j])
                     lhs = None
@@ -570,7 +570,7 @@ def test_criterion_9_norma():
                     x_neg = matrix[alg.full_index(neg)]
                     x_g = matrix[alg.full_index(g)]
                     comm = mat_sub(linalg.mat_mul(x_neg, x_g),
-                                          linalg.mat_mul(x_g, x_neg))
+                                   linalg.mat_mul(x_g, x_neg))
                     cf = real.read(range(alg.dim), lambda i, j: comm[i][j])
                     for k, c in enumerate(cf):
                         if c != 0 and (k < alg.rank

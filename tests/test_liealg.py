@@ -51,7 +51,7 @@ def test_sp3_spot_checks(sp3):
             for c in sample:
                 lhs = _comm(a, _comm(b, c))
                 rhs = mat_add(_comm(_comm(a, b), c),
-                                     _comm(b, _comm(a, c)))
+                              _comm(b, _comm(a, c)))
                 assert mat_eq(lhs, rhs)
     for (a, b), c in sp3.c.items():
         assert c != 0

@@ -428,7 +428,7 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
                         continue
                     mb = dense(real.entries[kb], real.size)
                     comm = mat_sub(linalg.mat_mul(ma, mb),
-                                          linalg.mat_mul(mb, ma))
+                                   linalg.mat_mul(mb, ma))
                     coeffs = real.read(range(alg.dim),
                                        lambda i, j: comm[i][j])
                     lhs = None
