@@ -13,7 +13,7 @@ from mclab.poly import Poly, monomials_of_weighted_degree, parse_fraction
 
 from conftest import dense, frac_identity, mat_add, mat_eq
 from oracles import (DENSE_COEFFS, coordinates_in_span, dense_generic_point,
-                     dense_nilpotent_series)
+                     dense_nilpotent_series, nilpotent_exp)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -386,23 +386,43 @@ def test_nilpotent_series():
 _X = Poly.var(1, 0)
 
 
-@pytest.mark.parametrize("coeff,bad,poly_bad", [
-    # the log and the inverse of I + N for N = [[1, 1], [0, 0]] (N^2 = N)
-    # and [[x, 0], [0, 0]]; the exponential of [[0, 1], [1, 0]] and
+def _reject_series(series, nil):
+    """Run ``series`` on the 2 x 2 matrix N of the sparse map ``nil``: a
+    coefficient rule through the sparse series, the dense exponential
+    oracle on the dense form of N (zeros and identity of N's ring)."""
+    if series is not nilpotent_exp:
+        return linalg.nilpotent_series(nil, 2, series)
+    one = next(iter(nil.values())) ** 0
+    zero = one - one
+    mat = [[nil.get((i, j), zero) for j in range(2)] for i in range(2)]
+    return nilpotent_exp(mat, [[one, zero], [zero, one]])
+
+
+@pytest.mark.parametrize("series,bad,poly_bad", [
+    # the inverse and the log of I + N for N = [[1, 1], [0, 0]] (N^2 = N)
+    # and [[x, 0], [0, 0]]; the dense exponential of [[0, 1], [1, 0]] and
     # [[0, x], [x, 0]]
     (linalg.inverse_coeff, {(0, 0): Q(1), (0, 1): Q(1)}, {(0, 0): _X}),
     (linalg.log_coeff, {(0, 0): Q(1), (0, 1): Q(1)}, {(0, 0): _X}),
-    (linalg.exp_coeff, {(0, 1): Q(1), (1, 0): Q(1)},
-     {(0, 1): _X, (1, 0): _X}),
+    (nilpotent_exp, {(0, 1): Q(1), (1, 0): Q(1)}, {(0, 1): _X, (1, 0): _X}),
 ])
-def test_series_reject_non_unipotent(coeff, bad, poly_bad):
+def test_series_reject_non_unipotent(series, bad, poly_bad):
     """A truncated series would be silently wrong: inputs N with N^n != 0
-    raise instead, for Fraction and Poly entries and every coefficient
-    rule."""
+    raise instead, for Fraction and Poly entries, in the sparse series and
+    in the dense oracle the exponential charts are checked against."""
     with pytest.raises(ValueError, match="not nilpotent"):
-        linalg.nilpotent_series(bad, 2, coeff)
+        _reject_series(series, bad)
     with pytest.raises(ValueError, match="not nilpotent"):
-        linalg.nilpotent_series(poly_bad, 2, coeff)
+        _reject_series(series, poly_bad)
+
+
+def test_sparse_exponential_rejects_non_nilpotent():
+    with pytest.raises(ValueError, match="not nilpotent"):
+        linalg.nilpotent_series({(0, 1): Q(1), (1, 0): Q(1)}, 2,
+                                linalg.exp_coeff)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        linalg.nilpotent_series({(0, 1): _X, (1, 0): _X}, 2,
+                                linalg.exp_coeff)
 
 
 # ---------------------------------------------------------------------------
