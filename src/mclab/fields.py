@@ -15,7 +15,6 @@ variables and only slice labels appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .poly import Poly
 
@@ -49,7 +48,7 @@ class PolyVectorField:
             slice_roots=self.slice_roots)
 
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return self + (other * Q(-1))
+        return self + (other * -1)
 
     def __mul__(self, c) -> "PolyVectorField":
         return PolyVectorField(

@@ -26,7 +26,7 @@ from . import linalg
 from .fields import PolyVectorField
 from .hessenberg import HessenbergSet
 from .liealg import Chart, SplitLieAlgebra, adjoint_of_point
-from .poly import Poly
+from .poly import Poly, exact
 
 
 class HessDefError(ValueError):
@@ -104,7 +104,7 @@ def defining_equations(algebra: SplitLieAlgebra, chart: Chart,
         nv = chart.nvars + algebra.rank
         lams = [Poly.var(nv, chart.nvars + i) for i in range(algebra.rank)]
     else:
-        h_coeffs = tuple(Q(c) for c in h_coeffs)
+        h_coeffs = tuple(exact(c) for c in h_coeffs)
         _regularity_check(algebra, h_coeffs)
         nv = chart.nvars
         lams = h_coeffs
@@ -177,7 +177,7 @@ def smoothness_certificate(eqs: HessenbergEquations) -> SmoothnessCertificate:
     if eqs.symbolic:
         rank = len(eqs.order) if all(not d.is_zero() for d in diagonal) else -1
     else:
-        point = [Q(0)] * nv
+        point = [0] * nv
         rows = [[p.eval(point) for p in row] for row in eqs.jacobian()]
         rank = linalg.rank(rows)
     return SmoothnessCertificate(

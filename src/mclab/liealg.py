@@ -43,7 +43,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .fields import PolyVectorField
-from .poly import Poly
+from .poly import Poly, Scalar, exact
 from .rootsys import RootSystem, build_root_system
 
 
@@ -60,13 +60,14 @@ class Realization:
     exact decomposition.
 
     The basis [cartan..., pos..., neg...] is ``entries``: one sparse entry
-    map ``{(i, j): value}`` per element, kept without zeros.  ``cartan``
-    is its first ``len(cartan)`` maps.
+    map ``{(i, j): value}`` per element, kept without zeros and with its
+    values as canonical exact scalars (:func:`mclab.poly.exact`).
+    ``cartan`` is its first ``len(cartan)`` maps.
     """
 
     def __init__(self, size, cartan, pos, neg):
         self.size = size
-        self.entries = [{p: x for p, x in e.items() if x}
+        self.entries = [{p: exact(x) for p, x in e.items() if x}
                         for e in [*cartan, *pos, *neg]]
         for e in self.entries:
             for i, j in e:
@@ -112,7 +113,7 @@ class Realization:
 
 def _sparse_bracket(a, b):
     """[A, B] = AB - BA of sparse entry maps {(i, j): value}, zeros dropped."""
-    out: dict[tuple[int, int], Q] = {}
+    out: dict[tuple[int, int], Scalar] = {}
     for (i, k), x in a.items():
         for (l, j), y in b.items():
             if k == l:      # A[i][k] B[k][j] adds to (AB)[i][j]
@@ -134,7 +135,7 @@ def _transpose(m, scale=1):
 class SplitLieAlgebra:
     def __init__(self, rs: RootSystem, family: str, param: int,
                  realization: Realization, normalized: bool,
-                 killing_factor: Q, b0_lambda: Q | None):
+                 killing_factor: Scalar, b0_lambda: Scalar | None):
         self.rs = rs
         self.family = family
         self.param = param
@@ -147,8 +148,8 @@ class SplitLieAlgebra:
         self.dim = realization.dim
         # lazily filled caches of immutable results
         self._ad_realization: Realization | None = None
-        self._cartan_gram: dict[str, list[list[Q]]] = {}
-        self._h_rep: dict[tuple[int, str], tuple[Q, ...]] = {}
+        self._cartan_gram: dict[str, list[list[Scalar]]] = {}
+        self._h_rep: dict[tuple[int, str], tuple[Scalar, ...]] = {}
         self._derive_tables()
 
     # full-basis indexing: cartan 0..rank-1, then roots by id
@@ -160,7 +161,7 @@ class SplitLieAlgebra:
         real = self.realization
         entries = real.entries
         # root functionals over the Cartan basis
-        self.functional: list[tuple[Q, ...]] = []
+        self.functional: list[tuple[Scalar, ...]] = []
         for r in range(rs.n_pos):
             vals = []
             x_r = entries[self.full_index(r)]
@@ -175,8 +176,8 @@ class SplitLieAlgebra:
         # structure constants for root pairs: [X_b, X_a] = -[X_a, X_b]
         # exactly and [X_a, X_a] = 0, so only the pairs a < b are
         # bracketed; a check failing at (b, a) fails at (a, b) first
-        half: dict[tuple[int, int], Q] = {}
-        self.h_of_bracket: dict[int, tuple[Q, ...]] = {}
+        half: dict[tuple[int, int], Scalar] = {}
+        self.h_of_bracket: dict[int, tuple[Scalar, ...]] = {}
         nroots = 2 * rs.n_pos
         for a in range(nroots):
             for b in range(a + 1, nroots):
@@ -201,7 +202,7 @@ class SplitLieAlgebra:
                     if any(x != 0 for x in coeffs):
                         raise LieAlgebraError("bracket of non-summing roots nonzero")
         # keys in the full (a, b) order, which the JSON output follows
-        self.c: dict[tuple[int, int], Q] = {}
+        self.c: dict[tuple[int, int], Scalar] = {}
         for a in range(nroots):
             for b in range(nroots):
                 if (a, b) in half:
@@ -209,7 +210,7 @@ class SplitLieAlgebra:
                 elif (b, a) in half:
                     self.c[(a, b)] = -half[(b, a)]
         # theta scalars: theta(X_id) = s * X_{-id}, theta(m) = -m^T
-        self.theta_scalar: dict[int, Q] = {}
+        self.theta_scalar: dict[int, Scalar] = {}
         for a in range(nroots):
             coeffs = real.decompose(_transpose(entries[self.full_index(a)], -1))
             tgt = self.full_index(rs.neg(a))
@@ -218,21 +219,21 @@ class SplitLieAlgebra:
             self.theta_scalar[a] = coeffs[tgt]
 
     # ---- bilinear forms ----------------------------------------------------
-    def trace_form(self, m1, m2) -> Q:
+    def trace_form(self, m1, m2) -> Scalar:
         """tr(m1 m2) of two entry maps: m1[i, j] * m2[j, i] summed over the
         entries of m1."""
-        return sum((x * m2[j, i] for (i, j), x in m1.items() if (j, i) in m2),
-                   Q(0))
+        return exact(sum(x * m2[j, i] for (i, j), x in m1.items()
+                         if (j, i) in m2))
 
-    def killing(self, m1, m2) -> Q:
-        return self.killing_factor * self.trace_form(m1, m2)
+    def killing(self, m1, m2) -> Scalar:
+        return exact(self.killing_factor * self.trace_form(m1, m2))
 
-    def b0(self, m1, m2) -> Q:
+    def b0(self, m1, m2) -> Scalar:
         if self.b0_lambda is None:
             raise LieAlgebraError("no rational normalization form for this algebra")
         return self.b0_lambda * self.trace_form(m1, m2)
 
-    def alpha_value(self, root_id: int, h_coeffs) -> Q:
+    def alpha_value(self, root_id: int, h_coeffs) -> Scalar:
         """Value of the root functional on a Cartan element (coefficients)."""
         if root_id < self.n_pos:
             vals = self.functional[root_id]
@@ -240,7 +241,7 @@ class SplitLieAlgebra:
         else:
             vals = self.functional[root_id - self.n_pos]
             sign = -1
-        return sign * sum((Q(c) * v for c, v in zip(h_coeffs, vals)), Q(0))
+        return exact(sign * sum(exact(c) * v for c, v in zip(h_coeffs, vals)))
 
     def h_representing(self, root_id: int, form: str = "normalization"):
         """Cartan coefficients of H_alpha with B(H, H_alpha) = alpha(H)."""
@@ -301,15 +302,15 @@ def build_sl(n: int) -> SplitLieAlgebra:
     if n < 2:
         raise LieAlgebraError("sl(n) requires n >= 2")
     rs = build_root_system("A", n - 1)
-    cartan = [{(i, i): Q(1), (i + 1, i + 1): Q(-1)} for i in range(n - 1)]
+    cartan = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
     pos, neg = [], []
     for r in rs.positive_roots:
         i, j = _sl_position(r.coeffs)
-        pos.append({(i, j): Q(1)})
-        neg.append({(j, i): Q(1)})
+        pos.append({(i, j): 1})
+        neg.append({(j, i): 1})
     real = Realization(n, cartan, pos, neg)
     return SplitLieAlgebra(rs, "sl", n, real, normalized=True,
-                           killing_factor=Q(2 * n), b0_lambda=Q(1))
+                           killing_factor=2 * n, b0_lambda=1)
 
 
 def build_sp(l: int) -> SplitLieAlgebra:
@@ -319,16 +320,16 @@ def build_sp(l: int) -> SplitLieAlgebra:
         raise LieAlgebraError("sp(l) requires l >= 2")
     rs = build_root_system("C", l)
     if l == 2:
-        cartan = [{(0, 0): Q(1), (2, 2): Q(-1)}, {(1, 1): Q(1), (3, 3): Q(-1)}]
+        cartan = [{(0, 0): 1, (2, 2): -1}, {(1, 1): 1, (3, 3): -1}]
         # E_U, E_X, E_Y, E_Z in contract order: a, b, a+b, 2a+b
-        pos = [{(1, 0): Q(-1, 2), (2, 3): Q(1, 2)}, {(3, 1): Q(2)},
-               {(2, 1): Q(1), (3, 0): Q(1)}, {(2, 0): Q(1)}]
-        scalars = [Q(2), Q(1, 4), Q(1, 2), Q(1)]
+        pos = [{(1, 0): Q(-1, 2), (2, 3): Q(1, 2)}, {(3, 1): 2},
+               {(2, 1): 1, (3, 0): 1}, {(2, 0): 1}]
+        scalars = [2, Q(1, 4), Q(1, 2), 1]
         neg = [_transpose(m, s) for m, s in zip(pos, scalars)]
         real = Realization(4, cartan, pos, neg)
         return SplitLieAlgebra(rs, "sp", 2, real, normalized=True,
-                               killing_factor=Q(2 * l + 2), b0_lambda=Q(1))
-    cartan = [{(i, i): Q(1), (l + i, l + i): Q(-1)} for i in range(l)]
+                               killing_factor=2 * l + 2, b0_lambda=1)
+    cartan = [{(i, i): 1, (l + i, l + i): -1} for i in range(l)]
     # epsilon-vector of each positive root
     simple_eps = []
     for i in range(l - 1):
@@ -344,20 +345,20 @@ def build_sp(l: int) -> SplitLieAlgebra:
                for i in range(l)]
         if 2 in eps:
             i = eps.index(2)
-            m = {(i, l + i): Q(1)}
+            m = {(i, l + i): 1}
         else:
             i = eps.index(1)
             if -1 in eps:
                 j = eps.index(-1)
-                m = {(i, j): Q(1), (l + j, l + i): Q(-1)}
+                m = {(i, j): 1, (l + j, l + i): -1}
             else:
                 j = eps.index(1, i + 1)
-                m = {(i, l + j): Q(1), (j, l + i): Q(1)}
+                m = {(i, l + j): 1, (j, l + i): 1}
         pos.append(m)
         neg.append(_transpose(m))
     real = Realization(2 * l, cartan, pos, neg)
     return SplitLieAlgebra(rs, "sp", l, real, normalized=False,
-                           killing_factor=Q(2 * l + 2), b0_lambda=None)
+                           killing_factor=2 * l + 2, b0_lambda=None)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ class Chart:
 
     def _poly_identity(self, nvars):
         size = self.realization.size
-        return [[Poly.const(nvars, Q(1) if i == j else Q(0))
+        return [[Poly.const(nvars, 1 if i == j else 0)
                  for j in range(size)] for i in range(size)]
 
     # ---- generic point -------------------------------------------------------
@@ -474,7 +475,8 @@ class Chart:
 
     # ---- extraction -----------------------------------------------------------
     def extract(self, m):
-        """Chart coordinates of a group matrix; entries may be Fraction or Poly.
+        """Chart coordinates of a group matrix; entries may be exact scalars
+        or Poly.
 
         The charts peel one factor group at a time from the entry map
         C = m - I of the remaining product: the log of I + C, read at the
@@ -512,21 +514,21 @@ class Chart:
 
     # ---- points ---------------------------------------------------------------
     def point_matrix(self, values):
-        values = [Q(v) for v in values]
+        values = [exact(v) for v in values]
         gen = self.generic_matrix()
         return [[entry.eval(values) for entry in row] for row in gen]
 
-    def coords_of_matrix(self, m) -> list[Q]:
+    def coords_of_matrix(self, m) -> list[Scalar]:
         """Coordinates of a rational matrix of N.  The point is recomposed
         from them, so a matrix outside N raises ``LieAlgebraError`` (a
         non-unipotent one may raise the log series' ``ValueError``)."""
-        coords = [Q(c) if not isinstance(c, Poly) else c.constant_value()
+        coords = [c.constant_value() if type(c) is Poly else exact(c)
                   for c in self.extract(m)]
         if self.point_matrix(coords) != m:
             raise LieAlgebraError("matrix is not a point of the chart's group")
         return coords
 
-    def multiply(self, pa, pb) -> list[Q]:
+    def multiply(self, pa, pb) -> list[Scalar]:
         prod = linalg.mat_mul(self.point_matrix(pa), self.point_matrix(pb))
         return self.coords_of_matrix(prod)
 
@@ -550,7 +552,7 @@ class Chart:
             return self._frame_cache[key]
         if key is not None:
             full = self.frame_components(None)
-            csub = {self.coord_index(r): Q(0)
+            csub = {self.coord_index(r): 0
                     for r in self.coord_roots if r not in key}
             rows = {}
             for g in key:

@@ -1,7 +1,12 @@
 """Exact linear and matrix algebra helpers.
 
-Matrices are lists of lists whose entries are either ``Fraction`` or any
-ring element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
+Matrices are lists of lists whose entries are exact scalars or any ring
+element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
+Scalars follow the rule of :mod:`mclab.poly`: an ``int`` when integral,
+else a ``Fraction``, never an approximate number, and divided only
+through ``Fraction``.  Every scalar computed here is returned in that
+form, whatever the form of the scalars given.
+
 The exponential, the log and the unipotent inverse are one finite series
 in a nilpotent matrix N given as a sparse entry map, summed until its
 power vanishes (:func:`nilpotent_series`, one coefficient rule each).
@@ -22,18 +27,24 @@ trace) wraps and reports.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Callable
 
-from .poly import Poly
+from .poly import Poly, Scalar, exact
 
 Matrix = list
-_ZERO = Q(0)
+_ZERO = 0
 
 
 # ---------------------------------------------------------------------------
 # generic matrix arithmetic
 # ---------------------------------------------------------------------------
+
+def _canonical(x):
+    """x with an integral Fraction made an int; other ring elements are
+    returned as they are."""
+    return exact(x) if type(x) is Q else x
+
 
 def _is_zero(x) -> bool:
     # an exact type test: isinstance against Fraction goes through
@@ -65,7 +76,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for j, y in bt:
                 acc = row[j]
                 row[j] = x * y if acc is None else acc + x * y
-        out.append([ai[0] * b[0][j] if acc is None else acc
+        out.append([_canonical(ai[0] * b[0][j] if acc is None else acc)
                     for j, acc in enumerate(row)])
     return out
 
@@ -94,7 +105,7 @@ def sparse_dot(terms, factor, terms_left: bool = True):
             continue
         t = x * y if terms_left else y * x
         acc = t if acc is None else acc + t
-    return acc
+    return _canonical(acc)
 
 
 def sparse_mul(a: dict, b: dict) -> dict:
@@ -116,19 +127,20 @@ def sparse_mul(a: dict, b: dict) -> dict:
 
 # coefficient rules c_k of the series sum_{k >= 1} c_k N^k:
 # exp(N) - I, log(I + N) and (I + N)^{-1} - I
-def exp_coeff(k: int) -> Q:
-    return Q(1, factorial(k))
+def exp_coeff(k: int) -> Scalar:
+    return exact(Q(1, factorial(k)))
 
 
-def log_coeff(k: int) -> Q:
-    return Q((-1) ** (k + 1), k)
+def log_coeff(k: int) -> Scalar:
+    return exact(Q((-1) ** (k + 1), k))
 
 
-def inverse_coeff(k: int) -> Q:
-    return Q((-1) ** k)
+def inverse_coeff(k: int) -> Scalar:
+    return (-1) ** k
 
 
-def nilpotent_series(nil: dict, size: int, coeff: Callable[[int], Q]) -> dict:
+def nilpotent_series(nil: dict, size: int,
+                     coeff: Callable[[int], Scalar]) -> dict:
     """sum_{k >= 1} coeff(k) N^k for a nilpotent size x size matrix N
     given as a sparse entry map, as an entry map without zeros.
 
@@ -154,7 +166,7 @@ def nilpotent_series(nil: dict, size: int, coeff: Callable[[int], Q]) -> dict:
     else:
         if power:
             raise ValueError("matrix is not nilpotent")
-    return {p: v for p, v in out.items() if not _is_zero(v)}
+    return {p: _canonical(v) for p, v in out.items() if not _is_zero(v)}
 
 
 def mul_unipotent(m: Matrix, f: dict) -> Matrix:
@@ -169,11 +181,11 @@ def mul_unipotent(m: Matrix, f: dict) -> Matrix:
         cols.setdefault(j, {})[i] = x
     out = [row[:] for row in m]
     for j, col in cols.items():
-        col[j] = col[j] + 1 if j in col else Q(1)
+        col[j] = col[j] + 1 if j in col else 1
         terms = sorted(col.items())
         for i, row in enumerate(m):
             acc = sparse_dot(terms, row.__getitem__, terms_left=False)
-            out[i][j] = m[i][j] * 0 if acc is None else acc
+            out[i][j] = _canonical(m[i][j] * 0) if acc is None else acc
     return out
 
 
@@ -181,20 +193,20 @@ def mul_unipotent(m: Matrix, f: dict) -> Matrix:
 # sparse fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def _row_to_int(row: dict[int, Q]) -> dict[int, int]:
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = {c: int(v * den) for c, v in row.items() if v}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
+def _row_to_int(row: dict[int, Scalar]) -> dict[int, int]:
+    if all(type(v) is int for v in row.values()):
+        ints = {c: v for c, v in row.items() if v}
+    else:
+        den = lcm(*(v.denominator for v in row.values()))
+        ints = {c: int(v * den) for c, v in row.items() if v}
+    g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}
     return ints
 
 
-def rref(rows: list[dict[int, Q]], ncols: int) -> dict[int, dict[int, int]]:
+def rref(rows: list[dict[int, Scalar]],
+         ncols: int) -> dict[int, dict[int, int]]:
     """Row echelon form of a sparse rational matrix: the only eliminator.
 
     Rows map column -> value.  Fraction-free: rows are scaled to coprime
@@ -255,28 +267,45 @@ def rref(rows: list[dict[int, Q]], ncols: int) -> dict[int, dict[int, int]]:
 
 
 def _free_vector(pivots: dict[int, dict[int, int]], fc: int,
-                 ncols: int) -> list[Q]:
+                 ncols: int) -> list[Scalar]:
     """The kernel vector with a one at free column fc and zeros at the
-    other free columns, by back-substitution through the pivot rows."""
-    vec = [Q(0)] * ncols
-    vec[fc] = Q(1)
+    other free columns, by back-substitution through the pivot rows.
+
+    The substitution runs in integers: the vector is ``num / den`` with
+    one common denominator, which grows by the reduced pivot whenever a
+    pivot does not divide its row's sum."""
+    num = [0] * ncols
+    num[fc] = 1
+    den = 1
     # a pivot row holds no column left of its pivot, so every pivot
     # right of fc solves to zero
     for col in reversed([c for c in pivots if c < fc]):
         piv = pivots[col]
-        s = Q(0)
+        s = 0
         for c, v in piv.items():
-            if c != col and vec[c]:
-                s += v * vec[c]
-        vec[col] = -s / piv[col]
-    return vec
+            if c != col and num[c]:
+                s += v * num[c]
+        if not s:
+            continue
+        # num[col] / den = -s / (den * p), over the common denominator
+        p = piv[col]
+        g = gcd(s, p) if p > 0 else -gcd(s, p)
+        s, p = s // g, p // g
+        if p != 1:
+            num = [x * p for x in num]
+            den *= p
+        num[col] = -s
+    if den == 1:
+        return num
+    return [exact(Q(x, den)) for x in num]
 
 
-def _sparse(rows: list[list[Q]]) -> list[dict[int, Q]]:
+def _sparse(rows: list[list[Scalar]]) -> list[dict[int, Scalar]]:
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
+def sparse_nullspace(rows: list[dict[int, Scalar]],
+                     ncols: int) -> list[list[Scalar]]:
     """Exact nullspace basis of a sparse rational matrix.
 
     One vector per free column f of :func:`rref`, with a one at f and
@@ -288,11 +317,11 @@ def sparse_nullspace(rows: list[dict[int, Q]], ncols: int) -> list[list[Q]]:
             for fc in range(ncols) if fc not in pivots]
 
 
-def rank(rows: list[list[Q]]) -> int:
+def rank(rows: list[list[Scalar]]) -> int:
     return len(rref(_sparse(rows), max(map(len, rows), default=0)))
 
 
-def solve(a: list[list[Q]], b: list[Q]) -> list[Q] | None:
+def solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar] | None:
     """One exact solution of A x = b, or None when inconsistent.
 
     Free variables are pinned to zero, so the result is deterministic.
@@ -317,7 +346,7 @@ class SpanBasis:
     k-th identity column.
     """
 
-    def __init__(self, vectors: list[dict[int, Q]], ncols: int):
+    def __init__(self, vectors: list[dict[int, Scalar]], ncols: int):
         pivots = rref(vectors, ncols)
         n = len(vectors)
         if len(pivots) != n:
@@ -327,7 +356,7 @@ class SpanBasis:
         aug = []
         for t, p in enumerate(self.positions):
             row = {k: v[p] for k, v in enumerate(vectors) if p in v}
-            row[n + t] = Q(1)
+            row[n + t] = 1
             aug.append(row)
         red = rref(aug, 2 * n)
         cols = [_free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
@@ -344,8 +373,10 @@ class SpanBasis:
         """Coordinates of the span element whose entry at ``positions[t]``
         is ``sel[t]`` (a list, or a map holding every slot read).  With
         ``rows`` only those coordinates, in that order.  Entries may be
-        Fraction or Poly; zero entries are skipped, but a zero Poly still
-        makes its coordinate a Poly.  Membership is not checked."""
+        exact scalars or Poly; zero entries are skipped, but a zero Poly
+        still makes its coordinate a Poly.  A scalar coordinate is an int
+        when integral and a Fraction otherwise, whatever the type of the
+        entries.  Membership is not checked."""
         inv = self.inverse_rows
         out = []
         for c in range(len(inv)) if rows is None else rows:
@@ -356,7 +387,7 @@ class SpanBasis:
                     acc = acc + s * x
                 elif type(s) is Poly and type(acc) is not Poly:
                     acc = s + acc
-            out.append(acc)
+            out.append(_canonical(acc))
         return out
 
     def sparse_coefficients(self, target: dict) -> list:
@@ -377,11 +408,11 @@ class SpanBasis:
             out[c] = x
         return out
 
-    def coordinates(self, target: dict[int, Q]) -> list[Q] | None:
+    def coordinates(self, target: dict[int, Scalar]) -> list[Scalar] | None:
         """Coordinates of a sparse target, or None when it is outside the
         span; membership is verified by recomposing the target."""
         coeffs = self.sparse_coefficients(target)
-        recomposed: dict[int, Q] = {}
+        recomposed: dict[int, Scalar] = {}
         for c, v in zip(coeffs, self.vectors):
             if c:
                 for col, x in v.items():
@@ -396,7 +427,7 @@ class SpanBasis:
 # symmetric forms
 # ---------------------------------------------------------------------------
 
-def symmetric_signature(m: list[list[Q]]) -> tuple[int, int, int]:
+def symmetric_signature(m: list[list[Scalar]]) -> tuple[int, int, int]:
     """(rank, n_plus, n_minus) of a rational symmetric matrix.
 
     Congruence diagonalization over the rationals; exact.
@@ -429,7 +460,7 @@ def symmetric_signature(m: list[list[Q]]) -> tuple[int, int, int]:
             minus += 1
         for i in range(k + 1, n):
             if a[i][k] != 0:
-                f = a[i][k] / d
+                f = Q(a[i][k]) / d
                 for t in range(n):
                     a[i][t] -= f * a[k][t]
                 for t in range(n):

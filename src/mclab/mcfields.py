@@ -33,13 +33,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction as Q
 
 from . import linalg, prolong
 from .fields import PolyVectorField
 from .hessenberg import HessenbergSet, HessenbergReport, analyze, validate
 from .liealg import Chart, SplitLieAlgebra, adjoint_of_point
-from .poly import Poly, monomials_of_weighted_degree
+from .poly import Poly, Scalar, monomials_of_weighted_degree
 
 
 class McError(ValueError):
@@ -55,7 +54,7 @@ def tau(algebra: SplitLieAlgebra, chart: Chart, element) -> PolyVectorField:
     chart's realization), on the full group."""
     coeffs = adjoint_of_point(chart, element, [
         algebra.full_index(r) for r in range(algebra.rs.n_pos)])
-    comps = {r: c * Q(-1) for r, c in enumerate(coeffs) if not c.is_zero()}
+    comps = {r: -c for r, c in enumerate(coeffs) if not c.is_zero()}
     return PolyVectorField(chart, "invariant", comps)
 
 
@@ -78,7 +77,7 @@ def project_to_slice(field: PolyVectorField, hs: HessenbergSet) -> PolyVectorFie
     """Drop complement components and set complement coordinates to zero."""
     chart = field.chart
     inv = field.to_invariant()
-    csub = {chart.coord_index(r): Q(0) for r in hs.C}
+    csub = {chart.coord_index(r): 0 for r in hs.C}
     comps = {}
     for r, p in inv.components.items():
         if r in hs.R:
@@ -189,7 +188,7 @@ class McSystem:
             if diff is not None and diff < rs.n_pos:
                 terms_of.setdefault(diff, []).append(
                     (delta, gamma, alg.c[(delta, diff)]))
-        rows: dict[tuple, dict[int, Q]] = {}
+        rows: dict[tuple, dict[int, Scalar]] = {}
         for (g, mono), col in unknown_index.items():
             for delta, gamma, ladder in terms_of.get(g, ()):
                 if ladder is not None:
@@ -249,7 +248,7 @@ class McSolution:
     degrees: list[int]
     dimension: int
     stabilized: bool
-    bracket_table: list[list[list[Q]]] | None = None
+    bracket_table: list[list[list[Scalar]]] | None = None
     bracket_closed: bool = True
     _span: tuple[dict, linalg.SpanBasis] | None = dc_field(
         default=None, repr=False, compare=False)
@@ -264,7 +263,8 @@ class McSolution:
         return seen
 
     def flatten(self, field: PolyVectorField,
-                index: dict[tuple[int, tuple], int]) -> dict[int, Q] | None:
+                index: dict[tuple[int, tuple], int]
+                ) -> dict[int, Scalar] | None:
         """Sparse coefficient vector {column: value} of a slice field over
         the solution monomials; None when the field involves monomials
         outside the span support."""
@@ -287,7 +287,7 @@ class McSolution:
                 len(index)))
         return self._span
 
-    def coordinates(self, field: PolyVectorField) -> list[Q] | None:
+    def coordinates(self, field: PolyVectorField) -> list[Scalar] | None:
         """Exact coordinates of a slice field over the basis, or None when
         it is outside the span."""
         index, span = self.span()
@@ -309,11 +309,11 @@ class McSolution:
         """
         n = self.dimension
         fields = [b.to_coordinate() for b in self.basis]
-        table: list[list[list[Q]]] = [[[] for _ in range(n)]
+        table: list[list[list[Scalar]]] = [[[] for _ in range(n)]
                                       for _ in range(n)]
         closed = True
         for i in range(n):
-            table[i][i] = [Q(0)] * n
+            table[i][i] = [0] * n
             for j in range(i + 1, n):
                 coords = self.coordinates(fields[i].bracket(fields[j]))
                 if coords is None:
@@ -372,8 +372,8 @@ class McSolution:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _ad_columns(table: list[list[list[Q]]]
-                ) -> list[dict[int, dict[int, Q]]]:
+def _ad_columns(table: list[list[list[Scalar]]]
+                ) -> list[dict[int, dict[int, Scalar]]]:
     """ad of each basis element as sparse columns: ``ad[i][j]`` maps k to
     the nonzero coefficients of b_k in [b_i, b_j]; zero brackets are
     left out."""
@@ -388,16 +388,16 @@ def _ad_columns(table: list[list[list[Q]]]
     return ad
 
 
-def _trace_form(ad: list[dict[int, dict[int, Q]]]) -> list[list[Q]]:
+def _trace_form(ad: list[dict[int, dict[int, Scalar]]]) -> list[list[Scalar]]:
     """The form tr(ad_i ad_j), summed over the nonzero entries
     (ad_i)_pq = ad[i][q][p] only, each times (ad_j)_qp.  The form is
     symmetric, so the upper triangle is computed and mirrored."""
     n = len(ad)
-    form = [[Q(0)] * n for _ in range(n)]
+    form = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             adj = ad[j]
-            s = Q(0)
+            s = 0
             for q, col in ad[i].items():
                 for p, x in col.items():
                     y = adj.get(p, {}).get(q)
@@ -407,7 +407,7 @@ def _trace_form(ad: list[dict[int, dict[int, Q]]]) -> list[list[Q]]:
     return form
 
 
-def _derived_series(ad: list[dict[int, dict[int, Q]]]) -> list[int]:
+def _derived_series(ad: list[dict[int, dict[int, Scalar]]]) -> list[int]:
     """Dimensions of the derived series, down to zero or a fixed term.
 
     Each term is spanned by the brackets of pairs of the previous term's
@@ -419,7 +419,7 @@ def _derived_series(ad: list[dict[int, dict[int, Q]]]) -> list[int]:
         prods = []
         for a, u in enumerate(span):
             for v in span[a + 1:]:
-                w: dict[int, Q] = {}
+                w: dict[int, Scalar] = {}
                 for i, ui in u.items():
                     cols = ad[i]
                     for j, vj in v.items():
@@ -451,8 +451,8 @@ def _unknown_weights(system: McSystem,
     return out
 
 
-def _weight_blocks(weights: list[tuple], rows: list[dict[int, Q]]
-                   ) -> list[tuple[tuple, list[int], list[dict[int, Q]]]]:
+def _weight_blocks(weights: list[tuple], rows: list[dict[int, Scalar]]
+                   ) -> list[tuple[tuple, list[int], list[dict[int, Scalar]]]]:
     """Split a degree block into its root-lattice weight blocks.
 
     Returns, per weight, the weight, the block's columns in ascending
@@ -464,7 +464,7 @@ def _weight_blocks(weights: list[tuple], rows: list[dict[int, Q]]
     cols: dict[tuple, list[int]] = {}
     for k, w in enumerate(weights):
         cols.setdefault(w, []).append(k)
-    block_rows: dict[tuple, list[dict[int, Q]]] = {w: [] for w in cols}
+    block_rows: dict[tuple, list[dict[int, Scalar]]] = {w: [] for w in cols}
     for row in rows:
         touched = {weights[c] for c, v in row.items() if v}
         if len(touched) != 1:
@@ -492,7 +492,7 @@ def _solve_block(system: McSystem, degree: int, wanted=None
         return [], {}
     index = {u: k for k, u in enumerate(unknowns)}
     rows = system.block_rows(degree, index)
-    solutions: list[list[tuple[int, Q]]] = []     # (column, value) pairs
+    solutions: list[list[tuple[int, Scalar]]] = []     # (column, value) pairs
     nullity: dict[tuple, int] = {}
     for w, cols, brows in _weight_blocks(_unknown_weights(system, unknowns),
                                          rows):

@@ -1,8 +1,16 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Monomials are exponent tuples of fixed length ``nvars``; coefficients are
-``fractions.Fraction``.  All operations are exact; the zero polynomial is
-the unique one with an empty term dict.
+Monomials are exponent tuples of fixed length ``nvars``.  All operations
+are exact; the zero polynomial is the unique one with an empty term dict.
+
+Every exact scalar mclab stores or returns, a coefficient here included,
+follows one rule, kept by :func:`exact`: an ``int`` when the value is
+integral, a ``fractions.Fraction`` with denominator > 1 otherwise, never
+an approximate number.  Division goes through ``Fraction``.
+Integral values stay Python ints, whose arithmetic is native code; the
+rationals, and so every printed value, are those of an all-``Fraction``
+computation, since ``str``, ``==`` and ``hash`` agree on 3 and
+``Fraction(3)``.
 """
 
 from __future__ import annotations
@@ -14,8 +22,23 @@ from typing import Iterable, Mapping, Sequence, Union
 Scalar = Union[int, Q]
 
 
-def _q(c: Scalar) -> Q:
-    return c if isinstance(c, Q) else Q(c)
+def exact(c) -> Scalar:
+    """The canonical exact scalar equal to c: an int when c is integral,
+    else a Fraction.  Anything ``Fraction`` accepts is converted first."""
+    if type(c) is int:
+        return c
+    if type(c) is not Q:
+        c = Q(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_terms(terms: dict) -> dict:
+    """``terms`` with each Fraction coefficient made canonical, in place;
+    the keys and their order are kept."""
+    for m, c in terms.items():
+        if type(c) is Q:
+            terms[m] = exact(c)
+    return terms
 
 
 class Poly:
@@ -23,10 +46,10 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
         self.nvars = nvars
-        clean: dict[tuple, Q] = {}
+        clean: dict[tuple, Scalar] = {}
         if terms:
             for mono, c in terms.items():
-                c = _q(c)
+                c = exact(c)
                 if c != 0:
                     if len(mono) != nvars:
                         raise ValueError("monomial length mismatch")
@@ -40,13 +63,13 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c: Scalar) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: _q(c)})
+        return Poly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def var(nvars: int, i: int, c: Scalar = 1) -> "Poly":
         mono = [0] * nvars
         mono[i] = 1
-        return Poly(nvars, {tuple(mono): _q(c)})
+        return Poly(nvars, {tuple(mono): c})
 
     # ---- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -55,10 +78,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self) -> Q:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, Q(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     # ---- ring operations -------------------------------------------------
     def _check(self, other: "Poly") -> None:
@@ -66,16 +89,20 @@ class Poly:
             raise ValueError("polynomials over different variable sets")
 
     def __add__(self, other):
-        if isinstance(other, (int, Q)):
+        if type(other) is not Poly:
             other = Poly.const(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Q(0)) + c
-            if s == 0:
-                terms.pop(m, None)
+            s = terms.get(m)
+            if s is None:
+                terms[m] = c
             else:
-                terms[m] = s
+                s += c
+                if s:
+                    terms[m] = s if type(s) is int else exact(s)
+                else:
+                    del terms[m]
         out = Poly(self.nvars)
         out.terms = terms
         return out
@@ -88,7 +115,7 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Q)):
+        if type(other) is not Poly:
             other = Poly.const(self.nvars, other)
         return self + (-other)
 
@@ -96,15 +123,15 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Q)):
-            c = _q(other)
-            if c == 0:
-                return Poly(self.nvars)
+        if type(other) is not Poly:
+            c = exact(other)
             out = Poly(self.nvars)
-            out.terms = {m: cc * c for m, cc in self.terms.items()}
+            if c:
+                out.terms = _exact_terms(
+                    {m: cc * c for m, cc in self.terms.items()})
             return out
         self._check(other)
-        acc: dict[tuple, Q] = {}
+        acc: dict[tuple, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
@@ -118,13 +145,12 @@ class Poly:
                     else:
                         del acc[m]
         out = Poly(self.nvars)
-        out.terms = acc
+        out.terms = _exact_terms(acc)
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, c: Scalar):
-        c = _q(c)
         return self * (Q(1) / c)
 
     def __pow__(self, k: int):
@@ -140,10 +166,10 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Q)):
+        if type(other) is not Poly:
+            if not isinstance(other, int) and type(other) is not Q:
+                return NotImplemented
             other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
@@ -151,7 +177,7 @@ class Poly:
 
     # ---- calculus ------------------------------------------------------
     def diff(self, i: int) -> "Poly":
-        acc: dict[tuple, Q] = {}
+        acc: dict[tuple, Scalar] = {}
         for m, c in self.terms.items():
             if m[i] == 0:
                 continue
@@ -159,14 +185,14 @@ class Poly:
             mm[i] -= 1
             acc[tuple(mm)] = c * m[i]
         out = Poly(self.nvars)
-        out.terms = acc
+        out.terms = _exact_terms(acc)
         return out
 
     def subs(self, values: Mapping[int, "Poly | Scalar"]) -> "Poly":
         """Substitute polynomials (or scalars) for the given variable indices."""
         vals = {}
         for i, v in values.items():
-            vals[i] = v if isinstance(v, Poly) else Poly.const(self.nvars, v)
+            vals[i] = v if type(v) is Poly else Poly.const(self.nvars, v)
         out = Poly(self.nvars)
         for m, c in self.terms.items():
             term = Poly.const(self.nvars, c)
@@ -180,23 +206,17 @@ class Poly:
             out = out + term
         return out
 
-    def eval(self, point: Sequence[Scalar]) -> Q:
-        total = Q(0)
+    def eval(self, point: Sequence[Scalar]) -> Scalar:
+        total = 0
         for m, c in self.terms.items():
             v = c
             for i, e in enumerate(m):
                 if e:
-                    v *= _q(point[i]) ** e
+                    v *= exact(point[i]) ** e
             total += v
-        return total
+        return exact(total)
 
     # ---- grading ---------------------------------------------------------
-    def weighted_degree(self, weights: Sequence[int]) -> int | None:
-        """Top weighted degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(w * e for w, e in zip(weights, m)) for m in self.terms)
-
     def weighted_parts(self, weights: Sequence[int]) -> dict[int, "Poly"]:
         parts: dict[int, Poly] = {}
         for m, c in self.terms.items():
@@ -204,12 +224,9 @@ class Poly:
             parts.setdefault(d, Poly(self.nvars)).terms[m] = c
         return parts
 
-    def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
-        return len(self.weighted_parts(weights)) <= 1
-
     # ---- structure access ----------------------------------------------
-    def coeff(self, mono: tuple) -> Q:
-        return self.terms.get(tuple(mono), Q(0))
+    def coeff(self, mono: tuple) -> Scalar:
+        return self.terms.get(tuple(mono), 0)
 
     def monomials(self) -> Iterable[tuple]:
         return self.terms.keys()
@@ -222,13 +239,16 @@ class Poly:
         """
         if mapping is None:
             mapping = list(range(self.nvars))
-        out = Poly(nvars)
+        acc: dict[tuple, Scalar] = {}
         for m, c in self.terms.items():
             mm = [0] * nvars
             for i, e in enumerate(m):
                 mm[mapping[i]] += e
-            out.terms[tuple(mm)] = out.terms.get(tuple(mm), Q(0)) + c
-        out.terms = {m: c for m, c in out.terms.items() if c != 0}
+            mm = tuple(mm)
+            s = acc.get(mm)
+            acc[mm] = c if s is None else s + c
+        out = Poly(nvars)
+        out.terms = _exact_terms({m: c for m, c in acc.items() if c})
         return out
 
     # ---- rendering -------------------------------------------------------
@@ -258,11 +278,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render([f'x{i}' for i in range(self.nvars)])})"
-
-
-def parse_fraction(text: str) -> Q:
-    """Parse 'p/q' or integer text into an exact Fraction."""
-    return Q(text.strip())
 
 
 def monomials_of_weighted_degree(weights: Sequence[int], degree: int) -> list[tuple]:

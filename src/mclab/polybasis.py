@@ -129,7 +129,7 @@ def gen_sigma0(algebra: SplitLieAlgebra, chart: Chart, nu_id: int) -> Poly:
         if s is None or a in seen:
             continue
         comp = rs.add(w, rs.neg(a))
-        ratio = algebra.c[(a, nu_id)] / algebra.c[(a, comp)]
+        ratio = Q(algebra.c[(a, nu_id)], algebra.c[(a, comp)])
         p_comp = _sigma_half(algebra, chart, comp)
         if s == comp:
             # self-paired: the two chain orders coincide
@@ -168,7 +168,7 @@ def solve_H_of_gamma(algebra: SplitLieAlgebra, gamma: int):
     if sol is None:
         raise PolyBasisError("Cartan system for H(gamma) is inconsistent")
     for row, target in zip(rows, rhs):
-        if sum((c * v for c, v in zip(row, sol)), Q(0)) != target:
+        if sum(c * v for c, v in zip(row, sol)) != target:
             raise PolyBasisError("residual check failed for H(gamma)")
     return tuple(sol)
 
@@ -194,7 +194,7 @@ def gen_neg_sigma_half(algebra: SplitLieAlgebra, chart: Chart,
         if base not in od.sigma0:
             continue
         acomp = rs.add(w, rs.neg(a))
-        ratio = algebra.c[(a, rs.neg(gamma))] / algebra.c[(a, acomp)]
+        ratio = Q(algebra.c[(a, rs.neg(gamma))], algebra.c[(a, acomp)])
         out = out + (_sigma_half(algebra, chart, acomp)
                      * _sigma0(algebra, chart, diff) * ratio * Q(1, 3))
     return out
@@ -284,7 +284,7 @@ def build_basis(algebra: SplitLieAlgebra,
         table[rs.root_name(rs.neg(b))] = _sigma0(algebra, chart, rs.neg(b))
     table[rs.root_name(rs.neg(w))] = _neg_omega(algebra, chart, half_gens)
     for i in range(algebra.rank):
-        coeffs = [Q(1) if j == i else Q(0) for j in range(algebra.rank)]
+        coeffs = [1 if j == i else 0 for j in range(algebra.rank)]
         table[f"H{i + 1}"] = gen_cartan(algebra, chart, coeffs)
     return OmegaComponentBasis(
         algebra=algebra, chart=chart, table=table,

@@ -31,10 +31,9 @@ the kept lines leave the weight 0 alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
-
 from . import linalg
 from .hessenberg import HessenbergSet
+from .poly import Scalar
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class Prolongation:
     stop: int | None
 
 
-def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Q],
+def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Scalar],
             max_degree: int) -> Prolongation:
     """Weight blocks of g_k for k up to ``max_degree``, or up to the first
     empty g_k with k >= 0, from the structure constants ``c`` alone."""
@@ -87,7 +86,7 @@ def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Q],
             if size:
                 cols[g] = (n, t, size)
                 n += size
-        rows: dict[tuple, dict[int, Q]] = {}
+        rows: dict[tuple, dict[int, Scalar]] = {}
 
         def add(a, b, col, entries, sign):
             for t, x in entries.items():

@@ -26,9 +26,6 @@ class Root:
     id: int
     height: int
 
-    def is_positive(self) -> bool:
-        return self.height > 0
-
 
 class RootSystemError(ValueError):
     pass
@@ -37,8 +34,8 @@ class RootSystemError(ValueError):
 def _euclidean_roots(family: str, rank: int):
     """Positive roots and simple roots as exact Euclidean vectors."""
     def e(i, dim):
-        v = [Q(0)] * dim
-        v[i] = Q(1)
+        v = [0] * dim
+        v[i] = 1
         return tuple(v)
 
     def minus(a, b):
@@ -81,8 +78,8 @@ def _euclidean_roots(family: str, rank: int):
     return simples, positives
 
 
-def _dot(a, b) -> Q:
-    return sum((x * y for x, y in zip(a, b)), Q(0))
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 class RootSystem:
@@ -101,7 +98,7 @@ class RootSystem:
 
         simples, positives = _euclidean_roots(family, rank)
         # pairing scale: short simple roots get squared length 2
-        scale = Q(2) if family == "B" else Q(1)
+        scale = 2 if family == "B" else 1
         self._pair = lambda va, vb: scale * _dot(va, vb)
 
         # expand each positive root over the simple roots (exact, integer)
@@ -130,8 +127,8 @@ class RootSystem:
             self._id_of_coeffs[neg] = self.n_pos + k
 
         self.cartan_matrix = [
-            [int(2 * self._pair(simples[i], simples[j])
-                 / self._pair(simples[j], simples[j]))
+            [int(Q(2 * self._pair(simples[i], simples[j]),
+                   self._pair(simples[j], simples[j])))
              for j in range(rank)]
             for i in range(rank)
         ]
@@ -202,7 +199,7 @@ class RootSystem:
     def add(self, a: int, b: int) -> int | None:
         return self.sum_table.get((a, b))
 
-    def pairing(self, a: int, b: int) -> Q:
+    def pairing(self, a: int, b: int) -> int:
         va = self._signed_vec(a)
         vb = self._signed_vec(b)
         return self._pair(va, vb)
@@ -263,7 +260,7 @@ class RootSystem:
                 one.add(r.id)
             elif p == 0:
                 sigma0.add(r.id)
-            elif p == ww / 2:
+            elif 2 * p == ww:
                 half.add(r.id)
             else:
                 raise RootSystemError("highest-root series out of range")

@@ -183,3 +183,115 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
             acc = acc + expm[i][j] * vec[j]
         out.append(acc)
     return out
+
+
+class FractionPoly:
+    """The polynomial ring operations with every coefficient a
+    ``Fraction``, one constructor per coefficient and sums through
+    ``terms.get(m, Fraction(0))``: the reference for the values and the
+    term order of :class:`mclab.poly.Poly`, whose integral coefficients
+    are ints."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        self.terms = {tuple(m): Q(c) for m, c in (terms or {}).items()
+                      if c != 0}
+
+    @staticmethod
+    def of(p: Poly) -> "FractionPoly":
+        return FractionPoly(p.nvars, p.terms)
+
+    def _lift_scalar(self, other):
+        if isinstance(other, FractionPoly):
+            return other
+        return FractionPoly(self.nvars, {(0,) * self.nvars: other})
+
+    def __add__(self, other):
+        other = self._lift_scalar(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, Q(0)) + c
+            if s == 0:
+                terms.pop(m, None)
+            else:
+                terms[m] = s
+        out = FractionPoly(self.nvars)
+        out.terms = terms
+        return out
+
+    def __neg__(self):
+        out = FractionPoly(self.nvars)
+        out.terms = {m: -c for m, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-self._lift_scalar(other))
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            c = Q(other)
+            out = FractionPoly(self.nvars)
+            if c != 0:
+                out.terms = {m: cc * c for m, cc in self.terms.items()}
+            return out
+        acc = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                s = acc.get(m, Q(0)) + c1 * c2
+                if s == 0:
+                    acc.pop(m, None)
+                else:
+                    acc[m] = s
+        out = FractionPoly(self.nvars)
+        out.terms = acc
+        return out
+
+    def __pow__(self, k: int):
+        out = FractionPoly(self.nvars, {(0,) * self.nvars: 1})
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def diff(self, i: int) -> "FractionPoly":
+        out = FractionPoly(self.nvars)
+        for m, c in self.terms.items():
+            if m[i]:
+                mm = list(m)
+                mm[i] -= 1
+                out.terms[tuple(mm)] = c * m[i]
+        return out
+
+    def subs(self, values) -> "FractionPoly":
+        vals = {i: self._lift_scalar(v) for i, v in values.items()}
+        out = FractionPoly(self.nvars)
+        for m, c in self.terms.items():
+            term = FractionPoly(self.nvars, {(0,) * self.nvars: c})
+            for i, e in enumerate(m):
+                if e == 0:
+                    continue
+                if i in vals:
+                    term = term * vals[i] ** e
+                else:
+                    mono = [0] * self.nvars
+                    mono[i] = 1
+                    term = term * FractionPoly(self.nvars,
+                                               {tuple(mono): 1}) ** e
+            out = out + term
+        return out
+
+    def lift(self, nvars: int, mapping) -> "FractionPoly":
+        out = FractionPoly(nvars)
+        for m, c in self.terms.items():
+            mm = [0] * nvars
+            for i, e in enumerate(m):
+                mm[mapping[i]] += e
+            out.terms[tuple(mm)] = out.terms.get(tuple(mm), Q(0)) + c
+        out.terms = {m: c for m, c in out.terms.items() if c != 0}
+        return out

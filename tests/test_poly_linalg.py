@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from mclab import linalg
 from mclab.liealg import Chart, adjoint_of_point
-from mclab.poly import Poly, monomials_of_weighted_degree, parse_fraction
+from mclab.poly import Poly, exact, monomials_of_weighted_degree
 
 from conftest import dense, frac_identity, mat_add, mat_eq
-from oracles import (DENSE_COEFFS, coordinates_in_span, dense_generic_point,
-                     dense_nilpotent_series, nilpotent_exp)
+from oracles import (DENSE_COEFFS, FractionPoly, coordinates_in_span,
+                     dense_generic_point, dense_nilpotent_series,
+                     nilpotent_exp)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -58,13 +59,24 @@ def test_subs_and_eval():
     assert p.subs({0: Q(2), 1: Q(0)}).constant_value() == 4
 
 
+def weighted_degree(p: Poly, weights) -> int | None:
+    """Top weighted degree, or None for the zero polynomial."""
+    if not p.terms:
+        return None
+    return max(sum(w * e for w, e in zip(weights, m)) for m in p.terms)
+
+
+def is_weighted_homogeneous(p: Poly, weights) -> bool:
+    return len(p.weighted_parts(weights)) <= 1
+
+
 def test_weighted_grading():
     p = Poly(2, {(1, 1): Q(1), (3, 0): Q(2)})
-    assert p.weighted_degree([1, 2]) == 3
+    assert weighted_degree(p, [1, 2]) == 3
     parts = p.weighted_parts([1, 2])
     assert set(parts) == {3}
-    assert p.is_weighted_homogeneous([1, 2])
-    assert not (p + Poly.const(2, 1)).is_weighted_homogeneous([1, 2])
+    assert is_weighted_homogeneous(p, [1, 2])
+    assert not is_weighted_homogeneous(p + Poly.const(2, 1), [1, 2])
 
 
 def test_render_and_lift():
@@ -78,6 +90,11 @@ def test_monomial_enumeration_deterministic():
     out = monomials_of_weighted_degree([1, 2], 4)
     assert out == [(0, 2), (2, 1), (4, 0)]
     assert monomials_of_weighted_degree([1], 0) == [(0,)]
+
+
+def parse_fraction(text: str) -> Q:
+    """Parse 'p/q' or integer text into an exact Fraction."""
+    return Q(text.strip())
 
 
 def test_parse_fraction():
@@ -95,25 +112,23 @@ def test_power_and_errors():
 
 
 def _loop_mul(p, q):
-    """Reference product: every term pair summed through
-    ``acc.get(m, 0)``, a cancelled monomial popped."""
-    acc = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            s = acc.get(m, Q(0)) + c1 * c2
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-    out = Poly(p.nvars)
-    out.terms = acc
-    return out
+    """Reference product: the Fraction-only oracle's, every term pair
+    summed through ``acc.get(m, 0)``, a cancelled monomial popped."""
+    return FractionPoly.of(p) * FractionPoly.of(q)
+
+
+def _is_canonical(x) -> bool:
+    """The scalar rule: an int when integral, else a Fraction with
+    denominator > 1."""
+    return type(x) is int or (type(x) is Q and x.denominator > 1)
 
 
 def _assert_same_poly(got, want):
+    """Equal terms in the same order; every coefficient of ``got`` is
+    canonical, whatever the types of ``want``'s."""
     assert got.nvars == want.nvars
     assert list(got.terms.items()) == list(want.terms.items())
+    assert all(_is_canonical(c) for c in got.terms.values())
 
 
 def test_mul_reinserts_cancelled_monomial_last():
@@ -143,7 +158,61 @@ def test_mul_matches_loop_reference(data, nvars):
     p, q, r = factor(), factor(), factor()
     _assert_same_poly(p * q, _loop_mul(p, q))
     _assert_same_poly((p + q) * r, _loop_mul(p + q, r))
-    _assert_same_poly(p * q * r, _loop_mul(_loop_mul(p, q), r))
+    _assert_same_poly(p * q * r, _loop_mul(p, q) * FractionPoly.of(r))
+
+
+# integral values as ints and as Fractions, and non-integral ones whose
+# sums and products come out integral
+_mixed = st.sampled_from([-2, -1, 1, 2, Q(-2), Q(3), Q(1, 2), Q(-1, 2),
+                          Q(3, 2), Q(1, 3), Q(2, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 4))
+def test_poly_matches_fraction_oracle(data, nvars):
+    """Every ring operation gives the Fraction-only oracle's values in
+    its term order, with every coefficient canonical."""
+    def draw_terms():
+        terms = {}
+        for _ in range(data.draw(st.integers(0, 5))):
+            mono = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
+            terms[mono] = data.draw(_mixed)
+        return terms
+
+    pt, qt = draw_terms(), draw_terms()
+    p, q = Poly(nvars, pt), Poly(nvars, qt)
+    fp, fq = FractionPoly(nvars, pt), FractionPoly(nvars, qt)
+    c = data.draw(_mixed)
+    _assert_same_poly(p, fp)
+    _assert_same_poly(p + q, fp + fq)
+    _assert_same_poly(p - q, fp - fq)
+    _assert_same_poly(p * q, fp * fq)
+    _assert_same_poly(p + c, fp + c)
+    _assert_same_poly(c - p, -fp + c)
+    _assert_same_poly(p * c, fp * c)
+    _assert_same_poly(c * p, fp * c)
+    _assert_same_poly(p / c, fp * (1 / Q(c)))
+    for i in range(nvars):
+        _assert_same_poly(p.diff(i), fp.diff(i))
+    i = data.draw(st.integers(0, nvars - 1))
+    _assert_same_poly(p.subs({i: q}), fp.subs({i: fq}))
+    _assert_same_poly(p.subs({i: c}), fp.subs({i: c}))
+    mapping = [data.draw(st.integers(0, nvars)) for _ in range(nvars)]
+    _assert_same_poly(p.lift(nvars + 1, mapping),
+                      fp.lift(nvars + 1, mapping))
+    point = [data.draw(_mixed) for _ in range(nvars)]
+    value = p.eval(point)
+    assert _is_canonical(value) and value == fp.subs(
+        dict(enumerate(point))).terms.get((0,) * nvars, 0)
+
+
+def test_exact_is_the_scalar_rule():
+    assert [exact(x) for x in (3, Q(6, 2), Q(-4), Q(0), True)] == [3, 3, -4,
+                                                                 0, 1]
+    assert all(type(exact(x)) is int for x in (3, Q(6, 2), Q(0), True))
+    assert type(exact(Q(1, 2))) is Q and exact("-3/6") == Q(-1, 2)
+    with pytest.raises(TypeError):
+        exact(Poly.zero(1))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +442,18 @@ def test_symmetric_signature():
     assert linalg.symmetric_signature([[Q(0)]]) == (0, 0, 0)
 
 
+# rank 2: rows 3 and 4 are combinations of rows 1 and 2, which binary
+# floating-point elimination does not find (it reports rank 4)
+_RANK2_FORM = [[90, -36, -54, 99], [-36, 18, 30, -45],
+               [-54, 30, 52, -72], [99, -45, -72, 117]]
+
+
+@pytest.mark.parametrize("kind", [int, Q])
+def test_symmetric_signature_is_exact_on_int_entries(kind):
+    m = [[kind(x) for x in row] for row in _RANK2_FORM]
+    assert linalg.symmetric_signature(m) == (2, 2, 0)
+
+
 def test_nilpotent_series():
     n = {(0, 1): Q(1), (0, 2): Q(2), (1, 2): Q(3)}
     u = mat_add(frac_identity(3), dense(n, 3))
@@ -445,18 +526,31 @@ def _dense_mat_mul(a, b):
     return out
 
 
+def _canonical_type(x):
+    """Poly, or the type of the canonical scalar equal to x: int iff x is
+    integral, else Fraction."""
+    if type(x) is Poly:
+        return Poly
+    assert type(x) in (int, Q)
+    return int if x.denominator == 1 else Q
+
+
 def _assert_same_entries(got, want):
-    """Equal entries of equal type; Poly entries over the same ring with
-    their terms in the same order (the order fixes the output bytes)."""
+    """Equal entries of equal canonical type (a Poly, an integral scalar
+    or a non-integral one); Poly entries over the same ring with their
+    terms in the same order (the order fixes the output bytes) and every
+    coefficient canonical on both sides."""
     assert len(got) == len(want)
     for rg, rw in zip(got, want):
         assert len(rg) == len(rw)
         for x, y in zip(rg, rw):
-            assert type(x) is type(y)
+            assert _canonical_type(x) is _canonical_type(y)
             assert x == y
-            if isinstance(y, Poly):
+            if type(y) is Poly:
                 assert x.nvars == y.nvars
                 assert list(x.terms.items()) == list(y.terms.items())
+                assert all(_is_canonical(c) for p in (x, y)
+                           for c in p.terms.values())
 
 
 # few monomials and small coefficients, so sums collide and cancel: a
