@@ -10,6 +10,7 @@ caps Hessenberg enumeration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -375,7 +376,10 @@ def cmd_selftest(args) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it."""
     ap = argparse.ArgumentParser(
         prog="mclab",
         description="Exact multicontact/Hessenberg computations on split "

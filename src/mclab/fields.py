@@ -10,13 +10,22 @@ unitriangular with respect to the height ordering.
 A field tagged with ``slice_roots`` lives on the slice where all
 complement coordinates vanish; its components only involve slice
 variables and only slice labels appear.
+
+Brackets, ``apply`` and both frame conversions run on one kernel,
+:func:`mclab.poly.mul_acc`, which adds a product into a plain term dict;
+derivatives come from :func:`mclab.poly.diff_terms`.  Each result
+component is accumulated in its own dict and becomes a ``Poly`` once,
+through :func:`mclab.poly.finish`, which is where its scalars are made
+canonical (:func:`mclab.poly.exact`).  The kernel drops a cancelled term
+at once, so a bracket that cancels leaves an empty component, which the
+field drops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly
+from .poly import Poly, diff_terms, finish, mul_acc
 
 
 @dataclass
@@ -68,35 +77,47 @@ class PolyVectorField:
                 and self.components == other.components)
 
     # ---- frame conversion --------------------------------------------------
+    def _finish(self, frame: str, acc: dict[int, dict]) -> "PolyVectorField":
+        """The field, on this one's chart and slice, whose components are
+        the accumulated term dicts ``acc``."""
+        nvars = self.chart.nvars
+        return PolyVectorField(
+            self.chart, frame, {k: finish(nvars, t) for k, t in acc.items()},
+            slice_roots=self.slice_roots)
+
     def to_coordinate(self) -> "PolyVectorField":
         if self.frame == "coordinate":
             return self
         frame_rows = self.chart.frame_components(self.slice_roots)
-        acc: dict[int, Poly] = {}
+        acc: dict[int, dict] = {}
         for gamma, f in self.components.items():
             for j, a in frame_rows[gamma].items():
-                acc[j] = acc.get(j, self._zero()) + f * a
-        return PolyVectorField(self.chart, "coordinate", acc,
-                               slice_roots=self.slice_roots)
+                mul_acc(acc.setdefault(j, {}), f.terms, a.terms)
+        return self._finish("coordinate", acc)
 
     def to_invariant(self) -> "PolyVectorField":
+        """Peel the frame rows off in height order: the row of X_gamma has
+        1 at gamma and otherwise only higher coordinates, so the residual
+        coefficient of d/dx_gamma is the X_gamma component once every
+        lower row is subtracted."""
         if self.frame == "invariant":
             return self
         frame_rows = self.chart.frame_components(self.slice_roots)
         labels = (sorted(self.slice_roots) if self.slice_roots is not None
                   else list(range(self.chart.algebra.rs.n_pos)))
         labels.sort(key=lambda g: self.chart.algebra.rs.root(g).height)
-        residual = dict(self.components)
+        nvars = self.chart.nvars
+        residual = {k: dict(p.terms) for k, p in self.components.items()}
         out: dict[int, Poly] = {}
         for gamma in labels:
-            f = residual.pop(gamma, self._zero())
-            if not f.is_zero():
+            f = finish(nvars, residual.pop(gamma, {}))
+            if f.terms:
                 out[gamma] = f
                 for j, a in frame_rows[gamma].items():
-                    if j == gamma:
-                        continue
-                    residual[j] = residual.get(j, self._zero()) - f * a
-        if any(not p.is_zero() for p in residual.values()):
+                    if j != gamma:
+                        mul_acc(residual.setdefault(j, {}), f.terms, a.terms,
+                                -1)
+        if any(residual.values()):
             raise ValueError("field has components outside the frame span")
         return PolyVectorField(self.chart, "invariant", out,
                                slice_roots=self.slice_roots)
@@ -104,23 +125,29 @@ class PolyVectorField:
     # ---- differential operator ----------------------------------------------
     def apply(self, f: Poly) -> Poly:
         """Apply the field to a function of the chart coordinates."""
-        coord = self.to_coordinate()
-        out = Poly.zero(self.chart.nvars)
-        for root_id, comp in coord.components.items():
-            j = self.chart.coord_index(root_id)
-            out = out + comp * f.diff(j)
-        return out
+        acc: dict = {}
+        for j, comp in self.to_coordinate().components.items():
+            d = diff_terms(f.terms, self.chart.coord_index(j))
+            if d:
+                mul_acc(acc, comp.terms, d)
+        return finish(self.chart.nvars, acc)
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
-        """Commutator [self, other] in the coordinate frame."""
-        a = self.to_coordinate()
-        b = other.to_coordinate()
-        keys = set(a.components) | set(b.components)
-        out: dict[int, Poly] = {}
-        for k in keys:
-            out[k] = a.apply(b.component(k)) - b.apply(a.component(k))
-        return PolyVectorField(self.chart, "coordinate", out,
-                               slice_roots=self.slice_roots)
+        """Commutator [self, other] in the coordinate frame:
+        [a, b]_k = sum_j a_j d_j b_k - b_j d_j a_k, each component
+        accumulated into one term dict."""
+        a = self.to_coordinate().components
+        b = other.to_coordinate().components
+        index = self.chart.coord_index
+        acc: dict[int, dict] = {}
+        for x, y, sign in ((a, b, 1), (b, a, -1)):
+            for j, xj in x.items():
+                v = index(j)
+                for k, yk in y.items():
+                    d = diff_terms(yk.terms, v)
+                    if d:
+                        mul_acc(acc.setdefault(k, {}), xj.terms, d, sign)
+        return self._finish("coordinate", acc)
 
     # ---- rendering ----------------------------------------------------------
     def render(self) -> dict[str, str]:

@@ -552,11 +552,11 @@ class Chart:
             return self._frame_cache[key]
         if key is not None:
             full = self.frame_components(None)
-            csub = {self.coord_index(r): 0
-                    for r in self.coord_roots if r not in key}
+            cvars = [self.coord_index(r)
+                     for r in self.coord_roots if r not in key]
             rows = {}
             for g in key:
-                restricted = ((j, p.subs(csub)) for j, p in full[g].items()
+                restricted = ((j, p.at_zero(cvars)) for j, p in full[g].items()
                               if j in key)
                 rows[g] = {j: p for j, p in restricted if not p.is_zero()}
             self._frame_cache[key] = rows

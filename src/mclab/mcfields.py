@@ -74,16 +74,12 @@ def tau_basis(algebra: SplitLieAlgebra, chart: Chart,
 
 
 def project_to_slice(field: PolyVectorField, hs: HessenbergSet) -> PolyVectorField:
-    """Drop complement components and set complement coordinates to zero."""
+    """Drop complement components and set complement coordinates to zero:
+    a term survives exactly when it has no complement variable."""
     chart = field.chart
-    inv = field.to_invariant()
-    csub = {chart.coord_index(r): 0 for r in hs.C}
-    comps = {}
-    for r, p in inv.components.items():
-        if r in hs.R:
-            q = p.subs(csub)
-            if not q.is_zero():
-                comps[r] = q
+    cvars = [chart.coord_index(r) for r in hs.C]
+    comps = {r: p.at_zero(cvars)
+             for r, p in field.to_invariant().components.items() if r in hs.R}
     return PolyVectorField(chart, "invariant", comps, slice_roots=hs.R)
 
 
@@ -506,12 +502,14 @@ def _solve_block(system: McSystem, degree: int, wanted=None
     chart = system.chart
     out = []
     for entries in solutions:
-        comps: dict[int, Poly] = {}
+        comps: dict[int, dict] = {}
         for k, x in entries:
             g, mono = unknowns[k]
-            comps.setdefault(g, Poly.zero(chart.nvars)).terms[mono] = x
-        out.append(PolyVectorField(chart, "invariant", comps,
-                                   slice_roots=system.hs.R))
+            comps.setdefault(g, {})[mono] = x
+        out.append(PolyVectorField(
+            chart, "invariant",
+            {g: Poly._of(chart.nvars, t) for g, t in comps.items()},
+            slice_roots=system.hs.R))
     return out, nullity
 
 

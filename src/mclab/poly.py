@@ -41,6 +41,55 @@ def _exact_terms(terms: dict) -> dict:
     return terms
 
 
+def mul_acc(acc: dict, p: Mapping[tuple, Scalar], q: Mapping[tuple, Scalar],
+            scale: Scalar = 1) -> dict:
+    """Add scale * p * q into the term dict ``acc``, in place, and return
+    it; p and q are term dicts with nonzero coefficients and scale is a
+    nonzero exact scalar.
+
+    This is the one polynomial multiply loop.  A sum that cancels is
+    deleted at once, so ``acc`` never holds a zero and a cancelled
+    monomial that comes back is appended last.  Coefficients are partial
+    sums: a Fraction with denominator 1 may stay until :func:`finish`
+    makes the dict a ``Poly``.  So a product, or a field's component, can
+    take any number of accumulations and is made canonical once.
+    """
+    if scale != 1:
+        p = {m: c * scale for m, c in p.items()}
+    get = acc.get
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            s = get(m)
+            if s is None:       # both factors are nonzero
+                acc[m] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+    return acc
+
+
+def diff_terms(p: Mapping[tuple, Scalar], v: int) -> dict:
+    """Term dict of dp/dx_v: only the terms with a positive exponent in
+    x_v contribute.  Coefficients follow :func:`mul_acc`'s partial-sum
+    convention (a Fraction times an exponent may be integral)."""
+    out = {}
+    for m, c in p.items():
+        e = m[v]
+        if e:
+            out[m[:v] + (e - 1,) + m[v + 1:]] = c * e
+    return out
+
+
+def finish(nvars: int, acc: dict) -> "Poly":
+    """The ``Poly`` that takes over a partial-sum term dict, its
+    coefficients made canonical by :func:`exact` in place."""
+    return Poly._of(nvars, _exact_terms(acc))
+
+
 class Poly:
     __slots__ = ("nvars", "terms")
 
@@ -58,8 +107,18 @@ class Poly:
 
     # ---- constructors -------------------------------------------------
     @staticmethod
+    def _of(nvars: int, terms: dict) -> "Poly":
+        """The Poly that owns ``terms`` as given, without validation: the
+        caller guarantees nonzero canonical coefficients and monomials of
+        length ``nvars``."""
+        out = object.__new__(Poly)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        return Poly._of(nvars, {})
 
     @staticmethod
     def const(nvars: int, c: Scalar) -> "Poly":
@@ -103,16 +162,12 @@ class Poly:
                     terms[m] = s if type(s) is int else exact(s)
                 else:
                     del terms[m]
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return Poly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly(self.nvars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not Poly:
@@ -125,28 +180,10 @@ class Poly:
     def __mul__(self, other):
         if type(other) is not Poly:
             c = exact(other)
-            out = Poly(self.nvars)
-            if c:
-                out.terms = _exact_terms(
-                    {m: cc * c for m, cc in self.terms.items()})
-            return out
+            return Poly._of(self.nvars, _exact_terms(
+                {m: cc * c for m, cc in self.terms.items()}) if c else {})
         self._check(other)
-        acc: dict[tuple, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                s = acc.get(m)
-                if s is None:       # both factors are nonzero
-                    acc[m] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-        out = Poly(self.nvars)
-        out.terms = _exact_terms(acc)
-        return out
+        return finish(self.nvars, mul_acc({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -177,23 +214,14 @@ class Poly:
 
     # ---- calculus ------------------------------------------------------
     def diff(self, i: int) -> "Poly":
-        acc: dict[tuple, Scalar] = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            mm = list(m)
-            mm[i] -= 1
-            acc[tuple(mm)] = c * m[i]
-        out = Poly(self.nvars)
-        out.terms = _exact_terms(acc)
-        return out
+        return finish(self.nvars, diff_terms(self.terms, i))
 
     def subs(self, values: Mapping[int, "Poly | Scalar"]) -> "Poly":
         """Substitute polynomials (or scalars) for the given variable indices."""
         vals = {}
         for i, v in values.items():
             vals[i] = v if type(v) is Poly else Poly.const(self.nvars, v)
-        out = Poly(self.nvars)
+        out = Poly.zero(self.nvars)
         for m, c in self.terms.items():
             term = Poly.const(self.nvars, c)
             for i, e in enumerate(m):
@@ -205,6 +233,13 @@ class Poly:
                     term = term * Poly.var(self.nvars, i) ** e
             out = out + term
         return out
+
+    def at_zero(self, variables: Sequence[int]) -> "Poly":
+        """The polynomial with the variables at the given indices set to
+        zero: the terms free of them."""
+        return Poly._of(self.nvars, {
+            m: c for m, c in self.terms.items()
+            if not any(m[v] for v in variables)})
 
     def eval(self, point: Sequence[Scalar]) -> Scalar:
         total = 0
@@ -218,11 +253,11 @@ class Poly:
 
     # ---- grading ---------------------------------------------------------
     def weighted_parts(self, weights: Sequence[int]) -> dict[int, "Poly"]:
-        parts: dict[int, Poly] = {}
+        parts: dict[int, dict] = {}
         for m, c in self.terms.items():
             d = sum(w * e for w, e in zip(weights, m))
-            parts.setdefault(d, Poly(self.nvars)).terms[m] = c
-        return parts
+            parts.setdefault(d, {})[m] = c
+        return {d: Poly._of(self.nvars, t) for d, t in parts.items()}
 
     # ---- structure access ----------------------------------------------
     def coeff(self, mono: tuple) -> Scalar:
@@ -247,9 +282,7 @@ class Poly:
             mm = tuple(mm)
             s = acc.get(mm)
             acc[mm] = c if s is None else s + c
-        out = Poly(nvars)
-        out.terms = _exact_terms({m: c for m, c in acc.items() if c})
-        return out
+        return finish(nvars, {m: c for m, c in acc.items() if c})
 
     # ---- rendering -------------------------------------------------------
     def render(self, names: Sequence[str]) -> str:

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
+from operator import add
 
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D")
@@ -142,13 +143,13 @@ class RootSystem:
         self._omega = self._decompose_by_highest_root()
 
         self.sum_table: dict[tuple[int, int], int] = {}
-        all_ids = list(range(2 * self.n_pos))
-        for a in all_ids:
-            ca = self.root(a).coeffs
-            for b in all_ids:
-                s = tuple(x + y for x, y in zip(ca, self.root(b).coeffs))
-                if s in self._id_of_coeffs:
-                    self.sum_table[(a, b)] = self._id_of_coeffs[s]
+        coeffs = [self.root(a).coeffs for a in range(2 * self.n_pos)]
+        id_of = self._id_of_coeffs.get
+        for a, ca in enumerate(coeffs):
+            for b, cb in enumerate(coeffs):
+                s = id_of(tuple(map(add, ca, cb)))
+                if s is not None:
+                    self.sum_table[(a, b)] = s
 
         # adjacency via the Cartan matrix agrees with "delta + delta' is a root"
         simple = self.simple_ids()

@@ -131,6 +131,13 @@ def solve_H0(alg):
 # comparisons relabel roots (and chart coordinates) through the flip.
 # ---------------------------------------------------------------------------
 
+def canonical_terms(*polys) -> bool:
+    """Every coefficient follows the scalar rule: an int when integral,
+    else a Fraction with denominator > 1."""
+    return all(type(c) is int or c.denominator > 1
+               for p in polys for c in p.terms.values())
+
+
 def flip_root(rs, root_id: int) -> int:
     r = rs.root(root_id)
     flipped = tuple(reversed(r.coeffs))

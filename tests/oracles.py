@@ -295,3 +295,81 @@ class FractionPoly:
             out.terms[tuple(mm)] = out.terms.get(tuple(mm), Q(0)) + c
         out.terms = {m: c for m, c in out.terms.items() if c != 0}
         return out
+
+
+# ---- vector fields as chains of whole-polynomial operations ----------------
+
+def chain_to_coordinate(field) -> dict[int, FractionPoly]:
+    """Coordinate-frame components of a field, each a sum of products
+    with the frame rows added one whole polynomial at a time."""
+    comps = {k: FractionPoly.of(p) for k, p in field.components.items()}
+    if field.frame == "coordinate":
+        return comps
+    rows = field.chart.frame_components(field.slice_roots)
+    acc: dict[int, FractionPoly] = {}
+    for gamma, f in comps.items():
+        for j, a in rows[gamma].items():
+            acc[j] = acc.get(j, FractionPoly(f.nvars)) + f * FractionPoly.of(a)
+    return acc
+
+
+def chain_apply(field, f: FractionPoly) -> FractionPoly:
+    """The field applied to f as sum_j a_j * (df/dx_j), one whole
+    product and one whole sum per coordinate."""
+    out = FractionPoly(f.nvars)
+    for root_id, comp in chain_to_coordinate(field).items():
+        out = out + comp * f.diff(field.chart.coord_index(root_id))
+    return out
+
+
+def composition_bracket(a, b) -> dict[int, Poly]:
+    """[a, b] in the coordinate frame as the commutator of the two
+    derivations: component k is a(b_k) - b(a_k)."""
+    ca, cb = chain_to_coordinate(a), chain_to_coordinate(b)
+    zero = FractionPoly(a.chart.nvars)
+    out = {}
+    for k in set(ca) | set(cb):
+        p = chain_apply(a, cb.get(k, zero)) - chain_apply(b, ca.get(k, zero))
+        if p.terms:
+            out[k] = Poly(p.nvars, p.terms)
+    return out
+
+
+def peel_to_invariant(field) -> dict[int, Poly]:
+    """Invariant-frame components of a coordinate-frame field: in height
+    order, the residual d/dx_gamma coefficient is the X_gamma component,
+    and that multiple of the frame row of X_gamma is subtracted whole.
+
+    Raises ``ValueError`` when a residual is left outside the frame."""
+    chart = field.chart
+    rows = chart.frame_components(field.slice_roots)
+    rs = chart.algebra.rs
+    labels = sorted(range(rs.n_pos) if field.slice_roots is None
+                    else field.slice_roots, key=lambda g: rs.root(g).height)
+    residual = chain_to_coordinate(field)
+    out = {}
+    for gamma in labels:
+        f = residual.pop(gamma, None)
+        if f is not None and f.terms:
+            out[gamma] = Poly(f.nvars, f.terms)
+            for j, a in rows[gamma].items():
+                if j != gamma:
+                    residual[j] = (residual.get(j, FractionPoly(f.nvars))
+                                   - f * FractionPoly.of(a))
+    if any(p.terms for p in residual.values()):
+        raise ValueError("field has components outside the frame span")
+    return out
+
+
+def subs_project_to_slice(field, hs) -> dict[int, Poly]:
+    """Slice components of ``field`` with every complement coordinate
+    substituted by zero through ``Poly.subs``."""
+    chart = field.chart
+    csub = {chart.coord_index(r): 0 for r in hs.C}
+    out = {}
+    for r, p in field.to_invariant().components.items():
+        if r in hs.R:
+            q = p.subs(csub)
+            if not q.is_zero():
+                out[r] = q
+    return out

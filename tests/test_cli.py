@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from mclab.cli import main, parse_root_token
+from mclab.cli import build_parser, main, parse_root_token
 from mclab.rootsys import build_root_system
 
 
@@ -45,12 +45,21 @@ def test_rootsys_command():
 
 
 def test_byte_identical_reruns():
+    """Calls in one process share one parser: a rerun prints the same
+    bytes, and a bad argument after good calls still exits 2."""
+    assert build_parser() is build_parser()
     _, first = run_cli(["rootsys", "A", "3"])
     _, second = run_cli(["rootsys", "A", "3"])
     assert first == second
     _, a = run_cli(["mc", "C", "2", "--hessenberg", "a,b,a+b"])
     _, b = run_cli(["mc", "C", "2", "--hessenberg", "a,b,a+b"])
     assert a == b
+    for bad in (["mc", "C", "2"], ["rootsys", "E", "3"],
+                ["mc", "C", "2", "--hessenberg", "a", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+    assert run_cli(["rootsys", "A", "3"]) == (0, first)
 
 
 def test_root_token_parsing():

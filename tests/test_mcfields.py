@@ -18,8 +18,11 @@ from mclab.mcfields import (McError, McSolution, McSystem,
 from mclab.poly import Poly, monomials_of_weighted_degree
 from mclab.prolong import prolong
 
-from conftest import cartan_element, dense, mat_sub, solve_H0
-from oracles import coordinates_in_span
+from conftest import (canonical_terms, cartan_element, dense, mat_sub,
+                      solve_H0)
+from oracles import (chain_to_coordinate, composition_bracket,
+                     coordinates_in_span, peel_to_invariant,
+                     subs_project_to_slice)
 
 
 @pytest.fixture(scope="module")
@@ -711,6 +714,54 @@ def small_stabilized(sl2, chart_sl3, chart_sl4, chart_sp2):
     # A1, A2, A3 and C2 have 1, 2, 5 and 3 finite-type slices
     assert len(out) == 1 + 2 + 5 + 3
     return out
+
+
+def test_bracket_kernel_matches_composition_oracle(small_stabilized):
+    """On every stabilized set of A1-A3 and C2, each bracket of two basis
+    fields, diagonal and both orders included, equals the commutator
+    a(b_k) - b(a_k) of the two derivations built from whole-polynomial
+    chains; its invariant-frame form and each basis field's coordinate
+    form equal the chained oracles too, with canonical coefficients."""
+    pairs = zero = 0
+    for hs, sol in small_stabilized:
+        for f in sol.basis:
+            coord = f.to_coordinate()
+            assert coord.components == {
+                k: Poly(p.nvars, p.terms)
+                for k, p in chain_to_coordinate(f).items() if p.terms}
+            assert canonical_terms(*coord.components.values())
+        for a in sol.basis:
+            for b in sol.basis:
+                got = a.bracket(b)
+                assert got.frame == "coordinate"
+                assert got.components == composition_bracket(a, b), \
+                    sorted(hs.R)
+                assert canonical_terms(*got.components.values())
+                inv = got.to_invariant()
+                assert inv.components == peel_to_invariant(got)
+                assert canonical_terms(*inv.components.values())
+                pairs += 1
+                zero += got.is_zero()
+    assert pairs == sum(sol.dimension ** 2 for _, sol in small_stabilized)
+    assert zero > len(small_stabilized)
+
+
+def test_project_to_slice_matches_substitution(sl3, chart_sl3, sl4,
+                                               chart_sl4, sp2, chart_sp2):
+    """Dropping the terms with a complement variable equals substituting
+    zero for the complement coordinates, on tau of every basis element
+    projected to every Hessenberg set of A2, A3 and C2."""
+    checked = 0
+    for alg, chart in ((sl3, chart_sl3), (sl4, chart_sl4), (sp2, chart_sp2)):
+        taus = tau_basis(alg, chart)
+        for hs in enumerate_all(alg.rs):
+            for f in taus.values():
+                got = project_to_slice(f, hs)
+                assert got.components == subs_project_to_slice(f, hs)
+                assert got.slice_roots == hs.R
+                checked += 1
+    assert checked == (sum(len(enumerate_all(a.rs)) * a.dim
+                           for a in (sl3, sl4, sp2)))
 
 
 def _dense(vec, index):

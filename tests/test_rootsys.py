@@ -92,15 +92,21 @@ def test_heights_and_positivity_invariants():
 
 
 def test_sum_table_exhaustive():
-    for fam, rank in ALL_SMALL:
+    """The sum table, keys in order, equals the naive double loop over
+    ``rs.root`` on A1-A5, B2-B4, C2-C4 and D3-D5."""
+    for fam, rank in ALL_SMALL + [("A", 5), ("D", 5)]:
         rs = build_root_system(fam, rank)
         ids = range(2 * rs.n_pos)
+        naive = {}
         for a, b in product(ids, ids):
             s = tuple(x + y for x, y in
                       zip(rs.root(a).coeffs, rs.root(b).coeffs))
             expected = rs.id_of(s)
             assert rs.add(a, b) == expected
             assert rs.add(a, b) == rs.add(b, a)
+            if expected is not None:
+                naive[a, b] = expected
+        assert list(rs.sum_table.items()) == list(naive.items())
 
 
 def test_highest_root_dominates():
