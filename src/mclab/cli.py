@@ -287,9 +287,7 @@ def cmd_hessdefs(args) -> dict:
     if spec == "all":
         raise CliError("hessdefs needs one Hessenberg set, not 'all'")
     h_coeffs = None if args.symbolic else parse_h_spec(alg, args.H)
-    # after the arguments, so that an argument error is reported before
-    # a missing matrix chart (sp(l >= 3))
-    chart = matrix_chart(alg)
+    chart = default_chart(alg)
     eqs = hd.defining_equations(alg, chart, spec, h_coeffs)
     cert = hd.smoothness_certificate(eqs)
     payload = {

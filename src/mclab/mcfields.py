@@ -23,15 +23,15 @@ By default only the blocks that the Tanaka prolongation of the slice
 algebra (:mod:`mclab.prolong`) finds nonzero are assembled and
 eliminated, each nullity checked against the prolongation's count; the
 degrees where the prolongation is zero, the largest blocks of a solve,
-are never formed.  An explicit degree bound is the verification mode:
-it eliminates every weight block of every degree through the bound and
-never consults the prolongation.
+are never formed, and whether the solutions stop by the default bound
+is read off the prolongation as well.  An explicit degree bound is the
+verification mode: it eliminates every weight block of every degree
+through the bound and one past it, and never consults the prolongation.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg, prolong
@@ -534,16 +534,15 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
     simple frame field X, hence vanishes; the simple fields generate the
     slice algebra, so F commutes with all of it and would have negative
     degree, hence F = 0, and so on upwards.  The result reports
-    ``degree_bound`` 2h and ``stabilized`` True.  A slice whose
-    prolongation never empties through 2h + 1 (infinite type) is solved
-    through 2h, then the nonzero blocks of degree 2h + 1 count the
-    solutions past the bound, which are warned about, and ``stabilized``
-    is False.
+    ``degree_bound`` 2h, and ``stabilized`` is read off the prolongation:
+    True when it stops by degree 2h + 1.  A slice whose prolongation
+    never empties through 2h + 1 (infinite type) is solved through 2h and
+    reports ``stabilized`` False; degree 2h + 1 is not solved.
 
     An explicit ``degree_bound`` is the verification mode, which never
     consults the prolongation: every weight block of every degree up to
     the bound is eliminated, and ``stabilized`` records whether the
-    degree degree_bound + 1 is empty.
+    degree degree_bound + 1 is empty, by one more solve.
     """
     h = hs.rs.highest_root.height
     verify = degree_bound is not None
@@ -570,7 +569,8 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
         block = solve(d)
         basis.extend(block)
         degrees.extend([d] * len(block))
-    extra = solve(degree_bound + 1)
+    stabilized = (not solve(degree_bound + 1) if verify
+                  else tanaka.stop is not None)
     # counts are compared once every degree is assembled, so that a defect
     # in the assembly is reported by its own certificate first
     for d, nullity, counts in checks:
@@ -580,12 +580,6 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
                     f"degree {d}, weight {list(w)}: {nullity.get(w, 0)} "
                     f"solution(s), the prolongation gives "
                     f"{counts.get(w, 0)}")
-    stabilized = not extra
-    if not stabilized:
-        warnings.warn(
-            f"multicontact dimension not stabilized at bound "
-            f"{degree_bound}: {len(extra)} further solution(s) at the "
-            f"next degree", stacklevel=2)
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
                       basis=basis, degrees=degrees, dimension=len(basis),
                       stabilized=stabilized)

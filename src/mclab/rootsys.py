@@ -1,6 +1,7 @@
 """Reduced restricted root systems of classical type A, B, C, D.
 
-Roots are stored as integer coefficient vectors over the simple roots.
+A root system is built from its integer Cartan matrix alone, and roots
+are stored as integer coefficient vectors over the simple roots.
 Positive roots carry dense ids ``0..n_pos-1`` in *contract order*:
 ascending height, then descending lexicographic order on the coefficient
 tuple.  The negative of the positive root with id ``k`` has id
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction as Q
-from itertools import combinations
 from operator import add
 
 
@@ -32,55 +31,48 @@ class RootSystemError(ValueError):
     pass
 
 
-def _euclidean_roots(family: str, rank: int):
-    """Positive roots and simple roots as exact Euclidean vectors."""
-    def e(i, dim):
-        v = [0] * dim
-        v[i] = 1
-        return tuple(v)
-
-    def minus(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def plus(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    if family == "A":
-        dim = rank + 1
-        simples = [minus(e(i, dim), e(i + 1, dim)) for i in range(rank)]
-        positives = [minus(e(i, dim), e(j, dim))
-                     for i in range(dim) for j in range(i + 1, dim)]
-    elif family == "B":
-        dim = rank
-        simples = [minus(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        simples.append(e(rank - 1, dim))
-        positives = [e(i, dim) for i in range(dim)]
-        for i, j in combinations(range(dim), 2):
-            positives.append(minus(e(i, dim), e(j, dim)))
-            positives.append(plus(e(i, dim), e(j, dim)))
+def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
+    """a_ij = 2(alpha_i, alpha_j)/(alpha_j, alpha_j) in closed form.  The
+    last simple root is the short one of B and the long one of C; D
+    branches at the third simple root from the end."""
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0
+          for j in range(rank)] for i in range(rank)]
+    if family == "B":
+        a[rank - 2][rank - 1] = -2
     elif family == "C":
-        dim = rank
-        simples = [minus(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        simples.append(tuple(2 * x for x in e(rank - 1, dim)))
-        positives = [tuple(2 * x for x in e(i, dim)) for i in range(dim)]
-        for i, j in combinations(range(dim), 2):
-            positives.append(minus(e(i, dim), e(j, dim)))
-            positives.append(plus(e(i, dim), e(j, dim)))
+        a[rank - 1][rank - 2] = -2
     elif family == "D":
-        dim = rank
-        simples = [minus(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        simples.append(plus(e(rank - 2, dim), e(rank - 1, dim)))
-        positives = []
-        for i, j in combinations(range(dim), 2):
-            positives.append(minus(e(i, dim), e(j, dim)))
-            positives.append(plus(e(i, dim), e(j, dim)))
-    else:
-        raise RootSystemError(f"unsupported family {family!r}")
-    return simples, positives
+        a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
+        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
+    return a
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _positive_roots(a: list[list[int]]) -> list[tuple[int, ...]]:
+    """Positive roots of the Cartan matrix ``a`` in contract order, one
+    height at a time by root strings: beta + alpha_i is a root exactly when
+    p - <beta, alpha_i^v> > 0, where beta - p alpha_i is the bottom of the
+    alpha_i-string through beta (Humphreys, Introduction to Lie Algebras,
+    9.4)."""
+    rank = len(a)
+    level = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    found = set(level)
+    roots = []
+    while level:
+        roots.extend(level)
+        above = set()
+        for beta in level:
+            for i in range(rank):
+                down = list(beta)
+                down[i] -= 1
+                p = 0
+                while tuple(down) in found:
+                    down[i] -= 1
+                    p += 1
+                if p > sum(c * a[j][i] for j, c in enumerate(beta)):
+                    above.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        found |= above
+        level = sorted(above, reverse=True)
+    return roots
 
 
 class RootSystem:
@@ -96,43 +88,24 @@ class RootSystem:
             raise RootSystemError("D requires rank >= 3")
         self.family = family
         self.rank = rank
+        self.cartan_matrix = _cartan_matrix(family, rank)
+        # (alpha_i, alpha_j) = a_ij (alpha_j, alpha_j) / 2, where short
+        # simple roots have squared length 2 and long ones 4
+        long = [(family == "B" and j < rank - 1)
+                or (family == "C" and j == rank - 1) for j in range(rank)]
+        self._gram = [[a_ij * (2 if long[j] else 1) for j, a_ij in
+                       enumerate(row)] for row in self.cartan_matrix]
 
-        simples, positives = _euclidean_roots(family, rank)
-        # pairing scale: short simple roots get squared length 2
-        scale = 2 if family == "B" else 1
-        self._pair = lambda va, vb: scale * _dot(va, vb)
-
-        # expand each positive root over the simple roots (exact, integer)
-        coeff_of_vec = {}
-        for vec in positives:
-            coeffs = self._expand(simples, vec)
-            coeff_of_vec[vec] = coeffs
-
-        ordered = sorted(
-            positives,
-            key=lambda v: (sum(coeff_of_vec[v]),
-                           tuple(-c for c in coeff_of_vec[v])),
-        )
         self.positive_roots: list[Root] = []
-        self._vec_of_id: list[tuple] = []
         self._id_of_coeffs: dict[tuple, int] = {}
-        for k, vec in enumerate(ordered):
-            coeffs = coeff_of_vec[vec]
-            root = Root(coeffs=coeffs, id=k, height=sum(coeffs))
-            self.positive_roots.append(root)
-            self._vec_of_id.append(vec)
+        for k, coeffs in enumerate(_positive_roots(self.cartan_matrix)):
+            self.positive_roots.append(
+                Root(coeffs=coeffs, id=k, height=sum(coeffs)))
             self._id_of_coeffs[coeffs] = k
         self.n_pos = len(self.positive_roots)
         for k in range(self.n_pos):
             neg = tuple(-c for c in self.positive_roots[k].coeffs)
             self._id_of_coeffs[neg] = self.n_pos + k
-
-        self.cartan_matrix = [
-            [int(Q(2 * self._pair(simples[i], simples[j]),
-                   self._pair(simples[j], simples[j])))
-             for j in range(rank)]
-            for i in range(rank)
-        ]
 
         # highest root: the unique componentwise-maximal positive root
         top = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
@@ -162,22 +135,6 @@ class RootSystem:
                     raise RootSystemError(
                         "Cartan adjacency disagrees with root addition")
 
-    @staticmethod
-    def _expand(simples, vec) -> tuple[int, ...]:
-        # solve vec = sum c_i simple_i over the rationals; results are integers
-        from .linalg import solve
-        dim = len(vec)
-        a = [[simples[j][i] for j in range(len(simples))] for i in range(dim)]
-        sol = solve(a, list(vec))
-        if sol is None:
-            raise RootSystemError("root not in simple-root lattice")
-        out = []
-        for c in sol:
-            if c.denominator != 1:
-                raise RootSystemError("non-integer simple-root coefficient")
-            out.append(int(c))
-        return tuple(out)
-
     # ---- lookups ---------------------------------------------------------
     def root(self, root_id: int) -> Root:
         if 0 <= root_id < self.n_pos:
@@ -201,14 +158,9 @@ class RootSystem:
         return self.sum_table.get((a, b))
 
     def pairing(self, a: int, b: int) -> int:
-        va = self._signed_vec(a)
-        vb = self._signed_vec(b)
-        return self._pair(va, vb)
-
-    def _signed_vec(self, root_id: int):
-        if root_id < self.n_pos:
-            return self._vec_of_id[root_id]
-        return tuple(-x for x in self._vec_of_id[root_id - self.n_pos])
+        ca, cb = self.root(a).coeffs, self.root(b).coeffs
+        return sum(x * g * y for x, row in zip(ca, self._gram)
+                   for g, y in zip(row, cb))
 
     def leq(self, a: int, b: int) -> bool:
         """Componentwise order on positive roots: a <= b."""

@@ -7,6 +7,7 @@ another way; the tests compare the two exactly.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import combinations
 from math import factorial
 
 from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub
@@ -373,3 +374,88 @@ def subs_project_to_slice(field, hs) -> dict[int, Poly]:
             if not q.is_zero():
                 out[r] = q
     return out
+
+
+def euclidean_roots(family: str, rank: int):
+    """Simple and positive roots of A, B, C, D as Euclidean vectors in
+    the standard realization (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, Plates I-IV), with C's long roots 2e_i."""
+    def e(i):
+        return tuple(int(k == i) for k in range(dim))
+
+    def minus(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def plus(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    dim = rank + 1 if family == "A" else rank
+    simples = [minus(e(i), e(i + 1)) for i in range(dim - 1)]
+    pairs = [(e(i), e(j)) for i, j in combinations(range(dim), 2)]
+    if family == "A":
+        return simples, [minus(x, y) for x, y in pairs]
+    positives = [v for x, y in pairs for v in (minus(x, y), plus(x, y))]
+    if family == "B":
+        simples.append(e(rank - 1))
+        positives += [e(i) for i in range(dim)]
+    elif family == "C":
+        simples.append(plus(e(rank - 1), e(rank - 1)))
+        positives += [plus(e(i), e(i)) for i in range(dim)]
+    else:
+        simples.append(plus(e(rank - 2), e(rank - 1)))
+    return simples, positives
+
+
+class EuclideanRootSystem:
+    """The root data that ``mclab.rootsys`` reads off the Cartan matrix,
+    computed the long way: from Euclidean vectors, one rational solve
+    per positive root for its simple-root coefficients, and the Euclidean
+    inner product (scaled by 2 on B, so short roots have squared length
+    2).  Ids follow the package contract: positive roots by height, then
+    by descending coefficient tuple, and n_pos + k for minus root k."""
+
+    def __init__(self, family: str, rank: int):
+        simples, positives = euclidean_roots(family, rank)
+        scale = 2 if family == "B" else 1
+        self._dot = lambda u, v: scale * sum(x * y for x, y in zip(u, v))
+        expanded = []
+        for vec in positives:
+            a = [[s[i] for s in simples] for i in range(len(vec))]
+            sol = linalg.solve(a, list(vec))
+            if sol is None or any(Q(c).denominator != 1 for c in sol):
+                raise ValueError("root outside the simple-root lattice")
+            coeffs = tuple(int(c) for c in sol)
+            expanded.append(((sum(coeffs), tuple(-c for c in coeffs)),
+                             coeffs, vec))
+        expanded.sort()
+        self.positive_roots = [coeffs for _, coeffs, _ in expanded]
+        pos_vecs = [vec for _, _, vec in expanded]
+        self.n_pos = len(pos_vecs)
+        self.vectors = pos_vecs + [tuple(-x for x in v) for v in pos_vecs]
+        self.cartan_matrix = [
+            [Q(2 * self._dot(si, sj), self._dot(sj, sj)) for sj in simples]
+            for si in simples]
+
+    def pairing(self, a: int, b: int) -> int:
+        return self._dot(self.vectors[a], self.vectors[b])
+
+    def sum_table(self) -> dict[tuple[int, int], int]:
+        id_of = {v: k for k, v in enumerate(self.vectors)}
+        table = {}
+        for a, u in enumerate(self.vectors):
+            for b, v in enumerate(self.vectors):
+                s = id_of.get(tuple(x + y for x, y in zip(u, v)))
+                if s is not None:
+                    table[a, b] = s
+        return table
+
+    def omega_decomposition(self) -> dict[Q, set[int]]:
+        """Positive roots by 2(w, beta)/(w, w), w the highest root:
+        0 for Sigma_0, 1 for Sigma_1/2 and 2 for Sigma_1."""
+        w = max(range(self.n_pos),
+                key=lambda k: sum(self.positive_roots[k]))
+        ww = self.pairing(w, w)
+        split: dict[Q, set[int]] = {}
+        for k in range(self.n_pos):
+            split.setdefault(Q(2 * self.pairing(w, k), ww), set()).add(k)
+        return split

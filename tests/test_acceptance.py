@@ -540,7 +540,6 @@ def test_criterion_9_nu(sl4, sp2, chart_sl4, chart_sp2):
 
 @criterion("criterion 9d",
            "zone additivity on every multi-zone subset of the rank-3 system")
-@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
 def test_criterion_9_reduction(sl4, chart_sl4):
     for hs in enumerate_all(sl4.rs):
         rep = analyze(hs)

@@ -129,6 +129,13 @@ def test_hessdefs_command():
     assert json.loads(out)["certificate"]["identity_holds"] is True
     validate_against("hessdefs", out)
 
+    # sp(l >= 3) has no matrix chart; hessdefs uses the second-kind one
+    code, out = run_cli(["hessdefs", "C", "3", "--hessenberg", "type-2",
+                         "--symbolic"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["identity_holds"] is True
+    validate_against("hessdefs", out)
+
 
 def test_hessdefs_jacobian_csv():
     code, out = run_cli(["hessdefs", "A", "3", "--hessenberg", "type-2",

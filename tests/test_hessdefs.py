@@ -8,7 +8,7 @@ from mclab import linalg
 from mclab.hessdefs import (HessDefError, defining_equations, graph_map,
                             pushforward_frame, smoothness_certificate)
 from mclab.hessenberg import enumerate_all, type_p_subset, validate
-from mclab.liealg import build_sl, build_sp, matrix_chart
+from mclab.liealg import build_sl, build_sp, default_chart, matrix_chart
 from mclab.poly import Poly
 
 from oracles import unipotent_inverse
@@ -133,6 +133,31 @@ def test_symbolic_determinant_identity_exhaustive():
             cert = smoothness_certificate(eqs)
             assert cert.triangular
             assert cert.identity_holds
+
+
+@pytest.mark.parametrize("rank,h_coeffs,sets", [
+    (3, (1, 2, 4), "all"), (4, (1, 2, 4, 8), "type-p")])
+def test_second_kind_chart_certificates_sp(rank, h_coeffs, sets):
+    """On the default (second-kind) chart of sp(3) and sp(4), the symbolic
+    and the numeric certificate are triangular with det = prod alpha(H),
+    and the graph map annihilates the equations: every Hessenberg set of
+    C3, every type-p set of C4."""
+    alg = build_sp(rank)
+    chart = default_chart(alg)
+    assert chart.kind == "second_kind"
+    h = alg.rs.highest_root.height
+    subsets = (enumerate_all(alg.rs) if sets == "all"
+               else [type_p_subset(alg.rs, p) for p in range(1, h + 1)])
+    for hs in subsets:
+        for coeffs in (None, h_coeffs):
+            eqs = defining_equations(alg, chart, hs, coeffs)
+            cert = smoothness_certificate(eqs)
+            assert cert.triangular and cert.identity_holds
+            assert cert.jacobian_rank == len(hs.C)
+        graph = graph_map(eqs)
+        sub = {chart.coord_index(a): p for a, p in graph.items()}
+        for p in eqs.polynomials.values():
+            assert p.subs(sub).is_zero()
 
 
 def test_graph_map_example(sl4, chart_sl4):

@@ -501,18 +501,29 @@ def bound_sweeps(sl2, sl3, sl4, sp2, sp3):
     dimensions), keyed by algebra.  The full bound 2h = 10 is too slow on
     C3; 6 lies past the top degree h = 5 of its full slice."""
     sweeps = {}
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "multicontact dimension")
-        for name, alg, chart, bound in [
-                ("A1", sl2, matrix_chart(sl2), 2),
-                ("A2", sl3, matrix_chart(sl3), 4),
-                ("A3", sl4, matrix_chart(sl4), 6),
-                ("C2", sp2, matrix_chart(sp2), 6),
-                ("C3", sp3, second_kind_chart(sp3), 6)]:
-            sweeps[name] = (alg, bound, [
-                (hs, solve_mc(hs, chart), *_solve_recorded(chart, hs, bound))
-                for hs in enumerate_all(alg.rs)])
+    for name, alg, chart, bound in [
+            ("A1", sl2, matrix_chart(sl2), 2),
+            ("A2", sl3, matrix_chart(sl3), 4),
+            ("A3", sl4, matrix_chart(sl4), 6),
+            ("C2", sp2, matrix_chart(sp2), 6),
+            ("C3", sp3, second_kind_chart(sp3), 6)]:
+        sweeps[name] = (alg, bound, [
+            (hs, solve_mc(hs, chart), *_solve_recorded(chart, hs, bound))
+            for hs in enumerate_all(alg.rs)])
     return sweeps
+
+
+def test_infinite_type_reported_without_warning(chart_sl3, chart_sl4):
+    """An infinite-type slice is reported by ``stabilized`` alone: A3
+    type-1 and A2 {a, b} solve with no warning and are not stabilized."""
+    rs3 = chart_sl3.algebra.rs
+    for chart, hs in [(chart_sl4, type_p_subset(chart_sl4.algebra.rs, 1)),
+                      (chart_sl3, validate(rs3, {rs3.id_of((1, 0)),
+                                                 rs3.id_of((0, 1))}))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_mc(hs, chart)
+        assert not sol.stabilized
 
 
 def _assert_stop_matches_bound(alg, bound, hs, stopped, full, dims):
@@ -639,7 +650,6 @@ def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):
 # dark-zone reduction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
 def test_reduction_two_singleton_zones(sl4, chart_sl4):
     rs = sl4.rs
     hs = validate(rs, {rs.id_of((1, 0, 0)), rs.id_of((0, 0, 1))})
@@ -656,7 +666,6 @@ def test_reduction_single_zone_identity(sl4, chart_sl4, sl4_type2):
     assert red.additive and red.lifts_contained
 
 
-@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
 def test_reduction_mixed_zones(sl4, chart_sl4):
     rs = sl4.rs
     R = {rs.id_of((1, 0, 0)), rs.id_of((0, 1, 0)), rs.id_of((1, 1, 0)),
@@ -669,7 +678,6 @@ def test_reduction_mixed_zones(sl4, chart_sl4):
     assert red.additive and red.lifts_contained
 
 
-@pytest.mark.filterwarnings("ignore:multicontact dimension not stabilized")
 def test_reduction_additivity_all_multizone_a3(sl4, chart_sl4):
     for hs in enumerate_all(sl4.rs):
         rep = analyze(hs)
@@ -702,15 +710,12 @@ def small_stabilized(sl2, chart_sl3, chart_sl4, chart_sp2):
     """Solutions, with bracket tables, of every Hessenberg set of A1-A3
     and C2 whose solution is stabilized."""
     out = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", "multicontact dimension not stabilized")
-        for chart in (matrix_chart(sl2), chart_sl3, chart_sl4, chart_sp2):
-            for hs in enumerate_all(chart.algebra.rs):
-                sol = solve_mc(hs, chart)
-                if sol.stabilized:
-                    sol.compute_brackets()
-                    out.append((hs, sol))
+    for chart in (matrix_chart(sl2), chart_sl3, chart_sl4, chart_sp2):
+        for hs in enumerate_all(chart.algebra.rs):
+            sol = solve_mc(hs, chart)
+            if sol.stabilized:
+                sol.compute_brackets()
+                out.append((hs, sol))
     # A1, A2, A3 and C2 have 1, 2, 5 and 3 finite-type slices
     assert len(out) == 1 + 2 + 5 + 3
     return out

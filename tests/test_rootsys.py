@@ -9,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab.rootsys import RootSystem, RootSystemError, build_root_system
+from oracles import EuclideanRootSystem
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
              ("B", 2), ("B", 3), ("B", 4),
              ("C", 2), ("C", 3), ("C", 4),
              ("D", 3), ("D", 4)]
+
+
+ORACLE_SYSTEMS = ([("A", l) for l in range(1, 9)]
+                  + [(f, l) for f in "BC" for l in range(2, 9)]
+                  + [("D", l) for l in range(3, 9)])
 
 
 def brute_force_chain(rs, beta, alpha):
@@ -64,6 +70,28 @@ def test_build_checks_cartan_adjacency(monkeypatch):
                         lambda self, i, j: False)
     with pytest.raises(RootSystemError, match="Cartan adjacency"):
         build_root_system("A", 2)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def test_root_data_match_euclidean_oracle(family, rank):
+    """The Cartan matrix, the positive roots in contract order, every
+    pairing (an int), the sum table with its keys in order and the
+    omega-decomposition equal those of the Euclidean construction."""
+    rs = build_root_system(family, rank)
+    ref = EuclideanRootSystem(family, rank)
+    assert rs.cartan_matrix == ref.cartan_matrix
+    assert [r.coeffs for r in rs.positive_roots] == ref.positive_roots
+    for a in range(2 * rs.n_pos):
+        for b in range(2 * rs.n_pos):
+            p = rs.pairing(a, b)
+            assert type(p) is int and p == ref.pairing(a, b)
+    assert list(rs.sum_table.items()) == list(ref.sum_table().items())
+    od = rs.omega_decompose()
+    split = ref.omega_decomposition()
+    assert od.sigma0 == split.get(0, set())
+    assert od.sigma_half == split.get(1, set())
+    assert od.sigma1 == split[2] == {rs.highest_root.id}
+    assert set(split) <= {0, 1, 2}
 
 
 def test_root_counts_match_classical_formulas():

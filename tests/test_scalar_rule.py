@@ -10,7 +10,6 @@ the solution basis and the bracket table.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction as Q
 
 import pytest
@@ -56,9 +55,7 @@ def _mc(family, rank, hessenberg):
     alg = algebra_for(family, rank)
     chart = default_chart(alg)
     spec = parse_hessenberg_spec(alg.rs, hessenberg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = mc.solve_mc(spec, chart)
+    sol = mc.solve_mc(spec, chart)
     sol.compute_brackets()
     comparison = mc.compare_with_normalizer(spec, chart, sol)
     summary = sol.algebra_summary()
