@@ -139,15 +139,19 @@ def max_rank_cap() -> int:
 
 def emit(payload: dict, fmt: str, out_path: str | None,
          csv_rows=None, pretty_lines=None) -> None:
+    """Write the one form ``fmt`` asks for.  ``csv_rows`` and
+    ``pretty_lines`` are generator functions of the CSV rows and the
+    pretty lines, so only the form written is ever built."""
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         if csv_rows is None:
             raise CliError("this subcommand has no CSV form")
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
+        text = "\n".join(",".join(str(c) for c in row)
+                         for row in csv_rows())
         text += "\n"
     elif fmt == "pretty":
-        lines = pretty_lines if pretty_lines is not None else [
+        lines = pretty_lines() if pretty_lines is not None else [
             json.dumps(payload, sort_keys=True, indent=2)]
         text = "\n".join(lines) + "\n"
     else:
@@ -189,14 +193,19 @@ def cmd_rootsys(args) -> dict:
             "sigma_1": [rs.root_name(i) for i in sorted(od.sigma1)],
         },
     }
-    csv_rows = [("name", "height", "coeffs")]
-    for r in rs.positive_roots:
-        csv_rows.append((rs.root_name(r.id), r.height,
-                         " ".join(str(c) for c in r.coeffs)))
-    pretty = [f"{args.family}{args.rank}: {rs.n_pos} positive roots, "
-              f"omega = {rs.root_name(rs.highest_root.id)}"]
-    pretty += [f"  {rs.root_name(r.id)}  ht {r.height}"
-               for r in rs.positive_roots]
+
+    def csv_rows():
+        yield ("name", "height", "coeffs")
+        for r in rs.positive_roots:
+            yield (rs.root_name(r.id), r.height,
+                   " ".join(str(c) for c in r.coeffs))
+
+    def pretty():
+        yield (f"{args.family}{args.rank}: {rs.n_pos} positive roots, "
+               f"omega = {rs.root_name(rs.highest_root.id)}")
+        for r in rs.positive_roots:
+            yield f"  {rs.root_name(r.id)}  ht {r.height}"
+
     return {"payload": payload, "csv": csv_rows, "pretty": pretty}
 
 
@@ -217,20 +226,24 @@ def cmd_hess(args) -> dict:
         "config": config_dict(args, hessenberg=args.hessenberg),
         "reports": [r.to_json_dict() for r in reports],
     }
-    csv_rows = [("R", "dim_slice", "dim_q", "dim_q_mod_nC", "dim_conjecture",
-                 "hypothesis_I", "hypothesis_II")]
-    for r in reports:
-        csv_rows.append((" ".join(rs.root_name(i) for i in sorted(r.hs.R)),
-                         r.dims["dim_slice"], r.dims["dim_q"],
-                         r.dims["dim_q_mod_nC"], r.dims["dim_conjecture"],
-                         r.hypothesis_I, r.hypothesis_II))
-    pretty = []
-    for r in reports:
-        pretty.append("R = {" + ", ".join(rs.root_name(i)
-                                          for i in sorted(r.hs.R)) + "}")
-        for k, v in sorted(r.dims.items()):
-            pretty.append(f"  {k} = {v}")
-        pretty.append(f"  hypotheses: I={r.hypothesis_I} II={r.hypothesis_II}")
+
+    def csv_rows():
+        yield ("R", "dim_slice", "dim_q", "dim_q_mod_nC", "dim_conjecture",
+               "hypothesis_I", "hypothesis_II")
+        for r in reports:
+            yield (" ".join(rs.root_name(i) for i in sorted(r.hs.R)),
+                   r.dims["dim_slice"], r.dims["dim_q"],
+                   r.dims["dim_q_mod_nC"], r.dims["dim_conjecture"],
+                   r.hypothesis_I, r.hypothesis_II)
+
+    def pretty():
+        for r in reports:
+            yield "R = {" + ", ".join(rs.root_name(i)
+                                      for i in sorted(r.hs.R)) + "}"
+            for k, v in sorted(r.dims.items()):
+                yield f"  {k} = {v}"
+            yield f"  hypotheses: I={r.hypothesis_I} II={r.hypothesis_II}"
+
     return {"payload": payload, "csv": csv_rows, "pretty": pretty}
 
 
@@ -251,15 +264,20 @@ def cmd_mc(args) -> dict:
         "comparison": comparison.to_json_dict(),
         "algebra_summary": sol.algebra_summary(),
     }
-    csv_rows = [("field", "label", "polynomial")]
-    for i, f in enumerate(sol.basis):
-        for g, p in sorted(f.components.items()):
-            csv_rows.append((i, rs.root_name(g), p.render(chart.var_names)))
-    pretty = [f"dimension {sol.dimension} (stabilized: {sol.stabilized})",
-              f"normalizer image dimension {comparison.nu_dimension}",
-              f"equal: {comparison.equal}; conjecture dimension "
-              f"{comparison.conjecture_dimension} "
-              f"(matches: {comparison.conjecture_matches})"]
+
+    def csv_rows():
+        yield ("field", "label", "polynomial")
+        for i, f in enumerate(sol.basis):
+            for g, p in sorted(f.components.items()):
+                yield (i, rs.root_name(g), p.render(chart.var_names))
+
+    def pretty():
+        yield f"dimension {sol.dimension} (stabilized: {sol.stabilized})"
+        yield f"normalizer image dimension {comparison.nu_dimension}"
+        yield (f"equal: {comparison.equal}; conjecture dimension "
+               f"{comparison.conjecture_dimension} "
+               f"(matches: {comparison.conjecture_matches})")
+
     return {"payload": payload, "csv": csv_rows, "pretty": pretty}
 
 
@@ -272,11 +290,16 @@ def cmd_polybasis(args) -> dict:
         "basis": basis.to_json_dict(),
         "oracle_equal": checks,
     }
-    csv_rows = [("label", "polynomial", "oracle_equal")]
-    for k, p in sorted(basis.table.items()):
-        csv_rows.append((k, p.render(basis.chart.var_names), checks[k]))
-    pretty = [f"{k}: {p.render(basis.chart.var_names)}"
-              for k, p in sorted(basis.table.items())]
+
+    def csv_rows():
+        yield ("label", "polynomial", "oracle_equal")
+        for k, p in sorted(basis.table.items()):
+            yield (k, p.render(basis.chart.var_names), checks[k])
+
+    def pretty():
+        for k, p in sorted(basis.table.items()):
+            yield f"{k}: {p.render(basis.chart.var_names)}"
+
     return {"payload": payload, "csv": csv_rows, "pretty": pretty}
 
 
@@ -302,17 +325,20 @@ def cmd_hessdefs(args) -> dict:
             rs.root_name(a): p.render(chart.var_names)
             for a, p in sorted(graph.items())}
     names = eqs.var_names()
-    csv_rows = [("equation",) + tuple(chart.var_names)]
-    for a, row in zip(eqs.order, eqs.jacobian()):
-        csv_rows.append((rs.root_name(a),)
-                        + tuple(p.render(names) for p in row))
-    pretty = [f"{rs.root_name(a)}: {p.render(names)} = 0"
-              for a, p in sorted(eqs.polynomials.items())]
-    pretty.append(f"det = {cert.determinant.render(names)} "
-                  f"(identity holds: {cert.identity_holds})")
-    if "graph_map" in payload:
-        pretty += [f"graph {k} = {v}"
-                   for k, v in sorted(payload["graph_map"].items())]
+
+    def csv_rows():
+        yield ("equation",) + tuple(chart.var_names)
+        for a, row in zip(eqs.order, eqs.jacobian()):
+            yield (rs.root_name(a),) + tuple(p.render(names) for p in row)
+
+    def pretty():
+        for a, p in sorted(eqs.polynomials.items()):
+            yield f"{rs.root_name(a)}: {p.render(names)} = 0"
+        yield (f"det = {cert.determinant.render(names)} "
+               f"(identity holds: {cert.identity_holds})")
+        for k, v in sorted(payload.get("graph_map", {}).items()):
+            yield f"graph {k} = {v}"
+
     return {"payload": payload, "csv": csv_rows, "pretty": pretty}
 
 
@@ -363,9 +389,16 @@ def cmd_selftest(args) -> dict:
         "checks": [{"name": n, "passed": p} for n, p in checks],
         "passed": all(p for _, p in checks),
     }
-    pretty = [("PASS " if p else "FAIL ") + n for n, p in checks]
-    pretty.append("all passed" if payload["passed"] else "FAILURES present")
-    csv_rows = [("check", "passed")] + [(n, p) for n, p in checks]
+
+    def csv_rows():
+        yield ("check", "passed")
+        yield from checks
+
+    def pretty():
+        for n, p in checks:
+            yield ("PASS " if p else "FAIL ") + n
+        yield "all passed" if payload["passed"] else "FAILURES present"
+
     return {"payload": payload, "csv": csv_rows, "pretty": pretty,
             "failed": not payload["passed"]}
 
@@ -437,13 +470,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
+        # the form is built here, so its errors are reported like the rest
+        emit(result["payload"], args.format, args.out,
+             csv_rows=result.get("csv"), pretty_lines=result.get("pretty"))
     except (CliError, RootSystemError, LieAlgebraError, hb.HessenbergError,
             mc.McError, pb.PolyBasisError, hd.HessDefError, ValueError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
         return 2
-    emit(result["payload"], args.format, args.out,
-         csv_rows=result.get("csv"), pretty_lines=result.get("pretty"))
     return 1 if result.get("failed") else 0
 
 

@@ -90,8 +90,9 @@ class Realization:
     def decompose(self, m):
         """Coefficients of the entry map m over [cartan..., pos..., neg...];
         exact, in time following its entries.  Only the decomposition
-        positions are read, so the element must lie in the algebra
-        (callers bracket or transpose basis elements, so it always does).
+        positions are read, so the element must lie in the algebra; a
+        caller that cannot be sure of that recomposes the result, as the
+        structure tables do for [X_a, X_-a].
         """
         n = self.size
         return self._span.sparse_coefficients(
@@ -128,6 +129,21 @@ def _transpose(m, scale=1):
     return {(j, i): scale * x for (i, j), x in m.items()}
 
 
+def _multiple(m, x):
+    """The exact scalar c with m == c * x for entry maps m and x (x not
+    empty, neither holding zeros), or None when m is no multiple of x.
+
+    c is read at one entry of x, an int when the division is exact, and
+    then checked at every entry; an empty m gives 0."""
+    p, v = next(iter(x.items()))
+    u = m.get(p, 0)
+    c = (u // v if type(u) is int and type(v) is int and not u % v
+         else exact(Q(u, v)))
+    if m != ({q: c * w for q, w in x.items()} if c else {}):
+        return None
+    return c
+
+
 # ---------------------------------------------------------------------------
 # the algebra object
 # ---------------------------------------------------------------------------
@@ -157,21 +173,23 @@ class SplitLieAlgebra:
         return self.rank + root_id
 
     def _derive_tables(self):
+        """The tables by recomposition: [H_i, X_r], [X_a, X_b] for a root
+        a + b and theta(X_a) = -X_a^T each lie in one root space, so each
+        is an exact multiple of one basis element (Carter, Simple Groups
+        of Lie Type, 4.1-4.2), read at one entry and checked at all of
+        them.  Only [X_a, X_-a] is decomposed over the basis."""
         rs = self.rs
         real = self.realization
-        entries = real.entries
+        entries = real.entries[self.rank:]      # the root vectors, by id
         # root functionals over the Cartan basis
         self.functional: list[tuple[Scalar, ...]] = []
-        for r in range(rs.n_pos):
+        for x_r in entries[:rs.n_pos]:
             vals = []
-            x_r = entries[self.full_index(r)]
-            for i in range(self.rank):
-                comm = _sparse_bracket(entries[i], x_r)
-                target = real.decompose(comm)[self.full_index(r)]
-                # recomposition: [H_i, X_r] must be target * X_r exactly
-                if comm != {p: target * x for p, x in x_r.items() if target}:
+            for h in real.cartan:
+                v = _multiple(_sparse_bracket(h, x_r), x_r)
+                if v is None:
                     raise LieAlgebraError("Cartan element is not diagonal")
-                vals.append(target)
+                vals.append(v)
             self.functional.append(tuple(vals))
         # structure constants for root pairs: [X_b, X_a] = -[X_a, X_b]
         # exactly and [X_a, X_a] = 0, so only the pairs a < b are
@@ -182,41 +200,36 @@ class SplitLieAlgebra:
         for a in range(nroots):
             for b in range(a + 1, nroots):
                 s = rs.add(a, b)
-                comm = _sparse_bracket(entries[self.full_index(a)],
-                                       entries[self.full_index(b)])
-                coeffs = real.decompose(comm)
+                comm = _sparse_bracket(entries[a], entries[b])
                 if s is not None:
-                    c = coeffs[self.full_index(s)]
-                    rest = [x for k, x in enumerate(coeffs)
-                            if k != self.full_index(s) and x != 0]
-                    if rest:
+                    c = _multiple(comm, entries[s])
+                    if c is None:
                         raise LieAlgebraError("bracket leaves its root space")
-                    if c != 0:
-                        half[(a, b)] = c
-                elif rs.neg(a) == b:
-                    if a < rs.n_pos:
-                        self.h_of_bracket[a] = tuple(coeffs[:self.rank])
-                    if any(x != 0 for x in coeffs[self.rank:]):
+                    if c:
+                        half[a, b] = c
+                elif rs.neg(a) == b:        # a positive, as a < b
+                    # decompose reads the pivot positions only, so the
+                    # Cartan part is recomposed and compared in full
+                    h = tuple(real.decompose(comm)[:self.rank])
+                    recomposed: dict = {}
+                    for x, e in zip(h, real.cartan):
+                        for p, y in e.items():
+                            recomposed[p] = recomposed.get(p, 0) + x * y
+                    if comm != {p: y for p, y in recomposed.items() if y}:
                         raise LieAlgebraError("[X_a, X_-a] not in the Cartan")
-                else:
-                    if any(x != 0 for x in coeffs):
-                        raise LieAlgebraError("bracket of non-summing roots nonzero")
+                    self.h_of_bracket[a] = h
+                elif comm:
+                    raise LieAlgebraError("bracket of non-summing roots nonzero")
         # keys in the full (a, b) order, which the JSON output follows
-        self.c: dict[tuple[int, int], Scalar] = {}
-        for a in range(nroots):
-            for b in range(nroots):
-                if (a, b) in half:
-                    self.c[(a, b)] = half[(a, b)]
-                elif (b, a) in half:
-                    self.c[(a, b)] = -half[(b, a)]
-        # theta scalars: theta(X_id) = s * X_{-id}, theta(m) = -m^T
+        self.c: dict[tuple[int, int], Scalar] = dict(sorted(
+            [*half.items(), *(((b, a), -c) for (a, b), c in half.items())]))
+        # theta scalars: theta(X_a) = s * X_{-a}, theta(m) = -m^T
         self.theta_scalar: dict[int, Scalar] = {}
         for a in range(nroots):
-            coeffs = real.decompose(_transpose(entries[self.full_index(a)], -1))
-            tgt = self.full_index(rs.neg(a))
-            if any(x != 0 for k, x in enumerate(coeffs) if k != tgt):
+            s = _multiple(_transpose(entries[a], -1), entries[rs.neg(a)])
+            if s is None:
                 raise LieAlgebraError("theta does not map root space to opposite")
-            self.theta_scalar[a] = coeffs[tgt]
+            self.theta_scalar[a] = s
 
     # ---- bilinear forms ----------------------------------------------------
     def trace_form(self, m1, m2) -> Scalar:

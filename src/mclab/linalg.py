@@ -342,8 +342,9 @@ class SpanBasis:
     give an invertible block; the rows of the block inverse, with their
     zero entries dropped, turn the entries of a target at those positions
     into its coordinates.  The inverse comes from one elimination of
-    [block | I]: column k of the inverse is minus the free vector of the
-    k-th identity column.
+    [block | I] to [U | R] with U upper triangular, and one
+    back-substitution of its rows: row c of the inverse U^{-1} R is
+    (R_c - sum_{d > c} U[c][d] row d) / U[c][c].
     """
 
     def __init__(self, vectors: list[dict[int, Scalar]], ncols: int):
@@ -358,10 +359,20 @@ class SpanBasis:
             row = {k: v[p] for k, v in enumerate(vectors) if p in v}
             row[n + t] = 1
             aug.append(row)
+        # the block is invertible, so its n columns are the pivots
         red = rref(aug, 2 * n)
-        cols = [_free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
-        self.inverse_rows = [[(t, -x) for t, x in enumerate(row) if x]
-                             for row in zip(*cols)]
+        inverse: list[dict[int, Scalar]] = [{} for _ in range(n)]
+        for c in reversed(range(n)):
+            piv = red[c]
+            acc = {k - n: v for k, v in piv.items() if k >= n}
+            for d, u in piv.items():
+                if c < d < n:
+                    for k, y in inverse[d].items():
+                        acc[k] = acc.get(k, 0) - u * y
+            p = piv[c]
+            inverse[c] = {k: v // p if type(v) is int and not v % p
+                          else exact(Q(v, p)) for k, v in acc.items() if v}
+        self.inverse_rows = [sorted(row.items()) for row in inverse]
         # the inverse rows reading each position, for sparse targets
         self._slot = {p: t for t, p in enumerate(self.positions)}
         self._rows_at: list[list[int]] = [[] for _ in self.positions]

@@ -12,7 +12,8 @@ from math import factorial
 
 from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub
 from mclab import linalg
-from mclab.liealg import Chart, SplitLieAlgebra
+from mclab.liealg import (Chart, LieAlgebraError, SplitLieAlgebra,
+                          _sparse_bracket, _transpose)
 from mclab.poly import Poly
 from mclab.polybasis import solve_H_of_gamma
 
@@ -118,6 +119,83 @@ def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None
     the dense system per target, and the basis may be dependent."""
     a = [[v[i] for v in basis] for i in range(len(target))]
     return linalg.solve(a, list(target))
+
+
+def decomposition_tables(rs, real):
+    """The structure tables with every bracket decomposed over the basis.
+
+    The twin of ``SplitLieAlgebra._derive_tables``, which recomposes each
+    bracket as a multiple of one basis element instead: the functionals
+    from [H_i, X_r], every unordered root pair (a, b), a < b, and the
+    theta scalars, each decomposed by ``real.decompose``, with the same
+    checks and messages.  Returns ``(functional, c, h_of_bracket,
+    theta_scalar)``, ``c`` in the full (a, b) key order."""
+    rank = len(real.cartan)
+
+    def full(root_id):
+        return rank + root_id
+
+    entries = real.entries
+    functional = []
+    for r in range(rs.n_pos):
+        vals = []
+        x_r = entries[full(r)]
+        for i in range(rank):
+            comm = _sparse_bracket(entries[i], x_r)
+            target = real.decompose(comm)[full(r)]
+            if comm != {p: target * x for p, x in x_r.items() if target}:
+                raise LieAlgebraError("Cartan element is not diagonal")
+            vals.append(target)
+        functional.append(tuple(vals))
+    half, h_of_bracket = {}, {}
+    nroots = 2 * rs.n_pos
+    for a in range(nroots):
+        for b in range(a + 1, nroots):
+            s = rs.add(a, b)
+            coeffs = real.decompose(_sparse_bracket(entries[full(a)],
+                                                    entries[full(b)]))
+            if s is not None:
+                if any(x for k, x in enumerate(coeffs) if k != full(s)):
+                    raise LieAlgebraError("bracket leaves its root space")
+                if coeffs[full(s)]:
+                    half[(a, b)] = coeffs[full(s)]
+            elif rs.neg(a) == b:
+                if a < rs.n_pos:
+                    h_of_bracket[a] = tuple(coeffs[:rank])
+                if any(coeffs[rank:]):
+                    raise LieAlgebraError("[X_a, X_-a] not in the Cartan")
+            elif any(coeffs):
+                raise LieAlgebraError("bracket of non-summing roots nonzero")
+    c = {}
+    for a in range(nroots):
+        for b in range(nroots):
+            if (a, b) in half:
+                c[(a, b)] = half[(a, b)]
+            elif (b, a) in half:
+                c[(a, b)] = -half[(b, a)]
+    theta_scalar = {}
+    for a in range(nroots):
+        coeffs = real.decompose(_transpose(entries[full(a)], -1))
+        tgt = full(rs.neg(a))
+        if any(x for k, x in enumerate(coeffs) if k != tgt):
+            raise LieAlgebraError("theta does not map root space to opposite")
+        theta_scalar[a] = coeffs[tgt]
+    return functional, c, h_of_bracket, theta_scalar
+
+
+def free_vector_inverse_rows(vectors, positions):
+    """``SpanBasis.inverse_rows`` the per-column way: column k of the
+    block inverse is minus the free vector of the k-th identity column of
+    [block | I], one back-substitution over 2n columns each."""
+    n = len(vectors)
+    aug = []
+    for t, p in enumerate(positions):
+        row = {k: v[p] for k, v in enumerate(vectors) if p in v}
+        row[n + t] = 1
+        aug.append(row)
+    red = linalg.rref(aug, 2 * n)
+    cols = [linalg._free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
+    return [[(t, -x) for t, x in enumerate(row) if x] for row in zip(*cols)]
 
 
 def extend_H_by_chain(algebra: SplitLieAlgebra, gamma_simple: int,

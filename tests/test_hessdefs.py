@@ -176,23 +176,24 @@ def test_graph_map_example(sl4, chart_sl4):
 
 
 def test_graph_denominators_divide_root_values(sl4, chart_sl4):
-    """Coefficients of the graph map only ever divide by values alpha(H),
-    so any regular H works; sample several."""
-    hs = type_p_subset(sl4.rs, 1)
-    for h in ([Q(1), Q(2), Q(3)], [Q(-1), Q(1, 3), Q(-2, 5)],
-              [Q(5), Q(1), Q(4)]):
-        vals = [sl4.alpha_value(r, h) for r in range(sl4.rs.n_pos)]
-        if any(v == 0 for v in vals):
-            continue
-        eqs = defining_equations(sl4, chart_sl4, hs, h)
-        graph = graph_map(eqs)
-        denom = 1
-        for v in vals:
-            denom *= v
-        for p in graph.values():
-            for c in p.terms.values():
-                assert (denom.numerator * c.denominator) % \
-                    c.denominator == 0  # exact rationals throughout
+    """Solving the triangular system divides only by the values alpha(H)
+    of the complement roots C, each once per elimination step, so with
+    D = prod_{a in C} alpha_a(H) every graph-map coefficient c has
+    c * D^|C| integral at a regular integral H."""
+    for h in [(2, -7, 3), (5, 1, -4)]:
+        assert all(sl4.alpha_value(r, h) for r in range(sl4.rs.n_pos))
+        for p in (1, 2):
+            eqs = defining_equations(sl4, chart_sl4,
+                                     type_p_subset(sl4.rs, p), h)
+            graph = graph_map(eqs)
+            denom = 1
+            for a in eqs.order:
+                denom *= sl4.alpha_value(a, h)
+            power = denom ** len(eqs.order)
+            coeffs = [c for q in graph.values() for c in q.terms.values()]
+            assert coeffs
+            for c in coeffs:
+                assert (c * power).denominator == 1, (h, p, c, denom)
 
 
 def test_pushforward_chain_rule(sl4, chart_sl4):

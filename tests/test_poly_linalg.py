@@ -14,7 +14,7 @@ from mclab.poly import Poly, exact, monomials_of_weighted_degree
 from conftest import dense, frac_identity, mat_add, mat_eq
 from oracles import (DENSE_COEFFS, FractionPoly, coordinates_in_span,
                      dense_generic_point, dense_nilpotent_series,
-                     nilpotent_exp)
+                     free_vector_inverse_rows, nilpotent_exp)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -353,8 +353,8 @@ def test_sparse_nullspace_property(data):
 @given(data=st.data())
 def test_span_basis_property(data):
     """One elimination of an independent basis serves every target: the
-    coordinates equal the dense reference, and None marks a target
-    outside the span."""
+    block inverse equals the per-column reference, the coordinates equal
+    the dense reference, and None marks a target outside the span."""
     ncols = data.draw(st.integers(1, 6))
     basis = []
     for row in _draw_dense(data, data.draw(st.integers(0, 6)), ncols):
@@ -362,6 +362,11 @@ def test_span_basis_property(data):
             basis.append(row)
     span = linalg.SpanBasis(_sparse(basis), ncols)
     assert span.positions == _dense_rref(basis)[1]
+    # one back-substitution of all rows gives the per-column inverse,
+    # int or Fraction entry by entry
+    reference = free_vector_inverse_rows(span.vectors, span.positions)
+    assert [[(t, x, type(x)) for t, x in row] for row in span.inverse_rows] \
+        == [[(t, x, type(x)) for t, x in row] for row in reference]
     for _ in range(3):
         target = [data.draw(coeffs) for _ in range(ncols)]
         if data.draw(st.booleans()):

@@ -3,11 +3,14 @@
 The library derives the root functionals, the structure constants, the
 Cartan brackets, the theta-scalars and the adjoint realization from the
 sparse entry maps of the basis, bracketing each unordered root pair
-once.  Here they are compared with the dense derivation (full Fraction
-matrix products, each result solved for its coordinates over all basis
-matrices) and with the sparse derivation over every ordered root pair,
-checked for antisymmetry and the Jacobi identity on larger ranks, and
-every derivation check is shown to fire on a broken realization.
+once and recomposing each bracket as a multiple of one basis element;
+only [X_a, X_-a] is decomposed.  Here they are compared with the dense
+derivation (full Fraction matrix products, each result solved for its
+coordinates over all basis matrices), with the sparse derivation that
+decomposes every bracket (``oracles.decomposition_tables``) and with the
+one over every ordered root pair, checked for antisymmetry and the
+Jacobi identity on larger ranks, and every derivation check is shown to
+fire on a broken realization.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
                           _sparse_bracket, build_sl, build_sp)
 
 from conftest import dense, frac_identity, mat_eq, mat_scale, mat_sub
-from oracles import coordinates_in_span, unipotent_inverse
+from oracles import (coordinates_in_span, decomposition_tables,
+                     unipotent_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,56 @@ def test_root_pairs_bracketed_once(name, request, monkeypatch):
     assert root_pairs == list(combinations(range(alg.rank, alg.dim), 2))
 
 
+def _typed(table):
+    """(key, value, type) of every entry, in insertion order."""
+    return [(k, v, type(v)) for k, v in table.items()]
+
+
+@pytest.mark.parametrize("builder, n", [
+    *((build_sl, n) for n in range(2, 9)),
+    *((build_sp, l) for l in range(2, 6)),
+])
+def test_tables_match_decomposition_oracle(builder, n):
+    """Recomposition gives the tables that decomposing every bracket
+    gives: values, int or Fraction types and key order."""
+    alg = builder(n)
+    functional, c, h_of_bracket, theta = decomposition_tables(
+        alg.rs, alg.realization)
+    assert [[(v, type(v)) for v in f] for f in alg.functional] == \
+        [[(v, type(v)) for v in f] for f in functional]
+    assert _typed(alg.c) == _typed(c)
+    assert [(k, [(x, type(x)) for x in v])
+            for k, v in alg.h_of_bracket.items()] == \
+        [(k, [(x, type(x)) for x in v]) for k, v in h_of_bracket.items()]
+    assert _typed(alg.theta_scalar) == _typed(theta)
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sp3"])
+def test_only_opposite_root_pairs_decomposed(name, request, monkeypatch):
+    """Construction decomposes [X_a, X_-a] for each positive root a and
+    nothing else: every other table entry is recomposed."""
+    alg = request.getfixturevalue(name)
+    real = alg.realization
+    entries = real.entries
+    decomposed = []
+    decompose = Realization.decompose
+
+    def recording(self, m):
+        decomposed.append(m)
+        return decompose(self, m)
+
+    monkeypatch.setattr(Realization, "decompose", recording)
+    SplitLieAlgebra(alg.rs, alg.family, alg.param, real,
+                    normalized=alg.normalized,
+                    killing_factor=alg.killing_factor,
+                    b0_lambda=alg.b0_lambda)
+    rs = alg.rs
+    assert decomposed == [
+        _sparse_bracket(entries[alg.full_index(a)],
+                        entries[alg.full_index(rs.neg(a))])
+        for a in range(rs.n_pos)]
+
+
 # ---------------------------------------------------------------------------
 # every derivation check fires on a broken realization
 # ---------------------------------------------------------------------------
@@ -313,6 +367,21 @@ def test_derivation_checks_reject_broken_realization(kind, message, sl3):
     # the dense derivation agrees that the realization is broken
     with pytest.raises(LieAlgebraError, match=message):
         DenseOracle(sl3.rs, real)
+
+
+def test_opposite_bracket_outside_the_algebra_rejected(sl2):
+    """A basis that is not closed: [X_a, X_-a] = H + E02 reads as H at
+    the decomposition positions (0, 0), (0, 1) and (1, 0), so only the
+    recomposition of its Cartan part shows that it leaves the algebra."""
+    real = Realization(3, [{(0, 0): 1, (1, 1): -1}], [{(0, 1): 1}],
+                       [{(1, 0): 1, (1, 2): 1}])
+    comm = _sparse_bracket(real.entries[1], real.entries[2])
+    assert comm == {(0, 0): 1, (1, 1): -1, (0, 2): 1}
+    assert real.decompose(comm) == [1, 0, 0]
+    with pytest.raises(LieAlgebraError,
+                       match=r"\[X_a, X_-a\] not in the Cartan"):
+        SplitLieAlgebra(sl2.rs, "sl", 2, real, normalized=True,
+                        killing_factor=Q(4), b0_lambda=Q(1))
 
 
 def test_realization_rejects_entry_outside_matrix():
