@@ -17,8 +17,11 @@ There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, so every
 basis this package produces is reproducible bit for bit.  It returns the
 integer pivot rows of a row echelon form keyed by pivot column; ``rank``,
-``solve``, ``sparse_nullspace`` and the span coordinates of
-:class:`SpanBasis` are read off them.  The rows are not reduced, but the
+``solve``, ``sparse_nullspace`` and the coordinates of :class:`SpanBasis`,
+which decomposes over the basis of a matrix realization, are read off
+them.  The solver's basis needs no second elimination: it is the reduced
+echelon nullspace basis, so a field's coordinates over it are its
+coefficients at the free unknowns.  The rows are not reduced, but the
 name ``rref`` stays: the pivot columns and the row space are those of the
 reduced form, and it is the name external tooling (the benchmark's layer
 trace) wraps and reports.
@@ -344,7 +347,8 @@ class SpanBasis:
     into its coordinates.  The inverse comes from one elimination of
     [block | I] to [U | R] with U upper triangular, and one
     back-substitution of its rows: row c of the inverse U^{-1} R is
-    (R_c - sum_{d > c} U[c][d] row d) / U[c][c].
+    (R_c - sum_{d > c} U[c][d] row d) / U[c][c].  Membership is not
+    checked: a caller that cannot be sure of it recomposes the target.
     """
 
     def __init__(self, vectors: list[dict[int, Scalar]], ncols: int):
@@ -352,7 +356,6 @@ class SpanBasis:
         n = len(vectors)
         if len(pivots) != n:
             raise ValueError("span vectors are not independent")
-        self.vectors = vectors
         self.positions = list(pivots)
         aug = []
         for t, p in enumerate(self.positions):
@@ -418,20 +421,6 @@ class SpanBasis:
         for c, x in zip(rows, self.coefficients(sel, rows)):
             out[c] = x
         return out
-
-    def coordinates(self, target: dict[int, Scalar]) -> list[Scalar] | None:
-        """Coordinates of a sparse target, or None when it is outside the
-        span; membership is verified by recomposing the target."""
-        coeffs = self.sparse_coefficients(target)
-        recomposed: dict[int, Scalar] = {}
-        for c, v in zip(coeffs, self.vectors):
-            if c:
-                for col, x in v.items():
-                    recomposed[col] = recomposed.get(col, 0) + c * x
-        if ({c: x for c, x in recomposed.items() if x}
-                != {c: x for c, x in target.items() if x}):
-            return None
-        return coeffs
 
 
 # ---------------------------------------------------------------------------

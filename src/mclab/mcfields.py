@@ -16,8 +16,12 @@ the first-order system, over simple roots delta in R and gamma in R,
 
 (the gamma = delta equations carry a free multiplier and are omitted).
 The system is graded twice: by dilation degree, and within a degree by
-the root-lattice weight of the unknowns.  Each weight block is solved
-separately by exact fraction-free elimination.
+the root-lattice weight of the unknowns.  The unknowns of a degree come
+with their weights, and each weight block is assembled from its own
+unknowns and solved separately by exact fraction-free elimination.  The
+basis is the reduced echelon one, so the coordinates of a field over it
+are its coefficients at the basis fields' free unknowns, checked by
+recomposing the field.
 
 By default only the blocks that the Tanaka prolongation of the slice
 algebra (:mod:`mclab.prolong`) finds nonzero are assembled and
@@ -32,7 +36,8 @@ through the bound and one past it, and never consults the prolongation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, prolong
 from .fields import PolyVectorField
@@ -136,43 +141,47 @@ class McSystem:
     labels: list[int]                      # gamma in R, contract order
     equations: list[tuple[int, int]]       # (delta, gamma) pairs used
 
-    def unknown_monomials(self, degree: int,
-                          weights=None) -> list[tuple[int, tuple]]:
-        """Unknowns of the homogeneous block of field degree ``degree``:
-        pairs (gamma, monomial) in deterministic order.  With ``weights``
-        (a container of root-lattice weights) only the unknowns of those
-        weights."""
+    def unknown_monomials(self, degree: int, weights=None
+                          ) -> list[tuple[tuple[int, tuple], tuple]]:
+        """Unknowns of the homogeneous block of field degree ``degree``,
+        each with its root-lattice weight sum_v m_v root(v) - gamma (a
+        coefficient vector over the simple roots): pairs ((gamma,
+        monomial), weight) in solver order.  With ``weights`` (a container
+        of root-lattice weights) only the unknowns of those weights."""
         chart = self.chart
         rs = self.hs.rs
         slice_vars = [chart.coord_index(r) for r in self.labels]
+        sub_weights = [chart.weights[v] for v in slice_vars]
+        var_coeffs = [rs.root(r).coeffs for r in self.labels]
         out = []
         for g in self.labels:
             w = degree + rs.root(g).height
             if w < 0:
                 continue
-            sub_weights = [chart.weights[v] for v in slice_vars]
+            base = [-c for c in rs.root(g).coeffs]
             for mono in monomials_of_weighted_degree(sub_weights, w):
-                full = [0] * chart.nvars
-                for v, e in zip(slice_vars, mono):
-                    full[v] = e
-                out.append((g, tuple(full)))
-        if weights is None:
-            return out
-        return [u for u, w in zip(out, _unknown_weights(self, out))
-                if w in weights]
+                weight = base[:]
+                for e, coeffs in zip(mono, var_coeffs):
+                    if e:
+                        for i, c in enumerate(coeffs):
+                            weight[i] += e * c
+                weight = tuple(weight)
+                if weights is None or weight in weights:
+                    full = [0] * chart.nvars
+                    for v, e in zip(slice_vars, mono):
+                        full[v] = e
+                    out.append(((g, tuple(full)), weight))
+        return out
 
-    def block_rows(self, degree: int,
-                   unknown_index: dict[tuple[int, tuple], int]):
-        """Sparse rows of the block for one homogeneous degree.
-
-        Row (delta, gamma, m) holds the coefficient of x^m in equation
-        (delta, gamma).  An unknown (g, x^n) enters an equation either
-        through X_delta(x^n) when gamma = g, or through the ladder term
-        c_{delta,g} x^n when gamma - delta = g, never both.
-        """
+    @cached_property
+    def _tables(self):
+        """The frame derivative X_delta of every slice root delta, as
+        (variable, terms) pairs, and per label g the equations an unknown
+        (g, x^n) enters: (delta, gamma, None) through X_delta(x^n) when
+        gamma = g, (delta, gamma, c_{delta,g}) through the ladder term when
+        gamma - delta = g."""
         chart = self.chart
         rs = self.hs.rs
-        alg = chart.algebra
         frame = chart.frame_components(self.hs.R)
         derivative = {
             delta: [(chart.coord_index(j), a.terms) for j, a in row.items()]
@@ -183,7 +192,21 @@ class McSystem:
             diff = rs.add(gamma, rs.neg(delta))
             if diff is not None and diff < rs.n_pos:
                 terms_of.setdefault(diff, []).append(
-                    (delta, gamma, alg.c[(delta, diff)]))
+                    (delta, gamma, chart.algebra.c[(delta, diff)]))
+        return derivative, terms_of
+
+    def block_rows(self, degree: int,
+                   unknown_index: dict[tuple[int, tuple], int]
+                   ) -> dict[tuple, dict[int, Scalar]]:
+        """Sparse rows over the unknowns of ``unknown_index``, a block of
+        homogeneous degree ``degree``, keyed and ordered by row.
+
+        Row (delta, gamma, m) holds the coefficient of x^m in equation
+        (delta, gamma).  An unknown (g, x^n) enters an equation either
+        through X_delta(x^n) when gamma = g, or through the ladder term
+        c_{delta,g} x^n when gamma - delta = g, never both.
+        """
+        derivative, terms_of = self._tables
         rows: dict[tuple, dict[int, Scalar]] = {}
         for (g, mono), col in unknown_index.items():
             for delta, gamma, ladder in terms_of.get(g, ()):
@@ -203,7 +226,7 @@ class McSystem:
                 for m2, cf in contrib.items():
                     if cf:
                         rows.setdefault((delta, gamma, m2), {})[col] = cf
-        return [rows[k] for k in sorted(rows)]
+        return {k: rows[k] for k in sorted(rows)}
 
     def to_json_dict(self) -> dict:
         rs = self.hs.rs
@@ -237,6 +260,9 @@ def assemble_mc_system(hs: HessenbergSet, chart: Chart,
 
 @dataclass
 class McSolution:
+    """Invariant-frame basis fields, each with its free unknown (gamma,
+    monomial), its last unknown in solver order: the field is one there
+    and every other field zero, or the constructor raises McError."""
     hs: HessenbergSet
     chart: Chart
     degree_bound: int
@@ -244,51 +270,42 @@ class McSolution:
     degrees: list[int]
     dimension: int
     stabilized: bool
+    free_unknowns: list[tuple[int, tuple]]
     bracket_table: list[list[list[Scalar]]] | None = None
     bracket_closed: bool = True
-    _span: tuple[dict, linalg.SpanBasis] | None = dc_field(
-        default=None, repr=False, compare=False)
 
-    # ---- span helpers ------------------------------------------------------
-    def monomial_index(self) -> dict[tuple[int, tuple], int]:
-        seen: dict[tuple[int, tuple], int] = {}
-        for f in self.basis:
-            for g, p in f.components.items():
-                for m in p.monomials():
-                    seen.setdefault((g, m), len(seen))
-        return seen
+    def __post_init__(self):
+        if len(self.free_unknowns) != len(self.basis):
+            raise McError(f"{len(self.basis)} basis fields, "
+                          f"{len(self.free_unknowns)} free unknowns")
+        for i, u in enumerate(self.free_unknowns):
+            for j, f in enumerate(self.basis):
+                x = _coefficient(f.components, u)
+                if x != (1 if i == j else 0):
+                    raise McError(
+                        f"basis field {j} is {x} at the free unknown of "
+                        f"field {i}: the basis is not in reduced echelon "
+                        f"form")
 
-    def flatten(self, field: PolyVectorField,
-                index: dict[tuple[int, tuple], int]
-                ) -> dict[int, Scalar] | None:
-        """Sparse coefficient vector {column: value} of a slice field over
-        the solution monomials; None when the field involves monomials
-        outside the span support."""
-        vec = {}
-        inv = field.to_invariant()
-        for g, p in inv.components.items():
-            for m, c in p.terms.items():
-                key = (g, m)
-                if key not in index:
-                    return None
-                vec[index[key]] = c
-        return vec
-
-    def span(self) -> tuple[dict[tuple[int, tuple], int], linalg.SpanBasis]:
-        """The monomial index and the basis eliminated over it, once."""
-        if self._span is None:
-            index = self.monomial_index()
-            self._span = (index, linalg.SpanBasis(
-                [self.flatten(b, index) for b in self.basis],
-                len(index)))
-        return self._span
-
+    # ---- span --------------------------------------------------------------
     def coordinates(self, field: PolyVectorField) -> list[Scalar] | None:
         """Exact coordinates of a slice field over the basis, or None when
-        it is outside the span."""
-        index, span = self.span()
-        vec = self.flatten(field, index)
-        return None if vec is None else span.coordinates(vec)
+        it is outside the span.  A field of the span has its coefficients
+        at the free unknowns as coordinates; membership is verified by
+        recomposing the field from them."""
+        comps = field.to_invariant().components
+        coords = [_coefficient(comps, u) for u in self.free_unknowns]
+        recomposed: dict[tuple[int, tuple], Scalar] = {}
+        for c, b in zip(coords, self.basis):
+            if c:
+                for g, p in b.components.items():
+                    for m, x in p.terms.items():
+                        recomposed[g, m] = recomposed.get((g, m), 0) + c * x
+        if ({k: x for k, x in recomposed.items() if x}
+                != {(g, m): x for g, p in comps.items()
+                    for m, x in p.terms.items()}):
+            return None
+        return coords
 
     def contains(self, field: PolyVectorField) -> bool:
         return self.coordinates(field) is not None
@@ -430,87 +447,66 @@ def _derived_series(ad: list[dict[int, dict[int, Scalar]]]) -> list[int]:
             return dims
 
 
-def _unknown_weights(system: McSystem,
-                     unknowns: list[tuple[int, tuple]]) -> list[tuple]:
-    """Root-lattice weight sum_v m_v root(v) - gamma of each unknown
-    (gamma, x^m), as a coefficient vector over the simple roots."""
-    rs = system.hs.rs
-    coord_coeffs = [rs.root(r).coeffs for r in system.chart.coord_roots]
-    out = []
-    for g, mono in unknowns:
-        w = [-c for c in rs.root(g).coeffs]
-        for v, e in enumerate(mono):
-            if e:
-                for i, c in enumerate(coord_coeffs[v]):
-                    w[i] += e * c
-        out.append(tuple(w))
-    return out
-
-
-def _weight_blocks(weights: list[tuple], rows: list[dict[int, Scalar]]
-                   ) -> list[tuple[tuple, list[int], list[dict[int, Scalar]]]]:
-    """Split a degree block into its root-lattice weight blocks.
-
-    Returns, per weight, the weight, the block's columns in ascending
-    order and its rows in their original order.  The equations are
-    homogeneous for the weight, so every row must touch a single weight
-    block; a row that does not is a defect in the assembly and raises
-    McError.
-    """
-    cols: dict[tuple, list[int]] = {}
-    for k, w in enumerate(weights):
-        cols.setdefault(w, []).append(k)
-    block_rows: dict[tuple, list[dict[int, Scalar]]] = {w: [] for w in cols}
-    for row in rows:
-        touched = {weights[c] for c, v in row.items() if v}
-        if len(touched) != 1:
-            raise McError("multicontact equation mixes root-lattice weights "
-                          f"{sorted(touched)}: the system is not equivariant")
-        block_rows[touched.pop()].append(row)
-    return [(w, cols[w], block_rows[w]) for w in cols]
+def _coefficient(components: dict[int, Poly],
+                 unknown: tuple[int, tuple]) -> Scalar:
+    """Coefficient of the unknown (gamma, monomial) in a field's
+    components."""
+    g, mono = unknown
+    p = components.get(g)
+    return 0 if p is None else p.terms.get(mono, 0)
 
 
 def _solve_block(system: McSystem, degree: int, wanted=None
-                 ) -> tuple[list[PolyVectorField], dict[tuple, int]]:
-    """Solutions of one homogeneous degree, one weight block at a time,
-    and the nullity of each weight block eliminated.
+                 ) -> tuple[list[PolyVectorField], list[tuple[int, tuple]],
+                            dict[tuple, int]]:
+    """Solutions of one homogeneous degree and their free unknowns, one
+    weight block at a time, and the nullity of each weight block
+    eliminated.
 
-    A block-diagonal matrix has the same pivot columns as its blocks
-    taken one at a time, so ordering the merged basis by free column (the
-    largest index with a nonzero entry) gives exactly the basis of one
-    elimination over the whole degree block.  For the same reason,
-    ``wanted`` (a container of root-lattice weights) restricts the solve
-    to those weight blocks without changing their basis: only their
-    unknowns are assembled.  None means every weight block.
+    Each weight block is assembled from its own unknowns.  The equations
+    are homogeneous for the weight, so no row may come from two weight
+    blocks; one that does is a defect in the assembly and raises McError
+    (the equivariance certificate).  A block-diagonal matrix has the same
+    pivot columns as its blocks taken one at a time, so ordering the
+    merged basis by free unknown (the last one with a nonzero entry, in
+    solver order) gives exactly the basis of one elimination over the
+    whole degree block.  For the same reason, ``wanted`` (a container of
+    root-lattice weights) restricts the solve to those weight blocks
+    without changing their basis: only their unknowns are assembled.
+    None means every weight block.
     """
-    unknowns = system.unknown_monomials(degree, wanted)
-    if not unknowns:
-        return [], {}
-    index = {u: k for k, u in enumerate(unknowns)}
-    rows = system.block_rows(degree, index)
-    solutions: list[list[tuple[int, Scalar]]] = []     # (column, value) pairs
+    blocks: dict[tuple, list[tuple[int, tuple[int, tuple]]]] = {}
+    for k, (u, w) in enumerate(system.unknown_monomials(degree, wanted)):
+        blocks.setdefault(w, []).append((k, u))
+    found = []          # (position, free unknown, components) per solution
     nullity: dict[tuple, int] = {}
-    for w, cols, brows in _weight_blocks(_unknown_weights(system, unknowns),
-                                         rows):
-        local = {c: k for k, c in enumerate(cols)}
-        null = linalg.sparse_nullspace(
-            [{local[c]: v for c, v in r.items()} for r in brows], len(cols))
+    weight_of_row: dict[tuple, tuple] = {}
+    for w, unknowns in blocks.items():
+        rows = system.block_rows(
+            degree, {u: c for c, (_, u) in enumerate(unknowns)})
+        for key in rows:
+            other = weight_of_row.setdefault(key, w)
+            if other != w:
+                raise McError(
+                    "multicontact equation mixes root-lattice weights "
+                    f"{sorted([other, w])}: the system is not equivariant")
+        null = linalg.sparse_nullspace(list(rows.values()), len(unknowns))
         nullity[w] = len(null)
-        solutions += [[(cols[k], x) for k, x in enumerate(vec) if x != 0]
-                      for vec in null]
-    solutions.sort(key=lambda entries: entries[-1][0])
-    chart = system.chart
-    out = []
-    for entries in solutions:
-        comps: dict[int, dict] = {}
-        for k, x in entries:
-            g, mono = unknowns[k]
-            comps.setdefault(g, {})[mono] = x
-        out.append(PolyVectorField(
-            chart, "invariant",
-            {g: Poly._of(chart.nvars, t) for g, t in comps.items()},
-            slice_roots=system.hs.R))
-    return out, nullity
+        for vec in null:
+            comps: dict[int, dict] = {}
+            for c, x in enumerate(vec):
+                if x:
+                    g, mono = unknowns[c][1]
+                    comps.setdefault(g, {})[mono] = x
+                    last = c
+            found.append((*unknowns[last], comps))
+    found.sort(key=lambda entry: entry[0])
+    nvars = system.chart.nvars
+    fields = [PolyVectorField(
+        system.chart, "invariant",
+        {g: Poly._of(nvars, t) for g, t in comps.items()},
+        slice_roots=system.hs.R) for *_, comps in found]
+    return fields, [u for _, u, _ in found], nullity
 
 
 def solve_mc(hs: HessenbergSet, chart: Chart,
@@ -555,21 +551,24 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
 
     def solve(d):
         if verify:
-            return _solve_block(system, d)[0]
+            return _solve_block(system, d)[:2]
         counts = tanaka.blocks.get(d, {})
         if d >= 0 and not counts:
-            return []
-        block, nullity = _solve_block(system, d, counts if d >= 0 else None)
+            return [], []
+        block, free, nullity = _solve_block(system, d,
+                                            counts if d >= 0 else None)
         checks.append((d, nullity, counts))
-        return block
+        return block, free
 
     basis: list[PolyVectorField] = []
+    free_unknowns: list[tuple[int, tuple]] = []
     degrees: list[int] = []
     for d in range(-h, degree_bound + 1):
-        block = solve(d)
+        block, free = solve(d)
         basis.extend(block)
+        free_unknowns.extend(free)
         degrees.extend([d] * len(block))
-    stabilized = (not solve(degree_bound + 1) if verify
+    stabilized = (not solve(degree_bound + 1)[0] if verify
                   else tanaka.stop is not None)
     # counts are compared once every degree is assembled, so that a defect
     # in the assembly is reported by its own certificate first
@@ -582,7 +581,7 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
                     f"{counts.get(w, 0)}")
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
                       basis=basis, degrees=degrees, dimension=len(basis),
-                      stabilized=stabilized)
+                      stabilized=stabilized, free_unknowns=free_unknowns)
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +636,11 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
     taus = tau_basis(alg, chart, q_index)
     fields = [project_to_slice(taus[k], hs) for k in q_index]
 
-    # the solution's monomials keep their indices in the wider index, so
-    # its eliminated basis decides containment
-    index, span = solution.span()
-    index = dict(index)
-    for f in fields:
-        for g, p in f.components.items():
-            for m in p.monomials():
-                index.setdefault((g, m), len(index))
-    contained = True
-    nu_vecs = []
-    for f in fields:
-        v = solution.flatten(f, index)
-        if v is None:
-            raise McError("field outside the joint monomial support")
-        nu_vecs.append(v)
-        if span.coordinates(v) is None:
-            contained = False
+    contained = all(solution.contains(f) for f in fields)
+    index: dict[tuple[int, tuple], int] = {}
+    nu_vecs = [{index.setdefault((g, m), len(index)): c
+                for g, p in f.components.items() for m, c in p.terms.items()}
+               for f in fields]
     nu_dim = len(linalg.rref(nu_vecs, len(index)))
     kernel_dim = len(q_index) - nu_dim
     kernel_ok = kernel_dim == len(hs.C)

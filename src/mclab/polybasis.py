@@ -27,7 +27,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .liealg import Chart, SplitLieAlgebra, adjoint_of_point, three_factor_chart
-from .poly import Poly
+from .poly import Poly, exact
 
 
 class PolyBasisError(ValueError):
@@ -101,10 +101,14 @@ def gen_cartan(algebra: SplitLieAlgebra, chart: Chart, h_coeffs) -> Poly:
     rs = algebra.rs
     w = rs.highest_root.id
     z = chart.coord_index(w)
-    out = Poly.var(chart.nvars, z, algebra.alpha_value(w, h_coeffs))
+    h = [exact(c) for c in h_coeffs]
+
+    def alpha(r):       # alpha_r(H) for a positive root r
+        return exact(sum(c * v for c, v in zip(h, algebra.functional[r])))
+
+    out = Poly.var(chart.nvars, z, alpha(w))
     for a, b in _pairs(algebra):
-        factor = (algebra.alpha_value(b, h_coeffs)
-                  - algebra.alpha_value(a, h_coeffs)) * algebra.c[(a, b)]
+        factor = (alpha(b) - alpha(a)) * algebra.c[(a, b)]
         if factor == 0:
             continue
         ya = Poly.var(chart.nvars, chart.coord_index(a))

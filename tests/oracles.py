@@ -115,8 +115,8 @@ def dense_generic_point(chart: Chart, inverse: bool = False):
 def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
     """Coefficients expressing target over the given basis vectors, or None.
 
-    The dense twin of ``linalg.SpanBasis.coordinates``: one ``solve`` of
-    the dense system per target, and the basis may be dependent."""
+    The dense twin of ``McSolution.coordinates``: one ``solve`` of the
+    dense system per target, and the basis may be dependent."""
     a = [[v[i] for v in basis] for i in range(len(target))]
     return linalg.solve(a, list(target))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import warnings
 from fractions import Fraction as Q
@@ -468,6 +469,17 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
 # prolongation stop and weight blocks
 # ---------------------------------------------------------------------------
 
+def _weight(chart, g, mono):
+    """Root-lattice weight sum_v m_v root(v) - gamma of the unknown
+    (gamma, x^m), as a coefficient vector over the simple roots."""
+    rs = chart.algebra.rs
+    w = [-c for c in rs.root(g).coeffs]
+    for r, e in zip(chart.coord_roots, mono):
+        for i, c in enumerate(rs.root(r).coeffs):
+            w[i] += e * c
+    return tuple(w)
+
+
 def _solve_recorded(chart, hs, bound):
     """The explicit-bound solve, and the dimension of every (degree,
     weight) block it eliminates, the degree past the bound included."""
@@ -475,14 +487,13 @@ def _solve_recorded(chart, hs, bound):
     original = mcfields._solve_block
 
     def record(system, degree, *args):
-        block, nullity = original(system, degree, *args)
+        block, free, nullity = original(system, degree, *args)
         for f in block:
             g, p = min(f.components.items())
-            w, = mcfields._unknown_weights(system,
-                                           [(g, next(iter(p.terms)))])
+            w = _weight(chart, g, next(iter(p.terms)))
             dims.setdefault(degree, {})
             dims[degree][w] = dims[degree].get(w, 0) + 1
-        return block, nullity
+        return block, free, nullity
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcfields, "_solve_block", record)
@@ -511,6 +522,78 @@ def bound_sweeps(sl2, sl3, sl4, sp2, sp3):
             (hs, solve_mc(hs, chart), *_solve_recorded(chart, hs, bound))
             for hs in enumerate_all(alg.rs)])
     return sweeps
+
+
+@pytest.fixture(scope="module")
+def stabilized_solves(bound_sweeps):
+    """Every stabilized solution of the bound sweeps (every Hessenberg set
+    of A1-A3, C2 and C3), by default and with the explicit bound, each
+    with its bracket table."""
+    out = []
+    for _, _, runs in bound_sweeps.values():
+        for hs, default, explicit, _ in runs:
+            for sol in (default, explicit):
+                if sol.stabilized:
+                    sol.compute_brackets()
+                    out.append(sol)
+    # A1, A2, A3, C2 and C3 have 1, 2, 5, 3 and 10 finite-type slices
+    assert len(out) == 2 * (1 + 2 + 5 + 3 + 10)
+    return out
+
+
+def _solver_order(sol):
+    """Position of every unknown of the solution's degrees in solver
+    order: by degree, then as the system lists that degree's unknowns."""
+    system = assemble_mc_system(sol.hs, sol.chart, sol.degree_bound)
+    order = {}
+    for d in sorted(set(sol.degrees)):
+        for u, _ in system.unknown_monomials(d):
+            order[u] = len(order)
+    return order
+
+
+def test_solution_basis_is_echelon_at_free_unknowns(stabilized_solves):
+    """Each basis field's free unknown is its last unknown in solver
+    order, and the basis is ordered by it; the field is one there and
+    every other field zero.  A basis that is not in reduced echelon form
+    (b0 + b1 in place of b1) is refused."""
+    refused = 0
+    for sol in stabilized_solves:
+        order = _solver_order(sol)
+        assert len(sol.free_unknowns) == sol.dimension
+        # the basis is ordered by free unknown
+        positions = [order[u] for u in sol.free_unknowns]
+        assert positions == sorted(positions)
+        for i, (f, u) in enumerate(zip(sol.basis, sol.free_unknowns)):
+            assert u == max(((g, m) for g, p in f.components.items()
+                             for m in p.terms), key=order.__getitem__)
+            for j, other in enumerate(sol.basis):
+                p = other.components.get(u[0])
+                assert (p.terms.get(u[1], 0) if p else 0) == (i == j)
+        if sol.dimension >= 2:
+            b0, b1, *rest = sol.basis
+            with pytest.raises(McError, match="reduced echelon"):
+                dataclasses.replace(sol, basis=[b0, b0 + b1, *rest])
+            refused += 1
+    # every set but the empty one of each of the five algebras
+    assert refused == len(stabilized_solves) - 2 * 5
+
+
+def test_bracket_coordinates_match_dense_solve(stabilized_solves):
+    """The coordinates of every bracket of two basis fields, read at the
+    free unknowns, equal a dense solve against the whole basis."""
+    cells = 0
+    for sol in stabilized_solves:
+        n = sol.dimension
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        vecs = _dense(sol.basis + [sol.basis[i].bracket(sol.basis[j])
+                                   for i, j in pairs])
+        for k, (i, j) in enumerate(pairs):
+            expect = coordinates_in_span(vecs[:n], vecs[n + k])
+            assert sol.bracket_table[i][j] == (
+                [] if expect is None else expect), (sorted(sol.hs.R), i, j)
+            cells += 1
+    assert cells > 1000
 
 
 def test_infinite_type_reported_without_warning(chart_sl3, chart_sl4):
@@ -637,8 +720,10 @@ def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):
     original = McSystem.block_rows
 
     def mixed(self, degree, unknown_index):
+        # one row key in every weight block: a row that two blocks share
         rows = original(self, degree, unknown_index)
-        return rows + [{col: Q(1) for col in unknown_index.values()}]
+        rows["shared"] = {col: Q(1) for col in unknown_index.values()}
+        return rows
 
     monkeypatch.setattr(McSystem, "block_rows", mixed)
     hs = validate(sl3.rs, set(range(sl3.rs.n_pos)))
@@ -769,11 +854,21 @@ def test_project_to_slice_matches_substitution(sl3, chart_sl3, sl4,
                            for a in (sl3, sl4, sp2)))
 
 
-def _dense(vec, index):
-    """A sparse ``McSolution.flatten`` vector as the dense list
-    ``coordinates_in_span`` takes; None stays None."""
-    return None if vec is None else [vec.get(k, Q(0))
-                                     for k in range(len(index))]
+def _dense(fields):
+    """Slice fields as dense coefficient lists over a test-local index of
+    their (gamma, monomial) unknowns, the form ``coordinates_in_span``
+    takes."""
+    terms = [{(g, m): c for g, p in f.to_invariant().components.items()
+              for m, c in p.terms.items()} for f in fields]
+    index = {k: i for i, k in enumerate(sorted({k for t in terms
+                                                for k in t}))}
+    out = []
+    for t in terms:
+        vec = [Q(0)] * len(index)
+        for k, c in t.items():
+            vec[index[k]] = c
+        out.append(vec)
+    return out
 
 
 def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
@@ -785,16 +880,14 @@ def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
     dims = []
     for hs, sol in small_stabilized:
         dims.append(sol.dimension)
-        index = sol.monomial_index()
-        basis_vecs = [_dense(sol.flatten(b, index), index)
-                      for b in sol.basis]
+        n = sol.dimension
+        brackets = [a.bracket(b) for a in sol.basis for b in sol.basis]
+        vecs = _dense(sol.basis + brackets)
+        basis_vecs = vecs[:n]
         closed = True
-        for i, a in enumerate(sol.basis):
-            for j, b in enumerate(sol.basis):
-                vec = _dense(sol.flatten(a.bracket(b).to_invariant(), index),
-                             index)
-                expect = (None if vec is None
-                          else coordinates_in_span(basis_vecs, vec))
+        for i in range(n):
+            for j in range(n):
+                expect = coordinates_in_span(basis_vecs, vecs[n + i * n + j])
                 if expect is None:
                     closed = False
                     expect = []
@@ -875,15 +968,12 @@ def test_non_closed_bracket_table(sp2_slice):
     hs, sol = sp2_slice
     assert sol.degrees[:3] == [-2, -1, -1]
     basis = sol.basis[1:]
-    index = sol.monomial_index()
-    vecs = [_dense(sol.flatten(b, index), index) for b in basis]
-    outside = _dense(sol.flatten(basis[0].bracket(basis[1]).to_invariant(),
-                                 index), index)
+    *vecs, outside = _dense(basis + [basis[0].bracket(basis[1])])
     assert coordinates_in_span(vecs, outside) is None
     small = McSolution(hs=hs, chart=sol.chart,
                        degree_bound=sol.degree_bound, basis=basis,
                        degrees=sol.degrees[1:], dimension=len(basis),
-                       stabilized=True)
+                       stabilized=True, free_unknowns=sol.free_unknowns[1:])
     small.compute_brackets()
     assert small.bracket_closed is False
     assert small.bracket_table[0][1] == [] and small.bracket_table[1][0] == []
