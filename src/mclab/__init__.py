@@ -8,7 +8,7 @@ from .liealg import (SplitLieAlgebra, Chart, build_sl, build_sp,
                      three_factor_chart, default_chart, adjoint_of_point)
 from .fields import PolyVectorField
 from .poly import Poly
-from .mcfields import (McSolution, tau, project_to_slice, nu,
+from .mcfields import (McSolution, tau, nu,
                        homogeneous_degree, homogeneous_parts,
                        assemble_mc_system, solve_mc, compare_with_normalizer,
                        reduce_by_dark_zones)

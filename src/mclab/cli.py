@@ -137,13 +137,53 @@ def max_rank_cap() -> int:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+_quote = json.encoder.encode_basestring_ascii
+# a list of one of these types is written in one join
+_SCALAR_WRITERS = {str: _quote, int: int.__repr__}
+
+
+def dump_json(value, indent: str = "\n") -> str:
+    """``value`` as JSON with sorted keys, a two-space indent, ``","``
+    between items and ``": "`` after keys, byte for byte as the standard
+    library's encoder writes it with that indent (in pure Python).  It
+    writes dicts with string keys, lists, strings, ints, bools and None;
+    any other type raises ``TypeError``.  ``indent`` is the line break and
+    indentation before the value's closing bracket."""
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is dict or t is list:
+        if not value:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        if t is dict:
+            body = sep.join(_quote(k) + ": " + dump_json(value[k], inner)
+                            for k in sorted(value))
+            return "{" + inner + body + indent + "}"
+        first = type(value[0])
+        write = _SCALAR_WRITERS.get(first)
+        if write is not None and all(type(x) is first for x in value):
+            body = sep.join(map(write, value))
+        else:
+            body = sep.join(dump_json(x, inner) for x in value)
+        return "[" + inner + body + indent + "]"
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {t.__name__} as JSON")
+
+
 def emit(payload: dict, fmt: str, out_path: str | None,
          csv_rows=None, pretty_lines=None) -> None:
     """Write the one form ``fmt`` asks for.  ``csv_rows`` and
     ``pretty_lines`` are generator functions of the CSV rows and the
     pretty lines, so only the form written is ever built."""
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = dump_json(payload) + "\n"
     elif fmt == "csv":
         if csv_rows is None:
             raise CliError("this subcommand has no CSV form")
@@ -151,8 +191,8 @@ def emit(payload: dict, fmt: str, out_path: str | None,
                          for row in csv_rows())
         text += "\n"
     elif fmt == "pretty":
-        lines = pretty_lines() if pretty_lines is not None else [
-            json.dumps(payload, sort_keys=True, indent=2)]
+        lines = (pretty_lines() if pretty_lines is not None
+                 else [dump_json(payload)])
         text = "\n".join(lines) + "\n"
     else:
         raise CliError(f"unknown format {fmt!r}")

@@ -69,7 +69,7 @@ class HessenbergReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _closure_witness(rs: RootSystem, R) -> tuple[int, int, int] | None:
+def closure_witness(rs: RootSystem, R) -> tuple[int, int, int] | None:
     """The first (alpha, beta, alpha - beta) with alpha in R, beta and
     alpha - beta positive roots and alpha - beta missing from R, or None
     when R is of Hessenberg type.  The complement C is then an ideal:
@@ -88,7 +88,7 @@ def validate(rs: RootSystem, R) -> HessenbergSet:
     pos = set(range(rs.n_pos))
     if not R <= pos:
         raise HessenbergError("R contains non-positive-root ids")
-    witness = _closure_witness(rs, R)
+    witness = closure_witness(rs, R)
     if witness is not None:
         a, b, diff = witness
         raise HessenbergError(
@@ -115,7 +115,7 @@ def enumerate_all(rs: RootSystem, max_rank: int = 4) -> list[HessenbergSet]:
     n = rs.n_pos
     for mask in range(1 << n):
         R = frozenset(i for i in range(n) if mask >> i & 1)
-        if _closure_witness(rs, R) is None:
+        if closure_witness(rs, R) is None:
             out.append(HessenbergSet(rs=rs, R=R, C=frozenset(set(range(n)) - R)))
     out.sort(key=lambda h: (len(h.R), sorted(h.R)))
     return out

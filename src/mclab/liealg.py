@@ -35,6 +35,9 @@ series (:func:`mclab.linalg.nilpotent_series`).  The frame and the
 adjoint action Ad(n^{-1}) E at the generic point form only the
 coefficients their callers ask for, each from the few matrix entries that
 its row of the decomposition inverse names (:meth:`Realization.read`).
+On the slice of a Hessenberg set both are read at the slice point, the
+generic point with the complement coordinates zero (:meth:`Chart.point`),
+over the slice roots alone.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .fields import PolyVectorField
+from .hessenberg import closure_witness
 from .poly import Poly, Scalar, exact
 from .rootsys import RootSystem, build_root_system
 
@@ -438,8 +442,7 @@ class Chart:
             raise LieAlgebraError(f"unknown chart kind {kind!r}")
         # extraction peels one group at a time from this end (see extract)
         self._peel_left = kind in ("matrix", "second_kind")
-        self._generic = None
-        self._generic_inv = None
+        self._points: dict = {}
         self._frame_cache: dict = {}
 
     # ---- ring helpers -------------------------------------------------------
@@ -454,16 +457,54 @@ class Chart:
     # ---- generic point -------------------------------------------------------
     def generic_matrix(self):
         """Generic point with coordinate k as variable k."""
-        if self._generic is None:
-            self._generic = self._group_product(self.groups, 1)
-        return self._generic
+        return self.point()
 
     def generic_inverse(self):
-        """g^{-1} at the generic point: the reversed product of the factor
-        groups' exp(-N)."""
-        if self._generic_inv is None:
-            self._generic_inv = self._group_product(self.groups[::-1], -1)
-        return self._generic_inv
+        """g^{-1} at the generic point."""
+        return self.point(inverse=True)
+
+    def point(self, slice_roots=None, inverse=False):
+        """The generic point g_R, or its inverse, with every coordinate
+        outside ``slice_roots`` set to zero (the generic point itself when
+        None), built once per slice.
+
+        g_R is the product of the factor groups with their roots
+        restricted to R, and g_R^{-1} the reversed product of their
+        exp(-N).  The slice must be a lower order ideal of the positive
+        roots (a Hessenberg set), or ``LieAlgebraError`` is raised.
+        """
+        key = (None if slice_roots is None else frozenset(slice_roots),
+               inverse)
+        m = self._points.get(key)
+        if m is None:
+            roots = set(self._slice(key[0]))
+            groups = [kept for g in self.groups
+                      if (kept := [r for r in g if r in roots])]
+            m = self._points[key] = (
+                self._group_product(groups[::-1], -1) if inverse
+                else self._group_product(groups, 1))
+        return m
+
+    def _slice(self, slice_roots) -> list[int]:
+        """The coordinate roots of ``slice_roots`` (all of them when None)
+        in coordinate order.  Raises ``LieAlgebraError`` unless they are
+        coordinate roots forming a lower order ideal: only then is the
+        complement n_C an ideal of n, so that g^{-1} d_k g lies in n_C for
+        every complement coordinate k."""
+        if slice_roots is None:
+            return self.coord_roots
+        key = frozenset(slice_roots)
+        if not key.issubset(self._index):
+            raise LieAlgebraError(
+                "slice roots outside the chart's coordinates")
+        witness = closure_witness(self.algebra.rs, key)
+        if witness is not None:
+            name = self.algebra.rs.root_name
+            a, b, d = witness
+            raise LieAlgebraError(
+                f"slice roots are not a lower order ideal: {name(a)} - "
+                f"{name(b)} = {name(d)} is missing")
+        return [r for r in self.coord_roots if r in key]
 
     def _group_product(self, groups, sign):
         """exp(sign * sum_{r in G} x_r X_r) multiplied over ``groups`` in
@@ -547,39 +588,38 @@ class Chart:
 
     # ---- frame ------------------------------------------------------------------
     def frame_components(self, slice_roots=None) -> dict[int, dict[int, Poly]]:
-        """Row gamma: coefficients of d/dx_j in the frame field X_gamma.
+        """Row gamma: coefficients of d/dx_j in the frame field X_gamma, on
+        the slice of ``slice_roots`` (the whole group when None): rows and
+        columns gamma, j in the slice, complement coordinates zero.
 
-        The frame comes from the Maurer-Cartan form of the generic point g
-        (Varadarajan, GTM 102, Thm 2.14.3): W[k][gamma] is the coefficient
-        of X_gamma in g^{-1} d_k g, so d_k = sum_gamma W[k][gamma] X_gamma
-        as left-invariant fields.  W is unitriangular in contract (height)
-        order, hence X_gamma = sum_k (W^{-1})[gamma][k] d_k, with W^{-1}
-        from the finite Neumann series of W - I.  The formula is the same
-        for every chart kind; only the generic point differs.
+        The frame comes from the Maurer-Cartan form of the slice point g
+        (:meth:`point`; Varadarajan, GTM 102, Thm 2.14.3): W[k][gamma] is
+        the coefficient of X_gamma in g^{-1} d_k g, so d_k = sum_gamma
+        W[k][gamma] X_gamma as left-invariant fields.  W is unitriangular
+        in contract (height) order, hence X_gamma = sum_k (W^{-1})[gamma][k]
+        d_k, with W^{-1} from the finite Neumann series of W - I.  The
+        formula is the same for every chart kind; only the point differs.
 
-        With ``slice_roots`` the complement coordinates are set to zero and
-        only slice rows/columns are kept.
+        On a slice R only the rows k and columns gamma in R are formed.
+        Its complement C is an upper set, so n_C is an ideal and
+        g^{-1} d_k g lies in n_C for k in C: the full W is block
+        triangular, (W^{-1})_RR = (W_RR)^{-1}, and setting x_C = 0 commutes
+        with d_k for k in R, with products and with inverses.  So the
+        slice rows are those of the full frame at x_C = 0 (Tanaka, J. Math.
+        Kyoto Univ. 10, 1970, for the graded slice algebra n_R / n_C).
         """
         key = None if slice_roots is None else frozenset(slice_roots)
-        if key in self._frame_cache:
-            return self._frame_cache[key]
-        if key is not None:
-            full = self.frame_components(None)
-            cvars = [self.coord_index(r)
-                     for r in self.coord_roots if r not in key]
-            rows = {}
-            for g in key:
-                restricted = ((j, p.at_zero(cvars)) for j, p in full[g].items()
-                              if j in key)
-                rows[g] = {j: p for j, p in restricted if not p.is_zero()}
-            self._frame_cache[key] = rows
+        rows = self._frame_cache.get(key)
+        if rows is not None:
             return rows
-        gen = self.generic_matrix()
-        gen_inv = self.generic_inverse()
-        cols = [self.algebra.full_index(r) for r in self.coord_roots]
+        gen = self.point(key)
+        gen_inv = self.point(key, inverse=True)
+        roots = self._slice(key)
+        cols = [self.algebra.full_index(r) for r in roots]
         zero = Poly.zero(self.nvars)
         w = []
-        for k in range(self.nvars):
+        for r in roots:
+            k = self._index[r]
             d_cols: dict[int, list] = {}
 
             def entry(i, j, k=k, d_cols=d_cols):
@@ -597,17 +637,17 @@ class Chart:
         nil = {(k, g): p - one if k == g else p
                for k, row in enumerate(w) for g, p in enumerate(row)}
         # (W^{-1} - I)[g][k], the diagonal's one added back
-        w_inv = linalg.nilpotent_series(nil, self.nvars, linalg.inverse_coeff)
+        w_inv = linalg.nilpotent_series(nil, len(roots), linalg.inverse_coeff)
         rows = {}
-        for g, r in enumerate(self.coord_roots):
+        for g, r in enumerate(roots):
             row = rows[r] = {}
-            for k, s in enumerate(self.coord_roots):
+            for k, s in enumerate(roots):
                 p = w_inv.get((g, k))
                 if g == k:
                     p = one if p is None else one + p
                 if p is not None and not p.is_zero():
                     row[s] = p
-        self._frame_cache[None] = rows
+        self._frame_cache[key] = rows
         return rows
 
     def frame_field(self, root_id: int, slice_roots=None) -> PolyVectorField:
@@ -673,10 +713,12 @@ def default_chart(algebra: SplitLieAlgebra) -> Chart:
 # adjoint action
 # ---------------------------------------------------------------------------
 
-def adjoint_of_point(chart: Chart, element, indices=None):
+def adjoint_of_point(chart: Chart, element, indices=None, slice_roots=None):
     """Coefficients of Ad(n^{-1}) E at the generic point n, polynomials in
     the chart coordinates, at the full-basis ``indices`` (all of them, in
-    order, when None).
+    order, when None).  With ``slice_roots`` n is the slice point
+    (:meth:`Chart.point`): the generic point at complement coordinates
+    zero.
 
     ``element`` is an entry map {(p, q): value} in the chart's
     realization.  Only the entries of n^{-1} E n that those coefficients
@@ -684,7 +726,8 @@ def adjoint_of_point(chart: Chart, element, indices=None):
     nonzeros (p, q) of E of n^{-1}[i][p] E[p][q] n[q][j], its products
     added as the two matrix products n^{-1} E and (n^{-1} E) n add them.
     """
-    gen, gen_inv = chart.generic_matrix(), chart.generic_inverse()
+    gen = chart.point(slice_roots)
+    gen_inv = chart.point(slice_roots, inverse=True)
     e_cols: dict[int, list] = {}        # column q of E: [(p, E[p][q])]
     for (p, q), x in sorted(element.items()):
         if x != 0:

@@ -3,8 +3,12 @@
 The induced field of an algebra element E is computed from the adjoint
 action: along the standard left-invariant frame, the component of tau(E)
 labelled by the positive root gamma is minus the g_gamma-coefficient of
-Ad(n^{-1}) E.  Projecting to the slice of a Hessenberg set drops the
-complement components and sets the complement coordinates to zero.
+Ad(n^{-1}) E at the generic point n.  Its slice field nu(E) on a
+Hessenberg set R keeps the components gamma in R at complement
+coordinates zero.  Setting x_C = 0 commutes with products and inverses,
+so nu(E) is read the same way at the slice point n_R, the generic point
+with x_C = 0 (:meth:`mclab.liealg.Chart.point`): the full-group tau(E)
+is never formed or projected.
 
 The multicontact condition on a slice field F = sum f_gamma X_gamma is
 the first-order system, over simple roots delta in R and gamma in R,
@@ -51,46 +55,57 @@ class McError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tau and projection
+# tau and nu
 # ---------------------------------------------------------------------------
+
+def _induced(algebra: SplitLieAlgebra, chart: Chart, element,
+             slice_roots=None) -> PolyVectorField:
+    """Minus the positive-root coefficients of Ad(n^{-1}) E at the slice
+    point n of ``slice_roots`` (the generic point when None), read at the
+    slice roots, as an invariant-frame field on that slice."""
+    roots = (range(algebra.rs.n_pos) if slice_roots is None
+             else sorted(slice_roots))
+    coeffs = adjoint_of_point(chart, element,
+                              [algebra.full_index(r) for r in roots],
+                              slice_roots)
+    return PolyVectorField(chart, "invariant",
+                           {r: -c for r, c in zip(roots, coeffs)},
+                           slice_roots=slice_roots)
+
 
 def tau(algebra: SplitLieAlgebra, chart: Chart, element) -> PolyVectorField:
     """Multicontact field of an algebra element (an entry map in the
     chart's realization), on the full group."""
-    coeffs = adjoint_of_point(chart, element, [
-        algebra.full_index(r) for r in range(algebra.rs.n_pos)])
-    comps = {r: -c for r, c in enumerate(coeffs) if not c.is_zero()}
-    return PolyVectorField(chart, "invariant", comps)
-
-
-def tau_basis(algebra: SplitLieAlgebra, chart: Chart,
-              indices=None) -> dict[int, PolyVectorField]:
-    """tau of the full-basis elements at ``indices`` (all of them when
-    None), keyed by full-basis index.  Each is computed once per chart,
-    when first asked for, and cached."""
-    cache = getattr(chart, "_tau_basis_cache", None)
-    if cache is None:
-        cache = chart._tau_basis_cache = {}
-    keys = range(algebra.dim) if indices is None else indices
-    for k in keys:
-        if k not in cache:
-            cache[k] = tau(algebra, chart, chart.realization.entries[k])
-    return {k: cache[k] for k in keys}
-
-
-def project_to_slice(field: PolyVectorField, hs: HessenbergSet) -> PolyVectorField:
-    """Drop complement components and set complement coordinates to zero:
-    a term survives exactly when it has no complement variable."""
-    chart = field.chart
-    cvars = [chart.coord_index(r) for r in hs.C]
-    comps = {r: p.at_zero(cvars)
-             for r, p in field.to_invariant().components.items() if r in hs.R}
-    return PolyVectorField(chart, "invariant", comps, slice_roots=hs.R)
+    return _induced(algebra, chart, element)
 
 
 def nu(algebra: SplitLieAlgebra, chart: Chart, hs: HessenbergSet,
        element) -> PolyVectorField:
-    return project_to_slice(tau(algebra, chart, element), hs)
+    """The slice field of an algebra element: the slice components of
+    tau(E) at complement coordinates zero.  It is read at the slice point
+    itself (:meth:`Chart.point`), which is the generic point at x_C = 0,
+    so tau(E) on the full group is never formed."""
+    return _induced(algebra, chart, element, hs.R)
+
+
+def tau_basis(algebra: SplitLieAlgebra, chart: Chart, hs: HessenbergSet,
+              indices=None) -> dict[int, PolyVectorField]:
+    """The fields that the full-basis elements at ``indices`` (all of them
+    when None) induce on the slice ``hs``, nu of each, keyed by full-basis
+    index.  Each is computed once per chart, slice and index, when first
+    asked for, and cached (``Chart._nu_cache``)."""
+    cache = getattr(chart, "_nu_cache", None)
+    if cache is None:
+        cache = chart._nu_cache = {}
+    keys = range(algebra.dim) if indices is None else indices
+    out = {}
+    for k in keys:
+        f = cache.get((hs.R, k))
+        if f is None:
+            f = cache[hs.R, k] = nu(algebra, chart, hs,
+                                    chart.realization.entries[k])
+        out[k] = f
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +277,13 @@ def assemble_mc_system(hs: HessenbergSet, chart: Chart,
 class McSolution:
     """Invariant-frame basis fields, each with its free unknown (gamma,
     monomial), its last unknown in solver order: the field is one there
-    and every other field zero, or the constructor raises McError."""
+    and every other field zero, or the constructor raises McError.  The
+    dimension is the number of basis fields."""
     hs: HessenbergSet
     chart: Chart
     degree_bound: int
     basis: list[PolyVectorField]
     degrees: list[int]
-    dimension: int
     stabilized: bool
     free_unknowns: list[tuple[int, tuple]]
     bracket_table: list[list[list[Scalar]]] | None = None
@@ -286,6 +301,10 @@ class McSolution:
                         f"basis field {j} is {x} at the free unknown of "
                         f"field {i}: the basis is not in reduced echelon "
                         f"form")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     # ---- span --------------------------------------------------------------
     def coordinates(self, field: PolyVectorField) -> list[Scalar] | None:
@@ -580,8 +599,8 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
                     f"solution(s), the prolongation gives "
                     f"{counts.get(w, 0)}")
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
-                      basis=basis, degrees=degrees, dimension=len(basis),
-                      stabilized=stabilized, free_unknowns=free_unknowns)
+                      basis=basis, degrees=degrees, stabilized=stabilized,
+                      free_unknowns=free_unknowns)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +652,8 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
     alg = chart.algebra
     rep = report if report is not None else analyze(hs)
     q_index = normalizer_basis_indices(alg, rep)
-    taus = tau_basis(alg, chart, q_index)
-    fields = [project_to_slice(taus[k], hs) for k in q_index]
+    nus = tau_basis(alg, chart, hs, q_index)
+    fields = [nus[k] for k in q_index]
 
     contained = all(solution.contains(f) for f in fields)
     index: dict[tuple[int, tuple], int] = {}

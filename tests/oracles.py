@@ -12,6 +12,8 @@ from math import factorial
 
 from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub
 from mclab import linalg
+from mclab.fields import PolyVectorField
+from mclab.mcfields import tau
 from mclab.liealg import (Chart, LieAlgebraError, SplitLieAlgebra,
                           _sparse_bracket, _transpose)
 from mclab.poly import Poly
@@ -438,6 +440,44 @@ def peel_to_invariant(field) -> dict[int, Poly]:
     if any(p.terms for p in residual.values()):
         raise ValueError("field has components outside the frame span")
     return out
+
+
+def full_tau_basis(algebra, chart) -> dict:
+    """tau on the full group of every full-basis element, keyed by
+    full-basis index: with ``project_to_slice`` the full-group-then-restrict
+    reference for ``mcfields.tau_basis``, which reads nu at the slice
+    point."""
+    return {k: tau(algebra, chart, e)
+            for k, e in enumerate(chart.realization.entries)}
+
+
+def project_to_slice(field, hs):
+    """Drop complement components and set complement coordinates to zero:
+    a term survives exactly when it has no complement variable.  With
+    ``mcfields.tau`` it is the full-group-then-restrict reference for
+    ``mcfields.nu``, which reads the slice field at the slice point."""
+    chart = field.chart
+    cvars = [chart.coord_index(r) for r in hs.C]
+    comps = {r: p.at_zero(cvars)
+             for r, p in field.to_invariant().components.items() if r in hs.R}
+    return PolyVectorField(chart, "invariant", comps, slice_roots=hs.R)
+
+
+def restricted_frame(chart, slice_roots) -> dict[int, dict[int, Poly]]:
+    """The full Maurer-Cartan frame restricted to a slice: slice rows and
+    columns, complement coordinates zero, zero entries dropped.  The
+    reference for ``Chart.frame_components(slice_roots)``, which forms
+    only the slice rows at the slice point."""
+    full = chart.frame_components()
+    cvars = [chart.coord_index(r)
+             for r in chart.coord_roots if r not in slice_roots]
+    rows = {}
+    for g in chart.coord_roots:
+        if g in slice_roots:
+            restricted = ((j, p.at_zero(cvars)) for j, p in full[g].items()
+                          if j in slice_roots)
+            rows[g] = {j: p for j, p in restricted if not p.is_zero()}
+    return rows
 
 
 def subs_project_to_slice(field, hs) -> dict[int, Poly]:

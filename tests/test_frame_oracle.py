@@ -15,8 +15,9 @@ from fractions import Fraction as Q
 import pytest
 
 from mclab import linalg
-from mclab.liealg import (build_sp, first_kind_chart, matrix_chart,
-                          second_kind_chart, three_factor_chart)
+from mclab.hessenberg import enumerate_all
+from mclab.liealg import (LieAlgebraError, build_sp, first_kind_chart,
+                          matrix_chart, second_kind_chart, three_factor_chart)
 from mclab.poly import Poly
 
 from conftest import dense, mat_add
@@ -88,18 +89,26 @@ def test_frame_matches_oracle_sp4_second_kind():
 
 def test_frame_slice_restriction(sp3):
     """The slice frame is the full frame at complement coordinates zero,
-    restricted to slice rows and columns, zero entries dropped."""
+    restricted to slice rows and columns, zero entries dropped: checked at
+    a rational point on every Hessenberg set of C3.  A set that is not a
+    lower order ideal has no slice frame."""
     chart = second_kind_chart(sp3)
     full = chart.frame_components()
-    key = set(chart.coord_roots[::2])
-    point = [Q(k + 2, 3) if r in key else Q(0)
-             for k, r in enumerate(chart.coord_roots)]
-    rows = chart.frame_components(key)
-    assert set(rows) == key
-    for g in key:
-        assert set(rows[g]) <= key
-        for j in key:
-            p = rows[g].get(j)
-            assert p is None or not p.is_zero()
-            want = full[g][j].eval(point) if j in full[g] else Q(0)
-            assert (p.eval(point) if p is not None else Q(0)) == want
+    sets = enumerate_all(sp3.rs)
+    for hs in sets:
+        key = hs.R
+        point = [Q(k + 2, 3) if r in key else Q(0)
+                 for k, r in enumerate(chart.coord_roots)]
+        rows = chart.frame_components(key)
+        assert set(rows) == key
+        for g in key:
+            assert set(rows[g]) <= key
+            for j in key:
+                p = rows[g].get(j)
+                assert p is None or not p.is_zero()
+                want = full[g][j].eval(point) if j in full[g] else Q(0)
+                assert (p.eval(point) if p is not None else Q(0)) == want
+    assert len(sets) == 20
+    # 011 - 001 = 010 is missing from every other coordinate root
+    with pytest.raises(LieAlgebraError, match="lower order ideal"):
+        chart.frame_components(set(chart.coord_roots[::2]))

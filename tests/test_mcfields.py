@@ -14,7 +14,7 @@ from mclab.liealg import matrix_chart, second_kind_chart
 from mclab.mcfields import (McError, McSolution, McSystem,
                             assemble_mc_system, compare_with_normalizer,
                             homogeneous_degree, homogeneous_parts,
-                            normalizer_basis_indices, nu, project_to_slice,
+                            normalizer_basis_indices, nu,
                             reduce_by_dark_zones, solve_mc, tau, tau_basis)
 from mclab.poly import Poly, monomials_of_weighted_degree
 from mclab.prolong import prolong
@@ -22,8 +22,8 @@ from mclab.prolong import prolong
 from conftest import (canonical_terms, cartan_element, dense, mat_sub,
                       solve_H0)
 from oracles import (chain_to_coordinate, composition_bracket,
-                     coordinates_in_span, peel_to_invariant,
-                     subs_project_to_slice)
+                     coordinates_in_span, full_tau_basis, peel_to_invariant,
+                     project_to_slice, subs_project_to_slice)
 
 
 @pytest.fixture(scope="module")
@@ -390,18 +390,23 @@ def test_compare_examples(sl4, chart_sl4, sl4_type2, sp2, chart_sp2,
 
 def test_compare_computes_tau_only_for_the_normalizer(sp3, monkeypatch):
     """On C3 type-2 the normalizer spans 12 of the 21 basis elements of
-    sp(3); the comparison computes tau of those 12 alone, once each."""
+    sp(3); the comparison computes nu of those 12 alone, once each, and
+    tau on the full group not at all."""
     chart = second_kind_chart(sp3)
     hs = type_p_subset(sp3.rs, 2)
     sol = solve_mc(hs, chart)
     calls = []
-    real_tau = mcfields.tau
+    real_nu = mcfields.nu
 
-    def counted(alg, ch, element):
+    def counted(alg, ch, slice_set, element):
         calls.append(element)
-        return real_tau(alg, ch, element)
+        return real_nu(alg, ch, slice_set, element)
 
-    monkeypatch.setattr(mcfields, "tau", counted)
+    def unexpected(*args):
+        raise AssertionError("tau on the full group")
+
+    monkeypatch.setattr(mcfields, "nu", counted)
+    monkeypatch.setattr(mcfields, "tau", unexpected)
     first = compare_with_normalizer(hs, chart, sol)
     assert len(normalizer_basis_indices(sp3, analyze(hs))) == 12
     assert len(calls) == 12
@@ -416,14 +421,14 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
     over Hessenberg subsets of the rank-3 A system and the rank-2 C
     system."""
     for alg, chart in ((sl4, chart_sl4), (sp2, chart_sp2)):
-        taus = tau_basis(alg, chart)
         rs = alg.rs
         real = alg.realization
         simples = set(rs.simple_ids())
         for hs in enumerate_all(rs):
             rep = analyze(hs)
             q_idx = normalizer_basis_indices(alg, rep)
-            fields = {k: project_to_slice(taus[k], hs) for k in q_idx}
+            nus = tau_basis(alg, chart, hs)
+            fields = {k: nus[k] for k in q_idx}
             # homomorphism on a spanning set of bracket pairs
             for ka in q_idx:
                 ma = dense(real.entries[ka], real.size)
@@ -438,7 +443,7 @@ def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
                     lhs = None
                     for k, c in enumerate(coeffs):
                         if c != 0:
-                            term = project_to_slice(taus[k], hs) * c
+                            term = nus[k] * c
                             lhs = term if lhs is None else lhs + term
                     rhs = fields[ka].bracket(fields[kb]).to_invariant()
                     if lhs is None:
@@ -840,15 +845,19 @@ def test_project_to_slice_matches_substitution(sl3, chart_sl3, sl4,
                                                chart_sl4, sp2, chart_sp2):
     """Dropping the terms with a complement variable equals substituting
     zero for the complement coordinates, on tau of every basis element
-    projected to every Hessenberg set of A2, A3 and C2."""
+    projected to every Hessenberg set of A2, A3 and C2; so does nu, read
+    at the slice point."""
     checked = 0
     for alg, chart in ((sl3, chart_sl3), (sl4, chart_sl4), (sp2, chart_sp2)):
-        taus = tau_basis(alg, chart)
+        taus = full_tau_basis(alg, chart)
         for hs in enumerate_all(alg.rs):
-            for f in taus.values():
+            nus = tau_basis(alg, chart, hs)
+            for k, f in taus.items():
                 got = project_to_slice(f, hs)
-                assert got.components == subs_project_to_slice(f, hs)
-                assert got.slice_roots == hs.R
+                want = subs_project_to_slice(f, hs)
+                assert got.components == want
+                assert nus[k].components == want
+                assert got.slice_roots == nus[k].slice_roots == hs.R
                 checked += 1
     assert checked == (sum(len(enumerate_all(a.rs)) * a.dim
                            for a in (sl3, sl4, sp2)))
@@ -972,14 +981,25 @@ def test_non_closed_bracket_table(sp2_slice):
     assert coordinates_in_span(vecs, outside) is None
     small = McSolution(hs=hs, chart=sol.chart,
                        degree_bound=sol.degree_bound, basis=basis,
-                       degrees=sol.degrees[1:], dimension=len(basis),
-                       stabilized=True, free_unknowns=sol.free_unknowns[1:])
+                       degrees=sol.degrees[1:], stabilized=True,
+                       free_unknowns=sol.free_unknowns[1:])
     small.compute_brackets()
     assert small.bracket_closed is False
     assert small.bracket_table[0][1] == [] and small.bracket_table[1][0] == []
     assert small.bracket_table[0][0] == [Q(0)] * len(basis)
     assert small.algebra_summary() == {"dimension": len(basis),
                                        "bracket_closed": False}
+
+
+def test_dimension_is_the_basis_length(sp2_slice):
+    """The dimension is read off the basis, so no caller can set it apart
+    from the basis: a 7 x 7 bracket table of 8-entry cells cannot arise."""
+    hs, sol = sp2_slice
+    assert sol.dimension == len(sol.basis) == 8
+    with pytest.raises(TypeError):
+        dataclasses.replace(sol, dimension=7)
+    with pytest.raises(AttributeError):
+        sol.dimension = 7
 
 
 def test_system_json(sl4, chart_sl4):
