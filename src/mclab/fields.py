@@ -13,7 +13,8 @@ variables and only slice labels appear.
 
 Brackets, ``apply`` and both frame conversions run on one kernel,
 :func:`mclab.poly.mul_acc`, which adds a product into a plain term dict;
-derivatives come from :func:`mclab.poly.diff_terms`.  Each result
+derivatives come from :func:`mclab.poly.diff_terms`, for a bracket out of
+each field's table of partials, built once per field.  Each result
 component is accumulated in its own dict and becomes a ``Poly`` once,
 through :func:`mclab.poly.finish`, which is where its scalars are made
 canonical (:func:`mclab.poly.exact`).  The kernel drops a cancelled term
@@ -24,6 +25,7 @@ field drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .poly import Poly, diff_terms, finish, mul_acc
 
@@ -132,21 +134,31 @@ class PolyVectorField:
                 mul_acc(acc, comp.terms, d)
         return finish(self.chart.nvars, acc)
 
+    @cached_property
+    def partials(self) -> dict[int, list[tuple[int, dict]]]:
+        """Per chart variable v, the nonzero d/dx_v of the components as
+        (label, term dict) pairs in component order, built once per field:
+        a bracket table differentiates each field against every other."""
+        out: dict[int, list[tuple[int, dict]]] = {}
+        for k, p in self.components.items():
+            for v in sorted({v for m in p.terms for v, e in enumerate(m) if e}):
+                out.setdefault(v, []).append((k, diff_terms(p.terms, v)))
+        return out
+
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
         """Commutator [self, other] in the coordinate frame:
         [a, b]_k = sum_j a_j d_j b_k - b_j d_j a_k, each component
-        accumulated into one term dict."""
-        a = self.to_coordinate().components
-        b = other.to_coordinate().components
+        accumulated into one term dict, the derivatives read from
+        :attr:`partials`."""
+        a = self.to_coordinate()
+        b = other.to_coordinate()
         index = self.chart.coord_index
         acc: dict[int, dict] = {}
         for x, y, sign in ((a, b, 1), (b, a, -1)):
-            for j, xj in x.items():
-                v = index(j)
-                for k, yk in y.items():
-                    d = diff_terms(yk.terms, v)
-                    if d:
-                        mul_acc(acc.setdefault(k, {}), xj.terms, d, sign)
+            partials = y.partials
+            for j, xj in x.components.items():
+                for k, d in partials.get(index(j), ()):
+                    mul_acc(acc.setdefault(k, {}), xj.terms, d, sign)
         return self._finish("coordinate", acc)
 
     # ---- rendering ----------------------------------------------------------

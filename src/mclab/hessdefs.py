@@ -18,7 +18,6 @@ sampled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -74,9 +73,6 @@ class HessenbergEquations:
             "equations": {rs.root_name(a): p.render(names)
                           for a, p in sorted(self.polynomials.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _regularity_check(algebra: SplitLieAlgebra, h_coeffs) -> None:

@@ -14,8 +14,9 @@ exp(N) - I is multiplied into a matrix by :func:`mul_unipotent`; the one
 product of whole matrices, :func:`mat_mul`, serves the chart's group law.
 
 There is one eliminator, :func:`rref`: a sparse fraction-free elimination
-over the integers with deterministic (leftmost-column) pivoting, so every
-basis this package produces is reproducible bit for bit.  It returns the
+over the integers with deterministic (leftmost-column) pivoting, which
+updates rows in place with gcd-reduced multipliers, so every basis this
+package produces is reproducible bit for bit.  It returns the
 integer pivot rows of a row echelon form keyed by pivot column; ``rank``,
 ``solve``, ``sparse_nullspace`` and the coordinates of :class:`SpanBasis`,
 which decomposes over the basis of a matrix realization, are read off
@@ -24,7 +25,8 @@ echelon nullspace basis, so a field's coordinates over it are its
 coefficients at the free unknowns.  The rows are not reduced, but the
 name ``rref`` stays: the pivot columns and the row space are those of the
 reduced form, and it is the name external tooling (the benchmark's layer
-trace) wraps and reports.
+trace) wraps and reports.  The signature of a symmetric form,
+:func:`symmetric_signature`, eliminates over its nonzero entries only.
 """
 
 from __future__ import annotations
@@ -213,8 +215,9 @@ def rref(rows: list[dict[int, Scalar]],
     """Row echelon form of a sparse rational matrix: the only eliminator.
 
     Rows map column -> value.  Fraction-free: rows are scaled to coprime
-    integers and eliminated by cross-multiplication, removing integer
-    content after every step.  Columns are eliminated left to right, so
+    integers and eliminated in place by cross-multiplication with the
+    multipliers divided by their gcd, removing integer content after
+    every step.  Columns are eliminated left to right, so
     the pivot columns are those independent of the columns before them.
     Returns the integer pivot rows keyed by pivot column, in ascending
     order; a pivot row holds no column left of its pivot.  The pivot row
@@ -243,28 +246,34 @@ def rref(rows: list[dict[int, Scalar]],
             if c != col:
                 rows_of_col[c].discard(pr)
         pv = piv[col]
+        rest = [(c, v) for c, v in piv.items() if c != col]
         for i in touched:
+            # r <- (pv r - a piv) / gcd(a, pv), in place
             r = work[i]
-            a = r[col]
-            new = {}
-            for c in r.keys() | piv.keys():
-                v = r.get(c, 0) * pv - piv.get(c, 0) * a
-                if v:
-                    new[c] = v
-            g = 0
-            for v in new.values():
-                g = gcd(g, abs(v))
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-            for c in r.keys() - new.keys():
-                if c != col:
+            a = r.pop(col)
+            g = gcd(a, pv)
+            mr, mp = pv // g, a // g
+            if mr != 1:
+                for c in r:
+                    r[c] *= mr
+            for c, v in rest:
+                y = mp * v
+                x = r.get(c)
+                if x is None:
+                    r[c] = -y
+                    rows_of_col.setdefault(c, set()).add(i)
+                elif x == y:
+                    del r[c]
                     rows_of_col[c].discard(i)
-            for c in new.keys() - r.keys():
-                rows_of_col.setdefault(c, set()).add(i)
-            if new:
-                work[i] = new
-            else:
+                else:
+                    r[c] = x - y
+            if not r:
                 del work[i]
+                continue
+            g = gcd(*r.values())
+            if g > 1:
+                for c in r:
+                    r[c] //= g
         pivots[col] = piv
     return pivots
 
@@ -430,39 +439,52 @@ class SpanBasis:
 def symmetric_signature(m: list[list[Scalar]]) -> tuple[int, int, int]:
     """(rank, n_plus, n_minus) of a rational symmetric matrix.
 
-    Congruence diagonalization over the rationals; exact.
+    Congruence diagonalization over the rationals, exact, on the nonzero
+    entries only: the form is kept as sparse rows, and each step takes
+    the first index with a nonzero diagonal entry d as pivot and
+    subtracts the rank-one form (row row^T) / d.  When every diagonal
+    entry left is zero, the first nonzero row k gets its first neighbour
+    j added, as a row and a column, which makes the diagonal entry
+    2 a_kj nonzero.
     """
-    a = [row[:] for row in m]
-    n = len(a)
+    a = {}
+    for i, row in enumerate(m):
+        r = {j: x for j, x in enumerate(row) if x != 0}
+        if r:
+            a[i] = r
     plus = minus = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                for t in range(n):
-                    a[k][t], a[swap][t] = a[swap][t], a[k][t]
-                for t in range(n):
-                    a[t][k], a[t][swap] = a[t][swap], a[t][k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
+    while a:
+        k = next((i for i, r in a.items() if i in r), None)
+        if k is None:
+            k = min(a)
+            rk = a[k]
+            j = min(rk)
+            for t, x in a[j].items():
+                rk[t] = rk.get(t, 0) + x
+            rk[k] = 2 * a[j][k]
+            for t, x in list(rk.items()):
+                if t == k:
                     continue
-                for t in range(n):
-                    a[k][t] += a[j][t]
-                for t in range(n):
-                    a[t][k] += a[t][j]
-        d = a[k][k]
-        if d == 0:
-            continue
+                if x:
+                    a[t][k] = x
+                else:
+                    del rk[t], a[t][k]
+        rk = a.pop(k)
+        d = rk.pop(k)
         if d > 0:
             plus += 1
         else:
             minus += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = Q(a[i][k]) / d
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
+        for i, x in rk.items():
+            r = a[i]
+            del r[k]
+            f = Q(x) / d
+            for t, y in rk.items():
+                v = r.get(t, 0) - f * y
+                if v:
+                    r[t] = v
+                else:
+                    r.pop(t, None)
+            if not r:
+                del a[i]
     return plus + minus, plus, minus

@@ -32,16 +32,19 @@ algebra (:mod:`mclab.prolong`) finds nonzero are assembled and
 eliminated, each nullity checked against the prolongation's count; the
 degrees where the prolongation is zero, the largest blocks of a solve,
 are never formed, and whether the solutions stop by the default bound
-is read off the prolongation as well.  An explicit degree bound is the
-verification mode: it eliminates every weight block of every degree
-through the bound and one past it, and never consults the prolongation.
+is read off the prolongation as well.  The unknowns of those blocks are
+generated from their weights, as vector partitions into slice roots, in
+the order of the full enumeration.  An explicit degree bound is the
+verification mode: it enumerates and eliminates every weight block of
+every degree through the bound and one past it, and never consults the
+prolongation.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import add, sub
 
 from . import linalg, prolong
 from .fields import PolyVectorField
@@ -161,13 +164,40 @@ class McSystem:
         """Unknowns of the homogeneous block of field degree ``degree``,
         each with its root-lattice weight sum_v m_v root(v) - gamma (a
         coefficient vector over the simple roots): pairs ((gamma,
-        monomial), weight) in solver order.  With ``weights`` (a container
-        of root-lattice weights) only the unknowns of those weights."""
-        chart = self.chart
+        monomial), weight) in solver order, by gamma, then by slice
+        exponents in lexicographic order.
+
+        With ``weights`` (a container of root-lattice weights) only the
+        unknowns of those weights, generated from them: the monomials of
+        (gamma, lambda) are the vector partitions of lambda + gamma into
+        slice roots (:attr:`_partitions`), and a weight fixes its degree,
+        the height of lambda.  Without, every monomial of the degree is
+        enumerated by :func:`mclab.poly.monomials_of_weighted_degree` and
+        weighed, the verification mode's independent enumeration."""
         rs = self.hs.rs
-        slice_vars = [chart.coord_index(r) for r in self.labels]
-        sub_weights = [chart.weights[v] for v in slice_vars]
+        slice_vars = [self.chart.coord_index(r) for r in self.labels]
+        full = [0] * self.chart.nvars
+
+        def unknown(g, mono, weight):
+            for v, e in zip(slice_vars, mono):
+                full[v] = e
+            return (g, tuple(full)), weight
+
+        if weights is not None:
+            partitions = self._partitions
+            lams = [w for w in weights if sum(w) == degree]
+            out = []
+            for g in self.labels:
+                found = []
+                for lam in lams:
+                    target = tuple(map(add, lam, rs.root(g).coeffs))
+                    if min(target) >= 0:
+                        found += [(m, lam) for m in partitions(0, target)]
+                found.sort()
+                out += [unknown(g, m, lam) for m, lam in found]
+            return out
         var_coeffs = [rs.root(r).coeffs for r in self.labels]
+        sub_weights = [self.chart.weights[v] for v in slice_vars]
         out = []
         for g in self.labels:
             w = degree + rs.root(g).height
@@ -180,13 +210,27 @@ class McSystem:
                     if e:
                         for i, c in enumerate(coeffs):
                             weight[i] += e * c
-                weight = tuple(weight)
-                if weights is None or weight in weights:
-                    full = [0] * chart.nvars
-                    for v, e in zip(slice_vars, mono):
-                        full[v] = e
-                    out.append(((g, tuple(full)), weight))
+                out.append(unknown(g, mono, tuple(weight)))
         return out
+
+    @cached_property
+    def _partitions(self):
+        """partitions(i, rest): the exponent vectors (m_i, ..., m_last) over
+        the slice roots from label i on with sum_v m_v root(v) = rest, in
+        lexicographic order, each exponent bounded by what remains;
+        memoized per system on (i, rest), across degrees."""
+        roots = [self.hs.rs.root(r).coeffs for r in self.labels]
+
+        @cache
+        def partitions(i, rest):
+            if i == len(roots):
+                return [] if any(rest) else [()]
+            out, e = [], 0
+            while min(rest) >= 0:
+                out += [(e, *tail) for tail in partitions(i + 1, rest)]
+                rest, e = tuple(map(sub, rest, roots[i])), e + 1
+            return out
+        return partitions
 
     @cached_property
     def _tables(self):
@@ -399,9 +443,6 @@ class McSolution:
                 for row in self.bracket_table
             ]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _ad_columns(table: list[list[list[Scalar]]]

@@ -24,10 +24,14 @@ Scalar = Union[int, Q]
 
 def exact(c) -> Scalar:
     """The canonical exact scalar equal to c: an int when c is integral,
-    else a Fraction.  Anything ``Fraction`` accepts is converted first."""
+    else a Fraction.  Anything ``Fraction`` accepts but a float is
+    converted first; a float raises ``TypeError``, since its binary
+    expansion is not the number it was written as."""
     if type(c) is int:
         return c
     if type(c) is not Q:
+        if isinstance(c, float):
+            raise TypeError(f"{c!r} is a float, not an exact scalar")
         c = Q(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub
 from mclab import linalg
@@ -577,3 +577,114 @@ class EuclideanRootSystem:
         for k in range(self.n_pos):
             split.setdefault(Q(2 * self.pairing(w, k), ww), set()).add(k)
         return split
+
+
+def cross_rref(rows, ncols):
+    """``linalg.rref`` as it eliminated before it updated rows in place:
+    every eliminated row is rebuilt as pv * r - a * piv over the union of
+    both rows' columns, with the full multipliers, and its content
+    removed.  Same pivot choice (shortest row, first on ties)."""
+    work = {}
+    rows_of_col = {}
+    for i, r in enumerate(rows):
+        ints = linalg._row_to_int(r)
+        if ints:
+            work[i] = ints
+            for c in ints:
+                rows_of_col.setdefault(c, set()).add(i)
+    pivots = {}
+    for col in range(ncols):
+        touched = rows_of_col.pop(col, None)
+        if not touched:
+            continue
+        pr = min(touched, key=lambda i: (len(work[i]), i))
+        touched.discard(pr)
+        piv = work.pop(pr)
+        for c in piv:
+            if c != col:
+                rows_of_col[c].discard(pr)
+        pv = piv[col]
+        for i in touched:
+            r = work[i]
+            a = r[col]
+            new = {}
+            for c in r.keys() | piv.keys():
+                v = r.get(c, 0) * pv - piv.get(c, 0) * a
+                if v:
+                    new[c] = v
+            g = 0
+            for v in new.values():
+                g = gcd(g, abs(v))
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+            for c in r.keys() - new.keys():
+                if c != col:
+                    rows_of_col[c].discard(i)
+            for c in new.keys() - r.keys():
+                rows_of_col.setdefault(c, set()).add(i)
+            if new:
+                work[i] = new
+            else:
+                del work[i]
+        pivots[col] = piv
+    return pivots
+
+
+def rref_disagreements(rows, ncols) -> list[str]:
+    """Where ``linalg.rref`` and :func:`cross_rref` differ on one matrix:
+    the pivot columns, the reduced-echelon nullspace
+    (``linalg.sparse_nullspace`` against the oracle's pivot rows) and the
+    row space.  Empty when they agree."""
+    new = linalg.rref(rows, ncols)
+    old = cross_rref(rows, ncols)
+    out = []
+    if list(new) != list(old):
+        out.append(f"pivot columns {list(new)}, oracle {list(old)}")
+    if linalg.sparse_nullspace(rows, ncols) != [
+            linalg._free_vector(old, fc, ncols)
+            for fc in range(ncols) if fc not in old]:
+        out.append("nullspace")
+    if len(cross_rref([*new.values(), *old.values()], ncols)) != len(old):
+        out.append("row space")
+    return out
+
+
+def dense_symmetric_signature(m):
+    """(rank, n_plus, n_minus) of a rational symmetric matrix by dense
+    congruence diagonalization: a zero pivot is replaced by swapping in a
+    later nonzero diagonal entry, or, when there is none, by adding a row
+    and column with a nonzero entry in the pivot row."""
+    a = [row[:] for row in m]
+    n = len(a)
+    plus = minus = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                for t in range(n):
+                    a[k][t], a[swap][t] = a[swap][t], a[k][t]
+                for t in range(n):
+                    a[t][k], a[t][swap] = a[t][swap], a[t][k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    continue
+                for t in range(n):
+                    a[k][t] += a[j][t]
+                for t in range(n):
+                    a[t][k] += a[t][j]
+        d = a[k][k]
+        if d == 0:
+            continue
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = Q(a[i][k]) / d
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    return plus + minus, plus, minus

@@ -3,8 +3,9 @@
 Every job in ``perfbench/expected.json`` (exit code and stdout sha256,
 recorded by ``perfbench/record_refs.py``) runs through ``mclab.cli.main``
 with the environment its workload declares in ``perfbench/workloads.py``,
-so an output change fails here without a benchmark run.  Nothing under
-``perfbench/`` is written.
+so an output change fails here without a benchmark run.  The same jobs
+check the eliminator against its oracle on every matrix they eliminate.
+Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from mclab import linalg
 from mclab.cli import main
+
+from oracles import rref_disagreements
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +62,30 @@ def test_job_matches_reference(command, monkeypatch):
     assert code == ref["exit_code"]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
         ref["sha256"]
+
+
+ELIMINATING = [job.command for name in ("mc-solve", "mc-structure", "algebra")
+               for job in _load_workloads().WORKLOADS[name]]
+
+
+@pytest.mark.parametrize("command", ELIMINATING)
+def test_rref_matches_oracle_on_job(command, monkeypatch):
+    """Every ``linalg.rref`` call of an mc or algebra job, replayed: the
+    in-place eliminator and the cross-multiplication oracle give the
+    same pivot columns, nullspace and row space."""
+    calls = []
+    original = linalg.rref
+
+    def recorded(rows, ncols):
+        calls.append(([dict(r) for r in rows], ncols))
+        return original(rows, ncols)
+
+    for key, value in JOBS[command].env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.setattr(linalg, "rref", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(JOBS[command].argv)
+    monkeypatch.setattr(linalg, "rref", original)
+    assert calls
+    for rows, ncols in calls:
+        assert rref_disagreements(rows, ncols) == [], (len(rows), ncols)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 import warnings
 from fractions import Fraction as Q
@@ -10,7 +11,8 @@ import pytest
 from mclab import linalg, mcfields
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze, enumerate_all, type_p_subset, validate
-from mclab.liealg import matrix_chart, second_kind_chart
+from mclab.liealg import (build_sl, build_sp, default_chart, matrix_chart,
+                          second_kind_chart)
 from mclab.mcfields import (McError, McSolution, McSystem,
                             assemble_mc_system, compare_with_normalizer,
                             homogeneous_degree, homogeneous_parts,
@@ -22,8 +24,9 @@ from mclab.prolong import prolong
 from conftest import (canonical_terms, cartan_element, dense, mat_sub,
                       solve_H0)
 from oracles import (chain_to_coordinate, composition_bracket,
-                     coordinates_in_span, full_tau_basis, peel_to_invariant,
-                     project_to_slice, subs_project_to_slice)
+                     coordinates_in_span, dense_symmetric_signature,
+                     full_tau_basis, peel_to_invariant, project_to_slice,
+                     subs_project_to_slice)
 
 
 @pytest.fixture(scope="module")
@@ -721,6 +724,63 @@ def test_default_solve_skips_empty_prolongation_blocks(sl4, chart_sl4,
     assert sum(n for *_, n in calls[:8]) == 1164
 
 
+def _filtered_unknowns(system, degree, weights):
+    """The unknowns of ``weights`` at ``degree`` by enumerate-then-filter:
+    every monomial of the degree in the slice variables, in the order of
+    ``monomials_of_weighted_degree``, weighed and kept when its weight is
+    listed."""
+    chart, rs = system.chart, system.hs.rs
+    slice_vars = [chart.coord_index(r) for r in system.labels]
+    roots = [rs.root(r).coeffs for r in system.labels]
+    out = []
+    for g in system.labels:
+        gamma = rs.root(g).coeffs
+        for mono in monomials_of_weighted_degree(
+                [chart.weights[v] for v in slice_vars],
+                degree + rs.root(g).height):
+            weight = tuple(sum(e * r[i] for e, r in zip(mono, roots)) - c
+                           for i, c in enumerate(gamma))
+            if weight in weights:
+                full = [0] * chart.nvars
+                for v, e in zip(slice_vars, mono):
+                    full[v] = e
+                out.append(((g, tuple(full)), weight))
+    return out
+
+
+@pytest.mark.parametrize("family, rank, blocks", [
+    ("A", 1, 4), ("A", 2, 21), ("A", 3, 84), ("A", 4, 317),
+    ("C", 2, 31), ("C", 3, 150),
+    pytest.param("C", 4, 662, marks=pytest.mark.skipif(
+        not os.environ.get("MCLAB_LARGE_ORACLES"),
+        reason="about a minute; set MCLAB_LARGE_ORACLES=1")),
+])
+def test_weight_first_unknowns_match_filter(family, rank, blocks):
+    """On every nonzero prolongation block (degree >= 0, through 2h + 1)
+    of every Hessenberg set, the unknowns generated from the block's
+    weight equal, in order, those of the filtered enumeration.  The
+    weights are also passed all at once and as a set, so neither another
+    degree's weights nor the iteration order of a set changes a list."""
+    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
+    chart = default_chart(alg)
+    h = alg.rs.highest_root.height
+    seen = 0
+    for hs in enumerate_all(alg.rs):
+        tanaka = prolong(hs, alg.c, 2 * h + 1)
+        every = {w for counts in tanaka.blocks.values() for w in counts}
+        system = assemble_mc_system(hs, chart, 2 * h)
+        for d, counts in sorted(tanaka.blocks.items()):
+            if d < 0 or not counts:
+                continue
+            expected = _filtered_unknowns(system, d, counts)
+            assert expected, (sorted(hs.R), d)
+            assert system.unknown_monomials(d, counts) == expected, \
+                (sorted(hs.R), d)
+            assert system.unknown_monomials(d, every) == expected
+            seen += 1
+    assert seen == blocks
+
+
 def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):
     original = McSystem.block_rows
 
@@ -969,6 +1029,16 @@ def test_trace_form_and_derived_series_oracle(small_stabilized):
         ranks.add((n, rank_k))
     # both degenerate and nondegenerate forms occur
     assert (15, 15) in ranks and any(r < n for n, r in ranks)
+
+
+def test_signature_matches_dense_oracle_on_trace_forms(stabilized_solves):
+    """The sparse signature equals dense congruence diagonalization on the
+    trace form of every stabilized solution of A1-A3, C2 and C3."""
+    for sol in stabilized_solves:
+        assert sol.bracket_closed
+        form = mcfields._trace_form(mcfields._ad_columns(sol.bracket_table))
+        assert linalg.symmetric_signature(form) == \
+            dense_symmetric_signature(form), sorted(sol.hs.R)
 
 
 def test_non_closed_bracket_table(sp2_slice):

@@ -14,7 +14,8 @@ from mclab.poly import Poly, exact, monomials_of_weighted_degree
 from conftest import dense, frac_identity, mat_add, mat_eq
 from oracles import (DENSE_COEFFS, FractionPoly, coordinates_in_span,
                      dense_generic_point, dense_nilpotent_series,
-                     free_vector_inverse_rows, nilpotent_exp)
+                     dense_symmetric_signature, free_vector_inverse_rows,
+                     nilpotent_exp, rref_disagreements)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -213,6 +214,10 @@ def test_exact_is_the_scalar_rule():
     assert type(exact(Q(1, 2))) is Q and exact("-3/6") == Q(-1, 2)
     with pytest.raises(TypeError):
         exact(Poly.zero(1))
+    # a float is its binary expansion, 0.1 = 3602879701896397 / 2**55
+    for x in (0.1, 0.5, 2.0, -0.0, float("inf")):
+        with pytest.raises(TypeError, match="float"):
+            exact(x)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +451,58 @@ def test_symmetric_signature():
     rank, pos, neg = linalg.symmetric_signature(deg)
     assert rank == 2 and pos == 1 and neg == 1
     assert linalg.symmetric_signature([[Q(0)]]) == (0, 0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rref_matches_cross_multiplication_oracle(data):
+    """The in-place eliminator against the one that rebuilt every row with
+    full multipliers, on sparse rational matrices up to 9 x 9, integer
+    ones with large entries included."""
+    ncols = data.draw(st.integers(1, 9))
+    nrows = data.draw(st.integers(0, 9))
+    entries = (coeffs if data.draw(st.booleans())
+               else st.integers(-10**12, 10**12))
+    rows = [{c: v for c in range(ncols)
+             if data.draw(st.integers(0, 2)) == 0
+             and (v := data.draw(entries))}
+            for _ in range(nrows)]
+    assert rref_disagreements(rows, ncols) == []
+
+
+def _symmetric(data, n, zero_diagonal):
+    m = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            if data.draw(st.booleans()):
+                m[i][j] = m[j][i] = data.draw(coeffs)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_symmetric_signature_matches_dense_oracle(data):
+    """The sparse signature against dense congruence diagonalization on
+    random symmetric rational matrices; half of them have a zero
+    diagonal, where the dense one adds a row and column to the pivot."""
+    n = data.draw(st.integers(0, 8))
+    m = _symmetric(data, n, data.draw(st.booleans()))
+    assert linalg.symmetric_signature(m) == dense_symmetric_signature(m)
+
+
+@pytest.mark.parametrize("m, expected", [
+    # dense: a zero pivot swapped with a later nonzero diagonal entry
+    ([[0, 1, 0], [1, 0, 3], [0, 3, 2]], (3, 2, 1)),
+    # dense: every diagonal entry zero, a row and column added
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], (2, 1, 1)),
+    ([[0, 0, 0], [0, 0, 5], [0, 5, 0]], (2, 1, 1)),
+    ([[0, 0], [0, 0]], (0, 0, 0)),
+])
+def test_symmetric_signature_zero_pivots(m, expected):
+    assert dense_symmetric_signature(m) == expected
+    assert linalg.symmetric_signature(m) == expected
 
 
 # rank 2: rows 3 and 4 are combinations of rows 1 and 2, which binary
