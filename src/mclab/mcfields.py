@@ -20,37 +20,41 @@ the first-order system, over simple roots delta in R and gamma in R,
 
 (the gamma = delta equations carry a free multiplier and are omitted).
 The system is graded twice: by dilation degree, and within a degree by
-the root-lattice weight of the unknowns.  The unknowns of a degree come
-with their weights, and each weight block is assembled from its own
-unknowns and solved separately by exact fraction-free elimination.  The
-basis is the reduced echelon one, so the coordinates of a field over it
-are its coefficients at the basis fields' free unknowns, checked by
-recomposing the field.
+the root-lattice weight of the unknowns (gamma, monomial).  The basis is
+the reduced echelon one, each field pivoting at its last unknown in
+solver order, so the coordinates of a field over it are its coefficients
+at the basis fields' free unknowns, checked by recomposing the field.
 
-By default only the blocks that the Tanaka prolongation of the slice
-algebra (:mod:`mclab.prolong`) finds nonzero are assembled and
-eliminated, each nullity checked against the prolongation's count; the
-degrees where the prolongation is zero, the largest blocks of a solve,
-are never formed, and whether the solutions stop by the default bound
-is read off the prolongation as well.  The unknowns of those blocks are
-generated from their weights, as vector partitions into slice roots, in
-the order of the full enumeration.  An explicit degree bound is the
-verification mode: it enumerates and eliminates every weight block of
-every degree through the bound and one past it, and never consults the
-prolongation.
+By default the fields come from the Tanaka prolongation g(m) of the
+slice algebra (:mod:`mclab.prolong`), which already fixes every
+(degree, weight) block and its dimension: a forward map sends each
+prolongation basis element A to the field whose components are minus
+the X_gamma-coefficients of Ad(n_R^{-1}) A, computed in g(m) through the
+prolongation's own bracket, and Gauss-Jordan per block puts the fields
+in reduced echelon form.  Each block's rank must equal the
+prolongation's count, and the system's rows over the fields' unknowns,
+applied to each field, must vanish (a product, not an elimination).  No
+monomial is enumerated and no polynomial system eliminated, and whether
+the solutions stop by the default bound is read off the prolongation as
+well.  An explicit degree bound is the verification mode: it enumerates
+every monomial of every degree through the bound and one past it,
+eliminates each weight block from its own unknowns, and never consults
+the prolongation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from operator import add, sub
+from fractions import Fraction as Q
+from functools import cached_property
+from math import factorial, lcm
+from operator import sub
 
 from . import linalg, prolong
 from .fields import PolyVectorField
 from .hessenberg import HessenbergSet, HessenbergReport, analyze, validate
 from .liealg import Chart, SplitLieAlgebra, adjoint_of_point
-from .poly import Poly, Scalar, monomials_of_weighted_degree
+from .poly import Poly, Scalar, exact, monomials_of_weighted_degree
 
 
 class McError(ValueError):
@@ -159,43 +163,17 @@ class McSystem:
     labels: list[int]                      # gamma in R, contract order
     equations: list[tuple[int, int]]       # (delta, gamma) pairs used
 
-    def unknown_monomials(self, degree: int, weights=None
+    def unknown_monomials(self, degree: int
                           ) -> list[tuple[tuple[int, tuple], tuple]]:
         """Unknowns of the homogeneous block of field degree ``degree``,
         each with its root-lattice weight sum_v m_v root(v) - gamma (a
         coefficient vector over the simple roots): pairs ((gamma,
         monomial), weight) in solver order, by gamma, then by slice
-        exponents in lexicographic order.
-
-        With ``weights`` (a container of root-lattice weights) only the
-        unknowns of those weights, generated from them: the monomials of
-        (gamma, lambda) are the vector partitions of lambda + gamma into
-        slice roots (:attr:`_partitions`), and a weight fixes its degree,
-        the height of lambda.  Without, every monomial of the degree is
+        exponents in lexicographic order.  Every monomial of the degree is
         enumerated by :func:`mclab.poly.monomials_of_weighted_degree` and
-        weighed, the verification mode's independent enumeration."""
+        weighed: the verification mode's independent enumeration."""
         rs = self.hs.rs
         slice_vars = [self.chart.coord_index(r) for r in self.labels]
-        full = [0] * self.chart.nvars
-
-        def unknown(g, mono, weight):
-            for v, e in zip(slice_vars, mono):
-                full[v] = e
-            return (g, tuple(full)), weight
-
-        if weights is not None:
-            partitions = self._partitions
-            lams = [w for w in weights if sum(w) == degree]
-            out = []
-            for g in self.labels:
-                found = []
-                for lam in lams:
-                    target = tuple(map(add, lam, rs.root(g).coeffs))
-                    if min(target) >= 0:
-                        found += [(m, lam) for m in partitions(0, target)]
-                found.sort()
-                out += [unknown(g, m, lam) for m, lam in found]
-            return out
         var_coeffs = [rs.root(r).coeffs for r in self.labels]
         sub_weights = [self.chart.weights[v] for v in slice_vars]
         out = []
@@ -206,44 +184,31 @@ class McSystem:
             base = [-c for c in rs.root(g).coeffs]
             for mono in monomials_of_weighted_degree(sub_weights, w):
                 weight = base[:]
-                for e, coeffs in zip(mono, var_coeffs):
+                full = [0] * self.chart.nvars
+                for v, e, coeffs in zip(slice_vars, mono, var_coeffs):
                     if e:
+                        full[v] = e
                         for i, c in enumerate(coeffs):
                             weight[i] += e * c
-                out.append(unknown(g, mono, tuple(weight)))
+                out.append(((g, tuple(full)), tuple(weight)))
         return out
-
-    @cached_property
-    def _partitions(self):
-        """partitions(i, rest): the exponent vectors (m_i, ..., m_last) over
-        the slice roots from label i on with sum_v m_v root(v) = rest, in
-        lexicographic order, each exponent bounded by what remains;
-        memoized per system on (i, rest), across degrees."""
-        roots = [self.hs.rs.root(r).coeffs for r in self.labels]
-
-        @cache
-        def partitions(i, rest):
-            if i == len(roots):
-                return [] if any(rest) else [()]
-            out, e = [], 0
-            while min(rest) >= 0:
-                out += [(e, *tail) for tail in partitions(i + 1, rest)]
-                rest, e = tuple(map(sub, rest, roots[i])), e + 1
-            return out
-        return partitions
 
     @cached_property
     def _tables(self):
         """The frame derivative X_delta of every slice root delta, as
-        (variable, terms) pairs, and per label g the equations an unknown
-        (g, x^n) enters: (delta, gamma, None) through X_delta(x^n) when
-        gamma = g, (delta, gamma, c_{delta,g}) through the ladder term when
-        gamma - delta = g."""
+        (variable, terms) pairs, each term the nonzero (variable, exponent)
+        pairs of its monomial with its coefficient, and per label g the
+        equations an unknown (g, x^n) enters: (delta, gamma, None) through
+        X_delta(x^n) when gamma = g, (delta, gamma, c_{delta,g}) through
+        the ladder term when gamma - delta = g."""
         chart = self.chart
         rs = self.hs.rs
         frame = chart.frame_components(self.hs.R)
         derivative = {
-            delta: [(chart.coord_index(j), a.terms) for j, a in row.items()]
+            delta: [(chart.coord_index(j),
+                     [([(v, e) for v, e in enumerate(m) if e], c)
+                      for m, c in a.terms.items()])
+                     for j, a in row.items()]
             for delta, row in frame.items()}
         terms_of: dict[int, list] = {}
         for delta, gamma in self.equations:
@@ -277,9 +242,12 @@ class McSystem:
                         e = mono[v]
                         if not e:
                             continue
-                        for m, c in a_terms.items():
-                            m2 = [x + y for x, y in zip(mono, m)]
-                            m2[v] -= 1
+                        lowered = list(mono)
+                        lowered[v] -= 1
+                        for exps, c in a_terms:
+                            m2 = lowered[:]
+                            for u, k in exps:
+                                m2[u] += k
                             m2 = tuple(m2)
                             contrib[m2] = contrib.get(m2, 0) + c * e
                 for m2, cf in contrib.items():
@@ -356,24 +324,33 @@ class McSolution:
         it is outside the span.  A field of the span has its coefficients
         at the free unknowns as coordinates; membership is verified by
         recomposing the field from them."""
-        comps = field.to_invariant().components
-        coords = [_coefficient(comps, u) for u in self.free_unknowns]
-        recomposed: dict[tuple[int, tuple], Scalar] = {}
-        for c, b in zip(coords, self.basis):
-            if c:
-                for g, p in b.components.items():
-                    for m, x in p.terms.items():
-                        recomposed[g, m] = recomposed.get((g, m), 0) + c * x
-        if ({k: x for k, x in recomposed.items() if x}
-                != {(g, m): x for g, p in comps.items()
-                    for m, x in p.terms.items()}):
-            return None
-        return coords
+        field = field.to_invariant()
+        coords = [_coefficient(field.components, u)
+                  for u in self.free_unknowns]
+        return coords if _recomposes(coords, self._invariant_terms,
+                                     _terms(field)) else None
+
+    @cached_property
+    def _invariant_terms(self) -> list[dict[tuple[int, tuple], Scalar]]:
+        """The basis fields' coefficients, recomposed by coordinates."""
+        return [_terms(b) for b in self.basis]
 
     def contains(self, field: PolyVectorField) -> bool:
         return self.coordinates(field) is not None
 
     # ---- structure ---------------------------------------------------------
+    @cached_property
+    def _coordinate_span(self):
+        """The basis in the coordinate frame, the frame its brackets are
+        computed in: the fields, their sparse vectors over one (label,
+        monomial) index, the index, and the :class:`linalg.SpanBasis` of
+        the vectors."""
+        fields = [b.to_coordinate() for b in self.basis]
+        index: dict[tuple[int, tuple], int] = {}
+        vectors = [{index.setdefault(u, len(index)): c
+                    for u, c in _terms(f).items()} for f in fields]
+        return fields, vectors, index, linalg.SpanBasis(vectors, len(index))
+
     def compute_brackets(self) -> None:
         """Bracket table over the basis: cell (i, j) holds the coordinates
         of [b_i, b_j] over the basis, or [] when that bracket leaves the
@@ -381,17 +358,22 @@ class McSolution:
 
         Each basis field is converted to the coordinate frame once and only
         the pairs i < j are bracketed; the other cells follow from
-        antisymmetry, [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0.
+        antisymmetry, [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0.  Each
+        bracket is read in the coordinate frame against one
+        :class:`linalg.SpanBasis` of the converted basis, and membership
+        is verified by recomposing it there: a term outside the basis
+        fields' (label, monomial) index is outside the span.
         """
         n = self.dimension
-        fields = [b.to_coordinate() for b in self.basis]
+        fields, vectors, index, span = self._coordinate_span
         table: list[list[list[Scalar]]] = [[[] for _ in range(n)]
                                       for _ in range(n)]
         closed = True
         for i in range(n):
             table[i][i] = [0] * n
             for j in range(i + 1, n):
-                coords = self.coordinates(fields[i].bracket(fields[j]))
+                coords = _span_coordinates(fields[i].bracket(fields[j]),
+                                           vectors, index, span)
                 if coords is None:
                     closed = False
                 else:
@@ -507,6 +489,40 @@ def _derived_series(ad: list[dict[int, dict[int, Scalar]]]) -> list[int]:
             return dims
 
 
+def _span_coordinates(field: PolyVectorField, vectors: list[dict],
+                      index: dict[tuple[int, tuple], int],
+                      span: linalg.SpanBasis) -> list[Scalar] | None:
+    """Coordinates of a field over the vectors of ``span``, all in one
+    frame and over one (label, monomial) ``index``, or None when the field
+    is outside the span, checked by recomposing it."""
+    target = {}
+    for u, x in _terms(field).items():
+        col = index.get(u)
+        if col is None:
+            return None
+        target[col] = x
+    coords = span.sparse_coefficients(target)
+    return coords if _recomposes(coords, vectors, target) else None
+
+
+def _terms(field: PolyVectorField) -> dict[tuple[int, tuple], Scalar]:
+    """A field's coefficients {(label, monomial): value}, in its frame."""
+    return {(g, m): x for g, p in field.components.items()
+            for m, x in p.terms.items()}
+
+
+def _recomposes(coords: list[Scalar], vectors: list[dict], target: dict
+                ) -> bool:
+    """Whether sum_i coords[i] vectors[i] is ``target``, all sparse maps
+    with their zeros left out."""
+    recomposed: dict = {}
+    for c, vec in zip(coords, vectors):
+        if c:
+            for k, x in vec.items():
+                recomposed[k] = recomposed.get(k, 0) + c * x
+    return {k: x for k, x in recomposed.items() if x} == target
+
+
 def _coefficient(components: dict[int, Poly],
                  unknown: tuple[int, tuple]) -> Scalar:
     """Coefficient of the unknown (gamma, monomial) in a field's
@@ -516,12 +532,10 @@ def _coefficient(components: dict[int, Poly],
     return 0 if p is None else p.terms.get(mono, 0)
 
 
-def _solve_block(system: McSystem, degree: int, wanted=None
-                 ) -> tuple[list[PolyVectorField], list[tuple[int, tuple]],
-                            dict[tuple, int]]:
-    """Solutions of one homogeneous degree and their free unknowns, one
-    weight block at a time, and the nullity of each weight block
-    eliminated.
+def _solve_block(system: McSystem, degree: int
+                 ) -> tuple[list[PolyVectorField], list[tuple[int, tuple]]]:
+    """Solutions of one homogeneous degree and their free unknowns, by
+    elimination, one weight block at a time: the verification mode.
 
     Each weight block is assembled from its own unknowns.  The equations
     are homogeneous for the weight, so no row may come from two weight
@@ -530,16 +544,12 @@ def _solve_block(system: McSystem, degree: int, wanted=None
     pivot columns as its blocks taken one at a time, so ordering the
     merged basis by free unknown (the last one with a nonzero entry, in
     solver order) gives exactly the basis of one elimination over the
-    whole degree block.  For the same reason, ``wanted`` (a container of
-    root-lattice weights) restricts the solve to those weight blocks
-    without changing their basis: only their unknowns are assembled.
-    None means every weight block.
+    whole degree block.
     """
     blocks: dict[tuple, list[tuple[int, tuple[int, tuple]]]] = {}
-    for k, (u, w) in enumerate(system.unknown_monomials(degree, wanted)):
+    for k, (u, w) in enumerate(system.unknown_monomials(degree)):
         blocks.setdefault(w, []).append((k, u))
     found = []          # (position, free unknown, components) per solution
-    nullity: dict[tuple, int] = {}
     weight_of_row: dict[tuple, tuple] = {}
     for w, unknowns in blocks.items():
         rows = system.block_rows(
@@ -550,9 +560,7 @@ def _solve_block(system: McSystem, degree: int, wanted=None
                 raise McError(
                     "multicontact equation mixes root-lattice weights "
                     f"{sorted([other, w])}: the system is not equivariant")
-        null = linalg.sparse_nullspace(list(rows.values()), len(unknowns))
-        nullity[w] = len(null)
-        for vec in null:
+        for vec in linalg.sparse_nullspace(list(rows.values()), len(unknowns)):
             comps: dict[int, dict] = {}
             for c, x in enumerate(vec):
                 if x:
@@ -561,84 +569,229 @@ def _solve_block(system: McSystem, degree: int, wanted=None
                     last = c
             found.append((*unknowns[last], comps))
     found.sort(key=lambda entry: entry[0])
+    return ([_slice_field(system, comps) for *_, comps in found],
+            [u for _, u, _ in found])
+
+
+def _slice_field(system: McSystem, comps: dict[int, dict]) -> PolyVectorField:
     nvars = system.chart.nvars
-    fields = [PolyVectorField(
+    return PolyVectorField(
         system.chart, "invariant",
         {g: Poly._of(nvars, t) for g, t in comps.items()},
-        slice_roots=system.hs.R) for *_, comps in found]
-    return fields, [u for _, u, _ in found], nullity
+        slice_roots=system.hs.R)
+
+
+# ---------------------------------------------------------------------------
+# fields from the prolongation
+# ---------------------------------------------------------------------------
+
+def _exp_minus_ad(bracket, group, y: dict) -> dict:
+    """M! exp(-ad N) y for N = sum_r x_r X_r over one factor group, on an
+    element y of g(m) with polynomial coefficients, {(degree, weight,
+    index): terms}, where M is the last power of -ad N that does not
+    vanish on y.  (-ad N) z = sum_r x_r [z, X_r], where [z, X_r] is the
+    prolongation's ``bracket``; the series ends because ad X_r lowers the
+    degree.  Summing it over the common denominator M! keeps integer
+    coefficients integers.  ``group`` lists (root, variable, height,
+    coefficients)."""
+    powers = [y]
+    while True:
+        nxt: dict[tuple, dict] = {}
+        for (k, w, i), t in powers[-1].items():
+            for r, v, height, coeffs in group:
+                br = bracket(k, w, i, r)
+                if not br:
+                    continue
+                shifted = [(m[:v] + (m[v] + 1,) + m[v + 1:], c)
+                           for m, c in t.items()]
+                k2, w2 = k - height, tuple(map(sub, w, coeffs))
+                for j, x in br.items():
+                    acc = nxt.setdefault((k2, w2, j), {})
+                    for m, c in shifted:
+                        acc[m] = acc.get(m, 0) + x * c
+        nxt = {key: t for key, acc in nxt.items()
+               if (t := {m: c for m, c in acc.items() if c})}
+        if not nxt:
+            break
+        powers.append(nxt)
+    last = len(powers) - 1
+    out: dict[tuple, dict] = {}
+    for n, power in enumerate(powers):
+        f = factorial(last) // factorial(n)
+        for key, t in power.items():
+            dest = out.setdefault(key, {})
+            for m, c in t.items():
+                dest[m] = dest.get(m, 0) + f * c
+    return out
+
+
+def _forward_fields(tanaka: prolong.Prolongation, chart: Chart,
+                    hs: HessenbergSet, degree: int, weight: tuple
+                    ) -> list[dict[tuple[int, tuple], Scalar]]:
+    """The field F_A of every basis element A of g_{degree, weight}, as its
+    coefficients {(gamma, monomial): value}, up to a positive integer
+    factor (:func:`_exp_minus_ad`), which leaves the span of a block as
+    it is: F_A's invariant component gamma is minus the
+    X_gamma-coefficient of Ad(n_R^{-1}) A = exp(-ad N_m) ... exp(-ad N_1)
+    A, where n_R = exp(N_1) ... exp(N_m) is the slice point over the
+    chart's factor groups, N_i = sum x_r X_r over the roots r of group i
+    that lie in R."""
+    rs = hs.rs
+    groups = [[(r, chart.coord_index(r), rs.root(r).height, rs.root(r).coeffs)
+               for r in g if r in hs.R] for g in chart.groups]
+    one = (0,) * chart.nvars
+    out = []
+    for i in range(len(tanaka.basis.get((degree, weight), ()))):
+        y = {(degree, weight, i): {one: 1}}
+        for group in groups:
+            if group:
+                y = _exp_minus_ad(tanaka.bracket, group, y)
+        out.append({(tanaka.basis[k, w][0], m): -c
+                    for (k, w, _), t in y.items() if k < 0
+                    for m, c in t.items() if c})
+    return out
+
+
+def _reduced_echelon(vectors: list[dict], order
+                     ) -> dict[tuple[int, tuple], dict]:
+    """Gauss-Jordan on sparse vectors over the unknowns: the reduced
+    echelon basis of their span, keyed by pivot, each vector pivoting at
+    its last unknown under the sort key ``order``, one there, and every
+    other basis vector zero there.  The span alone fixes it."""
+    rows: dict[tuple[int, tuple], dict] = {}
+
+    def axpy(v, a, row):            # v <- v + a row, zeros dropped
+        for u, x in row.items():
+            s = v.get(u, 0) + a * x
+            if s:
+                v[u] = s
+            else:
+                v.pop(u, None)
+
+    for vec in vectors:
+        v = dict(vec)
+        for u, row in rows.items():
+            x = v.get(u)
+            if x:
+                axpy(v, -x, row)
+        if not v:
+            continue
+        p = max(v, key=order)
+        x = v[p]
+        v = {u: exact(Q(c) / x) for u, c in v.items()}
+        for row in rows.values():
+            y = row.get(p)
+            if y:
+                axpy(row, -y, v)
+        rows[p] = v
+    for row in rows.values():
+        for u, c in row.items():
+            row[u] = exact(c)
+    return rows
+
+
+def _certify(system: McSystem, degree: int, weight: tuple,
+             fields: list[dict]) -> None:
+    """Every row of the multicontact system, over the unknowns the fields
+    use, dotted with each field's coefficients is 0, or McError names the
+    degree and the weight: a product, not an elimination.  Each field is
+    scaled to integers first, which does not change the verdict."""
+    index: dict[tuple[int, tuple], int] = {}
+    for f in fields:
+        for u in f:
+            index.setdefault(u, len(index))
+    entries: list[list] = [[] for _ in index]       # column: (row, value)
+    for key, row in system.block_rows(degree, index).items():
+        for c, x in row.items():
+            entries[c].append((key, x))
+    for f in fields:
+        den = lcm(*(x.denominator for x in f.values()))
+        acc: dict[tuple, Scalar] = {}
+        for u, x in f.items():
+            a = x.numerator * (den // x.denominator)
+            for key, y in entries[index[u]]:
+                acc[key] = acc.get(key, 0) + a * y
+        if any(acc.values()):
+            raise McError(
+                f"degree {degree}, weight {list(weight)}: a field from the "
+                f"prolongation violates the multicontact equations")
 
 
 def solve_mc(hs: HessenbergSet, chart: Chart,
              degree_bound: int | None = None) -> McSolution:
-    """Exact basis of the multicontact solution space on the slice.
+    """Exact basis of the multicontact solution space on the slice, for
+    degrees -h .. degree_bound (h the highest-root height, default bound
+    2h), in reduced echelon form: per degree, each field is one at its
+    free unknown, its last unknown in solver order, and every other field
+    is zero there.
 
-    Degrees -h .. degree_bound are solved one block at a time, where h is
-    the highest-root height; the default bound is 2h.
-
-    By default the blocks to solve come from the Tanaka prolongation of
-    the slice algebra (:func:`mclab.prolong.prolong`, from the structure
-    constants alone): from degree 0 on, only the (degree, weight) blocks
-    it finds nonzero are assembled and eliminated, up to the last degree
-    before its stop, the first k >= 0 with g_k = 0.  Below degree 0 (m
-    itself, a few unknowns) every weight block is eliminated.  Each
-    eliminated block's nullity must equal the prolongation's count (0 for
-    a weight it does not list), or McError names the degree and the
-    weight.  No degree from the stop on has solutions (N. Tanaka, J.
+    By default the fields are the forward images F_A of the basis of the
+    Tanaka prolongation through degree 2h + 1 (:func:`_forward_fields`),
+    put in reduced echelon form per (degree, weight) block and merged per
+    degree by free unknown.  Each block's rank must equal the
+    prolongation's count, and its fields must pass the certificate
+    (:func:`_certify`), or McError names the degree and the weight.  That
+    they are all the solutions is the prolongation theorem (N. Tanaka, J.
     Math. Kyoto Univ. 10, 1970; K. Yamaguchi, Adv. Stud. Pure Math. 22,
-    1993): for F of degree d + 1, [X, F] lies in degree d for every
-    simple frame field X, hence vanishes; the simple fields generate the
-    slice algebra, so F commutes with all of it and would have negative
-    degree, hence F = 0, and so on upwards.  The result reports
-    ``degree_bound`` 2h, and ``stabilized`` is read off the prolongation:
-    True when it stops by degree 2h + 1.  A slice whose prolongation
-    never empties through 2h + 1 (infinite type) is solved through 2h and
-    reports ``stabilized`` False; degree 2h + 1 is not solved.
+    1993): a multicontact field of degree k >= 0 is an element of g_k,
+    fixed by its brackets with the simple frame fields, which generate
+    the slice algebra; so no degree from the prolongation's stop on has
+    solutions.  The result reports ``degree_bound`` 2h, and
+    ``stabilized`` is read off the prolongation: True when it stops by
+    degree 2h + 1.  A slice whose prolongation never empties through
+    2h + 1 (infinite type) is solved through 2h and is not stabilized.
 
     An explicit ``degree_bound`` is the verification mode, which never
-    consults the prolongation: every weight block of every degree up to
-    the bound is eliminated, and ``stabilized`` records whether the
-    degree degree_bound + 1 is empty, by one more solve.
+    consults the prolongation: every monomial of every degree up to the
+    bound is enumerated and every weight block eliminated
+    (:func:`_solve_block`); ``stabilized`` records whether degree
+    degree_bound + 1 is empty, by one more solve.
     """
     h = hs.rs.highest_root.height
     verify = degree_bound is not None
     if not verify:
         degree_bound = 2 * h
-        tanaka = prolong.prolong(hs, chart.algebra.c, degree_bound + 1)
     system = assemble_mc_system(hs, chart, degree_bound)
-
-    checks = []         # (degree, nullity per weight, prolongation's)
-
-    def solve(d):
-        if verify:
-            return _solve_block(system, d)[:2]
-        counts = tanaka.blocks.get(d, {})
-        if d >= 0 and not counts:
-            return [], []
-        block, free, nullity = _solve_block(system, d,
-                                            counts if d >= 0 else None)
-        checks.append((d, nullity, counts))
-        return block, free
-
     basis: list[PolyVectorField] = []
     free_unknowns: list[tuple[int, tuple]] = []
     degrees: list[int] = []
-    for d in range(-h, degree_bound + 1):
-        block, free = solve(d)
-        basis.extend(block)
-        free_unknowns.extend(free)
-        degrees.extend([d] * len(block))
-    stabilized = (not solve(degree_bound + 1)[0] if verify
-                  else tanaka.stop is not None)
-    # counts are compared once every degree is assembled, so that a defect
-    # in the assembly is reported by its own certificate first
-    for d, nullity, counts in checks:
-        for w in sorted(nullity.keys() | counts.keys()):
-            if nullity.get(w, 0) != counts.get(w, 0):
-                raise McError(
-                    f"degree {d}, weight {list(w)}: {nullity.get(w, 0)} "
-                    f"solution(s), the prolongation gives "
-                    f"{counts.get(w, 0)}")
+    if verify:
+        for d in range(-h, degree_bound + 1):
+            block, free = _solve_block(system, d)
+            basis.extend(block)
+            free_unknowns.extend(free)
+            degrees.extend([d] * len(block))
+        stabilized = not _solve_block(system, degree_bound + 1)[0]
+    else:
+        tanaka = prolong.prolong(hs, chart.algebra.c, degree_bound + 1)
+        # solver order: by gamma, then by slice exponents
+        slice_vars = [chart.coord_index(r) for r in system.labels]
+
+        def order(u):
+            return u[0], [u[1][v] for v in slice_vars]
+
+        for d in range(-h, degree_bound + 1):
+            counts = tanaka.blocks.get(d, {})
+            found: dict[tuple[int, tuple], dict] = {}
+            for w in sorted(counts.keys()
+                            | {w for k, w in tanaka.basis if k == d}):
+                rows = _reduced_echelon(
+                    _forward_fields(tanaka, chart, hs, d, w), order)
+                if len(rows) != counts.get(w, 0):
+                    raise McError(
+                        f"degree {d}, weight {list(w)}: {len(rows)} "
+                        f"solution(s), the prolongation gives "
+                        f"{counts.get(w, 0)}")
+                _certify(system, d, w, list(rows.values()))
+                found.update(rows)
+            for u in sorted(found, key=order):
+                comps: dict[int, dict] = {}
+                for g, m in sorted(found[u], key=order):
+                    comps.setdefault(g, {})[m] = found[u][g, m]
+                basis.append(_slice_field(system, comps))
+                free_unknowns.append(u)
+                degrees.append(d)
+        stabilized = tanaka.finite_type
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
                       basis=basis, degrees=degrees, stabilized=stabilized,
                       free_unknowns=free_unknowns)

@@ -30,7 +30,11 @@ the kept lines leave the weight 0 alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
+from operator import sub
+from typing import Callable
+
 from . import linalg
 from .hessenberg import HessenbergSet
 from .poly import Scalar
@@ -41,9 +45,32 @@ class Prolongation:
     """``blocks[k]`` maps each weight with g_{k, weight} != 0 to its
     dimension, for every k from -h (h the highest-root height) up to the
     last degree computed.  ``stop`` is the first k >= 0 with g_k = 0, or
-    None when g_k is nonzero for every k up to the requested degree."""
+    None when g_k is nonzero for every k up to the requested degree.
+
+    ``basis[(k, w)]`` is the basis of g_{k, w}: below degree 0 the one
+    root gamma with w = -gamma, from degree 0 on one map per element,
+    sending gamma to the integer coordinates {index: value} of
+    phi(X_gamma) over ``basis[(k - ht gamma, w - gamma)]``.
+    ``bracket(k, w, i, b)`` is [A, X_b] for A the i-th element of
+    ``basis[(k, w)]``, over the basis of g_{k - ht b, w - b}: phi(X_b) for
+    a map phi, c_{a,b} X_{a+b} for a root a."""
     blocks: dict[int, dict[tuple[int, ...], int]]
     stop: int | None
+    basis: dict[tuple[int, tuple], list] = field(repr=False)
+    bracket: Callable[[int, tuple, int, int], dict[int, Scalar]] = field(
+        repr=False, compare=False)
+
+    @property
+    def total(self) -> int:
+        """dim g_{-h} + ... + dim g_k over every degree computed: the
+        dimension of the whole prolongation when it stopped."""
+        return sum(sum(b.values()) for b in self.blocks.values())
+
+    @property
+    def finite_type(self) -> bool:
+        """True when some g_k with k >= 0 is zero by the requested degree,
+        so that every later one is zero too."""
+        return self.stop is not None
 
 
 def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Scalar],
@@ -55,13 +82,22 @@ def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Scalar],
     height = {g: rs.root(g).height for g in labels}
     coeffs = {g: rs.root(g).coeffs for g in labels}
     simples = [s for s in rs.simple_ids() if s in hs.R]
+    # [X_a, X_b] = c_{a,b} X_{a+b} over the pairs of R whose sum is in R,
+    # and per sum s its splits a < b
+    root_bracket: dict[tuple[int, int], Scalar] = {}
+    splits: dict[int, list[tuple[int, int, Scalar]]] = {}
+    for a in labels:
+        for b in labels:
+            s = rs.add(a, b)
+            if s in hs.R and c.get((a, b)):
+                root_bracket[a, b] = c[a, b]
+                if a < b:
+                    splits.setdefault(s, []).append((a, b, c[a, b]))
 
     def minus(w, g):
-        return tuple(x - y for x, y in zip(w, coeffs[g]))
+        return tuple(map(sub, w, coeffs[g]))
 
-    # basis[(k, w)]: the basis of g_{k, w}.  Below degree 0 it is the one
-    # root gamma with w = -gamma; above, each element maps gamma to its
-    # coordinates {index: value} over basis[(k - ht gamma, w - gamma)]
+    # basis[(k, w)]: the basis of g_{k, w} (see Prolongation)
     zero = (0,) * rs.rank
     basis: dict[tuple[int, tuple], list] = {
         (-height[g], minus(zero, g)): [g] for g in labels}
@@ -72,8 +108,7 @@ def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Scalar],
         a = basis[k, w][i]
         if k >= 0:
             return a.get(b, {})
-        s = rs.add(a, b)
-        x = c.get((a, b), 0) if s in hs.R else 0
+        x = root_bracket.get((a, b))
         return {0: x} if x else {}
 
     def block(k, lam):
@@ -93,22 +128,26 @@ def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Scalar],
                 row = rows.setdefault((a, b, t), {})
                 row[col] = row.get(col, 0) + sign * x
 
-        # phi[X_a, X_b] - [phi X_a, X_b] + [phi X_b, X_a] = 0, for a < b
-        for j, a in enumerate(labels):
-            for b in labels[j + 1:]:
-                s = rs.add(a, b)
-                if s in cols and c.get((a, b)):
-                    off, _, size = cols[s]
+        # phi[X_a, X_b] - [phi X_a, X_b] + [phi X_b, X_a] = 0, for a < b:
+        # the terms of each gamma with phi(X_gamma) in the block
+        for u, (off, t, size) in cols.items():
+            for a, b, x in splits.get(u, ()):
+                for i in range(size):
+                    add(a, b, off + i, {i: x}, 1)
+            for v in labels:
+                if v != u:
+                    a, b, sign = (u, v, -1) if u < v else (v, u, 1)
                     for i in range(size):
-                        add(a, b, off + i, {i: c[a, b]}, 1)
-                for u, v, sign in ((a, b, -1), (b, a, 1)):
-                    if u in cols:
-                        off, t, size = cols[u]
-                        for i in range(size):
-                            add(a, b, off + i, bracket(*t, i, v), sign)
+                        add(a, b, off + i, bracket(*t, i, v), sign)
         null = linalg.sparse_nullspace([rows[key] for key in sorted(rows)], n)
-        return [{g: {i: x for i in range(size) if (x := vec[off + i])}
-                 for g, (off, _, size) in cols.items()} for vec in null]
+        elements = []
+        for vec in null:
+            # scaled to integers, so that brackets stay integral
+            den = lcm(*(x.denominator for x in vec))
+            elements.append({g: {i: int(x * den) for i in range(size)
+                                 if (x := vec[off + i])}
+                             for g, (off, _, size) in cols.items()})
+        return elements
 
     h = rs.highest_root.height
     blocks: dict[int, dict[tuple, int]] = {k: {} for k in range(-h, 0)}
@@ -127,5 +166,5 @@ def prolong(hs: HessenbergSet, c: dict[tuple[int, int], Scalar],
                 basis[k, lam] = elements
                 blocks[k][lam] = len(elements)
         if not blocks[k]:
-            return Prolongation(blocks, k)
-    return Prolongation(blocks, None)
+            return Prolongation(blocks, k, basis, bracket)
+    return Prolongation(blocks, None, basis, bracket)

@@ -688,3 +688,41 @@ def dense_symmetric_signature(m):
                 for t in range(n):
                     a[t][i] -= f * a[t][k]
     return plus + minus, plus, minus
+
+
+def zip_block_rows(system, degree, unknown_index):
+    """``McSystem.block_rows`` as it forms every shifted monomial by a
+    comprehension over all chart variables: the rows of the block over
+    ``unknown_index``, keyed (delta, gamma, monomial) and in key order."""
+    chart, rs = system.chart, system.hs.rs
+    frame = chart.frame_components(system.hs.R)
+    derivative = {
+        delta: [(chart.coord_index(j), a.terms) for j, a in row.items()]
+        for delta, row in frame.items()}
+    terms_of: dict[int, list] = {}
+    for delta, gamma in system.equations:
+        terms_of.setdefault(gamma, []).append((delta, gamma, None))
+        diff = rs.add(gamma, rs.neg(delta))
+        if diff is not None and diff < rs.n_pos:
+            terms_of.setdefault(diff, []).append(
+                (delta, gamma, chart.algebra.c[(delta, diff)]))
+    rows: dict[tuple, dict] = {}
+    for (g, mono), col in unknown_index.items():
+        for delta, gamma, ladder in terms_of.get(g, ()):
+            if ladder is not None:
+                contrib = {mono: ladder}
+            else:
+                contrib = {}
+                for v, a_terms in derivative[delta]:
+                    e = mono[v]
+                    if not e:
+                        continue
+                    for m, c in a_terms.items():
+                        m2 = [x + y for x, y in zip(mono, m)]
+                        m2[v] -= 1
+                        m2 = tuple(m2)
+                        contrib[m2] = contrib.get(m2, 0) + c * e
+            for m2, cf in contrib.items():
+                if cf:
+                    rows.setdefault((delta, gamma, m2), {})[col] = cf
+    return {k: rows[k] for k in sorted(rows)}

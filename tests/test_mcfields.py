@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import random
 import warnings
@@ -11,8 +12,9 @@ import pytest
 from mclab import linalg, mcfields
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze, enumerate_all, type_p_subset, validate
-from mclab.liealg import (build_sl, build_sp, default_chart, matrix_chart,
-                          second_kind_chart)
+from mclab.liealg import (build_sl, build_sp, default_chart,
+                          first_kind_chart, matrix_chart, second_kind_chart,
+                          three_factor_chart)
 from mclab.mcfields import (McError, McSolution, McSystem,
                             assemble_mc_system, compare_with_normalizer,
                             homogeneous_degree, homogeneous_parts,
@@ -26,7 +28,7 @@ from conftest import (canonical_terms, cartan_element, dense, mat_sub,
 from oracles import (chain_to_coordinate, composition_bracket,
                      coordinates_in_span, dense_symmetric_signature,
                      full_tau_basis, peel_to_invariant, project_to_slice,
-                     subs_project_to_slice)
+                     subs_project_to_slice, zip_block_rows)
 
 
 @pytest.fixture(scope="module")
@@ -494,14 +496,14 @@ def _solve_recorded(chart, hs, bound):
     dims: dict[int, dict[tuple, int]] = {}
     original = mcfields._solve_block
 
-    def record(system, degree, *args):
-        block, free, nullity = original(system, degree, *args)
+    def record(system, degree):
+        block, free = original(system, degree)
         for f in block:
             g, p = min(f.components.items())
             w = _weight(chart, g, next(iter(p.terms)))
             dims.setdefault(degree, {})
             dims[degree][w] = dims[degree].get(w, 0) + 1
-        return block, free, nullity
+        return block, free
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcfields, "_solve_block", record)
@@ -604,6 +606,48 @@ def test_bracket_coordinates_match_dense_solve(stabilized_solves):
     assert cells > 1000
 
 
+def test_bracket_table_matches_invariant_frame_coordinates(
+        stabilized_solves):
+    """Every cell of the bracket table, read in the coordinate frame
+    against one span of the converted basis, equals the invariant-frame
+    :meth:`McSolution.coordinates` of that bracket, scalar types
+    included."""
+    cells = 0
+    for sol in stabilized_solves:
+        n = sol.dimension
+        for i in range(n):
+            for j in range(n):
+                expect = sol.coordinates(sol.basis[i].bracket(sol.basis[j]))
+                cell = sol.bracket_table[i][j]
+                assert cell == ([] if expect is None else expect)
+                assert [type(x) for x in cell] == (
+                    [] if expect is None else [type(x) for x in expect])
+                cells += 1
+    assert cells > 2000
+
+
+def test_block_rows_match_zip_oracle(bound_sweeps):
+    """On every (degree, weight) block that the verification mode
+    assembles, degree bound + 1 included, for every Hessenberg set of
+    A1-A3, C2 and C3, the rows equal, in equal order, those of the
+    version that shifts monomials over all chart variables."""
+    blocks = 0
+    for alg, bound, runs in bound_sweeps.values():
+        for hs, stopped, *_ in runs:
+            system = assemble_mc_system(hs, stopped.chart, bound)
+            for d in range(-hs.rs.highest_root.height, bound + 2):
+                by_weight: dict[tuple, dict] = {}
+                for u, w in system.unknown_monomials(d):
+                    index = by_weight.setdefault(w, {})
+                    index[u] = len(index)
+                for index in by_weight.values():
+                    rows = system.block_rows(d, index)
+                    expect = zip_block_rows(system, d, index)
+                    assert list(rows.items()) == list(expect.items())
+                    blocks += 1
+    assert blocks > 1000
+
+
 def test_infinite_type_reported_without_warning(chart_sl3, chart_sl4):
     """An infinite-type slice is reported by ``stabilized`` alone: A3
     type-1 and A2 {a, b} solve with no warning and are not stabilized."""
@@ -618,17 +662,23 @@ def test_infinite_type_reported_without_warning(chart_sl3, chart_sl4):
 
 
 def _assert_stop_matches_bound(alg, bound, hs, stopped, full, dims):
-    """The default solve, which eliminates only the blocks the
-    prolongation finds nonzero, agrees with the explicit-bound solve on
-    every degree up to the bound, and the prolongation's (degree, weight)
-    dimensions equal the explicit solve's through degree bound + 1."""
+    """The default solve, the prolongation's fields in reduced echelon
+    form, agrees with the explicit-bound solve, which enumerates and
+    eliminates every block, on every degree up to the bound (in JSON
+    bytes when the bound is the default 2h), and the prolongation's
+    (degree, weight) dimensions equal the explicit solve's through degree
+    bound + 1."""
     h = hs.rs.highest_root.height
     assert stopped.degree_bound == 2 * h and full.degree_bound == bound
     keep = [k for k, d in enumerate(stopped.degrees) if d <= bound]
     assert full.dimension == len(keep)
     assert full.degrees == [stopped.degrees[k] for k in keep]
     assert full.basis == [stopped.basis[k] for k in keep]
+    assert full.free_unknowns == [stopped.free_unknowns[k] for k in keep]
     assert full.stabilized == stopped.stabilized
+    if bound == 2 * h:
+        assert (json.dumps(full.to_json_dict())
+                == json.dumps(stopped.to_json_dict())), sorted(hs.R)
     tanaka = prolong(hs, alg.c, bound + 1)
     assert _nonzero_blocks(tanaka, bound) == dims, sorted(hs.R)
     assert (tanaka.stop is not None) == full.stabilized
@@ -649,6 +699,64 @@ def test_prolongation_stop_c3_below_full_bound(bound_sweeps):
     alg, bound, runs = bound_sweeps["C3"]
     for run in runs:
         _assert_stop_matches_bound(alg, bound, *run)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("A", 3),
+                                          ("C", 2)])
+def test_default_solve_matches_verification_every_chart_kind(family, rank):
+    """Every Hessenberg set of A1-A3 and C2 on the first-kind,
+    second-kind and three-factor charts (the matrix chart is the default
+    one of the bound sweeps): the default solve equals the explicit
+    bound 2h in JSON bytes and free unknowns."""
+    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
+    bound = 2 * alg.rs.highest_root.height
+    for make in (first_kind_chart, second_kind_chart, three_factor_chart):
+        chart = make(alg)
+        for hs in enumerate_all(alg.rs):
+            _assert_stop_matches_bound(
+                alg, bound, hs, solve_mc(hs, chart),
+                *_solve_recorded(chart, hs, bound))
+
+
+@pytest.mark.skipif(not os.environ.get("MCLAB_LARGE_ORACLES"),
+                    reason="about 20 s; set MCLAB_LARGE_ORACLES=1")
+def test_default_solve_matches_verification_a4(sl5):
+    """Every Hessenberg set of A4 on the default chart: the default solve
+    equals the explicit bound 2h in JSON bytes and free unknowns, and the
+    prolongation's block dimensions equal the eliminated ones."""
+    chart = default_chart(sl5)
+    for hs in enumerate_all(sl5.rs):
+        _assert_stop_matches_bound(sl5, 8, hs, solve_mc(hs, chart),
+                                   *_solve_recorded(chart, hs, 8))
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4)])
+def test_prolongation_finite_type_is_the_dark_zone_criterion(family, rank):
+    """On every Hessenberg set, the empty one included, the prolongation
+    through 2h + 1 is of finite type exactly when no dark zone holds
+    exactly one simple root, and its total is the sum of its blocks."""
+    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
+    simples = set(alg.rs.simple_ids())
+    h = alg.rs.highest_root.height
+    finite = 0
+    for hs in enumerate_all(alg.rs):
+        tanaka = prolong(hs, alg.c, 2 * h + 1)
+        single = any(len(z & simples) == 1 for z in analyze(hs).dark_zones)
+        assert tanaka.finite_type == (not single), sorted(hs.R)
+        assert tanaka.total == sum(len(b) for b in tanaka.basis.values())
+        finite += tanaka.finite_type
+    assert finite == {("A", 1): 1, ("A", 2): 2, ("A", 3): 5, ("A", 4): 14,
+                      ("C", 2): 3, ("C", 3): 10, ("C", 4): 35}[family, rank]
+
+
+def test_prolongation_total_is_the_solution_dimension(stabilized_solves):
+    """On every finite-type set of A1-A3, C2 and C3, the prolongation's
+    total is the dimension of the solution space."""
+    for sol in stabilized_solves:
+        h = sol.hs.rs.highest_root.height
+        tanaka = prolong(sol.hs, sol.chart.algebra.c, 2 * h + 1)
+        assert tanaka.total == sol.dimension, sorted(sol.hs.R)
 
 
 @pytest.mark.parametrize("name", ["A3", "C3"])
@@ -680,6 +788,9 @@ def test_prolongation_catches_mutated_structure_constant(bound_sweeps, name):
 def test_solve_checks_blocks_against_prolongation(sl4, chart_sl4,
                                                   monkeypatch, change,
                                                   message):
+    """The rank check: the fields of a (degree, weight) block must have
+    the rank the prolongation's count gives, here after the count of a
+    block is dropped or inflated while its basis stays."""
     original = mcfields.prolong.prolong
 
     def altered(hs, c, max_degree):
@@ -697,88 +808,85 @@ def test_solve_checks_blocks_against_prolongation(sl4, chart_sl4,
         solve_mc(type_p_subset(sl4.rs, 2), chart_sl4)
 
 
+def test_rank_check_catches_dropped_basis_element(sl4, chart_sl4,
+                                                  monkeypatch):
+    """Dropping one basis element of the prolongation's top nonzero block
+    leaves its fields one short of the count, which the rank check
+    reports by degree and weight."""
+    original = mcfields.prolong.prolong
+    hs = type_p_subset(sl4.rs, 3)
+    top = max(k for k, w in original(hs, sl4.c, 7).basis)
+    dropped = []
+
+    def altered(hs, c, max_degree):
+        tanaka = original(hs, c, max_degree)
+        w = min(w for k, w in tanaka.basis if k == top)
+        tanaka.basis[top, w].pop()
+        dropped.append((w, tanaka.blocks[top][w]))
+        return tanaka
+
+    monkeypatch.setattr(mcfields.prolong, "prolong", altered)
+    with pytest.raises(McError) as err:
+        solve_mc(hs, chart_sl4)
+    (w, n), = dropped
+    assert str(err.value) == (
+        f"degree {top}, weight {list(w)}: {n - 1} solution(s), the "
+        f"prolongation gives {n}")
+
+
+def test_certificate_catches_corrupted_forward_field(sl4, chart_sl4,
+                                                     monkeypatch):
+    """Changing one coefficient of one field of the forward map keeps the
+    block's rank, so only the certificate, the system's rows applied to
+    the field, catches it, naming the degree and the weight."""
+    original = mcfields._forward_fields
+
+    def corrupted(tanaka, chart, hs, degree, weight):
+        fields = original(tanaka, chart, hs, degree, weight)
+        if (degree, weight) == (1, (0, 1, 0)):
+            u = min(fields[0])
+            fields[0][u] += 1
+        return fields
+
+    monkeypatch.setattr(mcfields, "_forward_fields", corrupted)
+    with pytest.raises(McError, match=r"degree 1, weight \[0, 1, 0\]: a "
+                                      r"field from the prolongation "
+                                      r"violates the multicontact"):
+        solve_mc(type_p_subset(sl4.rs, 2), chart_sl4)
+
+
 def test_default_solve_skips_empty_prolongation_blocks(sl4, chart_sl4,
                                                        monkeypatch):
-    """On the full slice of A3, g_4 = 0: the default solve never assembles
-    degree 4, and past degree 0 only the unknowns of the prolongation's
-    weights.  The verification mode assembles every unknown of every
-    degree through the bound and the one past it."""
-    calls = []
+    """On the full slice of A3, g_4 = 0: the default solve enumerates no
+    unknowns at all, and assembles rows only for its certificate, once
+    per nonzero prolongation block and never in degree 4.  The
+    verification mode enumerates every unknown of every degree through
+    the bound and the one past it."""
+    calls, rows = [], []
     original = McSystem.unknown_monomials
+    original_rows = McSystem.block_rows
 
-    def counted(self, degree, weights=None):
-        out = original(self, degree, weights)
-        calls.append((degree, weights is None, len(out)))
+    def counted(self, degree):
+        out = original(self, degree)
+        calls.append((degree, len(out)))
         return out
 
+    def counted_rows(self, degree, unknown_index):
+        rows.append(degree)
+        return original_rows(self, degree, unknown_index)
+
     monkeypatch.setattr(McSystem, "unknown_monomials", counted)
+    monkeypatch.setattr(McSystem, "block_rows", counted_rows)
     hs = type_p_subset(sl4.rs, 3)
     assert solve_mc(hs, chart_sl4).dimension == 15
-    assert [(d, whole) for d, whole, _ in calls] == \
-        [(d, d < 0) for d in range(-3, 4)]
-    assert sum(n for *_, n in calls) == 159
-    calls.clear()
+    assert calls == []
+    tanaka = prolong(hs, sl4.c, 7)
+    assert tanaka.stop == 4
+    assert rows == sorted(d for d, b in tanaka.blocks.items() for _ in b)
+    assert max(rows) == 3
     assert solve_mc(hs, chart_sl4, degree_bound=6).dimension == 15
-    assert [(d, whole) for d, whole, _ in calls] == \
-        [(d, True) for d in range(-3, 8)]
-    assert sum(n for *_, n in calls[:8]) == 1164
-
-
-def _filtered_unknowns(system, degree, weights):
-    """The unknowns of ``weights`` at ``degree`` by enumerate-then-filter:
-    every monomial of the degree in the slice variables, in the order of
-    ``monomials_of_weighted_degree``, weighed and kept when its weight is
-    listed."""
-    chart, rs = system.chart, system.hs.rs
-    slice_vars = [chart.coord_index(r) for r in system.labels]
-    roots = [rs.root(r).coeffs for r in system.labels]
-    out = []
-    for g in system.labels:
-        gamma = rs.root(g).coeffs
-        for mono in monomials_of_weighted_degree(
-                [chart.weights[v] for v in slice_vars],
-                degree + rs.root(g).height):
-            weight = tuple(sum(e * r[i] for e, r in zip(mono, roots)) - c
-                           for i, c in enumerate(gamma))
-            if weight in weights:
-                full = [0] * chart.nvars
-                for v, e in zip(slice_vars, mono):
-                    full[v] = e
-                out.append(((g, tuple(full)), weight))
-    return out
-
-
-@pytest.mark.parametrize("family, rank, blocks", [
-    ("A", 1, 4), ("A", 2, 21), ("A", 3, 84), ("A", 4, 317),
-    ("C", 2, 31), ("C", 3, 150),
-    pytest.param("C", 4, 662, marks=pytest.mark.skipif(
-        not os.environ.get("MCLAB_LARGE_ORACLES"),
-        reason="about a minute; set MCLAB_LARGE_ORACLES=1")),
-])
-def test_weight_first_unknowns_match_filter(family, rank, blocks):
-    """On every nonzero prolongation block (degree >= 0, through 2h + 1)
-    of every Hessenberg set, the unknowns generated from the block's
-    weight equal, in order, those of the filtered enumeration.  The
-    weights are also passed all at once and as a set, so neither another
-    degree's weights nor the iteration order of a set changes a list."""
-    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
-    chart = default_chart(alg)
-    h = alg.rs.highest_root.height
-    seen = 0
-    for hs in enumerate_all(alg.rs):
-        tanaka = prolong(hs, alg.c, 2 * h + 1)
-        every = {w for counts in tanaka.blocks.values() for w in counts}
-        system = assemble_mc_system(hs, chart, 2 * h)
-        for d, counts in sorted(tanaka.blocks.items()):
-            if d < 0 or not counts:
-                continue
-            expected = _filtered_unknowns(system, d, counts)
-            assert expected, (sorted(hs.R), d)
-            assert system.unknown_monomials(d, counts) == expected, \
-                (sorted(hs.R), d)
-            assert system.unknown_monomials(d, every) == expected
-            seen += 1
-    assert seen == blocks
+    assert [d for d, _ in calls] == list(range(-3, 8))
+    assert sum(n for _, n in calls[:8]) == 1164
 
 
 def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):
@@ -793,7 +901,7 @@ def test_weight_certificate_rejects_mixed_row(sl3, chart_sl3, monkeypatch):
     monkeypatch.setattr(McSystem, "block_rows", mixed)
     hs = validate(sl3.rs, set(range(sl3.rs.n_pos)))
     with pytest.raises(McError, match="root-lattice weights"):
-        solve_mc(hs, chart_sl3)
+        solve_mc(hs, chart_sl3, degree_bound=4)
 
 
 # ---------------------------------------------------------------------------
