@@ -47,7 +47,7 @@ from fractions import Fraction as Q
 from . import linalg
 from .fields import PolyVectorField
 from .hessenberg import closure_witness
-from .poly import Poly, Scalar, exact
+from .poly import Poly, Scalar, exact, finish
 from .rootsys import RootSystem, build_root_system
 
 
@@ -592,52 +592,63 @@ class Chart:
         the slice of ``slice_roots`` (the whole group when None): rows and
         columns gamma, j in the slice, complement coordinates zero.
 
-        The frame comes from the Maurer-Cartan form of the slice point g
-        (:meth:`point`; Varadarajan, GTM 102, Thm 2.14.3): W[k][gamma] is
-        the coefficient of X_gamma in g^{-1} d_k g, so d_k = sum_gamma
-        W[k][gamma] X_gamma as left-invariant fields.  W is unitriangular
-        in contract (height) order, hence X_gamma = sum_k (W^{-1})[gamma][k]
-        d_k, with W^{-1} from the finite Neumann series of W - I.  The
-        formula is the same for every chart kind; only the point differs.
+        The frame comes from the Maurer-Cartan form of the slice point
+        n = exp(N_1) ... exp(N_m), N_i = sum x_r X_r over the roots r of
+        factor group i in the slice (Varadarajan, GTM 102, Thm 2.14.3):
+        W[k][gamma] is the coefficient of X_gamma in n^{-1} d_k n, so
+        d_k = sum_gamma W[k][gamma] X_gamma as left-invariant fields.  For
+        k in group i,
+
+            n^{-1} d_k n = exp(-ad N_m) ... exp(-ad N_{i+1})
+                           sum_j (-ad N_i)^j X_k / (j + 1)!,
+
+        summed in the algebra from the structure constants alone
+        (:func:`minus_ad_series`): no group matrix is formed.  W is
+        unitriangular in contract (height) order, hence X_gamma =
+        sum_k (W^{-1})[gamma][k] d_k, with W^{-1} from the finite Neumann
+        series of W - I.  The formula is the same for every chart kind;
+        only the groups differ.
 
         On a slice R only the rows k and columns gamma in R are formed.
         Its complement C is an upper set, so n_C is an ideal and
-        g^{-1} d_k g lies in n_C for k in C: the full W is block
+        n^{-1} d_k n lies in n_C for k in C: the full W is block
         triangular, (W^{-1})_RR = (W_RR)^{-1}, and setting x_C = 0 commutes
         with d_k for k in R, with products and with inverses.  So the
-        slice rows are those of the full frame at x_C = 0 (Tanaka, J. Math.
-        Kyoto Univ. 10, 1970, for the graded slice algebra n_R / n_C).
+        slice rows are those of the full frame at x_C = 0, and W_RR is
+        summed in n_R / n_C, where [X_a, X_b] is c_{a,b} X_{a+b} when a + b
+        lies in R and 0 otherwise (Tanaka, J. Math. Kyoto Univ. 10, 1970).
         """
         key = None if slice_roots is None else frozenset(slice_roots)
         rows = self._frame_cache.get(key)
         if rows is not None:
             return rows
-        gen = self.point(key)
-        gen_inv = self.point(key, inverse=True)
         roots = self._slice(key)
-        cols = [self.algebra.full_index(r) for r in roots]
-        zero = Poly.zero(self.nvars)
-        w = []
-        for r in roots:
-            k = self._index[r]
-            d_cols: dict[int, list] = {}
+        pos = {r: t for t, r in enumerate(roots)}
+        add, c = self.algebra.rs.add, self.algebra.c
 
-            def entry(i, j, k=k, d_cols=d_cols):
-                # (g^{-1} d_k g)[i][j]
-                d_col = d_cols.get(j)
-                if d_col is None:
-                    d_col = d_cols[j] = [
-                        (q, d) for q, row in enumerate(gen)
-                        if not (d := row[j].diff(k)).is_zero()]
-                acc = linalg.sparse_dot(d_col, gen_inv[i].__getitem__,
-                                        terms_left=False)
-                return zero if acc is None else acc
-            w.append(self.realization.read(cols, entry))
-        one = Poly.const(self.nvars, 1)
-        nil = {(k, g): p - one if k == g else p
-               for k, row in enumerate(w) for g, p in enumerate(row)}
+        def bracket(row_root, r):
+            # [X_a, X_r] in n_R / n_C, in the row of W that X_a belongs to
+            k, a = row_root
+            s, x = add(a, r), c.get((a, r))
+            return ((k,), {s: x}) if x and s in pos else None
+
+        unit = (0,) * self.nvars
+        w: dict[tuple[int, int], dict] = {}     # (k, gamma): W[k][gamma]
+        for group in self.groups:
+            kept = [(r, self._index[r]) for r in group if r in pos]
+            if kept:
+                w = minus_ad_series(bracket, kept, w,
+                                    lambda j, last: linalg.exp_coeff(j))
+                w.update(minus_ad_series(
+                    bracket, kept, {(r, r): {unit: 1} for r, _ in kept},
+                    lambda j, last: linalg.exp_coeff(j + 1)))
+        # W - I: the diagonal is one, as (-ad N) raises the height
+        nil = {(pos[k], pos[g]): finish(self.nvars,
+                                        {m: x for m, x in t.items() if x})
+               for (k, g), t in w.items() if k != g}
         # (W^{-1} - I)[g][k], the diagonal's one added back
         w_inv = linalg.nilpotent_series(nil, len(roots), linalg.inverse_coeff)
+        one = Poly.const(self.nvars, 1)
         rows = {}
         for g, r in enumerate(roots):
             row = rows[r] = {}
@@ -712,6 +723,49 @@ def default_chart(algebra: SplitLieAlgebra) -> Chart:
 # ---------------------------------------------------------------------------
 # adjoint action
 # ---------------------------------------------------------------------------
+
+def minus_ad_series(bracket, group, y: dict, coeff) -> dict:
+    """sum_j coeff(j, M) (-ad N)^j y for N = sum_r x_r X_r over one factor
+    group and y an element with polynomial coefficients {key: terms},
+    where M is the last power of -ad N that does not vanish on y.
+    (-ad N) z = sum_r x_r [z, X_r], where ``bracket(key, r)`` gives
+    [X_key, X_r] as a pair (prefix, {j: scalar}) over the keys
+    prefix + (j,), or None when it is zero, and ``group`` lists (root,
+    variable) pairs.  The powers end because ad X_r raises the height.
+    Each power holds no zero, but two powers may cancel in the sum, whose
+    zeros the caller drops.  This is the one (-ad N)-power loop: with
+    coeff 1/j! it is exp(-ad N) y, with 1/(j + 1)! the dexp series of the
+    frame, and with M!/j! it is M! exp(-ad N) y in integers."""
+    powers = [y]
+    while True:
+        nxt: dict = {}
+        for key, t in powers[-1].items():
+            for r, v in group:
+                br = bracket(key, r)
+                if br is None:
+                    continue
+                prefix, values = br
+                shifted = [(m[:v] + (m[v] + 1,) + m[v + 1:], x)
+                           for m, x in t.items()]
+                for j, b in values.items():
+                    acc = nxt.setdefault((*prefix, j), {})
+                    for m, x in shifted:
+                        acc[m] = acc.get(m, 0) + b * x
+        nxt = {key: t for key, acc in nxt.items()
+               if (t := {m: x for m, x in acc.items() if x})}
+        if not nxt:
+            break
+        powers.append(nxt)
+    last = len(powers) - 1
+    out: dict = {}
+    for j, power in enumerate(powers):
+        f = coeff(j, last)
+        for key, t in power.items():
+            dest = out.setdefault(key, {})
+            for m, x in t.items():
+                dest[m] = dest.get(m, 0) + f * x
+    return out
+
 
 def adjoint_of_point(chart: Chart, element, indices=None, slice_roots=None):
     """Coefficients of Ad(n^{-1}) E at the generic point n, polynomials in

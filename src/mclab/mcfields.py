@@ -8,7 +8,9 @@ Hessenberg set R keeps the components gamma in R at complement
 coordinates zero.  Setting x_C = 0 commutes with products and inverses,
 so nu(E) is read the same way at the slice point n_R, the generic point
 with x_C = 0 (:meth:`mclab.liealg.Chart.point`): the full-group tau(E)
-is never formed or projected.
+is never formed or projected.  The normalizer comparison forms neither:
+nu of q / n_C is the forward image of its image in the prolongation,
+read from the structure constants (:func:`compare_with_normalizer`).
 
 The multicontact condition on a slice field F = sum f_gamma X_gamma is
 the first-order system, over simple roots delta in R and gamma in R,
@@ -44,7 +46,7 @@ the prolongation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from math import factorial, lcm
@@ -53,7 +55,8 @@ from operator import sub
 from . import linalg, prolong
 from .fields import PolyVectorField
 from .hessenberg import HessenbergSet, HessenbergReport, analyze, validate
-from .liealg import Chart, SplitLieAlgebra, adjoint_of_point
+from .liealg import (Chart, SplitLieAlgebra, adjoint_of_point,
+                     minus_ad_series)
 from .poly import Poly, Scalar, exact, monomials_of_weighted_degree
 
 
@@ -290,7 +293,9 @@ class McSolution:
     """Invariant-frame basis fields, each with its free unknown (gamma,
     monomial), its last unknown in solver order: the field is one there
     and every other field zero, or the constructor raises McError.  The
-    dimension is the number of basis fields."""
+    dimension is the number of basis fields.  ``prolongation`` is the
+    Tanaka prolongation the default solve read its fields from; a
+    verification-mode solution has none."""
     hs: HessenbergSet
     chart: Chart
     degree_bound: int
@@ -300,6 +305,8 @@ class McSolution:
     free_unknowns: list[tuple[int, tuple]]
     bracket_table: list[list[list[Scalar]]] | None = None
     bracket_closed: bool = True
+    prolongation: prolong.Prolongation | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.free_unknowns) != len(self.basis):
@@ -372,8 +379,8 @@ class McSolution:
         for i in range(n):
             table[i][i] = [0] * n
             for j in range(i + 1, n):
-                coords = _span_coordinates(fields[i].bracket(fields[j]),
-                                           vectors, index, span)
+                coords = _span_coordinates(
+                    _terms(fields[i].bracket(fields[j])), vectors, index, span)
                 if coords is None:
                     closed = False
                 else:
@@ -489,14 +496,14 @@ def _derived_series(ad: list[dict[int, dict[int, Scalar]]]) -> list[int]:
             return dims
 
 
-def _span_coordinates(field: PolyVectorField, vectors: list[dict],
-                      index: dict[tuple[int, tuple], int],
+def _span_coordinates(terms: dict, vectors: list[dict], index: dict,
                       span: linalg.SpanBasis) -> list[Scalar] | None:
-    """Coordinates of a field over the vectors of ``span``, all in one
-    frame and over one (label, monomial) ``index``, or None when the field
-    is outside the span, checked by recomposing it."""
+    """Coordinates of an element over the vectors of ``span``, given by
+    its coefficients ``terms`` {key: value}, the vectors' over one
+    ``index`` of the keys, or None when it is outside the span, checked
+    by recomposing it."""
     target = {}
-    for u, x in _terms(field).items():
+    for u, x in terms.items():
         col = index.get(u)
         if col is None:
             return None
@@ -585,67 +592,41 @@ def _slice_field(system: McSystem, comps: dict[int, dict]) -> PolyVectorField:
 # fields from the prolongation
 # ---------------------------------------------------------------------------
 
-def _exp_minus_ad(bracket, group, y: dict) -> dict:
-    """M! exp(-ad N) y for N = sum_r x_r X_r over one factor group, on an
-    element y of g(m) with polynomial coefficients, {(degree, weight,
-    index): terms}, where M is the last power of -ad N that does not
-    vanish on y.  (-ad N) z = sum_r x_r [z, X_r], where [z, X_r] is the
-    prolongation's ``bracket``; the series ends because ad X_r lowers the
-    degree.  Summing it over the common denominator M! keeps integer
-    coefficients integers.  ``group`` lists (root, variable, height,
-    coefficients)."""
-    powers = [y]
-    while True:
-        nxt: dict[tuple, dict] = {}
-        for (k, w, i), t in powers[-1].items():
-            for r, v, height, coeffs in group:
-                br = bracket(k, w, i, r)
-                if not br:
-                    continue
-                shifted = [(m[:v] + (m[v] + 1,) + m[v + 1:], c)
-                           for m, c in t.items()]
-                k2, w2 = k - height, tuple(map(sub, w, coeffs))
-                for j, x in br.items():
-                    acc = nxt.setdefault((k2, w2, j), {})
-                    for m, c in shifted:
-                        acc[m] = acc.get(m, 0) + x * c
-        nxt = {key: t for key, acc in nxt.items()
-               if (t := {m: c for m, c in acc.items() if c})}
-        if not nxt:
-            break
-        powers.append(nxt)
-    last = len(powers) - 1
-    out: dict[tuple, dict] = {}
-    for n, power in enumerate(powers):
-        f = factorial(last) // factorial(n)
-        for key, t in power.items():
-            dest = out.setdefault(key, {})
-            for m, c in t.items():
-                dest[m] = dest.get(m, 0) + f * c
-    return out
-
-
 def _forward_fields(tanaka: prolong.Prolongation, chart: Chart,
                     hs: HessenbergSet, degree: int, weight: tuple
                     ) -> list[dict[tuple[int, tuple], Scalar]]:
     """The field F_A of every basis element A of g_{degree, weight}, as its
     coefficients {(gamma, monomial): value}, up to a positive integer
-    factor (:func:`_exp_minus_ad`), which leaves the span of a block as
-    it is: F_A's invariant component gamma is minus the
-    X_gamma-coefficient of Ad(n_R^{-1}) A = exp(-ad N_m) ... exp(-ad N_1)
-    A, where n_R = exp(N_1) ... exp(N_m) is the slice point over the
-    chart's factor groups, N_i = sum x_r X_r over the roots r of group i
-    that lie in R."""
-    rs = hs.rs
-    groups = [[(r, chart.coord_index(r), rs.root(r).height, rs.root(r).coeffs)
-               for r in g if r in hs.R] for g in chart.groups]
+    factor, which leaves the span of a block as it is: F_A's invariant
+    component gamma is minus the X_gamma-coefficient of Ad(n_R^{-1}) A =
+    exp(-ad N_m) ... exp(-ad N_1) A, where n_R = exp(N_1) ... exp(N_m) is
+    the slice point over the chart's factor groups, N_i = sum x_r X_r over
+    the roots r of group i that lie in R.  [X_r] acts through the
+    prolongation's ``bracket``, and each series is summed over its common
+    denominator M! (:func:`mclab.liealg.minus_ad_series`), so integer
+    coefficients stay integers."""
+    shift = {r: (hs.rs.root(r).height, hs.rs.root(r).coeffs) for r in hs.R}
+
+    def bracket(key, r):
+        # [A, X_r] for A the i-th basis element of g_{k, w}
+        k, w, i = key
+        br = tanaka.bracket(k, w, i, r)
+        if not br:
+            return None
+        height, coeffs = shift[r]
+        return (k - height, tuple(map(sub, w, coeffs))), br
+
+    groups = [[(r, chart.coord_index(r)) for r in g if r in hs.R]
+              for g in chart.groups]
     one = (0,) * chart.nvars
     out = []
     for i in range(len(tanaka.basis.get((degree, weight), ()))):
         y = {(degree, weight, i): {one: 1}}
         for group in groups:
             if group:
-                y = _exp_minus_ad(tanaka.bracket, group, y)
+                y = minus_ad_series(
+                    bracket, group, y,
+                    lambda j, last: factorial(last) // factorial(j))
         out.append({(tanaka.basis[k, w][0], m): -c
                     for (k, w, _), t in y.items() if k < 0
                     for m, c in t.items() if c})
@@ -794,7 +775,8 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
         stabilized = tanaka.finite_type
     return McSolution(hs=hs, chart=chart, degree_bound=degree_bound,
                       basis=basis, degrees=degrees, stabilized=stabilized,
-                      free_unknowns=free_unknowns)
+                      free_unknowns=free_unknowns,
+                      prolongation=None if verify else tanaka)
 
 
 # ---------------------------------------------------------------------------
@@ -841,20 +823,92 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
                             solution: McSolution,
                             report: HessenbergReport | None = None
                             ) -> NormalizerComparison:
+    """nu of q / n_C against the solution space, for q the normalizer of
+    the complement ideal n_C, read in the prolongation g(m) of the slice
+    algebra m = n_R / n_C (N. Tanaka, J. Math. Kyoto Univ. 10, 1970; K.
+    Yamaguchi, Adv. Stud. Pure Math. 22, 1993): the default solve's fields
+    are the forward images of g(m), so nu(E) is the forward image of
+    iota(E), where iota: q / n_C -> g(m) sends X_gamma with gamma in R to
+    itself, n_C to 0, and E of degree >= 0 to the map gamma ->
+    iota([E, X_gamma]).  [E, X_gamma] comes from ``functional``, ``c`` and
+    ``h_of_bracket``, so no polynomial is formed.
+
+    iota(E) is read in its (degree, weight) block of g(m) through one
+    :class:`linalg.SpanBasis` per block and checked by recomposition, by
+    increasing degree, since its values are lower images.  nu's dimension
+    is the rank of the images; nu lies in the solution space when every
+    nonzero image recomposes at a degree <= ``degree_bound``.  An image
+    that cannot be formed, because a lower one it needs does not
+    recompose, reads as not contained and is left out of the rank.  The
+    prolongation is the solution's own, or, for a verification-mode
+    solution, one through the highest-root height h, the top degree of
+    q / n_C.
+    """
     if not solution.stabilized:
         raise McError("solution dimension is not stabilized")
     alg = chart.algebra
+    rs = alg.rs
     rep = report if report is not None else analyze(hs)
     q_index = normalizer_basis_indices(alg, rep)
-    nus = tau_basis(alg, chart, hs, q_index)
-    fields = [nus[k] for k in q_index]
-
-    contained = all(solution.contains(f) for f in fields)
-    index: dict[tuple[int, tuple], int] = {}
-    nu_vecs = [{index.setdefault((g, m), len(index)): c
-                for g, p in f.components.items() for m, c in p.terms.items()}
-               for f in fields]
-    nu_dim = len(linalg.rref(nu_vecs, len(index)))
+    tanaka = solution.prolongation or prolong.prolong(
+        hs, alg.c, rs.highest_root.height)
+    zero = (0,) * rs.rank
+    # iota of the Cartan basis, then of the X_r, r in the normalizer
+    # support, by height: (full index, root or None, degree, weight)
+    elements = [(i, None, 0, zero) for i in range(alg.rank)]
+    elements += [(alg.full_index(r), r, -rs.root(r).height,
+                  tuple(-x for x in rs.root(r).coeffs))
+                 for r in sorted(rep.normalizer_support,
+                                 key=lambda r: (-rs.root(r).height, r))]
+    spans: dict[tuple, tuple] = {}
+    coords: dict[int, list | None] = {}     # over the block basis
+    index: dict[tuple, int] = {}
+    images = []
+    contained = True
+    for e, r, k, w in elements:
+        image: dict[tuple[int, int], Scalar] = {}
+        formed = True
+        for g in sorted(hs.R):
+            # [E, X_g] as (coordinates of a value of iota, scalar) pairs
+            if r is None:                   # [H_e, X_g] = g(H_e) X_g
+                terms = [([1], alg.functional[g][e])]
+            elif (s := rs.add(r, g)) is None:
+                # [X_-g, X_g] = -[X_g, X_-g], a Cartan element
+                terms = ([(coords[i], -h) for i, h
+                          in enumerate(alg.h_of_bracket[g])]
+                         if r == rs.neg(g) else [])
+            elif s < rs.n_pos:      # in m: s < g lies in R, a lower set
+                terms = [([1], alg.c.get((r, g), 0))]
+            else:
+                # X_s lies in q, which holds n, so it came earlier
+                terms = [(coords[alg.full_index(s)], alg.c.get((r, g), 0))]
+            for vec, x in terms:
+                if not x:
+                    continue
+                if vec is None:
+                    formed = False
+                    break
+                for j, y in enumerate(vec):
+                    image[g, j] = image.get((g, j), 0) + x * y
+        if not formed:
+            coords[e] = None
+            contained = False
+            continue
+        image = {u: y for u, y in image.items() if y}
+        span = spans.get((k, w))
+        if span is None:
+            col: dict[tuple[int, int], int] = {}
+            vectors = [{col.setdefault((g, j), len(col)): y
+                        for g, vals in a.items() for j, y in vals.items()}
+                       for a in tanaka.basis.get((k, w), ())]
+            span = spans[k, w] = (vectors, col,
+                                  linalg.SpanBasis(vectors, len(col)))
+        coords[e] = _span_coordinates(image, *span)
+        images.append({index.setdefault((k, w, *u), len(index)): y
+                       for u, y in image.items()})
+        if coords[e] is None or (image and k > solution.degree_bound):
+            contained = False
+    nu_dim = len(hs.R) + len(linalg.rref(images, len(index)))
     kernel_dim = len(q_index) - nu_dim
     kernel_ok = kernel_dim == len(hs.C)
     conj = rep.dims["dim_conjecture"]

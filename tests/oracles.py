@@ -13,7 +13,9 @@ from math import factorial, gcd
 from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub
 from mclab import linalg
 from mclab.fields import PolyVectorField
-from mclab.mcfields import tau
+from mclab.hessenberg import analyze
+from mclab.mcfields import (NormalizerComparison, normalizer_basis_indices,
+                            tau, tau_basis)
 from mclab.liealg import (Chart, LieAlgebraError, SplitLieAlgebra,
                           _sparse_bracket, _transpose)
 from mclab.poly import Poly
@@ -463,6 +465,52 @@ def project_to_slice(field, hs):
     return PolyVectorField(chart, "invariant", comps, slice_roots=hs.R)
 
 
+def point_frame(chart: Chart, slice_roots=None) -> dict[int, dict[int, Poly]]:
+    """``Chart.frame_components`` read off the slice point's matrices: the
+    reference for the frame summed from the structure constants.
+
+    W[k][gamma] is the X_gamma-coefficient of g^{-1} d_k g, with g and
+    g^{-1} the polynomial slice point and its inverse (``Chart.point``),
+    each entry read through the realization's decomposition; the frame
+    rows are those of W^{-1}, by the Neumann series of W - I."""
+    key = None if slice_roots is None else frozenset(slice_roots)
+    gen = chart.point(key)
+    gen_inv = chart.point(key, inverse=True)
+    roots = chart._slice(key)
+    cols = [chart.algebra.full_index(r) for r in roots]
+    zero = Poly.zero(chart.nvars)
+    w = []
+    for r in roots:
+        k = chart.coord_index(r)
+        d_cols: dict[int, list] = {}
+
+        def entry(i, j, k=k, d_cols=d_cols):
+            # (g^{-1} d_k g)[i][j]
+            d_col = d_cols.get(j)
+            if d_col is None:
+                d_col = d_cols[j] = [
+                    (q, d) for q, row in enumerate(gen)
+                    if not (d := row[j].diff(k)).is_zero()]
+            acc = linalg.sparse_dot(d_col, gen_inv[i].__getitem__,
+                                    terms_left=False)
+            return zero if acc is None else acc
+        w.append(chart.realization.read(cols, entry))
+    one = Poly.const(chart.nvars, 1)
+    nil = {(k, g): p - one if k == g else p
+           for k, row in enumerate(w) for g, p in enumerate(row)}
+    w_inv = linalg.nilpotent_series(nil, len(roots), linalg.inverse_coeff)
+    rows = {}
+    for g, r in enumerate(roots):
+        row = rows[r] = {}
+        for k, s in enumerate(roots):
+            p = w_inv.get((g, k))
+            if g == k:
+                p = one if p is None else one + p
+            if p is not None and not p.is_zero():
+                row[s] = p
+    return rows
+
+
 def restricted_frame(chart, slice_roots) -> dict[int, dict[int, Poly]]:
     """The full Maurer-Cartan frame restricted to a slice: slice rows and
     columns, complement coordinates zero, zero entries dropped.  The
@@ -726,3 +774,34 @@ def zip_block_rows(system, degree, unknown_index):
                 if cf:
                     rows.setdefault((delta, gamma, m2), {})[col] = cf
     return {k: rows[k] for k in sorted(rows)}
+
+
+def tau_comparison(hs, chart: Chart, solution,
+                   report=None) -> NormalizerComparison:
+    """``mcfields.compare_with_normalizer`` through the polynomial fields:
+    nu of every normalizer basis element by ``tau_basis`` (the adjoint
+    action at the slice point's matrices), containment by
+    ``McSolution.contains`` and nu's dimension by one ``rref`` of the
+    fields' coefficients.  The reference for the comparison read in the
+    prolongation."""
+    alg = chart.algebra
+    rep = report if report is not None else analyze(hs)
+    q_index = normalizer_basis_indices(alg, rep)
+    nus = tau_basis(alg, chart, hs, q_index)
+    fields = [nus[k] for k in q_index]
+    index: dict = {}
+    vecs = [{index.setdefault((g, m), len(index)): c
+             for g, p in f.components.items() for m, c in p.terms.items()}
+            for f in fields]
+    nu_dim = len(linalg.rref(vecs, len(index)))
+    conj = rep.dims["dim_conjecture"]
+    return NormalizerComparison(
+        report=rep,
+        nu_dimension=nu_dim,
+        solver_dimension=solution.dimension,
+        nu_contained=all(solution.contains(f) for f in fields),
+        equal=nu_dim == solution.dimension,
+        kernel_is_complement_ideal=len(q_index) - nu_dim == len(hs.C),
+        conjecture_dimension=conj,
+        conjecture_matches=conj == solution.dimension,
+    )

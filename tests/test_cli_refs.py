@@ -32,6 +32,8 @@ COMMANDS = [
     "mc A 4 --hessenberg type-3",
     "mc C 3 --hessenberg type-3",
     "mc C 4 --hessenberg type-2",
+    "mc A 3 --hessenberg type-3 --degree-bound 6",
+    "mc C 3 --hessenberg type-2 --degree-bound 6",
     "mc C 2 --hessenberg type-2 --format pretty",
     "mc A 3 --hessenberg type-2 --format csv",
     "hessdefs A 3 --H standard --hessenberg type-2",

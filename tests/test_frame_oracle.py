@@ -1,11 +1,14 @@
-"""The Maurer-Cartan frame against the epsilon-extraction reference.
+"""The Maurer-Cartan frame against two references.
 
 ``reference_frame`` computes the frame by coordinate extraction: move the
 generic point g to g (I + eps X_gamma) in a ring with one extra variable
 eps, read the chart coordinates back with ``Chart.extract`` and take the
 eps-derivative at eps = 0.  It is independent of the Maurer-Cartan form
 (no derivative of g, no inverse of W) and serves, test-only, as the
-oracle for ``Chart.frame_components``.
+oracle for ``Chart.frame_components``.  ``oracles.point_frame`` reads the
+Maurer-Cartan form off the polynomial slice point and its inverse, the
+matrices that ``frame_components`` no longer forms; the two are compared
+on every slice.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from mclab.liealg import (LieAlgebraError, build_sp, first_kind_chart,
 from mclab.poly import Poly
 
 from conftest import dense, mat_add
+from oracles import point_frame
 
 
 def reference_frame(chart):
@@ -76,6 +80,17 @@ def test_extract_inverts_generic_point(name, kind, request):
     n = chart.nvars
     assert chart.extract(chart.generic_matrix()) == \
         [Poly.var(n, k) for k in range(n)]
+
+
+@pytest.mark.parametrize("name,kind", CASES)
+def test_frame_matches_point_oracle_every_slice(name, kind, request):
+    """The frame summed from the structure constants equals, by value,
+    the one read off the polynomial slice point, on the full group and
+    on every Hessenberg set of A1-A4 and C2-C3."""
+    alg = request.getfixturevalue(name)
+    chart = _CHARTS[kind](alg)
+    for key in [None, *(hs.R for hs in enumerate_all(alg.rs))]:
+        assert chart.frame_components(key) == point_frame(chart, key), key
 
 
 def test_frame_matches_oracle_adjoint_realization(sl3):

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import random
+import shlex
 import warnings
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from mclab import linalg, mcfields
+from mclab import liealg, linalg, mcfields
+from mclab.cli import main
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze, enumerate_all, type_p_subset, validate
-from mclab.liealg import (build_sl, build_sp, default_chart,
+from mclab.liealg import (Chart, build_sl, build_sp, default_chart,
                           first_kind_chart, matrix_chart, second_kind_chart,
                           three_factor_chart)
 from mclab.mcfields import (McError, McSolution, McSystem,
@@ -28,7 +34,7 @@ from conftest import (canonical_terms, cartan_element, dense, mat_sub,
 from oracles import (chain_to_coordinate, composition_bracket,
                      coordinates_in_span, dense_symmetric_signature,
                      full_tau_basis, peel_to_invariant, project_to_slice,
-                     subs_project_to_slice, zip_block_rows)
+                     subs_project_to_slice, tau_comparison, zip_block_rows)
 
 
 @pytest.fixture(scope="module")
@@ -393,30 +399,119 @@ def test_compare_examples(sl4, chart_sl4, sl4_type2, sp2, chart_sp2,
     assert c3.equal and c3.nu_dimension == 8
 
 
-def test_compare_computes_tau_only_for_the_normalizer(sp3, monkeypatch):
-    """On C3 type-2 the normalizer spans 12 of the 21 basis elements of
-    sp(3); the comparison computes nu of those 12 alone, once each, and
-    tau on the full group not at all."""
-    chart = second_kind_chart(sp3)
-    hs = type_p_subset(sp3.rs, 2)
-    sol = solve_mc(hs, chart)
-    calls = []
-    real_nu = mcfields.nu
+@pytest.mark.parametrize("command", ["mc C 3 --hessenberg type-2",
+                                     "mc A 3 --hessenberg type-3"])
+def test_mc_builds_no_group_matrix(command, monkeypatch):
+    """The default ``mc`` path reads the frame and nu from the structure
+    constants: with the polynomial group product and the adjoint action
+    at the slice point made to raise, both benchmark jobs still print
+    their recorded output."""
+    def unexpected(*args, **kwargs):
+        raise AssertionError("polynomial group matrix on the mc path")
 
-    def counted(alg, ch, slice_set, element):
-        calls.append(element)
-        return real_nu(alg, ch, slice_set, element)
+    monkeypatch.setattr(Chart, "_group_product", unexpected)
+    for module in (liealg, mcfields):
+        monkeypatch.setattr(module, "adjoint_of_point", unexpected)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(shlex.split(command))
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "expected.json").read_text())[command]
+    assert code == expected["exit_code"] == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        expected["sha256"]
 
-    def unexpected(*args):
-        raise AssertionError("tau on the full group")
 
-    monkeypatch.setattr(mcfields, "nu", counted)
-    monkeypatch.setattr(mcfields, "tau", unexpected)
-    first = compare_with_normalizer(hs, chart, sol)
-    assert len(normalizer_basis_indices(sp3, analyze(hs))) == 12
-    assert len(calls) == 12
-    again = compare_with_normalizer(hs, chart, sol)
-    assert len(calls) == 12 and again.to_json_dict() == first.to_json_dict()
+def _assert_comparison_matches_tau_oracle(hs, chart, sol):
+    got = compare_with_normalizer(hs, chart, sol).to_json_dict()
+    assert got == tau_comparison(hs, chart, sol).to_json_dict(), sorted(hs.R)
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4)])
+def test_comparison_matches_tau_oracle(family, rank):
+    """On every stabilized set of A1-A4 and C2-C4 (default chart), the
+    comparison read in the prolongation equals the polynomial one of nu
+    through the adjoint action at the slice point, in JSON."""
+    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
+    chart = default_chart(alg)
+    compared = 0
+    for hs in enumerate_all(alg.rs):
+        sol = solve_mc(hs, chart)
+        if sol.stabilized:
+            _assert_comparison_matches_tau_oracle(hs, chart, sol)
+            compared += 1
+    # finite-type sets, the empty one included
+    assert compared == {("A", 1): 1, ("A", 2): 2, ("A", 3): 5, ("A", 4): 14,
+                        ("C", 2): 3, ("C", 3): 10, ("C", 4): 35}[family, rank]
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("A", 3),
+                                          ("C", 2), ("C", 3)])
+def test_comparison_matches_tau_oracle_every_chart_kind(family, rank):
+    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
+    makers = [first_kind_chart, second_kind_chart, three_factor_chart]
+    if family == "A" or rank == 2:
+        makers.append(matrix_chart)
+    for make in makers:
+        chart = make(alg)
+        for hs in enumerate_all(alg.rs):
+            sol = solve_mc(hs, chart)
+            if sol.stabilized:
+                _assert_comparison_matches_tau_oracle(hs, chart, sol)
+
+
+def test_comparison_matches_tau_oracle_verification_mode(bound_sweeps):
+    """A verification-mode solution keeps no prolongation, so the
+    comparison prolongs through h itself: on every stabilized explicit
+    solve of A1-A3, C2 and C3 it equals the polynomial oracle."""
+    compared = 0
+    for _, _, runs in bound_sweeps.values():
+        for hs, _, explicit, _ in runs:
+            if explicit.stabilized:
+                assert explicit.prolongation is None
+                _assert_comparison_matches_tau_oracle(hs, explicit.chart,
+                                                      explicit)
+                compared += 1
+    assert compared == 1 + 2 + 5 + 3 + 10
+
+
+@pytest.mark.skipif(not os.environ.get("MCLAB_LARGE_ORACLES"),
+                    reason="a few seconds; set MCLAB_LARGE_ORACLES=1")
+def test_comparison_matches_tau_oracle_a5_and_c5_full_slice():
+    """Every stabilized set of A5, and the full slice of C5."""
+    sl6 = build_sl(6)
+    chart = default_chart(sl6)
+    compared = 0
+    for hs in enumerate_all(sl6.rs, 5):
+        sol = solve_mc(hs, chart)
+        if sol.stabilized:
+            _assert_comparison_matches_tau_oracle(hs, chart, sol)
+            compared += 1
+    assert compared == 42          # the empty set included
+    sp5 = build_sp(5)
+    chart = default_chart(sp5)
+    hs = validate(sp5.rs, set(range(sp5.rs.n_pos)))
+    _assert_comparison_matches_tau_oracle(hs, chart, solve_mc(hs, chart))
+
+
+def test_comparison_catches_dropped_prolongation_element(sl4, chart_sl4,
+                                                         sl4_type2):
+    """On A3 type-2 the normalizer holds X_-a2, whose image lies in the
+    block of degree 1 and weight a2.  Dropping that block's one basis
+    element leaves the image outside g(m): nu no longer reads as
+    contained in the solution space."""
+    hs, sol = sl4_type2
+    assert compare_with_normalizer(hs, chart_sl4, sol).nu_contained
+    rs = sl4.rs
+    assert analyze(hs).normalizer_support == {rs.neg(rs.simple_ids()[1])}
+    tanaka = sol.prolongation
+    basis = dict(tanaka.basis)
+    assert len(basis[1, (0, 1, 0)]) == 1
+    basis[1, (0, 1, 0)] = []
+    mutated = dataclasses.replace(
+        sol, prolongation=dataclasses.replace(tanaka, basis=basis))
+    assert not compare_with_normalizer(hs, chart_sl4, mutated).nu_contained
 
 
 def test_nu_homomorphism_and_kernel_exhaustive(sl4, chart_sl4, sp2,
@@ -853,6 +948,23 @@ def test_certificate_catches_corrupted_forward_field(sl4, chart_sl4,
                                       r"field from the prolongation "
                                       r"violates the multicontact"):
         solve_mc(type_p_subset(sl4.rs, 2), chart_sl4)
+
+
+def test_certificate_catches_corrupted_frame_row(sl4):
+    """The frame enters the default solve only through the certificate's
+    rows: one corrupted entry of a simple root's frame row (d/dx_a1 in
+    X_a1 made 1 + x) makes the fields of degree -1 and weight -a2 fail
+    it, and the error names that degree and weight."""
+    chart = matrix_chart(sl4)
+    hs = type_p_subset(sl4.rs, 2)
+    a1 = sl4.rs.simple_ids()[0]
+    row = chart.frame_components(hs.R)[a1]       # the cached row
+    assert row == {a1: Poly.const(chart.nvars, 1)}
+    row[a1] = row[a1] + Poly.var(chart.nvars, chart.coord_index(a1))
+    with pytest.raises(McError, match=r"degree -1, weight \[0, -1, 0\]: a "
+                                      r"field from the prolongation "
+                                      r"violates the multicontact"):
+        solve_mc(hs, chart)
 
 
 def test_default_solve_skips_empty_prolongation_blocks(sl4, chart_sl4,
