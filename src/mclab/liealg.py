@@ -95,12 +95,18 @@ class Realization:
         """Coefficients of the entry map m over [cartan..., pos..., neg...];
         exact, in time following its entries.  Only the decomposition
         positions are read, so the element must lie in the algebra; a
-        caller that cannot be sure of that recomposes the result, as the
-        structure tables do for [X_a, X_-a].
+        caller that cannot be sure of that asks for :meth:`coordinates`.
         """
+        return self._span.sparse_coefficients(self._flat(m))
+
+    def coordinates(self, m):
+        """:meth:`decompose` of an entry map m without zeros, or None when
+        m lies outside the algebra (:meth:`linalg.SpanBasis.coordinates`)."""
+        return self._span.coordinates(self._flat(m))
+
+    def _flat(self, m):
         n = self.size
-        return self._span.sparse_coefficients(
-            {i * n + j: x for (i, j), x in m.items()})
+        return {i * n + j: x for (i, j), x in m.items()}
 
     def read(self, indices, entry):
         """Coefficients at the full-basis ``indices`` of the algebra element
@@ -181,7 +187,8 @@ class SplitLieAlgebra:
         a + b and theta(X_a) = -X_a^T each lie in one root space, so each
         is an exact multiple of one basis element (Carter, Simple Groups
         of Lie Type, 4.1-4.2), read at one entry and checked at all of
-        them.  Only [X_a, X_-a] is decomposed over the basis."""
+        them.  Only [X_a, X_-a] is decomposed over the basis, membership
+        checked, and must have no root part."""
         rs = self.rs
         real = self.realization
         entries = real.entries[self.rank:]      # the root vectors, by id
@@ -212,16 +219,10 @@ class SplitLieAlgebra:
                     if c:
                         half[a, b] = c
                 elif rs.neg(a) == b:        # a positive, as a < b
-                    # decompose reads the pivot positions only, so the
-                    # Cartan part is recomposed and compared in full
-                    h = tuple(real.decompose(comm)[:self.rank])
-                    recomposed: dict = {}
-                    for x, e in zip(h, real.cartan):
-                        for p, y in e.items():
-                            recomposed[p] = recomposed.get(p, 0) + x * y
-                    if comm != {p: y for p, y in recomposed.items() if y}:
+                    coords = real.coordinates(comm)
+                    if coords is None or any(coords[self.rank:]):
                         raise LieAlgebraError("[X_a, X_-a] not in the Cartan")
-                    self.h_of_bracket[a] = h
+                    self.h_of_bracket[a] = tuple(coords[:self.rank])
                 elif comm:
                     raise LieAlgebraError("bracket of non-summing roots nonzero")
         # keys in the full (a, b) order, which the JSON output follows

@@ -16,17 +16,18 @@ product of whole matrices, :func:`mat_mul`, serves the chart's group law.
 There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, which
 updates rows in place with gcd-reduced multipliers, so every basis this
-package produces is reproducible bit for bit.  It returns the
-integer pivot rows of a row echelon form keyed by pivot column; ``rank``,
-``solve``, ``sparse_nullspace`` and the coordinates of :class:`SpanBasis`,
-which decomposes over the basis of a matrix realization, are read off
-them.  The solver's basis needs no second elimination: it is the reduced
-echelon nullspace basis, so a field's coordinates over it are its
-coefficients at the free unknowns.  The rows are not reduced, but the
-name ``rref`` stays: the pivot columns and the row space are those of the
-reduced form, and it is the name external tooling (the benchmark's layer
-trace) wraps and reports.  The signature of a symmetric form,
-:func:`symmetric_signature`, eliminates over its nonzero entries only.
+package produces is reproducible bit for bit.  It returns the integer
+pivot rows of a row echelon form keyed by pivot column, and there is one
+back-substitution, :func:`reduced`, which turns them into the reduced
+row echelon form, fixed by the row space alone.  ``rank`` counts the
+pivot columns; ``sparse_nullspace`` reads the reduced rows at the free
+columns, ``solve`` at the augmented column, and :class:`SpanBasis` at
+the identity part of [vectors | I], which is the inverse of the vectors'
+block at their pivot columns.  The solver's forward map takes its
+echelon basis from the reduced form as well.  The signature of a
+symmetric form, :func:`symmetric_signature`, is congruence
+diagonalization, not row reduction, and eliminates over its nonzero
+entries only.
 """
 
 from __future__ import annotations
@@ -239,8 +240,11 @@ def rref(rows: list[dict[int, Scalar]],
         touched = rows_of_col.pop(col, None)
         if not touched:
             continue
-        pr = min(touched, key=lambda i: (len(work[i]), i))
-        touched.discard(pr)
+        if len(touched) == 1:
+            pr = touched.pop()
+        else:
+            pr = min((len(work[i]), i) for i in touched)[1]
+            touched.discard(pr)
         piv = work.pop(pr)
         for c in piv:
             if c != col:
@@ -278,38 +282,50 @@ def rref(rows: list[dict[int, Scalar]],
     return pivots
 
 
-def _free_vector(pivots: dict[int, dict[int, int]], fc: int,
-                 ncols: int) -> list[Scalar]:
-    """The kernel vector with a one at free column fc and zeros at the
-    other free columns, by back-substitution through the pivot rows.
+def reduced(pivots: dict[int, dict[int, int]]
+            ) -> dict[int, dict[int, Scalar]]:
+    """The reduced row echelon form of :func:`rref`'s pivot rows: per
+    pivot column p, the row of their span that is one at p and zero at
+    the other pivot columns, zeros left out, in exact scalars.
 
-    The substitution runs in integers: the vector is ``num / den`` with
-    one common denominator, which grows by the reduced pivot whenever a
-    pivot does not divide its row's sum."""
-    num = [0] * ncols
-    num[fc] = 1
-    den = 1
-    # a pivot row holds no column left of its pivot, so every pivot
-    # right of fc solves to zero
-    for col in reversed([c for c in pivots if c < fc]):
-        piv = pivots[col]
-        s = 0
-        for c, v in piv.items():
-            if c != col and num[c]:
-                s += v * num[c]
-        if not s:
-            continue
-        # num[col] / den = -s / (den * p), over the common denominator
-        p = piv[col]
-        g = gcd(s, p) if p > 0 else -gcd(s, p)
-        s, p = s // g, p // g
-        if p != 1:
-            num = [x * p for x in num]
-            den *= p
-        num[col] = -s
-    if den == 1:
-        return num
-    return [exact(Q(x, den)) for x in num]
+    One back-substitution from the last pivot up, in integers and in
+    place like the elimination: row p takes out each later pivot q it
+    holds as r <- (d r - a row_q) / gcd(a, d), a = r[q], where row_q is
+    coprime with the entry d > 0 at q, and is then made so itself.
+    """
+    done: dict[int, dict[int, int]] = {}
+    for p in reversed(pivots):
+        r = dict(pivots[p])
+        for q in [q for q in r if q in done]:
+            row = done[q]
+            a = r.pop(q)
+            d = row[q]
+            g = gcd(a, d)
+            if g != d:
+                d //= g
+                for c in r:
+                    r[c] *= d
+            a //= g
+            for c, v in row.items():
+                if c != q:
+                    x = r.get(c, 0) - a * v
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+        g = gcd(*r.values())
+        if r[p] < 0:
+            g = -g
+        if g != 1:
+            for c in r:
+                r[c] //= g
+        done[p] = r
+    out = {}
+    for p in pivots:
+        r = done[p]
+        d = r[p]
+        out[p] = r if d == 1 else {c: exact(Q(v, d)) for c, v in r.items()}
+    return out
 
 
 def _sparse(rows: list[list[Scalar]]) -> list[dict[int, Scalar]]:
@@ -323,10 +339,23 @@ def sparse_nullspace(rows: list[dict[int, Scalar]],
     One vector per free column f of :func:`rref`, with a one at f and
     zeros at the other free columns: the reduced-echelon nullspace basis,
     fixed by the matrix alone, whatever pivot rows the elimination took.
+    Its entry at a pivot p is minus the entry at f of the reduced row p
+    (:func:`reduced`).
     """
     pivots = rref(rows, ncols)
-    return [_free_vector(pivots, fc, ncols)
-            for fc in range(ncols) if fc not in pivots]
+    if len(pivots) == ncols:
+        return []
+    red = reduced(pivots)
+    basis = {}
+    for f in range(ncols):
+        if f not in red:
+            vec = basis[f] = [0] * ncols
+            vec[f] = 1
+    for p, row in red.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 def rank(rows: list[list[Scalar]]) -> int:
@@ -336,55 +365,48 @@ def rank(rows: list[list[Scalar]]) -> int:
 def solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar] | None:
     """One exact solution of A x = b, or None when inconsistent.
 
-    Free variables are pinned to zero, so the result is deterministic.
+    Free variables are pinned to zero, so the result is deterministic:
+    each pivot variable is the augmented column of its reduced row.
     """
     ncols = len(a[0]) if a else 0
     aug = _sparse([[*row, bb] for row, bb in zip(a, b)])
-    pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    red = reduced(rref(aug, ncols + 1))
+    if ncols in red:
         return None
-    return [-x for x in _free_vector(pivots, ncols, ncols + 1)[:ncols]]
+    return [red[c].get(ncols, 0) if c in red else 0 for c in range(ncols)]
 
 
 class SpanBasis:
     """Exact coordinates over a fixed list of independent sparse vectors.
 
     The list is eliminated once, however many targets are then reduced
-    against it.  Its pivot positions (the pivot columns of :func:`rref`)
-    give an invertible block; the rows of the block inverse, with their
-    zero entries dropped, turn the entries of a target at those positions
-    into its coordinates.  The inverse comes from one elimination of
-    [block | I] to [U | R] with U upper triangular, and one
-    back-substitution of its rows: row c of the inverse U^{-1} R is
-    (R_c - sum_{d > c} U[c][d] row d) / U[c][c].  Membership is not
-    checked: a caller that cannot be sure of it recomposes the target.
+    against it: one :func:`rref` of [vectors | I] and its :func:`reduced`
+    form [R | S].  The pivot columns of the vectors are the ``positions``;
+    R is the identity there, so S inverts the block of the vectors at the
+    positions, and the coordinates of a span element are its entries at
+    the positions times S.  ``inverse_rows`` holds S transposed, each row
+    sorted by position slot, with its zero entries dropped.
+    :meth:`coefficients` and :meth:`sparse_coefficients` read the
+    positions only; :meth:`coordinates` also checks membership.
     """
 
     def __init__(self, vectors: list[dict[int, Scalar]], ncols: int):
-        pivots = rref(vectors, ncols)
         n = len(vectors)
-        if len(pivots) != n:
+        pivots = rref([{**v, ncols + i: 1} for i, v in enumerate(vectors)],
+                      ncols + n)
+        if any(p >= ncols for p in pivots):
             raise ValueError("span vectors are not independent")
+        self.vectors = vectors
         self.positions = list(pivots)
-        aug = []
+        # a non-pivot column of the vectors changes no entry of S
+        red = reduced({p: {c: v for c, v in row.items()
+                           if c >= ncols or c in pivots}
+                       for p, row in pivots.items()})
+        self.inverse_rows: list[list] = [[] for _ in range(n)]
         for t, p in enumerate(self.positions):
-            row = {k: v[p] for k, v in enumerate(vectors) if p in v}
-            row[n + t] = 1
-            aug.append(row)
-        # the block is invertible, so its n columns are the pivots
-        red = rref(aug, 2 * n)
-        inverse: list[dict[int, Scalar]] = [{} for _ in range(n)]
-        for c in reversed(range(n)):
-            piv = red[c]
-            acc = {k - n: v for k, v in piv.items() if k >= n}
-            for d, u in piv.items():
-                if c < d < n:
-                    for k, y in inverse[d].items():
-                        acc[k] = acc.get(k, 0) - u * y
-            p = piv[c]
-            inverse[c] = {k: v // p if type(v) is int and not v % p
-                          else exact(Q(v, p)) for k, v in acc.items() if v}
-        self.inverse_rows = [sorted(row.items()) for row in inverse]
+            for c, x in red[p].items():
+                if c >= ncols:
+                    self.inverse_rows[c - ncols].append((t, x))
         # the inverse rows reading each position, for sparse targets
         self._slot = {p: t for t, p in enumerate(self.positions)}
         self._rows_at: list[list[int]] = [[] for _ in self.positions]
@@ -430,6 +452,19 @@ class SpanBasis:
         for c, x in zip(rows, self.coefficients(sel, rows)):
             out[c] = x
         return out
+
+    def coordinates(self, target: dict) -> list | None:
+        """:meth:`sparse_coefficients` of a sparse target {column: value}
+        without zeros, or None when it is outside the span: the
+        coordinates are checked by recomposing the target from them."""
+        coords = self.sparse_coefficients(target)
+        recomposed: dict = {}
+        for c, vec in zip(coords, self.vectors):
+            if c:
+                for k, x in vec.items():
+                    recomposed[k] = recomposed.get(k, 0) + c * x
+        return coords if {k: x for k, x in recomposed.items()
+                          if x} == target else None
 
 
 # ---------------------------------------------------------------------------

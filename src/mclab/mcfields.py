@@ -32,22 +32,21 @@ slice algebra (:mod:`mclab.prolong`), which already fixes every
 (degree, weight) block and its dimension: a forward map sends each
 prolongation basis element A to the field whose components are minus
 the X_gamma-coefficients of Ad(n_R^{-1}) A, computed in g(m) through the
-prolongation's own bracket, and Gauss-Jordan per block puts the fields
-in reduced echelon form.  Each block's rank must equal the
-prolongation's count, and the system's rows over the fields' unknowns,
-applied to each field, must vanish (a product, not an elimination).  No
-monomial is enumerated and no polynomial system eliminated, and whether
-the solutions stop by the default bound is read off the prolongation as
-well.  An explicit degree bound is the verification mode: it enumerates
-every monomial of every degree through the bound and one past it,
-eliminates each weight block from its own unknowns, and never consults
-the prolongation.
+prolongation's own bracket, and :func:`mclab.linalg.reduced` puts the
+fields of each block in reduced echelon form.  Each block's rank must
+equal the prolongation's count, and the system's rows over the fields'
+unknowns, applied to each field, must vanish (a product, not an
+elimination).  No monomial is enumerated and no polynomial system
+eliminated, and whether the solutions stop by the default bound is read
+off the prolongation as well.  An explicit degree bound is the
+verification mode: it enumerates every monomial of every degree through
+the bound and one past it, eliminates each weight block from its own
+unknowns, and never consults the prolongation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from functools import cached_property
 from math import factorial, lcm
 from operator import sub
@@ -57,7 +56,7 @@ from .fields import PolyVectorField
 from .hessenberg import HessenbergSet, HessenbergReport, analyze, validate
 from .liealg import (Chart, SplitLieAlgebra, adjoint_of_point,
                      minus_ad_series)
-from .poly import Poly, Scalar, exact, monomials_of_weighted_degree
+from .poly import Poly, Scalar, monomials_of_weighted_degree
 
 
 class McError(ValueError):
@@ -312,9 +311,10 @@ class McSolution:
         if len(self.free_unknowns) != len(self.basis):
             raise McError(f"{len(self.basis)} basis fields, "
                           f"{len(self.free_unknowns)} free unknowns")
-        for i, u in enumerate(self.free_unknowns):
+        for i, (g, mono) in enumerate(self.free_unknowns):
             for j, f in enumerate(self.basis):
-                x = _coefficient(f.components, u)
+                p = f.components.get(g)
+                x = 0 if p is None else p.terms.get(mono, 0)
                 if x != (1 if i == j else 0):
                     raise McError(
                         f"basis field {j} is {x} at the free unknown of "
@@ -329,34 +329,27 @@ class McSolution:
     def coordinates(self, field: PolyVectorField) -> list[Scalar] | None:
         """Exact coordinates of a slice field over the basis, or None when
         it is outside the span.  A field of the span has its coefficients
-        at the free unknowns as coordinates; membership is verified by
-        recomposing the field from them."""
-        field = field.to_invariant()
-        coords = [_coefficient(field.components, u)
-                  for u in self.free_unknowns]
-        return coords if _recomposes(coords, self._invariant_terms,
-                                     _terms(field)) else None
+        at the free unknowns as coordinates: they are the span's positions
+        (:attr:`_span`)."""
+        return self._span.coordinates(_terms(field.to_invariant()))
 
     @cached_property
-    def _invariant_terms(self) -> list[dict[tuple[int, tuple], Scalar]]:
-        """The basis fields' coefficients, recomposed by coordinates."""
-        return [_terms(b) for b in self.basis]
+    def _span(self) -> _TermSpan:
+        """The span of the basis fields' coefficients, the free unknowns
+        indexed first: each field is one at its own and zero at the
+        others, so the elimination has nothing to eliminate."""
+        return _TermSpan([_terms(b) for b in self.basis], self.free_unknowns)
 
     def contains(self, field: PolyVectorField) -> bool:
         return self.coordinates(field) is not None
 
     # ---- structure ---------------------------------------------------------
     @cached_property
-    def _coordinate_span(self):
+    def _coordinate_span(self) -> tuple[list[PolyVectorField], _TermSpan]:
         """The basis in the coordinate frame, the frame its brackets are
-        computed in: the fields, their sparse vectors over one (label,
-        monomial) index, the index, and the :class:`linalg.SpanBasis` of
-        the vectors."""
+        computed in, and the span of its coefficients."""
         fields = [b.to_coordinate() for b in self.basis]
-        index: dict[tuple[int, tuple], int] = {}
-        vectors = [{index.setdefault(u, len(index)): c
-                    for u, c in _terms(f).items()} for f in fields]
-        return fields, vectors, index, linalg.SpanBasis(vectors, len(index))
+        return fields, _TermSpan([_terms(f) for f in fields])
 
     def compute_brackets(self) -> None:
         """Bracket table over the basis: cell (i, j) holds the coordinates
@@ -366,21 +359,20 @@ class McSolution:
         Each basis field is converted to the coordinate frame once and only
         the pairs i < j are bracketed; the other cells follow from
         antisymmetry, [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0.  Each
-        bracket is read in the coordinate frame against one
-        :class:`linalg.SpanBasis` of the converted basis, and membership
-        is verified by recomposing it there: a term outside the basis
-        fields' (label, monomial) index is outside the span.
+        bracket is read in the coordinate frame against one span of the
+        converted basis, membership checked
+        (:meth:`linalg.SpanBasis.coordinates`).
         """
         n = self.dimension
-        fields, vectors, index, span = self._coordinate_span
+        fields, span = self._coordinate_span
         table: list[list[list[Scalar]]] = [[[] for _ in range(n)]
                                       for _ in range(n)]
         closed = True
         for i in range(n):
             table[i][i] = [0] * n
             for j in range(i + 1, n):
-                coords = _span_coordinates(
-                    _terms(fields[i].bracket(fields[j])), vectors, index, span)
+                coords = span.coordinates(
+                    _terms(fields[i].bracket(fields[j])))
                 if coords is None:
                     closed = False
                 else:
@@ -496,47 +488,32 @@ def _derived_series(ad: list[dict[int, dict[int, Scalar]]]) -> list[int]:
             return dims
 
 
-def _span_coordinates(terms: dict, vectors: list[dict], index: dict,
-                      span: linalg.SpanBasis) -> list[Scalar] | None:
-    """Coordinates of an element over the vectors of ``span``, given by
-    its coefficients ``terms`` {key: value}, the vectors' over one
-    ``index`` of the keys, or None when it is outside the span, checked
-    by recomposing it."""
-    target = {}
-    for u, x in terms.items():
-        col = index.get(u)
-        if col is None:
-            return None
-        target[col] = x
-    coords = span.sparse_coefficients(target)
-    return coords if _recomposes(coords, vectors, target) else None
+class _TermSpan(linalg.SpanBasis):
+    """A :class:`linalg.SpanBasis` of vectors {key: value} over any
+    hashable keys, indexed as they first appear, after ``first``."""
+
+    def __init__(self, vectors: list[dict], first=()):
+        self.index = {u: c for c, u in enumerate(first)}
+        super().__init__([{self.index.setdefault(u, len(self.index)): x
+                           for u, x in v.items()} for v in vectors],
+                         len(self.index))
+
+    def coordinates(self, terms: dict) -> list[Scalar] | None:
+        """Coordinates of {key: value}, zeros left out, or None outside
+        the span, which holds every target with a key no vector has."""
+        target = {}
+        for u, x in terms.items():
+            col = self.index.get(u)
+            if col is None:
+                return None
+            target[col] = x
+        return super().coordinates(target)
 
 
 def _terms(field: PolyVectorField) -> dict[tuple[int, tuple], Scalar]:
     """A field's coefficients {(label, monomial): value}, in its frame."""
     return {(g, m): x for g, p in field.components.items()
             for m, x in p.terms.items()}
-
-
-def _recomposes(coords: list[Scalar], vectors: list[dict], target: dict
-                ) -> bool:
-    """Whether sum_i coords[i] vectors[i] is ``target``, all sparse maps
-    with their zeros left out."""
-    recomposed: dict = {}
-    for c, vec in zip(coords, vectors):
-        if c:
-            for k, x in vec.items():
-                recomposed[k] = recomposed.get(k, 0) + c * x
-    return {k: x for k, x in recomposed.items() if x} == target
-
-
-def _coefficient(components: dict[int, Poly],
-                 unknown: tuple[int, tuple]) -> Scalar:
-    """Coefficient of the unknown (gamma, monomial) in a field's
-    components."""
-    g, mono = unknown
-    p = components.get(g)
-    return 0 if p is None else p.terms.get(mono, 0)
 
 
 def _solve_block(system: McSystem, degree: int
@@ -633,42 +610,18 @@ def _forward_fields(tanaka: prolong.Prolongation, chart: Chart,
     return out
 
 
-def _reduced_echelon(vectors: list[dict], order
-                     ) -> dict[tuple[int, tuple], dict]:
-    """Gauss-Jordan on sparse vectors over the unknowns: the reduced
-    echelon basis of their span, keyed by pivot, each vector pivoting at
-    its last unknown under the sort key ``order``, one there, and every
-    other basis vector zero there.  The span alone fixes it."""
-    rows: dict[tuple[int, tuple], dict] = {}
-
-    def axpy(v, a, row):            # v <- v + a row, zeros dropped
-        for u, x in row.items():
-            s = v.get(u, 0) + a * x
-            if s:
-                v[u] = s
-            else:
-                v.pop(u, None)
-
-    for vec in vectors:
-        v = dict(vec)
-        for u, row in rows.items():
-            x = v.get(u)
-            if x:
-                axpy(v, -x, row)
-        if not v:
-            continue
-        p = max(v, key=order)
-        x = v[p]
-        v = {u: exact(Q(c) / x) for u, c in v.items()}
-        for row in rows.values():
-            y = row.get(p)
-            if y:
-                axpy(row, -y, v)
-        rows[p] = v
-    for row in rows.values():
-        for u, c in row.items():
-            row[u] = exact(c)
-    return rows
+def _echelon(vectors: list[dict], order) -> dict[tuple[int, tuple], dict]:
+    """The reduced echelon basis of the span of sparse vectors over the
+    unknowns, keyed by pivot: :func:`linalg.rref` and
+    :func:`linalg.reduced` over their unknowns in descending order of the
+    sort key ``order``, so that each basis vector is one at its last
+    unknown, its pivot, and every other one is zero there."""
+    unknowns = sorted({u for v in vectors for u in v}, key=order, reverse=True)
+    col = {u: c for c, u in enumerate(unknowns)}
+    red = linalg.reduced(linalg.rref(
+        [{col[u]: x for u, x in v.items()} for v in vectors], len(unknowns)))
+    return {unknowns[p]: {unknowns[c]: x for c, x in row.items()}
+            for p, row in red.items()}
 
 
 def _certify(system: McSystem, degree: int, weight: tuple,
@@ -708,8 +661,9 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
 
     By default the fields are the forward images F_A of the basis of the
     Tanaka prolongation through degree 2h + 1 (:func:`_forward_fields`),
-    put in reduced echelon form per (degree, weight) block and merged per
-    degree by free unknown.  Each block's rank must equal the
+    put in reduced echelon form per (degree, weight) block
+    (:func:`_echelon`, in solver order) and merged per degree by free
+    unknown.  Each block's rank must equal the
     prolongation's count, and its fields must pass the certificate
     (:func:`_certify`), or McError names the degree and the weight.  That
     they are all the solutions is the prolongation theorem (N. Tanaka, J.
@@ -756,7 +710,7 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
             found: dict[tuple[int, tuple], dict] = {}
             for w in sorted(counts.keys()
                             | {w for k, w in tanaka.basis if k == d}):
-                rows = _reduced_echelon(
+                rows = _echelon(
                     _forward_fields(tanaka, chart, hs, d, w), order)
                 if len(rows) != counts.get(w, 0):
                     raise McError(
@@ -834,7 +788,7 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
     ``h_of_bracket``, so no polynomial is formed.
 
     iota(E) is read in its (degree, weight) block of g(m) through one
-    :class:`linalg.SpanBasis` per block and checked by recomposition, by
+    :class:`linalg.SpanBasis` per block, membership checked, by
     increasing degree, since its values are lower images.  nu's dimension
     is the rank of the images; nu lies in the solution space when every
     nonzero image recomposes at a degree <= ``degree_bound``.  An image
@@ -860,7 +814,7 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
                   tuple(-x for x in rs.root(r).coeffs))
                  for r in sorted(rep.normalizer_support,
                                  key=lambda r: (-rs.root(r).height, r))]
-    spans: dict[tuple, tuple] = {}
+    spans: dict[tuple, _TermSpan] = {}
     coords: dict[int, list | None] = {}     # over the block basis
     index: dict[tuple, int] = {}
     images = []
@@ -897,13 +851,10 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
         image = {u: y for u, y in image.items() if y}
         span = spans.get((k, w))
         if span is None:
-            col: dict[tuple[int, int], int] = {}
-            vectors = [{col.setdefault((g, j), len(col)): y
-                        for g, vals in a.items() for j, y in vals.items()}
-                       for a in tanaka.basis.get((k, w), ())]
-            span = spans[k, w] = (vectors, col,
-                                  linalg.SpanBasis(vectors, len(col)))
-        coords[e] = _span_coordinates(image, *span)
+            span = spans[k, w] = _TermSpan(
+                [{(g, j): y for g, vals in a.items() for j, y in vals.items()}
+                 for a in tanaka.basis.get((k, w), ())])
+        coords[e] = span.coordinates(image)
         images.append({index.setdefault((k, w, *u), len(index)): y
                        for u, y in image.items()})
         if coords[e] is None or (image and k > solution.degree_bound):

@@ -18,7 +18,7 @@ from mclab.mcfields import (NormalizerComparison, normalizer_basis_indices,
                             tau, tau_basis)
 from mclab.liealg import (Chart, LieAlgebraError, SplitLieAlgebra,
                           _sparse_bracket, _transpose)
-from mclab.poly import Poly
+from mclab.poly import Poly, exact
 from mclab.polybasis import solve_H_of_gamma
 
 
@@ -187,6 +187,80 @@ def decomposition_tables(rs, real):
     return functional, c, h_of_bracket, theta_scalar
 
 
+def free_vector(pivots, fc, ncols):
+    """The kernel vector of ``linalg.rref``'s pivot rows with a one at
+    free column fc and zeros at the other free columns, by a
+    back-substitution of its own, one free column at a time: the
+    reference for what ``linalg.reduced`` gives the nullspace and the
+    block inverse.
+
+    The substitution runs in integers: the vector is ``num / den`` with
+    one common denominator, which grows by the reduced pivot whenever a
+    pivot does not divide its row's sum."""
+    num = [0] * ncols
+    num[fc] = 1
+    den = 1
+    # a pivot row holds no column left of its pivot, so every pivot
+    # right of fc solves to zero
+    for col in reversed([c for c in pivots if c < fc]):
+        piv = pivots[col]
+        s = 0
+        for c, v in piv.items():
+            if c != col and num[c]:
+                s += v * num[c]
+        if not s:
+            continue
+        # num[col] / den = -s / (den * p), over the common denominator
+        p = piv[col]
+        g = gcd(s, p) if p > 0 else -gcd(s, p)
+        s, p = s // g, p // g
+        if p != 1:
+            num = [x * p for x in num]
+            den *= p
+        num[col] = -s
+    if den == 1:
+        return num
+    return [exact(Q(x, den)) for x in num]
+
+
+def gauss_jordan_echelon(vectors, order):
+    """Gauss-Jordan on sparse vectors {key: value} in ``Fraction``s: the
+    reduced echelon basis of their span, keyed by pivot, each vector
+    pivoting at its last key under the sort key ``order``, one there,
+    and every other basis vector zero there: the reference for the
+    forward map's echelon basis (``mcfields._echelon``)."""
+    rows = {}
+
+    def axpy(v, a, row):            # v <- v + a row, zeros dropped
+        for u, x in row.items():
+            s = v.get(u, 0) + a * x
+            if s:
+                v[u] = s
+            else:
+                v.pop(u, None)
+
+    for vec in vectors:
+        v = dict(vec)
+        for u, row in rows.items():
+            x = v.get(u)
+            if x:
+                axpy(v, -x, row)
+        if not v:
+            continue
+        p = max(v, key=order)
+        x = v[p]
+        v = {u: exact(Q(c) / x) for u, c in v.items()}
+        for row in rows.values():
+            y = row.get(p)
+            if y:
+                axpy(row, -y, v)
+        rows[p] = v
+    for row in rows.values():
+        for u, c in row.items():
+            row[u] = exact(c)
+    return rows
+
+
 def free_vector_inverse_rows(vectors, positions):
     """``SpanBasis.inverse_rows`` the per-column way: column k of the
     block inverse is minus the free vector of the k-th identity column of
@@ -198,7 +272,7 @@ def free_vector_inverse_rows(vectors, positions):
         row[n + t] = 1
         aug.append(row)
     red = linalg.rref(aug, 2 * n)
-    cols = [linalg._free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
+    cols = [free_vector(red, n + k, 2 * n)[:n] for k in range(n)]
     return [[(t, -x) for t, x in enumerate(row) if x] for row in zip(*cols)]
 
 
@@ -689,7 +763,7 @@ def rref_disagreements(rows, ncols) -> list[str]:
     if list(new) != list(old):
         out.append(f"pivot columns {list(new)}, oracle {list(old)}")
     if linalg.sparse_nullspace(rows, ncols) != [
-            linalg._free_vector(old, fc, ncols)
+            free_vector(old, fc, ncols)
             for fc in range(ncols) if fc not in old]:
         out.append("nullspace")
     if len(cross_rref([*new.values(), *old.values()], ncols)) != len(old):

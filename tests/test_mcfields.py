@@ -33,8 +33,9 @@ from conftest import (canonical_terms, cartan_element, dense, mat_sub,
                       solve_H0)
 from oracles import (chain_to_coordinate, composition_bracket,
                      coordinates_in_span, dense_symmetric_signature,
-                     full_tau_basis, peel_to_invariant, project_to_slice,
-                     subs_project_to_slice, tau_comparison, zip_block_rows)
+                     full_tau_basis, gauss_jordan_echelon, peel_to_invariant,
+                     project_to_slice, subs_project_to_slice, tau_comparison,
+                     zip_block_rows)
 
 
 @pytest.fixture(scope="module")
@@ -811,6 +812,57 @@ def test_default_solve_matches_verification_every_chart_kind(family, rank):
             _assert_stop_matches_bound(
                 alg, bound, hs, solve_mc(hs, chart),
                 *_solve_recorded(chart, hs, bound))
+
+
+def _typed_rows(rows):
+    return {p: sorted((u, x, type(x)) for u, x in row.items())
+            for p, row in rows.items()}
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("A", 2), ("A", 3),
+                                          ("C", 2), ("C", 3)])
+def test_forward_echelon_matches_gauss_jordan(family, rank):
+    """On every (degree, weight) block of the default solve of every
+    Hessenberg set, the echelon basis from ``rref`` and ``reduced``
+    equals, entry by entry and type by type, a Gauss-Jordan in Fractions
+    that pivots at each field's last unknown in the verification mode's
+    enumeration order.  A1, A2 and C2 on their default chart; A3 on all
+    four chart kinds, C3 on the three that it has (no matrix chart)."""
+    alg = build_sl(rank + 1) if family == "A" else build_sp(rank)
+    makes = ([matrix_chart, first_kind_chart, second_kind_chart,
+              three_factor_chart] if rank == 3 else [default_chart])
+    if family == "C" and rank == 3:
+        makes.remove(matrix_chart)
+    h = alg.rs.highest_root.height
+    blocks = 0
+    for make in makes:
+        chart = make(alg)
+        for hs in enumerate_all(alg.rs):
+            calls = []
+            original = mcfields._echelon
+
+            def recording(vectors, order):
+                rows = original(vectors, order)
+                calls.append((vectors, rows))
+                return rows
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mcfields, "_echelon", recording)
+                solve_mc(hs, chart)
+            system = assemble_mc_system(hs, chart, 2 * h)
+            for vectors, rows in calls:
+                g, mono = next(iter(vectors[0]))
+                degree = (sum(e * wt for e, wt in zip(mono, chart.weights))
+                          - alg.rs.root(g).height)
+                position = {u: k for k, (u, _) in
+                            enumerate(system.unknown_monomials(degree))}
+                expect = gauss_jordan_echelon(vectors, position.__getitem__)
+                assert _typed_rows(rows) == _typed_rows(expect), \
+                    (make.__name__, sorted(hs.R), degree)
+                blocks += 1
+    # (degree, weight) blocks over every set and chart kind
+    assert blocks == {("A", 1): 4, ("A", 2): 30, ("A", 3): 4 * 153,
+                      ("C", 2): 47, ("C", 3): 3 * 287}[family, rank]
 
 
 @pytest.mark.skipif(not os.environ.get("MCLAB_LARGE_ORACLES"),

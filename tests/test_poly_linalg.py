@@ -390,6 +390,65 @@ def test_span_basis_property(data):
             linalg.SpanBasis(_sparse(basis + [basis[-1]]), ncols)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reduced_matches_dense_gauss_jordan(data):
+    """``reduced(rref(rows))`` is the dense Fraction Gauss-Jordan form,
+    entry by entry, int or Fraction included, on int and Fraction inputs
+    with zero rows and rows that combine earlier ones."""
+    ncols = data.draw(st.integers(1, 7))
+    entries = (coeffs if data.draw(st.booleans())
+               else st.integers(-10**6, 10**6))
+    dense = []
+    for _ in range(data.draw(st.integers(0, 7))):
+        kind = data.draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            dense.append([0] * ncols)
+        elif kind == "combination" and dense:
+            a, b = data.draw(coeffs), data.draw(coeffs)
+            u, v = data.draw(st.sampled_from(dense)), \
+                data.draw(st.sampled_from(dense))
+            dense.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            dense.append([data.draw(entries) if data.draw(st.booleans())
+                          else 0 for _ in range(ncols)])
+    red = linalg.reduced(linalg.rref(_sparse(dense), ncols))
+    ref, pivots = _dense_rref([[Q(x) for x in row] for row in dense])
+    assert list(red) == pivots
+    for p, row in zip(pivots, ref):
+        expect = {c: exact(x) for c, x in enumerate(row) if x}
+        assert [(c, x, type(x)) for c, x in sorted(red[p].items())] == \
+            [(c, x, type(x)) for c, x in sorted(expect.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_span_coordinates_check_membership(data):
+    """``SpanBasis.coordinates`` of a target in the span equals the dense
+    solve, types included; a target that agrees with a span element at
+    every position but not elsewhere reads as outside the span."""
+    ncols = data.draw(st.integers(1, 6))
+    basis = []
+    for row in _draw_dense(data, data.draw(st.integers(0, 6)), ncols):
+        if len(_dense_rref(basis + [row])[1]) > len(basis):
+            basis.append(row)
+    span = linalg.SpanBasis(_sparse(basis), ncols)
+    w = [data.draw(coeffs) for _ in basis]
+    inside = [sum((c * r[i] for c, r in zip(w, basis)), Q(0))
+              for i in range(ncols)]
+    coords = span.coordinates(_sparse([inside])[0])
+    expect = [exact(x) for x in _dense_coordinates(basis, inside)]
+    assert [(x, type(x)) for x in coords] == [(x, type(x)) for x in expect]
+    off = [c for c in range(ncols) if c not in span.positions]
+    if off:
+        outside = inside[:]
+        outside[data.draw(st.sampled_from(off))] += \
+            data.draw(coeffs.filter(bool))
+        assert span.coordinates(_sparse([outside])[0]) is None
+        # the positions alone cannot tell it
+        assert span.sparse_coefficients(_sparse([outside])[0]) == coords
+
+
 def _loop_coefficients(span, sel):
     """Reference: the loop that multiplies in every truthy entry, which
     is every Poly, zero or not (Poly defines no ``__bool__``)."""

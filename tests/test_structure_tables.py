@@ -296,19 +296,24 @@ def test_tables_match_decomposition_oracle(builder, n):
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sp3"])
 def test_only_opposite_root_pairs_decomposed(name, request, monkeypatch):
-    """Construction decomposes [X_a, X_-a] for each positive root a and
-    nothing else: every other table entry is recomposed."""
+    """Construction decomposes [X_a, X_-a] for each positive root a, with
+    its membership checked, and nothing else: every other table entry is
+    recomposed."""
     alg = request.getfixturevalue(name)
     real = alg.realization
     entries = real.entries
     decomposed = []
-    decompose = Realization.decompose
+    coordinates = Realization.coordinates
 
     def recording(self, m):
         decomposed.append(m)
-        return decompose(self, m)
+        return coordinates(self, m)
 
-    monkeypatch.setattr(Realization, "decompose", recording)
+    def refused(self, m):
+        raise AssertionError("unchecked decomposition during construction")
+
+    monkeypatch.setattr(Realization, "coordinates", recording)
+    monkeypatch.setattr(Realization, "decompose", refused)
     SplitLieAlgebra(alg.rs, alg.family, alg.param, real,
                     normalized=alg.normalized,
                     killing_factor=alg.killing_factor,
