@@ -28,16 +28,13 @@ its inverse, products) is a matrix.
 
 The chart layer computes only what is read.  The generic point
 multiplies in each root group's exp(N) - I as a sparse entry map,
-re-forming only the columns it touches; its inverse multiplies in the
-groups' exp(-N) in reverse order, and extraction peels with the same
-group exponential.  exp, the log and W^{-1} are one sparse nilpotent
-series (:func:`mclab.linalg.nilpotent_series`).  The frame and the
-adjoint action Ad(n^{-1}) E at the generic point form only the
-coefficients their callers ask for, each from the few matrix entries that
-its row of the decomposition inverse names (:meth:`Realization.read`).
-On the slice of a Hessenberg set both are read at the slice point, the
-generic point with the complement coordinates zero (:meth:`Chart.point`),
-over the slice roots alone.
+re-forming only the columns it touches, and extraction peels with the
+same group exponential, all by one sparse nilpotent series
+(:func:`mclab.linalg.nilpotent_series`).  The frame and the adjoint
+action Ad(n^{-1}) E form no group matrix: one (-ad N)-power loop over
+the structure constants (:func:`minus_ad_series`) sums only the rows
+asked for, on a Hessenberg slice at the slice point, the generic point
+with the complement coordinates zero.
 """
 
 from __future__ import annotations
@@ -443,7 +440,9 @@ class Chart:
             raise LieAlgebraError(f"unknown chart kind {kind!r}")
         # extraction peels one group at a time from this end (see extract)
         self._peel_left = kind in ("matrix", "second_kind")
-        self._points: dict = {}
+        self._generic = None
+        # slice: (its factor groups from the last, {k: row k of Ad(n^-1)})
+        self._ad_rows: dict = {}
         self._frame_cache: dict = {}
 
     # ---- ring helpers -------------------------------------------------------
@@ -457,34 +456,10 @@ class Chart:
 
     # ---- generic point -------------------------------------------------------
     def generic_matrix(self):
-        """Generic point with coordinate k as variable k."""
-        return self.point()
-
-    def generic_inverse(self):
-        """g^{-1} at the generic point."""
-        return self.point(inverse=True)
-
-    def point(self, slice_roots=None, inverse=False):
-        """The generic point g_R, or its inverse, with every coordinate
-        outside ``slice_roots`` set to zero (the generic point itself when
-        None), built once per slice.
-
-        g_R is the product of the factor groups with their roots
-        restricted to R, and g_R^{-1} the reversed product of their
-        exp(-N).  The slice must be a lower order ideal of the positive
-        roots (a Hessenberg set), or ``LieAlgebraError`` is raised.
-        """
-        key = (None if slice_roots is None else frozenset(slice_roots),
-               inverse)
-        m = self._points.get(key)
-        if m is None:
-            roots = set(self._slice(key[0]))
-            groups = [kept for g in self.groups
-                      if (kept := [r for r in g if r in roots])]
-            m = self._points[key] = (
-                self._group_product(groups[::-1], -1) if inverse
-                else self._group_product(groups, 1))
-        return m
+        """Generic point with coordinate k as variable k, built once."""
+        if self._generic is None:
+            self._generic = self._group_product()
+        return self._generic
 
     def _slice(self, slice_roots) -> list[int]:
         """The coordinate roots of ``slice_roots`` (all of them when None)
@@ -507,12 +482,12 @@ class Chart:
                 f"{name(b)} = {name(d)} is missing")
         return [r for r in self.coord_roots if r in key]
 
-    def _group_product(self, groups, sign):
-        """exp(sign * sum_{r in G} x_r X_r) multiplied over ``groups`` in
+    def _group_product(self):
+        """exp(sum_{r in G} x_r X_r) multiplied over the factor groups G in
         order, at the generic point."""
         m = self._poly_identity(self.nvars)
-        for group in groups:
-            xs = [Poly.var(self.nvars, self._index[r]) * sign for r in group]
+        for group in self.groups:
+            xs = [Poly.var(self.nvars, self._index[r]) for r in group]
             m = linalg.mul_unipotent(m, self._group_exp(group, xs))
         return m
 
@@ -771,36 +746,64 @@ def minus_ad_series(bracket, group, y: dict, coeff) -> dict:
 def adjoint_of_point(chart: Chart, element, indices=None, slice_roots=None):
     """Coefficients of Ad(n^{-1}) E at the generic point n, polynomials in
     the chart coordinates, at the full-basis ``indices`` (all of them, in
-    order, when None).  With ``slice_roots`` n is the slice point
-    (:meth:`Chart.point`): the generic point at complement coordinates
-    zero.
+    order, when None).  With ``slice_roots`` n is the slice point n_R, the
+    generic point with every coordinate outside R zero; R must be a lower
+    order ideal (:meth:`Chart._slice`).  ``element`` is an entry map
+    {(p, q): value} in the chart's realization.
 
-    ``element`` is an entry map {(p, q): value} in the chart's
-    realization.  Only the entries of n^{-1} E n that those coefficients
-    read are formed: entry (i, j) is the sum over the
-    nonzeros (p, q) of E of n^{-1}[i][p] E[p][q] n[q][j], its products
-    added as the two matrix products n^{-1} E and (n^{-1} E) n add them.
+    For n = exp(N_1) ... exp(N_m) over the factor groups (their roots in
+    R), Ad(n^{-1}) = exp(-ad N_m) ... exp(-ad N_1) (Varadarajan, GTM 102,
+    Thm 2.14.3).  Its row k, e_k* exp(-ad N_m) ... exp(-ad N_1), is summed
+    from the last group by :func:`minus_ad_series` over the transposed
+    bracket e_k*([., X_r]): for k = X_s it sends X_{s-r} to c_{s-r,r}, or
+    H_i to alpha_r(H_i) when s = r; for k = H_j it sends X_{-r} to
+    -h_of_bracket[r][j].  The coefficient at k is the row dotted with the
+    coordinates of E.  Rows are kept on the chart per slice and index, so
+    one row serves every element, and no group matrix is formed.
     """
-    gen = chart.point(slice_roots)
-    gen_inv = chart.point(slice_roots, inverse=True)
-    e_cols: dict[int, list] = {}        # column q of E: [(p, E[p][q])]
-    for (p, q), x in sorted(element.items()):
-        if x != 0:
-            e_cols.setdefault(q, []).append((p, x))
-    zero = Poly.zero(chart.nvars)
-    left_rows: dict[int, list] = {}     # row i of n^{-1} E: [(q, value)]
+    alg = chart.algebra
+    coords = chart.realization.coordinates(
+        {p: x for p, x in element.items() if x})
+    if coords is None:
+        raise LieAlgebraError("element outside the algebra")
+    key = None if slice_roots is None else frozenset(slice_roots)
+    cached = chart._ad_rows.get(key)
+    if cached is None:
+        roots = set(chart._slice(key))
+        groups = [kept for g in chart.groups[::-1]
+                  if (kept := [(r, chart.coord_index(r)) for r in g
+                               if r in roots])]
+        cached = chart._ad_rows[key] = (groups, {})
+    groups, rows = cached
+    rs, rank, nvars = alg.rs, alg.rank, chart.nvars
 
-    def entry(i, j):
-        left = left_rows.get(i)
-        if left is None:
-            row = gen_inv[i]
-            left = left_rows[i] = [
-                (q, x) for q in sorted(e_cols)
-                if (x := linalg.sparse_dot(e_cols[q], row.__getitem__,
-                                           terms_left=False)) is not None]
-        acc = linalg.sparse_dot(left, lambda q: gen[q][j])
-        return zero if acc is None else acc
+    def dual_bracket(key, r):
+        # e_k*([., X_r]) over the full basis, for the key (k,)
+        k = key[0]
+        if k < rank:
+            x = -alg.h_of_bracket[r][k]
+            return ((), {rank + rs.neg(r): x}) if x else None
+        if k - rank == r:
+            return (), {i: x for i, x in enumerate(alg.functional[r]) if x}
+        d = rs.add(k - rank, rs.neg(r))     # None: s - r is no root
+        x = alg.c.get((d, r))
+        return ((), {rank + d: x}) if x else None
 
-    if indices is None:
-        indices = range(chart.realization.dim)
-    return chart.realization.read(indices, entry)
+    out = []
+    for k in range(chart.realization.dim) if indices is None else indices:
+        row = rows.get(k)
+        if row is None:
+            row = {(k,): {(0,) * nvars: 1}}
+            for group in groups:
+                row = minus_ad_series(dual_bracket, group, row,
+                                      lambda j, last: linalg.exp_coeff(j))
+            row = rows[k] = [
+                (i, t) for (i,), acc in sorted(row.items())
+                if (t := {m: exact(x) for m, x in acc.items() if x})]
+        acc: dict = {}
+        for i, t in row:
+            if c := coords[i]:
+                for m, x in t.items():
+                    acc[m] = acc.get(m, 0) + c * x
+        out.append(finish(nvars, {m: x for m, x in acc.items() if x}))
+    return out

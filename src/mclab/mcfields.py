@@ -7,8 +7,8 @@ Ad(n^{-1}) E at the generic point n.  Its slice field nu(E) on a
 Hessenberg set R keeps the components gamma in R at complement
 coordinates zero.  Setting x_C = 0 commutes with products and inverses,
 so nu(E) is read the same way at the slice point n_R, the generic point
-with x_C = 0 (:meth:`mclab.liealg.Chart.point`): the full-group tau(E)
-is never formed or projected.  The normalizer comparison forms neither:
+with x_C = 0 (:func:`mclab.liealg.adjoint_of_point`): the full-group
+tau(E) is never formed or projected.  The normalizer comparison forms neither:
 nu of q / n_C is the forward image of its image in the prolongation,
 read from the structure constants (:func:`compare_with_normalizer`).
 
@@ -91,9 +91,9 @@ def tau(algebra: SplitLieAlgebra, chart: Chart, element) -> PolyVectorField:
 def nu(algebra: SplitLieAlgebra, chart: Chart, hs: HessenbergSet,
        element) -> PolyVectorField:
     """The slice field of an algebra element: the slice components of
-    tau(E) at complement coordinates zero.  It is read at the slice point
-    itself (:meth:`Chart.point`), which is the generic point at x_C = 0,
-    so tau(E) on the full group is never formed."""
+    tau(E) at complement coordinates zero, read at the slice point itself
+    (:func:`mclab.liealg.adjoint_of_point`), so tau(E) on the full group
+    is never formed.  R must be a lower order ideal (``LieAlgebraError``)."""
     return _induced(algebra, chart, element, hs.R)
 
 
@@ -101,20 +101,10 @@ def tau_basis(algebra: SplitLieAlgebra, chart: Chart, hs: HessenbergSet,
               indices=None) -> dict[int, PolyVectorField]:
     """The fields that the full-basis elements at ``indices`` (all of them
     when None) induce on the slice ``hs``, nu of each, keyed by full-basis
-    index.  Each is computed once per chart, slice and index, when first
-    asked for, and cached (``Chart._nu_cache``)."""
-    cache = getattr(chart, "_nu_cache", None)
-    if cache is None:
-        cache = chart._nu_cache = {}
+    index: each a dot over the rows of Ad(n_R^{-1}) that the chart keeps."""
     keys = range(algebra.dim) if indices is None else indices
-    out = {}
-    for k in keys:
-        f = cache.get((hs.R, k))
-        if f is None:
-            f = cache[hs.R, k] = nu(algebra, chart, hs,
-                                    chart.realization.entries[k])
-        out[k] = f
-    return out
+    return {k: nu(algebra, chart, hs, chart.realization.entries[k])
+            for k in keys}
 
 
 # ---------------------------------------------------------------------------

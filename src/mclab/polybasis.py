@@ -238,7 +238,8 @@ def _neg_omega(algebra: SplitLieAlgebra, chart: Chart,
 
 def oracle_omega_component(algebra: SplitLieAlgebra, chart: Chart,
                            element) -> Poly:
-    """g_omega-coefficient of Ad(n^{-1}) E at the generic chart point."""
+    """g_omega-coefficient of Ad(n^{-1}) E at the generic chart point, from
+    the structure constants, sharing no code with the closed forms."""
     w = algebra.full_index(algebra.rs.highest_root.id)
     return adjoint_of_point(chart, element, [w])[0]
 
@@ -257,7 +258,7 @@ class OmegaComponentBasis:
                                 for r in self.representatives],
             "table": {k: p.render(self.chart.var_names)
                       for k, p in sorted(self.table.items())},
-            # comparisons with the conjugation oracle are exact; induced
+            # comparisons with the adjoint-action oracle are exact; induced
             # fields differ from these generators by one global sign
             "comparison": {"oracle_scalar": "1", "induced_field_sign": "-1"},
         }

@@ -6,6 +6,7 @@ another way; the tests compare the two exactly.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction as Q
 from itertools import combinations
 from math import factorial, gcd
@@ -114,6 +115,62 @@ def dense_generic_point(chart: Chart, inverse: bool = False):
             nil = mat_add(nil, [[x_r * x for x in row] for row in basis])
         point = linalg.mat_mul(point, nilpotent_exp(nil, ident))
     return point
+
+
+_DENSE_POINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def slice_point(chart: Chart, slice_roots=None, inverse: bool = False):
+    """The dense generic point of :func:`dense_generic_point` (its inverse
+    with ``inverse``) with every coordinate outside ``slice_roots`` zero,
+    none when None.  The slice must be a lower order ideal
+    (``Chart._slice``).  The dense products are formed once per chart."""
+    roots = set(chart._slice(
+        None if slice_roots is None else frozenset(slice_roots)))
+    points = _DENSE_POINTS.setdefault(chart, {})
+    if inverse not in points:
+        points[inverse] = dense_generic_point(chart, inverse)
+    cvars = [chart.coord_index(r) for r in chart.coord_roots
+             if r not in roots]
+    return [[p.at_zero(cvars) for p in row] for row in points[inverse]]
+
+
+def matrix_adjoint_of_point(chart: Chart, element, indices=None,
+                            slice_roots=None):
+    """``liealg.adjoint_of_point`` by conjugation: the coefficients of
+    n^{-1} E n at the full-basis ``indices`` (all of them, in order, when
+    None), with n and n^{-1} the polynomial (slice) point and its inverse
+    of :func:`slice_point`.  The reference for the rows of Ad(n^{-1})
+    summed from the structure constants.
+
+    ``element`` is an entry map {(p, q): value} in the chart's
+    realization.  Only the entries of n^{-1} E n that those coefficients
+    read are formed: entry (i, j) is the sum over the nonzeros (p, q) of
+    E of n^{-1}[i][p] E[p][q] n[q][j].
+    """
+    gen = slice_point(chart, slice_roots)
+    gen_inv = slice_point(chart, slice_roots, inverse=True)
+    e_cols: dict[int, list] = {}        # column q of E: [(p, E[p][q])]
+    for (p, q), x in sorted(element.items()):
+        if x != 0:
+            e_cols.setdefault(q, []).append((p, x))
+    zero = Poly.zero(chart.nvars)
+    left_rows: dict[int, list] = {}     # row i of n^{-1} E: [(q, value)]
+
+    def entry(i, j):
+        left = left_rows.get(i)
+        if left is None:
+            row = gen_inv[i]
+            left = left_rows[i] = [
+                (q, x) for q in sorted(e_cols)
+                if (x := linalg.sparse_dot(e_cols[q], row.__getitem__,
+                                           terms_left=False)) is not None]
+        acc = linalg.sparse_dot(left, lambda q: gen[q][j])
+        return zero if acc is None else acc
+
+    if indices is None:
+        indices = range(chart.realization.dim)
+    return chart.realization.read(indices, entry)
 
 
 def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
@@ -299,8 +356,8 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
     fast path: at the generic point of the sp(3) second-kind chart it
     takes about 0.5 s per element (a ``Poly`` matrix log and a dense
     exponential in the 21-dimensional adjoint realization), while
-    ``liealg.adjoint_of_point`` takes about 2-3 ms per element once the
-    chart's generic inverse is built.
+    ``liealg.adjoint_of_point``, summed from the structure constants,
+    takes a fraction of a millisecond.
     """
     alg = chart.algebra
     ad = alg.ad_realization()
@@ -544,13 +601,13 @@ def point_frame(chart: Chart, slice_roots=None) -> dict[int, dict[int, Poly]]:
     reference for the frame summed from the structure constants.
 
     W[k][gamma] is the X_gamma-coefficient of g^{-1} d_k g, with g and
-    g^{-1} the polynomial slice point and its inverse (``Chart.point``),
+    g^{-1} the polynomial slice point and its inverse (:func:`slice_point`),
     each entry read through the realization's decomposition; the frame
     rows are those of W^{-1}, by the Neumann series of W - I."""
-    key = None if slice_roots is None else frozenset(slice_roots)
-    gen = chart.point(key)
-    gen_inv = chart.point(key, inverse=True)
-    roots = chart._slice(key)
+    gen = slice_point(chart, slice_roots)
+    gen_inv = slice_point(chart, slice_roots, inverse=True)
+    roots = chart._slice(
+        None if slice_roots is None else frozenset(slice_roots))
     cols = [chart.algebra.full_index(r) for r in roots]
     zero = Poly.zero(chart.nvars)
     w = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction as Q
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab import linalg
+from mclab.hessenberg import enumerate_all
 from mclab.liealg import (Chart, LieAlgebraError, _sparse_bracket,
                           adjoint_of_point, build_sl, build_sp,
                           first_kind_chart, matrix_chart, second_kind_chart,
@@ -17,7 +19,8 @@ from mclab.poly import Poly
 from conftest import (dense, frac_identity, mat_add, mat_eq, mat_scale,
                       mat_sub, solve_H0)
 from oracles import (adjoint_series_of_point, closed_form_generic_point,
-                     dense_generic_point, unipotent_inverse)
+                     dense_generic_point, matrix_adjoint_of_point,
+                     unipotent_inverse)
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "sp2"]
 _CHART_KINDS = ("matrix", "first_kind", "second_kind", "three_factor")
@@ -498,19 +501,51 @@ def test_generic_point_matches_dense_exponential_product(name, algebras):
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sp3"])
 def test_generic_inverse_matches_neumann_series(name, algebras):
-    """Every chart inverts the generic point as the reversed product of its
-    groups' exp(-N).  It equals the finite Neumann series on the generic
-    point, and, term order included, the dense product of the dense
-    exponentials."""
+    """The conjugation oracle's inverse of the generic point, the reversed
+    dense product of the groups' exp(-N), equals the finite Neumann series
+    on the chart's generic point, for every chart kind."""
     alg = algebras[name]
     for kind in _kinds(name):
         chart = Chart(alg, kind)
-        got = chart.generic_inverse()
         ident = chart._poly_identity(chart.nvars)
-        assert got == unipotent_inverse(chart.generic_matrix(), ident)
-        for rg, rw in zip(got, dense_generic_point(chart, inverse=True)):
-            for x, y in zip(rg, rw):
-                assert list(x.terms.items()) == list(y.terms.items())
+        assert dense_generic_point(chart, inverse=True) == \
+            unipotent_inverse(chart.generic_matrix(), ident)
+
+
+def _assert_adjoint_matches_matrix_oracle(name, algebras, slices):
+    """``adjoint_of_point`` against the conjugation oracle, Poly for Poly
+    with canonical coefficients, for every basis element and chart kind,
+    the first kind over the adjoint realization included, on the full
+    group and on each of ``slices``."""
+    alg = algebras[name]
+    charts = [Chart(alg, kind) for kind in _kinds(name)]
+    charts.append(first_kind_chart(alg, alg.ad_realization()))
+    for chart in charts:
+        for slice_roots in (None, *slices):
+            for e in chart.realization.entries:
+                got = adjoint_of_point(chart, e, slice_roots=slice_roots)
+                assert got == matrix_adjoint_of_point(
+                    chart, e, slice_roots=slice_roots)
+                assert all(type(c) is int or c.denominator > 1
+                           for p in got for c in p.terms.values())
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3"])
+def test_adjoint_matches_matrix_oracle(name, algebras):
+    """On the full group of sl2-sl5 and sp2-sp3, and on every Hessenberg
+    set of A1-A3 and C2-C3."""
+    alg = algebras[name]
+    slices = ([] if name == "sl5"
+              else [hs.R for hs in enumerate_all(alg.rs)])
+    _assert_adjoint_matches_matrix_oracle(name, algebras, slices)
+
+
+@pytest.mark.skipif(not os.environ.get("MCLAB_LARGE_ORACLES"),
+                    reason="a few seconds; set MCLAB_LARGE_ORACLES=1")
+def test_adjoint_matches_matrix_oracle_sl6_sp4(algebras):
+    """On the full group of sl6 and sp4."""
+    for name in ("sl6", "sp4"):
+        _assert_adjoint_matches_matrix_oracle(name, algebras, [])
 
 
 def test_adjoint_dual_path_random_points(sl4, chart_sl4):

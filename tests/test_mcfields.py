@@ -413,6 +413,23 @@ def test_mc_builds_no_group_matrix(command, monkeypatch):
     monkeypatch.setattr(Chart, "_group_product", unexpected)
     for module in (liealg, mcfields):
         monkeypatch.setattr(module, "adjoint_of_point", unexpected)
+    _assert_prints_recorded(command)
+
+
+@pytest.mark.parametrize("command", [
+    "hessdefs A 4 --hessenberg type-3 --symbolic", "polybasis A 4"])
+def test_adjoint_jobs_build_no_group_matrix(command, monkeypatch):
+    """The adjoint action sums its rows from the structure constants: with
+    the polynomial group product made to raise, the benchmark's hessdefs
+    and polybasis jobs still print their recorded output."""
+    def unexpected(*args, **kwargs):
+        raise AssertionError("polynomial group matrix in the adjoint action")
+
+    monkeypatch.setattr(Chart, "_group_product", unexpected)
+    _assert_prints_recorded(command)
+
+
+def _assert_prints_recorded(command):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(shlex.split(command))

@@ -168,6 +168,21 @@ def test_full_tables_match_oracle(sl3, sl4, sp2):
         assert all(verify_against_oracle(basis).values())
 
 
+def test_verify_reports_a_corrupted_closed_form(sl3, sl4, sp2):
+    """The oracle check is a real comparison: with one coefficient of one
+    closed form changed, that label, and only that one, reads False."""
+    for alg in (sl3, sl4, sp2):
+        basis = build_basis(alg)
+        good = dict(basis.table)
+        for label, p in good.items():
+            terms = dict(p.terms)
+            m = next(iter(terms))
+            terms[m] += 1
+            basis.table = {**good, label: Poly(p.nvars, terms)}
+            assert verify_against_oracle(basis) == \
+                {k: k != label for k in good}
+
+
 def test_build_basis_makes_each_generator_once(sl5, monkeypatch):
     """The lowest-root entry reuses the table's Sigma_1/2 generators: one
     gen_neg_sigma_half and one solve_H_of_gamma call per root of

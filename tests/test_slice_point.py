@@ -1,23 +1,22 @@
 """The slice point against the full group restricted to the slice.
 
-``Chart.point(R)`` is the generic point at complement coordinates zero,
-and the slice frame and ``nu`` are read there, never on the full group.
-The references are the full-group objects restricted afterwards: the
-generic point and its inverse at x_C = 0, ``oracles.restricted_frame``
-and ``oracles.project_to_slice`` of ``oracles.full_tau_basis``.  They
-must agree as polynomials on every Hessenberg set of A1-A3 and C2-C3 for
-every chart kind, of A4 for the matrix chart and of C4 for the
-second-kind chart.
+The slice frame and ``nu`` are read at the slice point n_R, the generic
+point at complement coordinates zero, never on the full group.  The
+references are the full-group objects restricted afterwards:
+``oracles.restricted_frame`` and ``oracles.project_to_slice`` of
+``oracles.full_tau_basis``.  They must agree as polynomials on every
+Hessenberg set of A1-A3 and C2-C3 for every chart kind, of A4 for the
+matrix chart and of C4 for the second-kind chart.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from mclab.hessenberg import enumerate_all
-from mclab.liealg import (LieAlgebraError, build_sl, build_sp,
-                          first_kind_chart, matrix_chart, second_kind_chart,
-                          three_factor_chart)
+from mclab.hessenberg import HessenbergSet, enumerate_all
+from mclab.liealg import (LieAlgebraError, adjoint_of_point, build_sl,
+                          build_sp, first_kind_chart, matrix_chart,
+                          second_kind_chart, three_factor_chart)
 from mclab.mcfields import nu
 
 from oracles import full_tau_basis, project_to_slice, restricted_frame
@@ -47,10 +46,6 @@ def algebras():
     return get
 
 
-def _at_zero(matrix, cvars):
-    return [[p.at_zero(cvars) for p in row] for row in matrix]
-
-
 @pytest.mark.parametrize("name,kind", CASES)
 def test_slice_point_matches_full_group_restricted(name, kind, algebras):
     alg = algebras(name)
@@ -58,10 +53,6 @@ def test_slice_point_matches_full_group_restricted(name, kind, algebras):
     taus = full_tau_basis(alg, chart)
     sets = enumerate_all(alg.rs)
     for hs in sets:
-        cvars = [chart.coord_index(r) for r in hs.C]
-        assert chart.point(hs.R) == _at_zero(chart.generic_matrix(), cvars)
-        assert chart.point(hs.R, inverse=True) == \
-            _at_zero(chart.generic_inverse(), cvars)
         rows = chart.frame_components(hs.R)
         want = restricted_frame(chart, hs.R)
         assert list(rows) == list(want)
@@ -78,15 +69,23 @@ def test_slice_point_matches_full_group_restricted(name, kind, algebras):
 def test_slice_must_be_a_lower_order_ideal(sl4):
     """Only a lower order ideal has the block-triangular W the slice frame
     rests on; any other set, and a root outside the chart's coordinates,
-    is refused by the point, the frame and the adjoint action alike."""
+    is refused by the frame, the adjoint action and nu alike, naming the
+    missing root."""
     chart = matrix_chart(sl4)
     rs = sl4.rs
     not_ideal = {rs.highest_root.id}
-    for call in (lambda: chart.point(not_ideal),
-                 lambda: chart.point(not_ideal, inverse=True),
-                 lambda: chart.frame_components(not_ideal),
-                 lambda: chart.frame_field(rs.highest_root.id, not_ideal)):
-        with pytest.raises(LieAlgebraError, match="lower order ideal"):
+    hs = HessenbergSet(rs=rs, R=frozenset(not_ideal),
+                       C=frozenset(range(rs.n_pos)) - not_ideal)
+    e = sl4.realization.entries[0]
+    for call in (lambda: chart.frame_components(not_ideal),
+                 lambda: chart.frame_field(rs.highest_root.id, not_ideal),
+                 lambda: adjoint_of_point(chart, e, slice_roots=not_ideal),
+                 lambda: adjoint_of_point(chart, e, [], not_ideal),
+                 lambda: nu(sl4, chart, hs, e)):
+        with pytest.raises(LieAlgebraError, match="lower order ideal: "
+                           "111 - 100 = 011 is missing"):
             call()
-    with pytest.raises(LieAlgebraError, match="outside the chart"):
-        chart.frame_components({rs.neg(0)})
+    for call in (lambda: chart.frame_components({rs.neg(0)}),
+                 lambda: adjoint_of_point(chart, e, slice_roots={rs.neg(0)})):
+        with pytest.raises(LieAlgebraError, match="outside the chart"):
+            call()
