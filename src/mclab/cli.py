@@ -38,15 +38,19 @@ class CliError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_root_token(rs, token: str) -> int:
-    """A positive root, as a coefficient string ('110') or, for rank <= 3,
-    an alias expression like 'a', 'b', 'a+b', '2a+b'."""
+    """A positive root, as a coefficient string ('110') or, for rank <= 4,
+    an alias expression over the simple roots 'a'-'d' like 'a', 'a+b',
+    '2a+b'."""
     token = token.strip()
     if token.isdigit() and len(token) == rs.rank:
         coeffs = tuple(int(ch) for ch in token)
     else:
         coeffs = [0] * rs.rank
         if rs.rank > len(_ALIASES):
-            raise CliError(f"cannot parse root token {token!r}")
+            raise CliError(
+                f"cannot parse root token {token!r}: root aliases "
+                f"a-{_ALIASES[-1]} work up to rank {len(_ALIASES)}; give "
+                f"{rs.rank} simple-root coefficients, like {'1' * rs.rank!r}")
         for part in token.replace("-", "+-").split("+"):
             part = part.strip()
             if not part:

@@ -8,8 +8,8 @@ trace form) satisfies B0(X_gamma, X_{-gamma}) = 1.  With that scaling the
 classical structure-constant identities hold exactly.
 
 Charts parametrize the Iwasawa group N = exp(n).  Every chart can produce
-a generic point (a matrix of polynomials in the chart coordinates),
-extract coordinates back from a matrix, multiply points, and compute its
+a generic point (polynomials in the chart coordinates), extract
+coordinates back from a point, multiply points, and compute its
 left-invariant frame, all in exact arithmetic.  Every chart kind is one
 construction: an ordered product of exponentials of root groups, fixed
 per chart as ``Chart.groups``.  The first kind has one group, the second
@@ -21,17 +21,17 @@ off the Maurer-Cartan form of the generic point g: the coefficients
 W[k][gamma] of g^{-1} d_k g form a unitriangular matrix (contract order),
 and X = W^{-1} d, one formula for every chart kind.
 
-One rule fixes the representation: an algebra element (a basis element,
-a group exponential minus I, a log) is a sparse entry map
-``{(i, j): value}`` of a matrix, and a group element (the generic point,
-its inverse, products) is a matrix.
+One rule fixes the representation: algebra and group elements are both
+sparse entry maps ``{(i, j): value}`` of a matrix.  An algebra element (a
+basis element, a group exponential minus I, a log) is its matrix; a point
+n of N (the generic point, products) is n - I, and points multiply by
+:func:`mclab.linalg.unipotent_product`.
 
-The chart layer computes only what is read.  The generic point
-multiplies in each root group's exp(N) - I as a sparse entry map,
-re-forming only the columns it touches, and extraction peels with the
+The chart layer computes only what is read.  The generic point is the
+product of each root group's exp(N) - I, and extraction peels with the
 same group exponential, all by one sparse nilpotent series
 (:func:`mclab.linalg.nilpotent_series`).  The frame and the adjoint
-action Ad(n^{-1}) E form no group matrix: one (-ad N)-power loop over
+action Ad(n^{-1}) E form no group element: one (-ad N)-power loop over
 the structure constants (:func:`minus_ad_series`) sums only the rows
 asked for, on a Hessenberg slice at the slice point, the generic point
 with the complement coordinates zero.
@@ -86,7 +86,6 @@ class Realization:
             self._span = linalg.SpanBasis(flat, self.size * self.size)
         except ValueError:
             raise LieAlgebraError("realization basis is not independent")
-        self._positions = [divmod(t, self.size) for t in self._span.positions]
 
     def decompose(self, m):
         """Coefficients of the entry map m over [cartan..., pos..., neg...];
@@ -104,19 +103,6 @@ class Realization:
     def _flat(self, m):
         n = self.size
         return {i * n + j: x for (i, j), x in m.items()}
-
-    def read(self, indices, entry):
-        """Coefficients at the full-basis ``indices`` of the algebra element
-        whose matrix entry (i, j) is ``entry(i, j)``.  Only the entries
-        named by the inverse rows of those coefficients are asked for,
-        each once."""
-        inverse_rows = self._span.inverse_rows
-        sel = {}
-        for c in indices:
-            for t, _ in inverse_rows[c]:
-                if t not in sel:
-                    sel[t] = entry(*self._positions[t])
-        return self._span.coefficients(sel, indices)
 
 
 def _sparse_bracket(a, b):
@@ -392,13 +378,12 @@ class Chart:
 
     def __init__(self, algebra: SplitLieAlgebra, kind: str,
                  realization: Realization | None = None,
-                 coord_roots: list[int] | None = None,
                  var_names: list[str] | None = None):
         self.algebra = algebra
         self.kind = kind
         self.realization = realization or algebra.realization
         rs = algebra.rs
-        self.coord_roots = coord_roots or list(range(rs.n_pos))
+        self.coord_roots = list(range(rs.n_pos))
         self.nvars = len(self.coord_roots)
         self._index = {r: k for k, r in enumerate(self.coord_roots)}
         self.weights = [rs.root(r).height for r in self.coord_roots]
@@ -449,16 +434,17 @@ class Chart:
     def coord_index(self, root_id: int) -> int:
         return self._index[root_id]
 
-    def _poly_identity(self, nvars):
-        size = self.realization.size
-        return [[Poly.const(nvars, 1 if i == j else 0)
-                 for j in range(size)] for i in range(size)]
-
     # ---- generic point -------------------------------------------------------
-    def generic_matrix(self):
-        """Generic point with coordinate k as variable k, built once."""
+    def generic_point(self):
+        """The generic point n - I as an entry map, coordinate k as
+        variable k: exp(sum_{r in G} x_r X_r) multiplied over the factor
+        groups G in order, built once."""
         if self._generic is None:
-            self._generic = self._group_product()
+            u: dict = {}
+            for group in self.groups:
+                xs = [Poly.var(self.nvars, self._index[r]) for r in group]
+                u = linalg.unipotent_product(u, self._group_exp(group, xs))
+            self._generic = u
         return self._generic
 
     def _slice(self, slice_roots) -> list[int]:
@@ -482,15 +468,6 @@ class Chart:
                 f"{name(b)} = {name(d)} is missing")
         return [r for r in self.coord_roots if r in key]
 
-    def _group_product(self):
-        """exp(sum_{r in G} x_r X_r) multiplied over the factor groups G in
-        order, at the generic point."""
-        m = self._poly_identity(self.nvars)
-        for group in self.groups:
-            xs = [Poly.var(self.nvars, self._index[r]) for r in group]
-            m = linalg.mul_unipotent(m, self._group_exp(group, xs))
-        return m
-
     def _group_exp(self, group, coeffs):
         """exp(sum_r c_r X_r) - I over the roots r of one factor group, as
         a sparse entry map: the one group exponential of the chart."""
@@ -504,63 +481,58 @@ class Chart:
                                        linalg.exp_coeff)
 
     # ---- extraction -----------------------------------------------------------
-    def extract(self, m):
-        """Chart coordinates of a group matrix; entries may be exact scalars
-        or Poly.
+    def extract(self, u):
+        """Chart coordinates of the point n given as the entry map u of
+        n - I; entries may be exact scalars or Poly.
 
-        The charts peel one factor group at a time from the entry map
-        C = m - I of the remaining product: the log of I + C, read at the
-        decomposition positions, gives the coefficients of the group at
-        one end, and multiplying by the inverse exponential I + P removes
-        it, C <- C + P + PC (CP on the right).  Second-kind and
+        The charts peel one factor group at a time from the entry map C of
+        the remaining product minus I: the log of I + C, decomposed over
+        the basis, gives the coefficients of the group at one end, and
+        multiplying by the inverse exponential I + P removes it,
+        C <- P + C + PC (C + P + CP on the right).  Second-kind and
         matrix-entry charts peel from the left.  First-kind and
         three-factor charts peel from the right: the roots of the earlier
         groups span an ideal of n, so modulo it the product is the
         exponential of its last group alone.  From the left, the highest
         root's coefficient would pick up Baker-Campbell-Hausdorff brackets.
         """
-        alg = self.algebra
+        full_index = self.algebra.full_index
         size = self.realization.size
-        zero = m[0][0] * 0
-        cur = {}
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                cur[i, j] = x - 1 if i == j else x
         order = self.groups if self._peel_left else self.groups[::-1]
         vals: dict[int, object] = {}
         for k, group in enumerate(order):
-            log = linalg.nilpotent_series(cur, size, linalg.log_coeff)
-            cs = self.realization.read([alg.full_index(r) for r in group],
-                                       lambda i, j: log.get((i, j), zero))
+            log = linalg.nilpotent_series(u, size, linalg.log_coeff)
+            coeffs = self.realization.decompose(log)
+            cs = [coeffs[full_index(r)] for r in group]
             vals.update(zip(group, cs))
             if k + 1 < len(order):
                 peel = self._group_exp(group, [-c for c in cs])
-                prod = (linalg.sparse_mul(peel, cur) if self._peel_left
-                        else linalg.sparse_mul(cur, peel))
-                for p, x in (*peel.items(), *prod.items()):
-                    acc = cur.get(p)
-                    cur[p] = x if acc is None else acc + x
+                u = (linalg.unipotent_product(peel, u) if self._peel_left
+                     else linalg.unipotent_product(u, peel))
         return [vals[r] for r in self.coord_roots]
 
     # ---- points ---------------------------------------------------------------
-    def point_matrix(self, values):
+    def point(self, values):
+        """The point n - I at rational coordinates, an entry map without
+        zeros."""
         values = [exact(v) for v in values]
-        gen = self.generic_matrix()
-        return [[entry.eval(values) for entry in row] for row in gen]
+        return {p: v for p, x in self.generic_point().items()
+                if (v := x.eval(values))}
 
-    def coords_of_matrix(self, m) -> list[Scalar]:
-        """Coordinates of a rational matrix of N.  The point is recomposed
-        from them, so a matrix outside N raises ``LieAlgebraError`` (a
-        non-unipotent one may raise the log series' ``ValueError``)."""
+    def coords_of_point(self, u) -> list[Scalar]:
+        """Coordinates of the rational point n of N given as the entry map
+        u of n - I.  The point is recomposed from them, so a map outside N
+        raises ``LieAlgebraError`` (a non-unipotent one may raise the log
+        series' ``ValueError``)."""
         coords = [c.constant_value() if type(c) is Poly else exact(c)
-                  for c in self.extract(m)]
-        if self.point_matrix(coords) != m:
-            raise LieAlgebraError("matrix is not a point of the chart's group")
+                  for c in self.extract(u)]
+        if self.point(coords) != {p: x for p, x in u.items() if x}:
+            raise LieAlgebraError("map is not a point of the chart's group")
         return coords
 
     def multiply(self, pa, pb) -> list[Scalar]:
-        prod = linalg.mat_mul(self.point_matrix(pa), self.point_matrix(pb))
-        return self.coords_of_matrix(prod)
+        return self.coords_of_point(
+            linalg.unipotent_product(self.point(pa), self.point(pb)))
 
     # ---- frame ------------------------------------------------------------------
     def frame_components(self, slice_roots=None) -> dict[int, dict[int, Poly]]:
@@ -579,7 +551,7 @@ class Chart:
                            sum_j (-ad N_i)^j X_k / (j + 1)!,
 
         summed in the algebra from the structure constants alone
-        (:func:`minus_ad_series`): no group matrix is formed.  W is
+        (:func:`minus_ad_series`): no group point is formed.  W is
         unitriangular in contract (height) order, hence X_gamma =
         sum_k (W^{-1})[gamma][k] d_k, with W^{-1} from the finite Neumann
         series of W - I.  The formula is the same for every chart kind;
@@ -759,7 +731,7 @@ def adjoint_of_point(chart: Chart, element, indices=None, slice_roots=None):
     H_i to alpha_r(H_i) when s = r; for k = H_j it sends X_{-r} to
     -h_of_bracket[r][j].  The coefficient at k is the row dotted with the
     coordinates of E.  Rows are kept on the chart per slice and index, so
-    one row serves every element, and no group matrix is formed.
+    one row serves every element, and no group point is formed.
     """
     alg = chart.algebra
     coords = chart.realization.coordinates(

@@ -1,17 +1,20 @@
-"""Exact linear and matrix algebra helpers.
+"""Exact linear algebra helpers.
 
-Matrices are lists of lists whose entries are exact scalars or any ring
-element supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
+Vectors and matrices are sparse: an entry map ``{(i, j): value}`` for a
+matrix, ``{column: value}`` for a row; only :func:`rank`, :func:`solve`
+and :func:`symmetric_signature` take their small rational matrices as
+lists of lists.  Entries are exact scalars or any ring element
+supporting ``+``, ``-``, ``*`` (e.g. :class:`mclab.poly.Poly`).
 Scalars follow the rule of :mod:`mclab.poly`: an ``int`` when integral,
 else a ``Fraction``, never an approximate number, and divided only
 through ``Fraction``.  Every scalar computed here is returned in that
 form, whatever the form of the scalars given.
 
-The exponential, the log and the unipotent inverse are one finite series
-in a nilpotent matrix N given as a sparse entry map, summed until its
+There is one matrix product, :func:`sparse_mul`.  A unipotent matrix
+I + A is kept as the entry map A, and :func:`unipotent_product` is its
+group law, A + B + AB.  The exponential, the log and the unipotent
+inverse are one finite series in a nilpotent matrix N, summed until its
 power vanishes (:func:`nilpotent_series`, one coefficient rule each).
-exp(N) - I is multiplied into a matrix by :func:`mul_unipotent`; the one
-product of whole matrices, :func:`mat_mul`, serves the chart's group law.
 
 There is one eliminator, :func:`rref`: a sparse fraction-free elimination
 over the integers with deterministic (leftmost-column) pivoting, which
@@ -38,12 +41,11 @@ from typing import Callable
 
 from .poly import Poly, Scalar, exact
 
-Matrix = list
 _ZERO = 0
 
 
 # ---------------------------------------------------------------------------
-# generic matrix arithmetic
+# sparse matrix arithmetic
 # ---------------------------------------------------------------------------
 
 def _canonical(x):
@@ -58,77 +60,42 @@ def _is_zero(x) -> bool:
     return x.is_zero() if type(x) is Poly else x == 0
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product that skips zero entries, row by row (Gustavson,
-    ACM TOMS 4(3), 1978).
-
-    The nonzero products of each output entry are summed in increasing
-    inner index, the order of the dense triple loop, so every ``Poly``
-    entry keeps the dense loop's term order.  An entry with no nonzero
-    product is the dense loop's own zero ``a[i][0] * b[0][j]``, which
-    keeps its type and ring.  The result equals the dense loop's when
-    the entries of each operand are of one kind (all ``Fraction`` or all
-    ``Poly`` over one ring).
-    """
-    m = len(b[0])
-    b_rows = [[(j, y) for j, y in enumerate(row) if not _is_zero(y)]
-              for row in b]
-    out = []
-    for ai in a:
-        row = [None] * m
-        for x, bt in zip(ai, b_rows):
-            if not bt or _is_zero(x):
-                continue
-            for j, y in bt:
-                acc = row[j]
-                row[j] = x * y if acc is None else acc + x * y
-        out.append([_canonical(ai[0] * b[0][j] if acc is None else acc)
-                    for j, acc in enumerate(row)])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sparse unipotent factors
-# ---------------------------------------------------------------------------
-
-def sparse_dot(terms, factor, terms_left: bool = True):
-    """Sum of x * factor(q) (factor(q) * x when not ``terms_left``) over
-    the (q, x) of ``terms``, skipping zero factors; None when no product
-    is formed.
-
-    The products are added in the order of ``terms``.  Sorted by q, that
-    is the order in which :func:`mat_mul` adds the products of an entry,
-    so every ``Poly`` keeps the term order of the matrix product.  The
-    nilpotent series, the adjoint action and the frame of
-    :mod:`mclab.liealg` sum their entries here.
-    """
-    acc = None
-    for q, x in terms:
-        if _is_zero(x):
-            continue
-        y = factor(q)
-        if _is_zero(y):
-            continue
-        t = x * y if terms_left else y * x
-        acc = t if acc is None else acc + t
-    return _canonical(acc)
-
-
 def sparse_mul(a: dict, b: dict) -> dict:
-    """Product of sparse entry maps {(i, j): value}, zeros dropped."""
+    """Product of sparse entry maps {(i, j): value}, zeros dropped.
+
+    The nonzero products of an entry are added in increasing inner index,
+    the order of the dense triple loop, so the powers of
+    :func:`nilpotent_series` keep the dense series' term order.
+    """
     a_rows: dict[int, list] = {}
     for (i, q), x in sorted(a.items()):
-        a_rows.setdefault(i, []).append((q, x))
+        if not _is_zero(x):
+            a_rows.setdefault(i, []).append((q, x))
     b_cols: dict[int, dict] = {}
     for (q, j), y in b.items():
-        b_cols.setdefault(j, {})[q] = y
+        if not _is_zero(y):
+            b_cols.setdefault(j, {})[q] = y
     out: dict = {}
     for i, row in a_rows.items():
         for j, col in b_cols.items():
-            acc = sparse_dot(row, lambda q: col.get(q, _ZERO))
+            acc = None
+            for q, x in row:
+                y = col.get(q)
+                if y is not None:
+                    acc = x * y if acc is None else acc + x * y
             if acc is not None and not _is_zero(acc):
-                out[i, j] = acc
+                out[i, j] = _canonical(acc)
     return out
+
+
+def unipotent_product(a: dict, b: dict) -> dict:
+    """(I + A)(I + B) - I = A + B + AB of sparse entry maps, zeros
+    dropped: the group law of points stored as n - I."""
+    out = dict(a)
+    for p, x in (*b.items(), *sparse_mul(a, b).items()):
+        acc = out.get(p)
+        out[p] = x if acc is None else acc + x
+    return {p: _canonical(v) for p, v in out.items() if not _is_zero(v)}
 
 
 # coefficient rules c_k of the series sum_{k >= 1} c_k N^k:
@@ -173,26 +140,6 @@ def nilpotent_series(nil: dict, size: int,
         if power:
             raise ValueError("matrix is not nilpotent")
     return {p: _canonical(v) for p, v in out.items() if not _is_zero(v)}
-
-
-def mul_unipotent(m: Matrix, f: dict) -> Matrix:
-    """m (I + F) for a square m and F a sparse entry map.
-
-    Only the columns that F touches are formed again, each entry as the
-    :func:`sparse_dot` of that column of I + F with a row of m; the others
-    are those of m.  The diagonal of I + F is F's plus an exact one.
-    """
-    cols: dict[int, dict[int, object]] = {}
-    for (i, j), x in f.items():
-        cols.setdefault(j, {})[i] = x
-    out = [row[:] for row in m]
-    for j, col in cols.items():
-        col[j] = col[j] + 1 if j in col else 1
-        terms = sorted(col.items())
-        for i, row in enumerate(m):
-            acc = sparse_dot(terms, row.__getitem__, terms_left=False)
-            out[i][j] = _canonical(m[i][j] * 0) if acc is None else acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +333,8 @@ class SpanBasis:
     positions, and the coordinates of a span element are its entries at
     the positions times S.  ``inverse_rows`` holds S transposed, each row
     sorted by position slot, with its zero entries dropped.
-    :meth:`coefficients` and :meth:`sparse_coefficients` read the
-    positions only; :meth:`coordinates` also checks membership.
+    :meth:`sparse_coefficients` reads the positions only;
+    :meth:`coordinates` also checks membership.
     """
 
     def __init__(self, vectors: list[dict[int, Scalar]], ncols: int):
@@ -414,43 +361,27 @@ class SpanBasis:
             for t, _ in row:
                 self._rows_at[t].append(c)
 
-    def coefficients(self, sel, rows=None) -> list:
-        """Coordinates of the span element whose entry at ``positions[t]``
-        is ``sel[t]`` (a list, or a map holding every slot read).  With
-        ``rows`` only those coordinates, in that order.  Entries may be
-        exact scalars or Poly; zero entries are skipped, but a zero Poly
-        still makes its coordinate a Poly.  A scalar coordinate is an int
-        when integral and a Fraction otherwise, whatever the type of the
-        entries.  Membership is not checked."""
-        inv = self.inverse_rows
-        out = []
-        for c in range(len(inv)) if rows is None else rows:
-            acc = _ZERO
-            for t, x in inv[c]:
-                s = sel[t]
-                if not _is_zero(s):
-                    acc = acc + s * x
-                elif type(s) is Poly and type(acc) is not Poly:
-                    acc = s + acc
-            out.append(_canonical(acc))
-        return out
-
     def sparse_coefficients(self, target: dict) -> list:
-        """:meth:`coefficients` of a sparse target {column: value}, in time
-        proportional to its entries: only the inverse rows that read one
-        of them are summed, and every other coordinate is zero."""
+        """Coordinates of the span element whose entry at column c is
+        ``target[c]``, read at the positions only: membership is not
+        checked.  Entries may be exact scalars or Poly, and Poly entries
+        give Poly coordinates; a scalar coordinate is an int when integral
+        and a Fraction otherwise, whatever the type of the entries.  Time
+        is proportional to the entries: only the inverse rows that read a
+        nonzero one are summed, and every other coordinate is zero."""
         sel = {}
         for col, v in target.items():
             t = self._slot.get(col)
-            if t is not None:
+            if t is not None and not _is_zero(v):
                 sel[t] = v
-        rows = sorted({c for t in sel for c in self._rows_at[t]})
-        for c in rows:
-            for t, _ in self.inverse_rows[c]:
-                sel.setdefault(t, _ZERO)
         out = [_ZERO] * len(self.inverse_rows)
-        for c, x in zip(rows, self.coefficients(sel, rows)):
-            out[c] = x
+        for c in {c for t in sel for c in self._rows_at[t]}:
+            acc = _ZERO
+            for t, x in self.inverse_rows[c]:
+                s = sel.get(t)
+                if s is not None:
+                    acc = acc + s * x
+            out[c] = _canonical(acc)
         return out
 
     def coordinates(self, target: dict) -> list | None:

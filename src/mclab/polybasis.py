@@ -318,12 +318,4 @@ def verify_against_oracle(basis: OmegaComponentBasis) -> dict[str, bool]:
 def chart_transport(poly: Poly, src: Chart, dst: Chart) -> Poly:
     """Rewrite a polynomial function of the source chart in destination
     coordinates (same group, different parametrization)."""
-    coords = src.extract(dst.generic_matrix())
-    out = Poly.zero(dst.nvars)
-    for mono, c in poly.terms.items():
-        term = Poly.const(dst.nvars, c)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = term * coords[i]
-        out = out + term
-    return out
+    return poly.subs(dict(enumerate(src.extract(dst.generic_point()))))

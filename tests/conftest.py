@@ -103,6 +103,13 @@ def dense(entry_map, size):
     return out
 
 
+def sparse(m):
+    """The entry map {(i, j): value} of a dense matrix, zeros dropped: the
+    form in which the package takes an algebra element."""
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
+            if x != 0}
+
+
 def cartan_element(alg, coeffs):
     """The entry map of sum_i coeffs[i] H_i over the realization's Cartan
     basis, zeros dropped."""

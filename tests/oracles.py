@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 from math import factorial, gcd
 
-from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub
+from conftest import dense, frac_identity, mat_add, mat_scale, mat_sub, sparse
 from mclab import linalg
 from mclab.fields import PolyVectorField
 from mclab.hessenberg import analyze
@@ -26,6 +26,53 @@ from mclab.polybasis import solve_H_of_gamma
 def frac_zero(n: int, m: int | None = None):
     m = n if m is None else m
     return [[Q(0)] * m for _ in range(n)]
+
+
+def mat_prod(a, b):
+    """The dense triple loop a b, the products of an entry summed in
+    increasing inner index from a[i][0] b[0][j]: the reference matrix
+    product.  A later zero entry of a, which adds nothing, is skipped."""
+    out = []
+    for row in a:
+        terms = [(t, x) for t, x in enumerate(row) if t and x != 0]
+        out.append([sum((x * b[t][j] for t, x in terms), row[0] * b[0][j])
+                    for j in range(len(b[0]))])
+    return out
+
+
+def dense_point(u, size, nvars=None):
+    """I + U as a dense size x size matrix, for a point n given as the
+    entry map U of n - I (an empty U gives I): Poly entries over ``nvars``
+    variables when given, Fractions otherwise."""
+    if nvars is None:
+        one, zero = Q(1), Q(0)
+    else:
+        one, zero = Poly.const(nvars, 1), Poly.zero(nvars)
+    out = [[one if i == j else zero for j in range(size)]
+           for i in range(size)]
+    for (i, j), x in u.items():
+        out[i][j] = out[i][j] + x
+    return out
+
+
+def sparse_point(m):
+    """The entry map of m - I of a dense square matrix m, zeros dropped:
+    the form in which the chart takes a point."""
+    return sparse([[x - 1 if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(m)])
+
+
+def read_at_positions(real, entry, nvars=None):
+    """``real.decompose`` of the element whose matrix entry (i, j) is
+    ``entry(i, j)``, formed at the decomposition positions alone, the only
+    entries the decomposition reads.  With ``nvars`` every coefficient is
+    a Poly over that many variables, a zero one included."""
+    size = real.size
+    cells = [divmod(t, size) for t in real._span.positions]
+    coeffs = real.decompose({(i, j): entry(i, j) for i, j in cells})
+    if nvars is None:
+        return coeffs
+    return [c if type(c) is Poly else Poly.const(nvars, c) for c in coeffs]
 
 
 # the dense series' coefficient rules, written out apart from linalg's
@@ -50,7 +97,7 @@ def dense_nilpotent_series(nil, identity, start, coeff):
     out = [row[:] for row in start]
     power = identity
     for k in range(1, len(nil) + 1):
-        power = linalg.mat_mul(power, nil)
+        power = mat_prod(power, nil)
         if _is_zero_matrix(power):
             return out
         out = mat_add(out, mat_scale(power, coeff(k)))
@@ -82,7 +129,7 @@ def closed_form_generic_point(chart: Chart):
     alg = chart.algebra
     nv = chart.nvars
     if alg.family == "sl":
-        m = chart._poly_identity(nv)
+        m = dense_point({}, chart.realization.size, nv)
         for k, r in enumerate(chart.coord_roots):
             (i, j), = alg.realization.entries[alg.full_index(r)]
             m[i][j] = m[i][j] + Poly.var(nv, k)
@@ -103,8 +150,8 @@ def dense_generic_point(chart: Chart, inverse: bool = False):
     for the chart's sparse construction.  With ``inverse``, the reversed
     product of the groups' exp(-N)."""
     nv = chart.nvars
-    ident = chart._poly_identity(nv)
-    size = len(ident)
+    size = chart.realization.size
+    ident = dense_point({}, size, nv)
     point = ident
     for group in chart.groups[::-1] if inverse else chart.groups:
         nil = [[Poly.zero(nv)] * size for _ in range(size)]
@@ -113,7 +160,7 @@ def dense_generic_point(chart: Chart, inverse: bool = False):
             basis = dense(chart.realization.entries[
                 chart.algebra.full_index(r)], size)
             nil = mat_add(nil, [[x_r * x for x in row] for row in basis])
-        point = linalg.mat_mul(point, nilpotent_exp(nil, ident))
+        point = mat_prod(point, nilpotent_exp(nil, ident))
     return point
 
 
@@ -162,15 +209,14 @@ def matrix_adjoint_of_point(chart: Chart, element, indices=None,
         if left is None:
             row = gen_inv[i]
             left = left_rows[i] = [
-                (q, x) for q in sorted(e_cols)
-                if (x := linalg.sparse_dot(e_cols[q], row.__getitem__,
-                                           terms_left=False)) is not None]
-        acc = linalg.sparse_dot(left, lambda q: gen[q][j])
-        return zero if acc is None else acc
+                (q, sum((row[p] * x for p, x in e_cols[q]), zero))
+                for q in sorted(e_cols)]
+        return sum((x * gen[q][j] for q, x in left), zero)
 
+    coeffs = read_at_positions(chart.realization, entry, chart.nvars)
     if indices is None:
-        indices = range(chart.realization.dim)
-    return chart.realization.read(indices, entry)
+        return coeffs
+    return [coeffs[k] for k in indices]
 
 
 def coordinates_in_span(basis: list[list[Q]], target: list[Q]) -> list[Q] | None:
@@ -361,15 +407,15 @@ def adjoint_series_of_point(chart: Chart, point, element_coeffs, inverse=True):
     """
     alg = chart.algebra
     ad = alg.ad_realization()
+    real_size = chart.realization.size
     if point is None:
-        n = chart.generic_matrix()
-        ident = chart._poly_identity(chart.nvars)
+        n = dense_point(chart.generic_point(), real_size, chart.nvars)
+        ident = dense_point({}, real_size, chart.nvars)
     else:
-        n = chart.point_matrix(point)
-        ident = frac_identity(chart.realization.size)
+        n = dense_point(chart.point(point), real_size)
+        ident = frac_identity(real_size)
     nu = unipotent_log(n, ident)
-    nu_coeffs = chart.realization.read(range(chart.realization.dim),
-                                       lambda i, j: nu[i][j])
+    nu_coeffs = chart.realization.decompose(sparse(nu))
     poly_mode = point is None
     size = ad.size
     if poly_mode:
@@ -622,10 +668,9 @@ def point_frame(chart: Chart, slice_roots=None) -> dict[int, dict[int, Poly]]:
                 d_col = d_cols[j] = [
                     (q, d) for q, row in enumerate(gen)
                     if not (d := row[j].diff(k)).is_zero()]
-            acc = linalg.sparse_dot(d_col, gen_inv[i].__getitem__,
-                                    terms_left=False)
-            return zero if acc is None else acc
-        w.append(chart.realization.read(cols, entry))
+            return sum((gen_inv[i][q] * d for q, d in d_col), zero)
+        coeffs = read_at_positions(chart.realization, entry, chart.nvars)
+        w.append([coeffs[c] for c in cols])
     one = Poly.const(chart.nvars, 1)
     nil = {(k, g): p - one if k == g else p
            for k, row in enumerate(w) for g, p in enumerate(row)}

@@ -17,8 +17,9 @@ from fractions import Fraction as Q
 
 import pytest
 from conftest import (cartan_element, dense, flip_component_table,
-                      flip_poly, mat_add, mat_eq, mat_sub, record_acceptance)
-from oracles import full_tau_basis, unipotent_inverse
+                      flip_poly, mat_add, mat_eq, mat_sub, record_acceptance,
+                      sparse)
+from oracles import dense_point, full_tau_basis, mat_prod, unipotent_inverse
 
 from mclab import linalg
 from mclab.fields import PolyVectorField
@@ -340,13 +341,12 @@ def test_criterion_6_oracle(sl4, chart_sl4):
     w = rs.highest_root.id
     # literal matrix oracle: conjugate the diagonal element by the generic
     # point and read the corner entry
-    gen = chart_sl4.generic_matrix()
-    ident = chart_sl4._poly_identity(chart_sl4.nvars)
-    n_inv = unipotent_inverse(gen, ident)
+    gen = dense_point(chart_sl4.generic_point(), 4, chart_sl4.nvars)
+    n_inv = unipotent_inverse(gen, dense_point({}, 4, chart_sl4.nvars))
     hmat = [[Poly.const(chart_sl4.nvars,
                         [Q(-1), Q(1, 2), Q(-1, 2), Q(1)][r] if r == c else 0)
              for c in range(4)] for r in range(4)]
-    conj = linalg.mat_mul(linalg.mat_mul(n_inv, hmat), gen)
+    conj = mat_prod(mat_prod(n_inv, hmat), gen)
     assert eqs.polynomials[w] == conj[0][3]
     names = chart_sl4.var_names
     assert eqs.polynomials[w].render(names) == \
@@ -432,8 +432,7 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
     for alg, chart in ((sl3, chart_sl3), (sl4, chart_sl4), (sp2, chart_sp2)):
         basis = [dense(e, alg.realization.size)
                  for e in alg.realization.entries]
-        comm = lambda a, b: mat_sub(linalg.mat_mul(a, b),
-                                    linalg.mat_mul(b, a))
+        comm = lambda a, b: mat_sub(mat_prod(a, b), mat_prod(b, a))
         for a in basis:
             for b in basis:
                 for c in basis:
@@ -506,10 +505,8 @@ def test_criterion_9_nu(sl4, sp2, chart_sl4, chart_sp2):
                     if kb < ka:
                         continue
                     mb = dense(real.entries[kb], real.size)
-                    comm = mat_sub(linalg.mat_mul(ma, mb),
-                                   linalg.mat_mul(mb, ma))
-                    coeffs = real.read(range(alg.dim),
-                                       lambda i, j: comm[i][j])
+                    comm = mat_sub(mat_prod(ma, mb), mat_prod(mb, ma))
+                    coeffs = real.decompose(sparse(comm))
                     lhs = None
                     for k, c in enumerate(coeffs):
                         if c != 0:
@@ -568,9 +565,8 @@ def test_criterion_9_norma():
                 for g in hs.C:
                     x_neg = matrix[alg.full_index(neg)]
                     x_g = matrix[alg.full_index(g)]
-                    comm = mat_sub(linalg.mat_mul(x_neg, x_g),
-                                   linalg.mat_mul(x_g, x_neg))
-                    cf = real.read(range(alg.dim), lambda i, j: comm[i][j])
+                    comm = mat_sub(mat_prod(x_neg, x_g), mat_prod(x_g, x_neg))
+                    cf = real.decompose(sparse(comm))
                     for k, c in enumerate(cf):
                         if c != 0 and (k < alg.rank
                                        or (k - alg.rank) not in hs.C):

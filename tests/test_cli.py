@@ -73,6 +73,24 @@ def test_root_token_parsing():
     assert parse_root_token(a3, "110") == a3.id_of((1, 1, 0))
 
 
+def test_root_aliases_reach_rank_four():
+    """The aliases a-d name simple roots up to rank 4; from rank 5 on the
+    error names that limit and the coefficient-string form."""
+    a4 = build_root_system("A", 4)
+    assert parse_root_token(a4, "c+d") == a4.id_of((0, 0, 1, 1))
+    code, out = run_cli(["hess", "A", "4", "--hessenberg", "a,d"])
+    assert code == 0
+    assert json.loads(out)["reports"][0]["R_names"] == ["1000", "0001"]
+    code, out = run_cli(["hess", "A", "5", "--hessenberg", "a"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "CliError",
+        "message": "cannot parse root token 'a': root aliases a-d work up "
+                   "to rank 4; give 5 simple-root coefficients, like "
+                   "'11111'"}
+    assert run_cli(["hess", "A", "5", "--hessenberg", "10000"])[0] == 0
+
+
 def test_hess_command():
     code, out = run_cli(["hess", "C", "2", "--hessenberg", "a,b,a+b"])
     assert code == 0

@@ -17,27 +17,26 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mclab import linalg
 from mclab.hessenberg import enumerate_all
 from mclab.liealg import (LieAlgebraError, build_sp, first_kind_chart,
                           matrix_chart, second_kind_chart, three_factor_chart)
 from mclab.poly import Poly
 
-from conftest import dense, mat_add
-from oracles import point_frame
+from oracles import dense_point, mat_prod, point_frame, sparse_point
 
 
 def reference_frame(chart):
     ext = chart.nvars + 1
     eps = chart.nvars
-    gen = [[p.lift(ext) for p in row] for row in chart.generic_matrix()]
-    ident = chart._poly_identity(ext)
+    size = chart.realization.size
+    gen = dense_point({p: x.lift(ext) for p, x in chart.generic_point().items()},
+                      size, ext)
     rows = {}
     for r in chart.coord_roots:
         x_r = chart.realization.entries[chart.algebra.full_index(r)]
-        step = [[Poly.var(ext, eps, x) for x in row]
-                for row in dense(x_r, chart.realization.size)]
-        moved = linalg.mat_mul(gen, mat_add(ident, step))
+        step = dense_point({p: Poly.var(ext, eps, x) for p, x in x_r.items()},
+                           size, ext)
+        moved = sparse_point(mat_prod(gen, step))
         row = {}
         for k, c in enumerate(chart.extract(moved)):
             d = c.diff(eps).subs({eps: 0})
@@ -78,7 +77,7 @@ def test_extract_inverts_generic_point(name, kind, request):
     coordinate k comes back as variable k, for every chart kind."""
     chart = _CHARTS[kind](request.getfixturevalue(name))
     n = chart.nvars
-    assert chart.extract(chart.generic_matrix()) == \
+    assert chart.extract(chart.generic_point()) == \
         [Poly.var(n, k) for k in range(n)]
 
 

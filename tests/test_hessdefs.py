@@ -4,27 +4,26 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mclab import linalg
 from mclab.hessdefs import (HessDefError, defining_equations, graph_map,
                             pushforward_frame, smoothness_certificate)
 from mclab.hessenberg import enumerate_all, type_p_subset, validate
 from mclab.liealg import build_sl, build_sp, default_chart, matrix_chart
 from mclab.poly import Poly
 
-from oracles import unipotent_inverse
+from oracles import dense_point, mat_prod, unipotent_inverse
 
 H_SL4 = [Q(-1), Q(-1, 2), Q(-1)]     # diag(-1, 1/2, -1/2, 1)
 
 
 def literal_conjugation_entry(chart, h_diag, i, j):
     """Independent oracle: the (i, j) entry of n^{-1} H n computed from
-    the generic matrix by direct multiplication."""
-    gen = chart.generic_matrix()
-    ident = chart._poly_identity(chart.nvars)
-    n_inv = unipotent_inverse(gen, ident)
+    the dense generic point by direct multiplication."""
+    size = chart.realization.size
+    gen = dense_point(chart.generic_point(), size, chart.nvars)
+    n_inv = unipotent_inverse(gen, dense_point({}, size, chart.nvars))
     hmat = [[Poly.const(chart.nvars, h_diag[r] if r == c else 0)
              for c in range(len(h_diag))] for r in range(len(h_diag))]
-    conj = linalg.mat_mul(linalg.mat_mul(n_inv, hmat), gen)
+    conj = mat_prod(mat_prod(n_inv, hmat), gen)
     return conj[i][j]
 
 

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from mclab import linalg
 from mclab.hessenberg import (HessenbergError, analyze, check_norma,
                               enumerate_all, type_p_subset, validate)
 from mclab.liealg import build_sl, build_sp
 from mclab.rootsys import build_root_system
 
-from conftest import dense, mat_sub
+from conftest import dense, mat_sub, sparse
+from oracles import mat_prod
 
 ENUM_SYSTEMS = [("A", 2), ("A", 3), ("A", 4),
                 ("B", 3), ("C", 2), ("C", 3), ("C", 4), ("D", 4)]
@@ -191,10 +191,9 @@ def _brute_force_normalizer_support(algebra, hs):
         neg = rs.neg(a)
         ok = True
         for g in hs.C:
-            comm = mat_sub(
-                linalg.mat_mul(root_matrix(neg), root_matrix(g)),
-                linalg.mat_mul(root_matrix(g), root_matrix(neg)))
-            coeffs = real.read(range(algebra.dim), lambda i, j: comm[i][j])
+            comm = mat_sub(mat_prod(root_matrix(neg), root_matrix(g)),
+                           mat_prod(root_matrix(g), root_matrix(neg)))
+            coeffs = real.decompose(sparse(comm))
             for k, c in enumerate(coeffs):
                 if c == 0:
                     continue

@@ -19,7 +19,8 @@ from mclab.poly import Poly
 from conftest import (dense, frac_identity, mat_add, mat_eq, mat_scale,
                       mat_sub, solve_H0)
 from oracles import (adjoint_series_of_point, closed_form_generic_point,
-                     dense_generic_point, matrix_adjoint_of_point,
+                     dense_generic_point, dense_point, mat_prod,
+                     matrix_adjoint_of_point, sparse_point,
                      unipotent_inverse)
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "sp2"]
@@ -69,8 +70,15 @@ def _root_matrix(alg, root_id):
                  alg.realization.size)
 
 
+def _every_entry(m, size):
+    """The entry map m with every other entry of its size x size matrix
+    present as an explicit zero."""
+    return {(i, j): m.get((i, j), 0) for i in range(size)
+            for j in range(size)}
+
+
 def _comm(a, b):
-    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return mat_sub(mat_prod(a, b), mat_prod(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +223,9 @@ def test_group_identity_and_inverse(chart_sl4):
     e = [Q(0)] * chart_sl4.nvars
     assert chart_sl4.multiply(e, pt) == pt
     assert chart_sl4.multiply(pt, e) == pt
-    ident = frac_identity(chart_sl4.realization.size)
-    inv = chart_sl4.coords_of_matrix(
-        unipotent_inverse(chart_sl4.point_matrix(pt), ident))
+    size = chart_sl4.realization.size
+    inv = chart_sl4.coords_of_point(sparse_point(unipotent_inverse(
+        dense_point(chart_sl4.point(pt), size), frac_identity(size))))
     assert chart_sl4.multiply(pt, inv) == e
     assert chart_sl4.multiply(inv, pt) == e
 
@@ -252,10 +260,10 @@ def test_chart_changes_are_mutually_inverse(sl3, sl4, sp2):
                   second_kind_chart(alg), three_factor_chart(alg)]
         pt = [Q(k + 1, 2) * (-1) ** k for k in range(charts[0].nvars)]
         for src in charts:
-            m = src.point_matrix(pt)
+            u = src.point(pt)
             for dst in charts:
-                other = dst.coords_of_matrix(m)
-                assert src.coords_of_matrix(dst.point_matrix(other)) == pt
+                other = dst.coords_of_point(u)
+                assert src.coords_of_point(dst.point(other)) == pt
 
 
 def test_unknown_chart_kind_fails_at_construction(sl3):
@@ -282,13 +290,13 @@ def _shifted_identity(size, i, j, c):
 ])
 def test_coords_of_matrix_rejects_matrix_outside_n(name, bad, error,
                                                    algebras):
-    """Lower-triangular unipotent matrices are not points of N, and every
-    chart kind says so instead of returning coordinates.  A non-unipotent
-    matrix may instead raise the log series' ValueError, which
-    LieAlgebraError subclasses."""
+    """Lower-triangular unipotent matrices, given as the entry map of
+    m - I, are not points of N, and every chart kind says so instead of
+    returning coordinates.  A non-unipotent matrix may instead raise the
+    log series' ValueError, which LieAlgebraError subclasses."""
     for kind in _kinds(name):
         with pytest.raises(error):
-            Chart(algebras[name], kind).coords_of_matrix(bad)
+            Chart(algebras[name], kind).coords_of_point(sparse_point(bad))
 
 
 def test_frame_sl3_matches_reference(chart_sl3):
@@ -447,30 +455,24 @@ def test_decompose_basis_matrices(name, algebras):
         for p, x in e.items():
             combo[p] = combo.get(p, 0) + c * x
     assert real.decompose(combo) == coeffs
-    # the reader chart extraction uses, on the dense matrix of the same
-    # combination: all coefficients, and any subset in the order asked
-    m = dense(combo, real.size)
-    assert real.read(range(real.dim), lambda i, j: m[i][j]) == coeffs
-    subset = list(range(real.dim))[::-3]
-    assert real.read(subset, lambda i, j: m[i][j]) == \
-        [coeffs[k] for k in subset]
+    # the same combination with every zero entry of its dense matrix kept
+    assert real.decompose(_every_entry(combo, real.size)) == coeffs
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3",
                                   "sp4"])
 def test_sparse_decompose_matches_dense(name, algebras):
     """A sparse entry map is decomposed from its nonzeros alone; the
-    coefficients equal those read from the dense matrix on every basis
-    bracket, in the matrix and the adjoint realization."""
+    coefficients equal those of the map holding every entry of the dense
+    matrix, zeros included, on every basis bracket, in the matrix and the
+    adjoint realization."""
     alg = algebras[name]
     for real in (alg.realization, alg.ad_realization()):
-        every = range(real.dim)
         for a in real.entries:
             for b in real.entries:
                 comm = _sparse_bracket(a, b)
-                m = dense(comm, real.size)
                 assert real.decompose(comm) == \
-                    real.read(every, lambda i, j: m[i][j])
+                    real.decompose(_every_entry(comm, real.size))
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sl6", "sp2"])
@@ -479,24 +481,44 @@ def test_matrix_chart_generic_point_is_closed_form(name, algebras):
     closed form: I + sum_r x_r E_r for sl(n), the standard presentation's
     point for sp(2)."""
     chart = matrix_chart(algebras[name])
-    assert chart.generic_matrix() == closed_form_generic_point(chart)
+    assert dense_point(chart.generic_point(), chart.realization.size,
+                       chart.nvars) == closed_form_generic_point(chart)
 
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sl5", "sp2", "sp3", "sp4"])
 def test_generic_point_matches_dense_exponential_product(name, algebras):
-    """Every chart's sparse generic point equals the dense product of the
-    dense exponentials of its root groups, term order included, and
-    extraction reads the coordinates back."""
+    """Every chart's sparse generic point n - I, plus I, equals the dense
+    product of the dense exponentials of its root groups, Poly for Poly,
+    and extraction reads the coordinates back."""
     alg = algebras[name]
     for kind in _kinds(name):
         chart = Chart(alg, kind)
-        got = chart.generic_matrix()
-        want = dense_generic_point(chart)
-        for rg, rw in zip(got, want):
-            for x, y in zip(rg, rw):
-                assert list(x.terms.items()) == list(y.terms.items())
+        got = chart.generic_point()
+        assert all(not x.is_zero() for x in got.values())
+        assert dense_point(got, chart.realization.size, chart.nvars) == \
+            dense_generic_point(chart)
         assert chart.extract(got) == [Poly.var(chart.nvars, k)
                                       for k in range(chart.nvars)]
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl4", "sl5", "sp2", "sp3"])
+def test_multiply_matches_dense_product(name, algebras):
+    """The group law on entry maps, ``unipotent_product``, against the
+    dense triple loop: the product of two points is the dense product of
+    the two dense points, minus I, and ``multiply`` gives its
+    coordinates, on every chart kind."""
+    alg = algebras[name]
+    size = alg.realization.size
+    for kind in _kinds(name):
+        chart = Chart(alg, kind)
+        n = chart.nvars
+        p = [Q(k + 1, 3) * (-1) ** k for k in range(n)]
+        q = [Q(2 - k, k + 2) for k in range(n)]
+        want = sparse_point(mat_prod(dense_point(chart.point(p), size),
+                                     dense_point(chart.point(q), size)))
+        assert linalg.unipotent_product(chart.point(p), chart.point(q)) == \
+            want
+        assert chart.multiply(p, q) == chart.coords_of_point(want)
 
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "sp2", "sp3"])
@@ -507,9 +529,10 @@ def test_generic_inverse_matches_neumann_series(name, algebras):
     alg = algebras[name]
     for kind in _kinds(name):
         chart = Chart(alg, kind)
-        ident = chart._poly_identity(chart.nvars)
-        assert dense_generic_point(chart, inverse=True) == \
-            unipotent_inverse(chart.generic_matrix(), ident)
+        size = chart.realization.size
+        assert dense_generic_point(chart, inverse=True) == unipotent_inverse(
+            dense_point(chart.generic_point(), size, chart.nvars),
+            dense_point({}, size, chart.nvars))
 
 
 def _assert_adjoint_matches_matrix_oracle(name, algebras, slices):

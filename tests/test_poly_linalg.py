@@ -15,8 +15,8 @@ from conftest import dense, frac_identity, mat_add, mat_eq
 from oracles import (DENSE_COEFFS, FractionPoly, coordinates_in_span,
                      dense_generic_point, dense_nilpotent_series,
                      dense_symmetric_signature, free_vector_inverse_rows,
-                     matrix_adjoint_of_point, nilpotent_exp,
-                     rref_disagreements)
+                     mat_prod, matrix_adjoint_of_point, nilpotent_exp,
+                     read_at_positions, rref_disagreements)
 
 
 coeffs = st.fractions(min_value=-5, max_value=5,
@@ -208,6 +208,29 @@ def test_poly_matches_fraction_oracle(data, nvars):
         dict(enumerate(point))).terms.get((0,) * nvars, 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_term_order_cannot_reach_output(data, nvars):
+    """A Poly built from the same terms in two insertion orders, through
+    the constructor or as a sum of monomials, compares equal, hashes
+    equal and renders the same bytes: the order in which a product adds
+    its terms reaches no output."""
+    monos = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = data.draw(st.dictionaries(monos, _mixed, max_size=6))
+    order = data.draw(st.permutations(list(terms)))
+    names = [f"x{i}" for i in range(nvars)]
+    built = [Poly(nvars, terms), Poly(nvars, {m: terms[m] for m in order})]
+    for monomials in (terms, order):
+        total = Poly.zero(nvars)
+        for m in monomials:
+            total = total + Poly(nvars, {m: terms[m]})
+        built.append(total)
+    first = built[0]
+    for p in built[1:]:
+        assert p == first and hash(p) == hash(first)
+        assert p.render(names) == first.render(names)
+
+
 def test_exact_is_the_scalar_rule():
     assert [exact(x) for x in (3, Q(6, 2), Q(-4), Q(0), True)] == [3, 3, -4,
                                                                  0, 1]
@@ -382,10 +405,15 @@ def test_span_basis_property(data):
         coords = _dense_coordinates(basis, target)
         if coords is not None:
             assert span.sparse_coefficients(_sparse([target])[0]) == coords
-        # Poly entries at the positions give the same coefficients
-        sel = [target[p] for p in span.positions]
-        assert span.coefficients([Poly.const(2, x) for x in sel]) == \
-            [Poly.const(2, x) for x in span.coefficients(sel)]
+        # Poly entries give Poly coordinates of the same values: every
+        # coordinate whose inverse row reads a nonzero entry is a Poly
+        sparse_target = _sparse([target])[0]
+        got = span.sparse_coefficients(
+            {c: Poly.const(2, x) for c, x in sparse_target.items()})
+        assert got == [Poly.const(2, x)
+                       for x in span.sparse_coefficients(sparse_target)]
+        assert all(type(x) is Poly for x, row in zip(got, span.inverse_rows)
+                   if any(target[span.positions[t]] for t, _ in row))
     if basis:
         with pytest.raises(ValueError):
             linalg.SpanBasis(_sparse(basis + [basis[-1]]), ncols)
@@ -451,14 +479,14 @@ def test_span_coordinates_check_membership(data):
 
 
 def _loop_coefficients(span, sel):
-    """Reference: the loop that multiplies in every truthy entry, which
-    is every Poly, zero or not (Poly defines no ``__bool__``)."""
+    """Reference: every inverse row over the dense list of the entries at
+    the positions, each nonzero entry multiplied in."""
     out = []
     for row in span.inverse_rows:
         acc = Q(0)
         for t, x in row:
             s = sel[t]
-            if s:
+            if s != 0:
                 acc = acc + s * x
         out.append(acc)
     return out
@@ -469,24 +497,18 @@ _SPAN3 = [{0: Q(1), 1: Q(2), 2: Q(-1)}, {0: Q(1), 1: Q(-1), 2: Q(1)},
           {1: Q(1), 2: Q(3)}]
 
 
-def test_span_coefficients_of_zero_polys_stay_polys():
-    span = linalg.SpanBasis(_SPAN3, 3)
-    sel = [Poly.zero(2)] * 3
-    got = span.coefficients(sel)
-    assert all(isinstance(x, Poly) and x.is_zero() for x in got)
-    _assert_same_entries([got], [_loop_coefficients(span, sel)])
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_span_coefficients_skip_zero_entries(data):
-    """Skipping zero entries of any kind gives the reference's values,
-    types and term order, for Poly, Fraction and mixed selections."""
+    """A sparse target read from the rows its entries name, zero entries
+    of any kind skipped, gives the reference's values, types and term
+    order, for Poly, Fraction and mixed targets; a target of zeros alone
+    reads as scalar zeros."""
     span = linalg.SpanBasis(_SPAN3, 3)
     kinds = data.draw(st.sampled_from([(Poly,), (Q,), (Poly, Q)]))
     sel = [_draw_entry(data, data.draw(st.sampled_from(kinds)))
            for _ in range(3)]
-    _assert_same_entries([span.coefficients(sel)],
+    _assert_same_entries([span.sparse_coefficients(dict(enumerate(sel)))],
                          [_loop_coefficients(span, sel)])
 
 
@@ -581,8 +603,9 @@ def test_nilpotent_series():
     n = {(0, 1): Q(1), (0, 2): Q(2), (1, 2): Q(3)}
     u = mat_add(frac_identity(3), dense(n, 3))
     inv = linalg.nilpotent_series(n, 3, linalg.inverse_coeff)
-    assert mat_eq(linalg.mat_mul(u, mat_add(frac_identity(3), dense(inv, 3))),
+    assert mat_eq(mat_prod(u, mat_add(frac_identity(3), dense(inv, 3))),
                   frac_identity(3))
+    assert linalg.unipotent_product(n, inv) == {}
     log = linalg.nilpotent_series(n, 3, linalg.log_coeff)
     assert linalg.nilpotent_series(log, 3, linalg.exp_coeff) == n
 
@@ -633,22 +656,6 @@ def test_sparse_exponential_rejects_non_nilpotent():
 # sparse matrix product against the dense triple loop
 # ---------------------------------------------------------------------------
 
-def _dense_mat_mul(a, b):
-    """Reference: the dense triple loop, every product summed in
-    increasing inner index, zero entries included."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _canonical_type(x):
     """Poly, or the type of the canonical scalar equal to x: int iff x is
     integral, else Fraction."""
@@ -661,8 +668,7 @@ def _canonical_type(x):
 def _assert_same_entries(got, want, term_order=True):
     """Equal entries of equal canonical type (a Poly, an integral scalar
     or a non-integral one); Poly entries over the same ring with their
-    terms in the same order (the order fixes the output bytes of a
-    matrix product; ``term_order`` False skips this) and every
+    terms in the same order (``term_order`` False skips this) and every
     coefficient canonical on both sides."""
     assert len(got) == len(want)
     for rg, rw in zip(got, want):
@@ -706,16 +712,6 @@ def _draw_matrix(data, kind, nrows, ncols):
     return m
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(),
-       kinds=st.sampled_from([(Q, Q), (Poly, Poly), (Poly, Q), (Q, Poly)]))
-def test_mat_mul_matches_dense_loop(data, kinds):
-    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
-    a = _draw_matrix(data, kinds[0], n, k)
-    b = _draw_matrix(data, kinds[1], k, m)
-    _assert_same_entries(linalg.mat_mul(a, b), _dense_mat_mul(a, b))
-
-
 def _strictly_upper_after(perm, m, zero):
     """m with every entry off the strictly upper part of the order
     ``perm`` set to zero: nilpotent, but not triangular in the index
@@ -743,7 +739,7 @@ def _draw_nilpotent(data, kind, n):
         c = data.draw(_small)
         p, p_inv = [row[:] for row in ident], [row[:] for row in ident]
         p[a][b], p_inv[a][b] = ident[0][0] * c, ident[0][0] * -c
-        nil = _dense_mat_mul(_dense_mat_mul(p, nil), p_inv)
+        nil = mat_prod(mat_prod(p, nil), p_inv)
     return nil
 
 
@@ -771,20 +767,32 @@ def test_nilpotent_series_matches_dense(data, kind, rule):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), kind=st.sampled_from([Q, Poly]))
 def test_sparse_group_exponential_matches_dense(data, kind):
-    """Multiplying a matrix by I + F, for F = exp(N) - I of a nilpotent N
-    (diagonal entries, and -1 there, included), equals the dense loop
-    product with I + F: values, types and term order."""
+    """The group law of entry maps, ``unipotent_product``, of F =
+    exp(N) - I for a nilpotent N (diagonal entries, and -1 there,
+    included) and a drawn M, either way round, equals the dense loop
+    product (I + M)(I + F) - I: values, types and ring, zeros dropped."""
     n = data.draw(st.integers(1, 4))
     nil = _draw_nilpotent(data, kind, n)
     f = linalg.nilpotent_series(
         {(i, j): x for i, row in enumerate(nil) for j, x in enumerate(row)},
         n, linalg.exp_coeff)
-    ident = _dense_identity(nil[0][0] * 0, n)
+    zero = nil[0][0] * 0
+    ident = _dense_identity(zero, n)
+    m = _draw_matrix(data, kind, n, n)
+    m_map = {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)}
     unipotent = [[f[i, j] + ident[i][j] if (i, j) in f else ident[i][j]
                   for j in range(n)] for i in range(n)]
-    m = _draw_matrix(data, kind, n, n)
-    _assert_same_entries(linalg.mul_unipotent(m, f),
-                         _dense_mat_mul(m, unipotent))
+    m_plus_i = [[x + ident[i][j] for j, x in enumerate(row)]
+                for i, row in enumerate(m)]
+    for got, want in ((linalg.unipotent_product(m_map, f),
+                       mat_prod(m_plus_i, unipotent)),
+                      (linalg.unipotent_product(f, m_map),
+                       mat_prod(unipotent, m_plus_i))):
+        assert all(x != 0 for x in got.values())
+        _assert_same_entries(
+            [[got.get((i, j), zero) for j in range(n)] for i in range(n)],
+            [[x - ident[i][j] for j, x in enumerate(row)]
+             for i, row in enumerate(want)], term_order=False)
 
 
 _ADJOINT_CASES = ([(a, k) for a in ("sl3", "sl4", "sl5", "sp2")
@@ -797,8 +805,7 @@ _ADJOINT_CASES = ([(a, k) for a in ("sl3", "sl4", "sl5", "sp2")
 
 
 @pytest.mark.parametrize("alg_name,kind", _ADJOINT_CASES)
-def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
-                                                    alg_name, kind):
+def test_adjoint_of_point_matches_lifted_dense_path(request, alg_name, kind):
     """tau's adjoint action at the generic point against a reference with
     every product through the dense loop (the generic point as the dense
     product of dense group exponentials, and its inverse, included) and
@@ -812,18 +819,16 @@ def test_adjoint_of_point_matches_lifted_dense_path(request, monkeypatch,
     alg = request.getfixturevalue(alg_name)
     kind, _, backend = kind.partition("-")
     real = alg.ad_realization() if backend == "ad" else alg.realization
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "mat_mul", _dense_mat_mul)
-        old = Chart(alg, kind, realization=real)
-        n = dense_generic_point(old)
-        n_inv = dense_generic_point(old, inverse=True)
-        want = []
-        for k in range(alg.dim):
-            elem = [[Poly.const(old.nvars, x) for x in row]
-                    for row in dense(real.entries[k], real.size)]
-            conj = _dense_mat_mul(_dense_mat_mul(n_inv, elem), n)
-            want.append(real.read(range(alg.dim), lambda i, j: conj[i][j]))
     new = Chart(alg, kind, realization=real)
+    n = dense_generic_point(new)
+    n_inv = dense_generic_point(new, inverse=True)
+    want = []
+    for k in range(alg.dim):
+        elem = [[Poly.const(new.nvars, x) for x in row]
+                for row in dense(real.entries[k], real.size)]
+        conj = mat_prod(mat_prod(n_inv, elem), n)
+        want.append(read_at_positions(real, lambda i, j: conj[i][j],
+                                      new.nvars))
     _assert_same_entries([matrix_adjoint_of_point(new, real.entries[k])
                           for k in range(alg.dim)], want)
     got = [adjoint_of_point(new, real.entries[k]) for k in range(alg.dim)]

@@ -20,12 +20,12 @@ from itertools import combinations
 
 import pytest
 
-from mclab import liealg, linalg
+from mclab import liealg
 from mclab.liealg import (LieAlgebraError, Realization, SplitLieAlgebra,
                           _sparse_bracket, build_sl, build_sp)
 
 from conftest import dense, frac_identity, mat_eq, mat_scale, mat_sub
-from oracles import (coordinates_in_span, decomposition_tables,
+from oracles import (coordinates_in_span, decomposition_tables, mat_prod,
                      unipotent_inverse)
 
 
@@ -34,7 +34,7 @@ from oracles import (coordinates_in_span, decomposition_tables,
 # ---------------------------------------------------------------------------
 
 def _dense_bracket(a, b):
-    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return mat_sub(mat_prod(a, b), mat_prod(b, a))
 
 
 class DenseOracle:
@@ -124,7 +124,7 @@ def test_tables_match_dense_oracle(name, request):
     entries = alg.realization.entries
     for e1, m1 in zip(entries, oracle.basis):
         for e2, m2 in zip(entries, oracle.basis):
-            prod = linalg.mat_mul(m1, m2)
+            prod = mat_prod(m1, m2)
             assert alg.trace_form(e1, e2) == sum(
                 (prod[i][i] for i in range(len(prod))), Q(0))
 
@@ -330,7 +330,7 @@ def test_only_opposite_root_pairs_decomposed(name, request, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _conjugate(m, g, g_inv):
-    prod = linalg.mat_mul(linalg.mat_mul(g, dense(m, len(g))), g_inv)
+    prod = mat_prod(mat_prod(g, dense(m, len(g))), g_inv)
     return {(i, j): x for i, row in enumerate(prod)
             for j, x in enumerate(row) if x}
 

@@ -19,6 +19,7 @@ from mclab.liealg import matrix_chart
 from mclab.mcfields import tau
 
 from conftest import dense
+from oracles import dense_point, sparse_point
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def test_tau_equals_definitional_derivative(size, sl3, sl4):
     alg = {3: sl3, 4: sl4}[size]
     chart = matrix_chart(alg)
     for pt in POINTS[size]:
-        n_mat = chart.point_matrix(pt)
+        n_mat = dense_point(chart.point(pt), size)
         for k in range(alg.dim):
             e = alg.realization.entries[k]
             E = dense(e, size)
@@ -144,7 +145,7 @@ def test_tau_sp2_positive_and_cartan_directions(sp2, chart_sp2):
     big-cell factor is computable by exact group operations alone."""
     pts = [[Q(1), Q(-2), Q(3), Q(1, 2)], [Q(2, 3), Q(1), Q(0), Q(-1)]]
     for pt in pts:
-        n_mat = chart_sp2.point_matrix(pt)
+        n_mat = dense_point(chart_sp2.point(pt), 4)
         # positive root directions: exp(-tE) n stays unipotent, so the
         # factor is the literal product
         for r in range(sp2.rs.n_pos):
@@ -154,8 +155,7 @@ def test_tau_sp2_positive_and_cartan_directions(sp2, chart_sp2):
                          for j in range(4)] for i in range(4)]
             g = mat_mul(minus_tE, dual_mat(n_mat))
             # a coordinate that is exactly 0 comes back as a Fraction
-            coords = [_lift(c) for c in
-                      chart_sp2.extract([[c for c in row] for row in g])]
+            coords = [_lift(c) for c in chart_sp2.extract(sparse_point(g))]
             field = tau(sp2, chart_sp2, e).to_coordinate()
             for k, root in enumerate(chart_sp2.coord_roots):
                 assert coords[k].a == pt[k]
@@ -169,8 +169,7 @@ def test_tau_sp2_positive_and_cartan_directions(sp2, chart_sp2):
             plus_tH = [[Dual(Q(1) if r == c else Q(0), Q(H[r][c]))
                         for c in range(4)] for r in range(4)]
             g = mat_mul(mat_mul(minus_tH, dual_mat(n_mat)), plus_tH)
-            coords = [_lift(c) for c in
-                      chart_sp2.extract([[c for c in row] for row in g])]
+            coords = [_lift(c) for c in chart_sp2.extract(sparse_point(g))]
             field = tau(sp2, chart_sp2, h).to_coordinate()
             for k, root in enumerate(chart_sp2.coord_roots):
                 assert coords[k].b == field.component(root).eval(pt)
