@@ -423,7 +423,7 @@ def cmd_selftest(args) -> dict:
     checks.append(("sl3 full-slice multicontact dimension 8",
                    sol3.dimension == 8))
 
-    frame = [ch3.frame_field(r) for r in ch3.coord_roots]
+    frame = [ch3.frame_field(r) for r in range(ch3.nvars)]
     xy = frame[0].bracket(frame[1]).to_invariant()
     checks.append(("sl3 frame bracket [X,Y] = U",
                    xy.components == {2: Poly.const(3, 1)}))

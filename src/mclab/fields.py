@@ -129,7 +129,7 @@ class PolyVectorField:
         """Apply the field to a function of the chart coordinates."""
         acc: dict = {}
         for j, comp in self.to_coordinate().components.items():
-            d = diff_terms(f.terms, self.chart.coord_index(j))
+            d = diff_terms(f.terms, j)
             if d:
                 mul_acc(acc, comp.terms, d)
         return finish(self.chart.nvars, acc)
@@ -152,12 +152,11 @@ class PolyVectorField:
         :attr:`partials`."""
         a = self.to_coordinate()
         b = other.to_coordinate()
-        index = self.chart.coord_index
         acc: dict[int, dict] = {}
         for x, y, sign in ((a, b, 1), (b, a, -1)):
             partials = y.partials
             for j, xj in x.components.items():
-                for k, d in partials.get(index(j), ()):
+                for k, d in partials.get(j, ()):
                     mul_acc(acc.setdefault(k, {}), xj.terms, d, sign)
         return self._finish("coordinate", acc)
 

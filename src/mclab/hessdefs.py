@@ -54,13 +54,12 @@ class HessenbergEquations:
         coordinates in chart order."""
         rows = []
         for a in self.order:
-            rows.append([self.polynomials[a].diff(self.chart.coord_index(r))
-                         for r in self.chart.coord_roots])
+            rows.append([self.polynomials[a].diff(r)
+                         for r in range(self.chart.nvars)])
         return rows
 
     def complement_block(self) -> list[list[Poly]]:
-        cols = [self.chart.coord_index(a) for a in self.order]
-        return [[self.polynomials[a].diff(j) for j in cols]
+        return [[self.polynomials[a].diff(j) for j in self.order]
                 for a in self.order]
 
     def to_json_dict(self) -> dict:
@@ -196,22 +195,20 @@ def graph_map(eqs: HessenbergEquations) -> dict[int, Poly]:
     """
     if eqs.symbolic:
         raise HessDefError("graph map needs a rational regular H")
-    chart = eqs.chart
     alg = eqs.algebra
     sub: dict[int, Poly] = {}
     for a in eqs.order:
-        j = chart.coord_index(a)
         aH = alg.alpha_value(a, eqs.h_coeffs)
         p = eqs.polynomials[a]
-        rest = p - Poly.var(eqs.nvars, j, aH)
+        rest = p - Poly.var(eqs.nvars, a, aH)
         solved = rest.subs(sub) * (Q(-1) / aH)
-        if any(m[j] for m in solved.monomials()):
+        if any(m[a] for m in solved.monomials()):
             raise HessDefError("graph elimination is not triangular")
-        sub[j] = solved
+        sub[a] = solved
     for a in eqs.order:
         if not eqs.polynomials[a].subs(sub).is_zero():
             raise HessDefError("graph map does not annihilate the equations")
-    return {a: sub[chart.coord_index(a)] for a in eqs.order}
+    return sub
 
 
 def pushforward_frame(eqs: HessenbergEquations) -> dict[int, PolyVectorField]:

@@ -7,6 +7,12 @@ possible, the normalization form B0 (a positive rational multiple of the
 trace form) satisfies B0(X_gamma, X_{-gamma}) = 1.  With that scaling the
 classical structure-constant identities hold exactly.
 
+One bracket table serves every layer: ``SplitLieAlgebra.structure`` maps
+(i, j) to the nonzero coefficients of [e_i, e_j] over the full basis
+(Cartan first, then the roots by id), filled while the root tables
+``functional``, ``c`` and ``h_of_bracket`` are derived.  The adjoint
+realization is read off it, and the adjoint action reads it transposed.
+
 Charts parametrize the Iwasawa group N = exp(n).  Every chart can produce
 a generic point (polynomials in the chart coordinates), extract
 coordinates back from a point, multiply points, and compute its
@@ -157,6 +163,7 @@ class SplitLieAlgebra:
         self.dim = realization.dim
         # lazily filled caches of immutable results
         self._ad_realization: Realization | None = None
+        self._transposed: dict | None = None
         self._cartan_gram: dict[str, list[list[Scalar]]] = {}
         self._h_rep: dict[tuple[int, str], tuple[Scalar, ...]] = {}
         self._derive_tables()
@@ -171,26 +178,38 @@ class SplitLieAlgebra:
         is an exact multiple of one basis element (Carter, Simple Groups
         of Lie Type, 4.1-4.2), read at one entry and checked at all of
         them.  Only [X_a, X_-a] is decomposed over the basis, membership
-        checked, and must have no root part."""
+        checked, and must have no root part.
+
+        The same loops fill ``structure``, the one bracket table over the
+        full basis: ``structure[i, j]`` maps k to the nonzero coefficient
+        of e_k in [e_i, e_j], k ascending, zero brackets left out."""
         rs = self.rs
         real = self.realization
-        entries = real.entries[self.rank:]      # the root vectors, by id
+        rank, n_pos = self.rank, rs.n_pos
+        entries = real.entries[rank:]           # the root vectors, by id
+        # each cell goes in with its negative: [e_j, e_i] = -[e_i, e_j]
+        table: dict[tuple[int, int], dict[int, Scalar]] = {}
+        self.structure = table
         # root functionals over the Cartan basis
         self.functional: list[tuple[Scalar, ...]] = []
-        for x_r in entries[:rs.n_pos]:
+        for r, x_r in enumerate(entries[:n_pos]):
             vals = []
-            for h in real.cartan:
+            p, n = rank + r, rank + rs.neg(r)
+            for i, h in enumerate(real.cartan):
                 v = _multiple(_sparse_bracket(h, x_r), x_r)
                 if v is None:
                     raise LieAlgebraError("Cartan element is not diagonal")
                 vals.append(v)
+                if v:
+                    table[i, p], table[p, i] = {p: v}, {p: -v}
+                    table[i, n], table[n, i] = {n: -v}, {n: v}
             self.functional.append(tuple(vals))
         # structure constants for root pairs: [X_b, X_a] = -[X_a, X_b]
         # exactly and [X_a, X_a] = 0, so only the pairs a < b are
         # bracketed; a check failing at (b, a) fails at (a, b) first
         half: dict[tuple[int, int], Scalar] = {}
         self.h_of_bracket: dict[int, tuple[Scalar, ...]] = {}
-        nroots = 2 * rs.n_pos
+        nroots = 2 * n_pos
         for a in range(nroots):
             for b in range(a + 1, nroots):
                 s = rs.add(a, b)
@@ -201,11 +220,18 @@ class SplitLieAlgebra:
                         raise LieAlgebraError("bracket leaves its root space")
                     if c:
                         half[a, b] = c
+                        i, j, k = rank + a, rank + b, rank + s
+                        table[i, j], table[j, i] = {k: c}, {k: -c}
                 elif rs.neg(a) == b:        # a positive, as a < b
                     coords = real.coordinates(comm)
-                    if coords is None or any(coords[self.rank:]):
+                    if coords is None or any(coords[rank:]):
                         raise LieAlgebraError("[X_a, X_-a] not in the Cartan")
-                    self.h_of_bracket[a] = tuple(coords[:self.rank])
+                    self.h_of_bracket[a] = tuple(coords[:rank])
+                    if cell := {k: x for k, x in enumerate(coords[:rank])
+                                if x}:
+                        table[rank + a, rank + b] = cell
+                        table[rank + b, rank + a] = {k: -x for k, x
+                                                     in cell.items()}
                 elif comm:
                     raise LieAlgebraError("bracket of non-summing roots nonzero")
         # keys in the full (a, b) order, which the JSON output follows
@@ -218,6 +244,18 @@ class SplitLieAlgebra:
             if s is None:
                 raise LieAlgebraError("theta does not map root space to opposite")
             self.theta_scalar[a] = s
+
+    def transposed(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """The bracket table read by row: ``transposed()[k, j]`` maps i to
+        the nonzero coefficient of e_k in [e_i, e_j], so it is the
+        functional e_k*([., e_j]).  Built once."""
+        if self._transposed is None:
+            out: dict[tuple[int, int], dict[int, Scalar]] = {}
+            for (i, j), cell in self.structure.items():
+                for k, x in cell.items():
+                    out.setdefault((k, j), {})[i] = x
+            self._transposed = out
+        return self._transposed
 
     # ---- bilinear forms ----------------------------------------------------
     def trace_form(self, m1, m2) -> Scalar:
@@ -235,14 +273,12 @@ class SplitLieAlgebra:
         return self.b0_lambda * self.trace_form(m1, m2)
 
     def alpha_value(self, root_id: int, h_coeffs) -> Scalar:
-        """Value of the root functional on a Cartan element (coefficients)."""
-        if root_id < self.n_pos:
-            vals = self.functional[root_id]
-            sign = 1
-        else:
-            vals = self.functional[root_id - self.n_pos]
-            sign = -1
-        return exact(sign * sum(exact(c) * v for c, v in zip(h_coeffs, vals)))
+        """Value of the root functional on a Cartan element (coefficients):
+        alpha(H_i) is read off [H_i, X_alpha] in the bracket table."""
+        j, get = self.rank + root_id, self.structure.get
+        h = [exact(c) for c in h_coeffs]
+        return exact(sum(c * cell[j] for i, c in enumerate(h)
+                         if (cell := get((i, j)))))
 
     def h_representing(self, root_id: int, form: str = "normalization"):
         """Cartan coefficients of H_alpha with B(H, H_alpha) = alpha(H)."""
@@ -259,11 +295,9 @@ class SplitLieAlgebra:
                 cartan = self.realization.cartan
                 gram = [[pair(hi, hj) for hj in cartan] for hi in cartan]
                 self._cartan_gram[form] = gram
-            if root_id < self.n_pos:
-                rhs = list(self.functional[root_id])
-            else:
-                rhs = [-v for v in self.functional[root_id - self.n_pos]]
-            sol = linalg.solve(gram, rhs)
+            j = self.rank + root_id
+            sol = linalg.solve(gram, [self.structure.get((i, j), {}).get(j, 0)
+                                      for i in range(self.rank)])
             if sol is None:
                 raise LieAlgebraError("degenerate Cartan Gram matrix")
             self._h_rep[key] = tuple(sol)
@@ -271,18 +305,12 @@ class SplitLieAlgebra:
 
     # ---- adjoint realization --------------------------------------------------
     def ad_realization(self) -> Realization:
-        """Faithful realization by adjoint matrices (structure constants
-        only), read off sparse brackets of the basis entry maps."""
+        """Faithful realization by adjoint matrices, read off the bracket
+        table: column j of ad(e_i) is ``structure[i, j]``."""
         if self._ad_realization is None:
-            real = self.realization
-
-            def ad_map(x):
-                # column k: the coefficients of [x, basis k], zeros and all
-                return {(i, k): c for k, e in enumerate(real.entries)
-                        for i, c in enumerate(
-                            real.decompose(_sparse_bracket(x, e)))}
-
-            ads = [ad_map(x) for x in real.entries]
+            ads = [{(k, j): x for j in range(self.dim)
+                    for k, x in self.structure.get((i, j), {}).items()}
+                   for i in range(self.dim)]
             r, p = self.rank, self.rank + self.n_pos
             self._ad_realization = Realization(self.dim, ads[:r], ads[r:p],
                                                ads[p:])
@@ -374,7 +402,8 @@ _REFERENCE_NAMES = {
 
 
 class Chart:
-    """A polynomial coordinate system on N = exp(n)."""
+    """A polynomial coordinate system on N = exp(n).  Coordinate k is the
+    coefficient of the positive root with id k, in every chart kind."""
 
     def __init__(self, algebra: SplitLieAlgebra, kind: str,
                  realization: Realization | None = None,
@@ -383,10 +412,8 @@ class Chart:
         self.kind = kind
         self.realization = realization or algebra.realization
         rs = algebra.rs
-        self.coord_roots = list(range(rs.n_pos))
-        self.nvars = len(self.coord_roots)
-        self._index = {r: k for k, r in enumerate(self.coord_roots)}
-        self.weights = [rs.root(r).height for r in self.coord_roots]
+        self.nvars = rs.n_pos
+        self.weights = [rs.root(r).height for r in range(self.nvars)]
         if var_names is not None:
             self.var_names = var_names
         else:
@@ -396,7 +423,7 @@ class Chart:
             else:
                 self.var_names = [
                     "x_" + "".join(str(c) for c in rs.root(r).coeffs)
-                    for r in self.coord_roots]
+                    for r in range(self.nvars)]
         # g = exp(sum_{r in G_1} x_r X_r) ... exp(sum_{r in G_m} x_r X_r)
         # over the root groups G_i.  The matrix-entry charts are second-kind
         # charts in the one root order whose product is I + sum x_r X_r
@@ -404,7 +431,7 @@ class Chart:
         # standard presentation's point for sp(2) (b, a+b, a, 2a+b)
         if kind == "matrix":
             if algebra.family == "sl":
-                order = sorted(self.coord_roots, key=lambda r: -_sl_position(
+                order = sorted(range(self.nvars), key=lambda r: -_sl_position(
                     rs.root(r).coeffs)[0])
             elif algebra.family == "sp" and algebra.param == 2:
                 order = [rs.id_of(c) for c in ((0, 1), (1, 1), (1, 0), (2, 1))]
@@ -413,9 +440,9 @@ class Chart:
                     "matrix chart unavailable for this algebra")
             self.groups = [[r] for r in order]
         elif kind == "first_kind":
-            self.groups = [self.coord_roots]
+            self.groups = [list(range(self.nvars))]
         elif kind == "second_kind":
-            self.groups = [[r] for r in self.coord_roots]
+            self.groups = [[r] for r in range(self.nvars)]
         elif kind == "three_factor":
             od = rs.omega_decompose()
             groups = [[rs.highest_root.id], sorted(od.sigma_half),
@@ -430,10 +457,6 @@ class Chart:
         self._ad_rows: dict = {}
         self._frame_cache: dict = {}
 
-    # ---- ring helpers -------------------------------------------------------
-    def coord_index(self, root_id: int) -> int:
-        return self._index[root_id]
-
     # ---- generic point -------------------------------------------------------
     def generic_point(self):
         """The generic point n - I as an entry map, coordinate k as
@@ -442,21 +465,21 @@ class Chart:
         if self._generic is None:
             u: dict = {}
             for group in self.groups:
-                xs = [Poly.var(self.nvars, self._index[r]) for r in group]
+                xs = [Poly.var(self.nvars, r) for r in group]
                 u = linalg.unipotent_product(u, self._group_exp(group, xs))
             self._generic = u
         return self._generic
 
     def _slice(self, slice_roots) -> list[int]:
-        """The coordinate roots of ``slice_roots`` (all of them when None)
-        in coordinate order.  Raises ``LieAlgebraError`` unless they are
-        coordinate roots forming a lower order ideal: only then is the
-        complement n_C an ideal of n, so that g^{-1} d_k g lies in n_C for
-        every complement coordinate k."""
+        """The roots of ``slice_roots`` (every positive root when None) in
+        coordinate order.  Raises ``LieAlgebraError`` unless they are
+        positive root ids, hence coordinates, forming a lower order ideal:
+        only then is the complement n_C an ideal of n, so that g^{-1} d_k g
+        lies in n_C for every complement coordinate k."""
         if slice_roots is None:
-            return self.coord_roots
+            return list(range(self.nvars))
         key = frozenset(slice_roots)
-        if not key.issubset(self._index):
+        if not key.issubset(range(self.nvars)):
             raise LieAlgebraError(
                 "slice roots outside the chart's coordinates")
         witness = closure_witness(self.algebra.rs, key)
@@ -466,7 +489,7 @@ class Chart:
             raise LieAlgebraError(
                 f"slice roots are not a lower order ideal: {name(a)} - "
                 f"{name(b)} = {name(d)} is missing")
-        return [r for r in self.coord_roots if r in key]
+        return sorted(key)
 
     def _group_exp(self, group, coeffs):
         """exp(sum_r c_r X_r) - I over the roots r of one factor group, as
@@ -509,7 +532,7 @@ class Chart:
                 peel = self._group_exp(group, [-c for c in cs])
                 u = (linalg.unipotent_product(peel, u) if self._peel_left
                      else linalg.unipotent_product(u, peel))
-        return [vals[r] for r in self.coord_roots]
+        return [vals[r] for r in range(self.nvars)]
 
     # ---- points ---------------------------------------------------------------
     def point(self, values):
@@ -583,12 +606,12 @@ class Chart:
         unit = (0,) * self.nvars
         w: dict[tuple[int, int], dict] = {}     # (k, gamma): W[k][gamma]
         for group in self.groups:
-            kept = [(r, self._index[r]) for r in group if r in pos]
+            kept = [r for r in group if r in pos]
             if kept:
                 w = minus_ad_series(bracket, kept, w,
                                     lambda j, last: linalg.exp_coeff(j))
                 w.update(minus_ad_series(
-                    bracket, kept, {(r, r): {unit: 1} for r, _ in kept},
+                    bracket, kept, {(r, r): {unit: 1} for r in kept},
                     lambda j, last: linalg.exp_coeff(j + 1)))
         # W - I: the diagonal is one, as (-ad N) raises the height
         nil = {(pos[k], pos[g]): finish(self.nvars,
@@ -619,14 +642,14 @@ class Chart:
         out = {
             "kind": self.kind,
             "coordinates": [self.algebra.rs.root_name(r)
-                            for r in self.coord_roots],
+                            for r in range(self.nvars)],
             "variables": list(self.var_names),
         }
         if self.kind == "matrix" and self.algebra.family == "sl":
             out["positions"] = {
-                self.var_names[k]: list(_sl_position(
+                self.var_names[r]: list(_sl_position(
                     self.algebra.rs.root(r).coeffs))
-                for k, r in enumerate(self.coord_roots)}
+                for r in range(self.nvars)}
         return out
 
 
@@ -678,22 +701,23 @@ def minus_ad_series(bracket, group, y: dict, coeff) -> dict:
     where M is the last power of -ad N that does not vanish on y.
     (-ad N) z = sum_r x_r [z, X_r], where ``bracket(key, r)`` gives
     [X_key, X_r] as a pair (prefix, {j: scalar}) over the keys
-    prefix + (j,), or None when it is zero, and ``group`` lists (root,
-    variable) pairs.  The powers end because ad X_r raises the height.
-    Each power holds no zero, but two powers may cancel in the sum, whose
-    zeros the caller drops.  This is the one (-ad N)-power loop: with
-    coeff 1/j! it is exp(-ad N) y, with 1/(j + 1)! the dexp series of the
-    frame, and with M!/j! it is M! exp(-ad N) y in integers."""
+    prefix + (j,), or None when it is zero, and ``group`` lists the roots
+    r, x_r being variable r.  The powers end because ad X_r raises the
+    height.  Each power holds no zero, but two powers may cancel in the
+    sum, whose zeros the caller drops.  This is the one (-ad N)-power
+    loop: with coeff 1/j! it is exp(-ad N) y, with 1/(j + 1)! the dexp
+    series of the frame, and with M!/j! it is M! exp(-ad N) y in
+    integers."""
     powers = [y]
     while True:
         nxt: dict = {}
         for key, t in powers[-1].items():
-            for r, v in group:
+            for r in group:
                 br = bracket(key, r)
                 if br is None:
                     continue
                 prefix, values = br
-                shifted = [(m[:v] + (m[v] + 1,) + m[v + 1:], x)
+                shifted = [(m[:r] + (m[r] + 1,) + m[r + 1:], x)
                            for m, x in t.items()]
                 for j, b in values.items():
                     acc = nxt.setdefault((*prefix, j), {})
@@ -727,11 +751,11 @@ def adjoint_of_point(chart: Chart, element, indices=None, slice_roots=None):
     R), Ad(n^{-1}) = exp(-ad N_m) ... exp(-ad N_1) (Varadarajan, GTM 102,
     Thm 2.14.3).  Its row k, e_k* exp(-ad N_m) ... exp(-ad N_1), is summed
     from the last group by :func:`minus_ad_series` over the transposed
-    bracket e_k*([., X_r]): for k = X_s it sends X_{s-r} to c_{s-r,r}, or
-    H_i to alpha_r(H_i) when s = r; for k = H_j it sends X_{-r} to
-    -h_of_bracket[r][j].  The coefficient at k is the row dotted with the
-    coordinates of E.  Rows are kept on the chart per slice and index, so
-    one row serves every element, and no group point is formed.
+    bracket table: e_k*([., X_r]) is ``transposed()[k, X_r]``, one lookup
+    whatever kind of basis element e_k is.  The coefficient at k is the
+    row dotted with the coordinates of E.  Rows are kept on the chart per
+    slice and index, so one row serves every element, and no group point
+    is formed.
     """
     alg = chart.algebra
     coords = chart.realization.coordinates(
@@ -743,23 +767,15 @@ def adjoint_of_point(chart: Chart, element, indices=None, slice_roots=None):
     if cached is None:
         roots = set(chart._slice(key))
         groups = [kept for g in chart.groups[::-1]
-                  if (kept := [(r, chart.coord_index(r)) for r in g
-                               if r in roots])]
+                  if (kept := [r for r in g if r in roots])]
         cached = chart._ad_rows[key] = (groups, {})
     groups, rows = cached
-    rs, rank, nvars = alg.rs, alg.rank, chart.nvars
+    rank, nvars, transposed = alg.rank, chart.nvars, alg.transposed()
 
     def dual_bracket(key, r):
         # e_k*([., X_r]) over the full basis, for the key (k,)
-        k = key[0]
-        if k < rank:
-            x = -alg.h_of_bracket[r][k]
-            return ((), {rank + rs.neg(r): x}) if x else None
-        if k - rank == r:
-            return (), {i: x for i, x in enumerate(alg.functional[r]) if x}
-        d = rs.add(k - rank, rs.neg(r))     # None: s - r is no root
-        x = alg.c.get((d, r))
-        return ((), {rank + d: x}) if x else None
+        cell = transposed.get((key[0], rank + r))
+        return ((), cell) if cell else None
 
     out = []
     for k in range(chart.realization.dim) if indices is None else indices:

@@ -10,7 +10,7 @@ so nu(E) is read the same way at the slice point n_R, the generic point
 with x_C = 0 (:func:`mclab.liealg.adjoint_of_point`): the full-group
 tau(E) is never formed or projected.  The normalizer comparison forms neither:
 nu of q / n_C is the forward image of its image in the prolongation,
-read from the structure constants (:func:`compare_with_normalizer`).
+read from the algebra's bracket table (:func:`compare_with_normalizer`).
 
 The multicontact condition on a slice field F = sum f_gamma X_gamma is
 the first-order system, over simple roots delta in R and gamma in R,
@@ -165,9 +165,8 @@ class McSystem:
         enumerated by :func:`mclab.poly.monomials_of_weighted_degree` and
         weighed: the verification mode's independent enumeration."""
         rs = self.hs.rs
-        slice_vars = [self.chart.coord_index(r) for r in self.labels]
         var_coeffs = [rs.root(r).coeffs for r in self.labels]
-        sub_weights = [self.chart.weights[v] for v in slice_vars]
+        sub_weights = [self.chart.weights[v] for v in self.labels]
         out = []
         for g in self.labels:
             w = degree + rs.root(g).height
@@ -177,7 +176,7 @@ class McSystem:
             for mono in monomials_of_weighted_degree(sub_weights, w):
                 weight = base[:]
                 full = [0] * self.chart.nvars
-                for v, e, coeffs in zip(slice_vars, mono, var_coeffs):
+                for v, e, coeffs in zip(self.labels, mono, var_coeffs):
                     if e:
                         full[v] = e
                         for i, c in enumerate(coeffs):
@@ -197,7 +196,7 @@ class McSystem:
         rs = self.hs.rs
         frame = chart.frame_components(self.hs.R)
         derivative = {
-            delta: [(chart.coord_index(j),
+            delta: [(j,
                      [([(v, e) for v, e in enumerate(m) if e], c)
                       for m, c in a.terms.items()])
                      for j, a in row.items()]
@@ -318,17 +317,19 @@ class McSolution:
     # ---- span --------------------------------------------------------------
     def coordinates(self, field: PolyVectorField) -> list[Scalar] | None:
         """Exact coordinates of a slice field over the basis, or None when
-        it is outside the span.  A field of the span has its coefficients
-        at the free unknowns as coordinates: they are the span's positions
-        (:attr:`_span`)."""
-        return self._span.coordinates(_terms(field.to_invariant()))
-
-    @cached_property
-    def _span(self) -> _TermSpan:
-        """The span of the basis fields' coefficients, the free unknowns
-        indexed first: each field is one at its own and zero at the
-        others, so the elimination has nothing to eliminate."""
-        return _TermSpan([_terms(b) for b in self.basis], self.free_unknowns)
+        it is outside the span.  Each basis field is one at its own free
+        unknown and zero at the others, so a field of the span has its
+        coefficients there as coordinates; membership is checked by
+        recomposing the field from them."""
+        terms = _terms(field.to_invariant())
+        coords = [terms.get(u, 0) for u in self.free_unknowns]
+        recomposed: dict[tuple[int, tuple], Scalar] = {}
+        for x, b in zip(coords, self.basis):
+            if x:
+                for u, y in _terms(b).items():
+                    recomposed[u] = recomposed.get(u, 0) + x * y
+        return coords if {u: y for u, y in recomposed.items()
+                          if y} == terms else None
 
     def contains(self, field: PolyVectorField) -> bool:
         return self.coordinates(field) is not None
@@ -480,10 +481,10 @@ def _derived_series(ad: list[dict[int, dict[int, Scalar]]]) -> list[int]:
 
 class _TermSpan(linalg.SpanBasis):
     """A :class:`linalg.SpanBasis` of vectors {key: value} over any
-    hashable keys, indexed as they first appear, after ``first``."""
+    hashable keys, indexed as they first appear."""
 
-    def __init__(self, vectors: list[dict], first=()):
-        self.index = {u: c for c, u in enumerate(first)}
+    def __init__(self, vectors: list[dict]):
+        self.index: dict = {}
         super().__init__([{self.index.setdefault(u, len(self.index)): x
                            for u, x in v.items()} for v in vectors],
                          len(self.index))
@@ -583,8 +584,7 @@ def _forward_fields(tanaka: prolong.Prolongation, chart: Chart,
         height, coeffs = shift[r]
         return (k - height, tuple(map(sub, w, coeffs))), br
 
-    groups = [[(r, chart.coord_index(r)) for r in g if r in hs.R]
-              for g in chart.groups]
+    groups = [[r for r in g if r in hs.R] for g in chart.groups]
     one = (0,) * chart.nvars
     out = []
     for i in range(len(tanaka.basis.get((degree, weight), ()))):
@@ -690,10 +690,8 @@ def solve_mc(hs: HessenbergSet, chart: Chart,
     else:
         tanaka = prolong.prolong(hs, chart.algebra.c, degree_bound + 1)
         # solver order: by gamma, then by slice exponents
-        slice_vars = [chart.coord_index(r) for r in system.labels]
-
         def order(u):
-            return u[0], [u[1][v] for v in slice_vars]
+            return u[0], [u[1][v] for v in system.labels]
 
         for d in range(-h, degree_bound + 1):
             counts = tanaka.blocks.get(d, {})
@@ -774,8 +772,9 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
     are the forward images of g(m), so nu(E) is the forward image of
     iota(E), where iota: q / n_C -> g(m) sends X_gamma with gamma in R to
     itself, n_C to 0, and E of degree >= 0 to the map gamma ->
-    iota([E, X_gamma]).  [E, X_gamma] comes from ``functional``, ``c`` and
-    ``h_of_bracket``, so no polynomial is formed.
+    iota([E, X_gamma]).  [E, X_gamma] is one lookup in the algebra's
+    bracket table (:attr:`SplitLieAlgebra.structure`), so no polynomial is
+    formed.
 
     iota(E) is read in its (degree, weight) block of g(m) through one
     :class:`linalg.SpanBasis` per block, membership checked, by
@@ -798,37 +797,26 @@ def compare_with_normalizer(hs: HessenbergSet, chart: Chart,
         hs, alg.c, rs.highest_root.height)
     zero = (0,) * rs.rank
     # iota of the Cartan basis, then of the X_r, r in the normalizer
-    # support, by height: (full index, root or None, degree, weight)
-    elements = [(i, None, 0, zero) for i in range(alg.rank)]
-    elements += [(alg.full_index(r), r, -rs.root(r).height,
+    # support, by height: (full index, degree, weight)
+    elements = [(i, 0, zero) for i in range(alg.rank)]
+    elements += [(alg.full_index(r), -rs.root(r).height,
                   tuple(-x for x in rs.root(r).coeffs))
                  for r in sorted(rep.normalizer_support,
                                  key=lambda r: (-rs.root(r).height, r))]
     spans: dict[tuple, _TermSpan] = {}
-    coords: dict[int, list | None] = {}     # over the block basis
+    # iota over the block basis by full index, None where it cannot be
+    # formed: X_g is itself for g in R and 0 in n_C; then the elements
+    coords: dict[int, list | None] = {
+        alg.full_index(g): [1] if g in hs.R else [] for g in range(rs.n_pos)}
     index: dict[tuple, int] = {}
     images = []
     contained = True
-    for e, r, k, w in elements:
+    for e, k, w in elements:
         image: dict[tuple[int, int], Scalar] = {}
         formed = True
         for g in sorted(hs.R):
-            # [E, X_g] as (coordinates of a value of iota, scalar) pairs
-            if r is None:                   # [H_e, X_g] = g(H_e) X_g
-                terms = [([1], alg.functional[g][e])]
-            elif (s := rs.add(r, g)) is None:
-                # [X_-g, X_g] = -[X_g, X_-g], a Cartan element
-                terms = ([(coords[i], -h) for i, h
-                          in enumerate(alg.h_of_bracket[g])]
-                         if r == rs.neg(g) else [])
-            elif s < rs.n_pos:      # in m: s < g lies in R, a lower set
-                terms = [([1], alg.c.get((r, g), 0))]
-            else:
-                # X_s lies in q, which holds n, so it came earlier
-                terms = [(coords[alg.full_index(s)], alg.c.get((r, g), 0))]
-            for vec, x in terms:
-                if not x:
-                    continue
+            for i, x in alg.structure.get((e, alg.full_index(g)), {}).items():
+                vec = coords[i]
                 if vec is None:
                     formed = False
                     break

@@ -27,7 +27,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .liealg import Chart, SplitLieAlgebra, adjoint_of_point, three_factor_chart
-from .poly import Poly, exact
+from .poly import Poly
 
 
 class PolyBasisError(ValueError):
@@ -69,7 +69,7 @@ def gen_sigma_half(algebra: SplitLieAlgebra, chart: Chart, gamma: int) -> Poly:
     w = rs.highest_root.id
     comp = rs.add(w, rs.neg(gamma))
     c = algebra.c[(gamma, comp)]
-    return Poly.var(chart.nvars, chart.coord_index(comp), c)
+    return Poly.var(chart.nvars, comp, c)
 
 
 def _kept(owner, key, make):
@@ -100,19 +100,14 @@ def gen_cartan(algebra: SplitLieAlgebra, chart: Chart, h_coeffs) -> Poly:
     _require_normalized(algebra)
     rs = algebra.rs
     w = rs.highest_root.id
-    z = chart.coord_index(w)
-    h = [exact(c) for c in h_coeffs]
-
-    def alpha(r):       # alpha_r(H) for a positive root r
-        return exact(sum(c * v for c, v in zip(h, algebra.functional[r])))
-
-    out = Poly.var(chart.nvars, z, alpha(w))
+    alpha = algebra.alpha_value
+    out = Poly.var(chart.nvars, w, alpha(w, h_coeffs))
     for a, b in _pairs(algebra):
-        factor = (alpha(b) - alpha(a)) * algebra.c[(a, b)]
+        factor = (alpha(b, h_coeffs) - alpha(a, h_coeffs)) * algebra.c[(a, b)]
         if factor == 0:
             continue
-        ya = Poly.var(chart.nvars, chart.coord_index(a))
-        yb = Poly.var(chart.nvars, chart.coord_index(b))
+        ya = Poly.var(chart.nvars, a)
+        yb = Poly.var(chart.nvars, b)
         out = out - ya * yb * factor * Q(1, 2)
     return out
 

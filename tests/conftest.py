@@ -156,7 +156,7 @@ def flip_root(rs, root_id: int) -> int:
 def flip_poly(chart, p):
     """Relabel chart coordinates through the flip (A-family charts)."""
     rs = chart.algebra.rs
-    mapping = [chart.coord_index(flip_root(rs, r)) for r in chart.coord_roots]
+    mapping = [flip_root(rs, r) for r in range(chart.nvars)]
     return p.lift(chart.nvars, mapping)
 
 

@@ -130,9 +130,9 @@ def closed_form_generic_point(chart: Chart):
     nv = chart.nvars
     if alg.family == "sl":
         m = dense_point({}, chart.realization.size, nv)
-        for k, r in enumerate(chart.coord_roots):
+        for r in range(nv):
             (i, j), = alg.realization.entries[alg.full_index(r)]
-            m[i][j] = m[i][j] + Poly.var(nv, k)
+            m[i][j] = m[i][j] + Poly.var(nv, r)
         return m
     u, x, y, z = (Poly.var(nv, k) for k in range(4))
     one, zero = Poly.const(nv, 1), Poly.zero(nv)
@@ -156,7 +156,7 @@ def dense_generic_point(chart: Chart, inverse: bool = False):
     for group in chart.groups[::-1] if inverse else chart.groups:
         nil = [[Poly.zero(nv)] * size for _ in range(size)]
         for r in group:
-            x_r = Poly.var(nv, chart.coord_index(r)) * (-1 if inverse else 1)
+            x_r = Poly.var(nv, r) * (-1 if inverse else 1)
             basis = dense(chart.realization.entries[
                 chart.algebra.full_index(r)], size)
             nil = mat_add(nil, [[x_r * x for x in row] for row in basis])
@@ -177,8 +177,7 @@ def slice_point(chart: Chart, slice_roots=None, inverse: bool = False):
     points = _DENSE_POINTS.setdefault(chart, {})
     if inverse not in points:
         points[inverse] = dense_generic_point(chart, inverse)
-    cvars = [chart.coord_index(r) for r in chart.coord_roots
-             if r not in roots]
+    cvars = [r for r in range(chart.nvars) if r not in roots]
     return [[p.at_zero(cvars) for p in row] for row in points[inverse]]
 
 
@@ -578,7 +577,7 @@ def chain_apply(field, f: FractionPoly) -> FractionPoly:
     product and one whole sum per coordinate."""
     out = FractionPoly(f.nvars)
     for root_id, comp in chain_to_coordinate(field).items():
-        out = out + comp * f.diff(field.chart.coord_index(root_id))
+        out = out + comp * f.diff(root_id)
     return out
 
 
@@ -636,8 +635,7 @@ def project_to_slice(field, hs):
     ``mcfields.tau`` it is the full-group-then-restrict reference for
     ``mcfields.nu``, which reads the slice field at the slice point."""
     chart = field.chart
-    cvars = [chart.coord_index(r) for r in hs.C]
-    comps = {r: p.at_zero(cvars)
+    comps = {r: p.at_zero(hs.C)
              for r, p in field.to_invariant().components.items() if r in hs.R}
     return PolyVectorField(chart, "invariant", comps, slice_roots=hs.R)
 
@@ -658,16 +656,15 @@ def point_frame(chart: Chart, slice_roots=None) -> dict[int, dict[int, Poly]]:
     zero = Poly.zero(chart.nvars)
     w = []
     for r in roots:
-        k = chart.coord_index(r)
         d_cols: dict[int, list] = {}
 
-        def entry(i, j, k=k, d_cols=d_cols):
-            # (g^{-1} d_k g)[i][j]
+        def entry(i, j, r=r, d_cols=d_cols):
+            # (g^{-1} d_r g)[i][j]
             d_col = d_cols.get(j)
             if d_col is None:
                 d_col = d_cols[j] = [
                     (q, d) for q, row in enumerate(gen)
-                    if not (d := row[j].diff(k)).is_zero()]
+                    if not (d := row[j].diff(r)).is_zero()]
             return sum((gen_inv[i][q] * d for q, d in d_col), zero)
         coeffs = read_at_positions(chart.realization, entry, chart.nvars)
         w.append([coeffs[c] for c in cols])
@@ -693,10 +690,9 @@ def restricted_frame(chart, slice_roots) -> dict[int, dict[int, Poly]]:
     reference for ``Chart.frame_components(slice_roots)``, which forms
     only the slice rows at the slice point."""
     full = chart.frame_components()
-    cvars = [chart.coord_index(r)
-             for r in chart.coord_roots if r not in slice_roots]
+    cvars = [r for r in range(chart.nvars) if r not in slice_roots]
     rows = {}
-    for g in chart.coord_roots:
+    for g in range(chart.nvars):
         if g in slice_roots:
             restricted = ((j, p.at_zero(cvars)) for j, p in full[g].items()
                           if j in slice_roots)
@@ -708,7 +704,7 @@ def subs_project_to_slice(field, hs) -> dict[int, Poly]:
     """Slice components of ``field`` with every complement coordinate
     substituted by zero through ``Poly.subs``."""
     chart = field.chart
-    csub = {chart.coord_index(r): 0 for r in hs.C}
+    csub = {r: 0 for r in hs.C}
     out = {}
     for r, p in field.to_invariant().components.items():
         if r in hs.R:
@@ -921,7 +917,7 @@ def zip_block_rows(system, degree, unknown_index):
     chart, rs = system.chart, system.hs.rs
     frame = chart.frame_components(system.hs.R)
     derivative = {
-        delta: [(chart.coord_index(j), a.terms) for j, a in row.items()]
+        delta: [(j, a.terms) for j, a in row.items()]
         for delta, row in frame.items()}
     terms_of: dict[int, list] = {}
     for delta, gamma in system.equations:

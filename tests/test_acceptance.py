@@ -353,7 +353,7 @@ def test_criterion_6_oracle(sl4, chart_sl4):
         "-3/2*x*y*t + 1/2*x*v + 3/2*t*u - 2*z"
     graph = graph_map(eqs)
     assert graph[w].render(names) == "-3/4*x*y*t + 1/4*x*v + 3/4*t*u"
-    sub = {chart_sl4.coord_index(w): graph[w]}
+    sub = {w: graph[w]}
     assert conj[0][3].subs(sub).is_zero()
 
 
@@ -440,10 +440,10 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
                     rhs = mat_add(comm(comm(a, b), c),
                                   comm(b, comm(a, c)))
                     assert mat_eq(lhs, rhs)
-        frame = {r: chart.frame_field(r) for r in chart.coord_roots}
+        frame = {r: chart.frame_field(r) for r in range(chart.nvars)}
         rs = alg.rs
-        for a in chart.coord_roots:
-            for b in chart.coord_roots:
+        for a in range(chart.nvars):
+            for b in range(chart.nvars):
                 br = frame[a].bracket(frame[b]).to_invariant()
                 s = rs.add(a, b)
                 if s is not None and s < rs.n_pos:
@@ -458,8 +458,8 @@ def test_criterion_9_brackets(sl3, sl4, sp2, chart_sl3, chart_sl4, chart_sp2):
 def test_criterion_9_ristretto(sl4, chart_sl4):
     hs = type_p_subset(sl4.rs, 2)
     rng = random.Random(2026)
-    frame_full = [chart_sl4.frame_field(r) for r in chart_sl4.coord_roots]
-    csub = {chart_sl4.coord_index(r): Q(0) for r in hs.C}
+    frame_full = [chart_sl4.frame_field(r) for r in range(chart_sl4.nvars)]
+    csub = {r: Q(0) for r in hs.C}
 
     def project(field):
         coord = field.to_coordinate()
@@ -479,8 +479,7 @@ def test_criterion_9_ristretto(sl4, chart_sl4):
         for _ in range(20):
             pt = [Q(0)] * chart_sl4.nvars
             for r in hs.R:
-                pt[chart_sl4.coord_index(r)] = Q(rng.randint(-9, 9),
-                                                 rng.randint(1, 7))
+                pt[r] = Q(rng.randint(-9, 9), rng.randint(1, 7))
             for g in hs.R:
                 assert lhs.component(g).eval(pt) == rhs.component(g).eval(pt)
             checked += 1

@@ -82,16 +82,14 @@ def test_shape_and_triangularity_random_sets(sl4, chart_sl4):
             continue
         eqs = defining_equations(sl4, chart_sl4, hs, H_SL4)
         for a, p in eqs.polynomials.items():
-            j = chart_sl4.coord_index(a)
-            lead = p.coeff(tuple(1 if k == j else 0
+            lead = p.coeff(tuple(1 if k == a else 0
                                  for k in range(chart_sl4.nvars)))
             assert lead == sl4.alpha_value(a, H_SL4)
             ha = rs.root(a).height
             for mono in p.monomials():
                 for k, e in enumerate(mono):
-                    if e and k != j:
-                        held = chart_sl4.coord_roots[k]
-                        assert rs.root(held).height < ha
+                    if e and k != a:
+                        assert rs.root(k).height < ha
         cert = smoothness_certificate(eqs)
         assert cert.triangular and cert.identity_holds
         assert cert.jacobian_rank == len(hs.C)
@@ -154,9 +152,8 @@ def test_second_kind_chart_certificates_sp(rank, h_coeffs, sets):
             assert cert.triangular and cert.identity_holds
             assert cert.jacobian_rank == len(hs.C)
         graph = graph_map(eqs)
-        sub = {chart.coord_index(a): p for a, p in graph.items()}
         for p in eqs.polynomials.values():
-            assert p.subs(sub).is_zero()
+            assert p.subs(graph).is_zero()
 
 
 def test_graph_map_example(sl4, chart_sl4):
@@ -168,7 +165,7 @@ def test_graph_map_example(sl4, chart_sl4):
         "-3/4*x*y*t + 1/4*x*v + 3/4*t*u"
     # substitution into the defining polynomial gives zero (checked inside
     # graph_map as well)
-    sub = {chart_sl4.coord_index(w): graph[w]}
+    sub = {w: graph[w]}
     assert eqs.polynomials[w].subs(sub).is_zero()
     with pytest.raises(HessDefError):
         graph_map(defining_equations(sl4, chart_sl4, hs, None))
@@ -221,10 +218,9 @@ def test_graph_points_lie_on_the_manifold(sl4, chart_sl4):
     for _ in range(10):
         pt = [Q(0)] * chart_sl4.nvars
         for r in hs.R:
-            pt[chart_sl4.coord_index(r)] = Q(rng.randint(-5, 5),
-                                             rng.randint(1, 4))
+            pt[r] = Q(rng.randint(-5, 5), rng.randint(1, 4))
         for a, g in graph.items():
-            pt[chart_sl4.coord_index(a)] = g.eval(pt)
+            pt[a] = g.eval(pt)
         for a, p in eqs.polynomials.items():
             assert p.eval(pt) == 0
 

@@ -242,16 +242,17 @@ def test_group_associativity(sp2, chart_sp2, data):
     assert lhs == rhs
 
 
-def test_product_agrees_with_adjoint_backend(sl3):
-    """Same exponential coordinates, matrix vs structure-constant backend."""
-    ch_mat = second_kind_chart(sl3)
-    ch_ad = second_kind_chart(sl3, realization=sl3.ad_realization())
-    p = [Q(1), Q(-1, 2), Q(3)]
-    q = [Q(2, 3), Q(1), Q(-1)]
-    assert ch_mat.multiply(p, q) == ch_ad.multiply(p, q)
-    ch1_mat = first_kind_chart(sl3)
-    ch1_ad = first_kind_chart(sl3, realization=sl3.ad_realization())
-    assert ch1_mat.multiply(p, q) == ch1_ad.multiply(p, q)
+def test_product_agrees_with_adjoint_backend(sl3, sl4, sp2, sp3):
+    """Same exponential coordinates, matrix vs structure-constant backend:
+    the adjoint realization is read off the bracket table."""
+    for alg in (sl3, sl4, sp2, sp3):
+        n = alg.n_pos
+        p = [Q(k + 1, 2) * (-1) ** k for k in range(n)]
+        q = [Q(2, k + 3) - k for k in range(n)]
+        for make in (second_kind_chart, first_kind_chart):
+            ch_mat = make(alg)
+            ch_ad = make(alg, realization=alg.ad_realization())
+            assert ch_mat.multiply(p, q) == ch_ad.multiply(p, q)
 
 
 def test_chart_changes_are_mutually_inverse(sl3, sl4, sp2):
@@ -301,13 +302,13 @@ def test_coords_of_matrix_rejects_matrix_outside_n(name, bad, error,
 
 def test_frame_sl3_matches_reference(chart_sl3):
     # X = d/dx, Y = d/dy + x d/du, U = d/du in the entries chart
-    frame = [chart_sl3.frame_field(r) for r in chart_sl3.coord_roots]
+    frame = [chart_sl3.frame_field(r) for r in range(chart_sl3.nvars)]
     rendered = [f.render() for f in frame]
     assert rendered == [{"10": "1"}, {"01": "1", "11": "x"}, {"11": "1"}]
 
 
 def test_frame_sp2_matches_reference(chart_sp2):
-    frame = [chart_sp2.frame_field(r) for r in chart_sp2.coord_roots]
+    frame = [chart_sp2.frame_field(r) for r in range(chart_sp2.nvars)]
     rendered = [f.render() for f in frame]
     assert rendered == [
         {"10": "1"},
@@ -322,13 +323,13 @@ def test_frame_sl4_matches_reference_after_flip(sl4, chart_sl4):
     X = dx + y du + v dz, Y = dy + t dv, U = du + t dz, T = dt, V = dv."""
     from conftest import flip_coordinate_field, flip_root
     rs = sl4.rs
-    frame = {r: chart_sl4.frame_field(r) for r in chart_sl4.coord_roots}
+    frame = {r: chart_sl4.frame_field(r) for r in range(chart_sl4.nvars)}
     names = chart_sl4.var_names
 
     def ref_field(spec):
         comps = {}
         for var, poly_text in spec.items():
-            rid = chart_sl4.coord_roots[names.index(var)]
+            rid = names.index(var)
             if poly_text == "1":
                 comps[rid] = Poly.const(chart_sl4.nvars, 1)
             else:
@@ -346,7 +347,7 @@ def test_frame_sl4_matches_reference_after_flip(sl4, chart_sl4):
         "z": ref_field({"z": "1"}),
     }
     for var, ref in reference.items():
-        rid = chart_sl4.coord_roots[names.index(var)]
+        rid = names.index(var)
         aligned = flip_coordinate_field(chart_sl4, frame[flip_root(rs, rid)])
         assert aligned.components == ref.components
 
@@ -358,8 +359,8 @@ def test_frame_triangularity(name, algebras):
     chart = matrix_chart(alg) if name != "sp3" else second_kind_chart(alg)
     rs = alg.rs
     rows = chart.frame_components()
-    for a in chart.coord_roots:
-        for g in chart.coord_roots:
+    for a in range(chart.nvars):
+        for g in range(chart.nvars):
             coeff = rows[a].get(g, Poly.zero(chart.nvars))
             ha, hg = rs.root(a).height, rs.root(g).height
             if a == g:
@@ -370,8 +371,7 @@ def test_frame_triangularity(name, algebras):
                 assert rs.leq(a, g)
                 chain_vars = _chain_variable_set(rs, a, g)
                 for mono in coeff.monomials():
-                    support = {chart.coord_roots[i]
-                               for i, e in enumerate(mono) if e}
+                    support = {i for i, e in enumerate(mono) if e}
                     assert support <= chain_vars
 
 
@@ -405,9 +405,9 @@ def test_frame_brackets_match_structure_constants(name, algebras):
     alg = algebras[name]
     chart = matrix_chart(alg)
     rs = alg.rs
-    frame = {r: chart.frame_field(r) for r in chart.coord_roots}
-    for a in chart.coord_roots:
-        for b in chart.coord_roots:
+    frame = {r: chart.frame_field(r) for r in range(chart.nvars)}
+    for a in range(chart.nvars):
+        for b in range(chart.nvars):
             br = frame[a].bracket(frame[b]).to_invariant()
             s = rs.add(a, b)
             if s is not None and s < rs.n_pos:

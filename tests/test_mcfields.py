@@ -93,13 +93,13 @@ def test_tau_matches_reference_display_after_flip(sl4, chart_sl4):
 def test_tau_cartan_acts_diagonally(sl3, chart_sl3):
     h0 = solve_H0(sl3)
     f = tau(sl3, chart_sl3, cartan_element(sl3, h0)).to_coordinate()
-    for r in chart_sl3.coord_roots:
+    for r in range(chart_sl3.nvars):
         ht = sl3.rs.root(r).height
-        expect = Poly.var(chart_sl3.nvars, chart_sl3.coord_index(r), ht)
+        expect = Poly.var(chart_sl3.nvars, r, ht)
         assert f.component(r) == expect
     # and applying the field scales coordinates by the height
-    for r in chart_sl3.coord_roots:
-        xg = Poly.var(chart_sl3.nvars, chart_sl3.coord_index(r))
+    for r in range(chart_sl3.nvars):
+        xg = Poly.var(chart_sl3.nvars, r)
         assert f.apply(xg) == xg * sl3.rs.root(r).height
 
 
@@ -131,7 +131,7 @@ def test_projection_examples(sl4, chart_sl4):
     h0 = solve_H0(sl4)
     g = nu(sl4, chart_sl4, hs, cartan_element(sl4, h0)).to_coordinate()
     for r in sorted(hs.R):
-        xg = Poly.var(chart_sl4.nvars, chart_sl4.coord_index(r))
+        xg = Poly.var(chart_sl4.nvars, r)
         assert g.component(r) == xg * sl4.rs.root(r).height
 
 
@@ -141,10 +141,10 @@ def test_projection_examples(sl4, chart_sl4):
 
 def test_homogeneous_degree_examples(sl3, chart_sl3):
     w = sl3.rs.highest_root.id
-    xw = Poly.var(chart_sl3.nvars, chart_sl3.coord_index(w))
+    xw = Poly.var(chart_sl3.nvars, w)
     assert homogeneous_degree(xw, chart_sl3) == 2
-    frame = [chart_sl3.frame_field(r) for r in chart_sl3.coord_roots]
-    for f, r in zip(frame, chart_sl3.coord_roots):
+    frame = [chart_sl3.frame_field(r) for r in range(chart_sl3.nvars)]
+    for f, r in zip(frame, range(chart_sl3.nvars)):
         assert homogeneous_degree(f.to_invariant(), chart_sl3) == \
             -sl3.rs.root(r).height
     assert homogeneous_degree(Poly.const(3, 1), chart_sl3) == 0
@@ -163,7 +163,7 @@ def test_homogeneous_degree_examples(sl3, chart_sl3):
 def _pde_span(chart, hs, operators, label, max_wdeg):
     """Independent oracle: exact nullspace of the given differential
     operators acting on polynomials in the slice variables."""
-    slice_vars = [chart.coord_index(r) for r in sorted(hs.R)]
+    slice_vars = sorted(hs.R)
     weights = [chart.weights[v] for v in slice_vars]
     monos = []
     for w in range(max_wdeg + 1):
@@ -300,11 +300,10 @@ def test_homogeneous_parts_of_solutions_are_solutions(sl4, chart_sl4,
 
 def test_c_independence_of_solutions(sl4, chart_sl4, sl4_type2):
     hs, sol = sl4_type2
-    c_vars = {chart_sl4.coord_index(r) for r in hs.C}
     for f in sol.basis:
         for p in f.components.values():
             for mono in p.monomials():
-                assert all(mono[v] == 0 for v in c_vars)
+                assert all(mono[v] == 0 for v in hs.C)
 
 
 def test_hierarchy_determined_by_maximal_components(sl4, chart_sl4,
@@ -345,8 +344,8 @@ def test_projection_bracket_identity_random_points(sl4, chart_sl4):
     for random invariant fields, at 100 random rational points."""
     hs = type_p_subset(sl4.rs, 2)
     rng = random.Random(7)
-    frame_full = [chart_sl4.frame_field(r) for r in chart_sl4.coord_roots]
-    csub = {chart_sl4.coord_index(r): Q(0) for r in hs.C}
+    frame_full = [chart_sl4.frame_field(r) for r in range(chart_sl4.nvars)]
+    csub = {r: Q(0) for r in hs.C}
 
     def random_field():
         out = None
@@ -371,8 +370,7 @@ def test_projection_bracket_identity_random_points(sl4, chart_sl4):
         for _ in range(20):
             pt = [Q(0)] * chart_sl4.nvars
             for r in hs.R:
-                pt[chart_sl4.coord_index(r)] = Q(rng.randint(-9, 9),
-                                                 rng.randint(1, 7))
+                pt[r] = Q(rng.randint(-9, 9), rng.randint(1, 7))
             for g in hs.R:
                 assert lhs.component(g).eval(pt) == rhs.component(g).eval(pt)
             checked += 1
@@ -596,7 +594,7 @@ def _weight(chart, g, mono):
     (gamma, x^m), as a coefficient vector over the simple roots."""
     rs = chart.algebra.rs
     w = [-c for c in rs.root(g).coeffs]
-    for r, e in zip(chart.coord_roots, mono):
+    for r, e in enumerate(mono):
         for i, c in enumerate(rs.root(r).coeffs):
             w[i] += e * c
     return tuple(w)
@@ -1028,7 +1026,7 @@ def test_certificate_catches_corrupted_frame_row(sl4):
     a1 = sl4.rs.simple_ids()[0]
     row = chart.frame_components(hs.R)[a1]       # the cached row
     assert row == {a1: Poly.const(chart.nvars, 1)}
-    row[a1] = row[a1] + Poly.var(chart.nvars, chart.coord_index(a1))
+    row[a1] = row[a1] + Poly.var(chart.nvars, a1)
     with pytest.raises(McError, match=r"degree -1, weight \[0, -1, 0\]: a "
                                       r"field from the prolongation "
                                       r"violates the multicontact"):
@@ -1261,6 +1259,26 @@ def test_bracket_table_matches_per_bracket_solve(sl3_full, sp2_slice,
                               {g: Poly.var(sol.chart.nvars, 0) ** 7},
                               slice_roots=hs.R)
         assert sol.coordinates(far) is None and not sol.contains(far)
+
+
+def test_coordinates_check_off_the_free_unknowns(sl3_full, sp2_slice):
+    """A field that equals a combination of the basis at every free
+    unknown, but not at some other unknown the basis uses, is outside the
+    span: the coordinates read at the free unknowns are checked by
+    recomposing the field."""
+    for hs, sol in (sl3_full, sp2_slice):
+        combo = sol.basis[0] * Q(3) + sol.basis[-1] * Q(-1, 2)
+        free = set(sol.free_unknowns)
+        g, m = next((g, m) for f in sol.basis
+                    for g, p in f.components.items() for m in p.terms
+                    if (g, m) not in free)
+        bump = PolyVectorField(sol.chart, "invariant",
+                               {g: Poly._of(sol.chart.nvars, {m: Q(1)})},
+                               slice_roots=hs.R)
+        off = combo + bump
+        assert [off.component(u).terms.get(mono, 0)
+                for u, mono in sol.free_unknowns] == sol.coordinates(combo)
+        assert sol.coordinates(off) is None and not sol.contains(off)
 
 
 def _dense_trace_form(c, n):

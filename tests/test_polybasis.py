@@ -39,7 +39,7 @@ def test_sigma_half_examples(sl3, tf3, sp2, tfC):
     d1 = rs.id_of((1, 0))
     p = gen_sigma_half(sl3, tf3, d1)
     comp = rs.add(w, rs.neg(d1))
-    assert p == Poly.var(tf3.nvars, tf3.coord_index(comp),
+    assert p == Poly.var(tf3.nvars, comp,
                          sl3.c[(d1, comp)])
     assert len(p.terms) == 1 and all(sum(m) == 1 for m in p.monomials())
 
@@ -58,7 +58,6 @@ def test_sigma_half_examples(sl3, tf3, sp2, tfC):
 def test_cartan_examples(sl3, tf3):
     rs = sl3.rs
     w = rs.highest_root.id
-    z = tf3.coord_index(w)
     # an element with omega(H) = 1 and symmetric pair values gives exactly z
     # plus a quadratic correction
     gram = [[sl3.alpha_value(w, [Q(1), Q(0)]), sl3.alpha_value(w, [Q(0), Q(1)])]]
@@ -71,8 +70,8 @@ def test_cartan_examples(sl3, tf3):
     rhs.append(Q(1, 2))
     h = linalg.solve(rows, rhs)
     p = gen_cartan(sl3, tf3, h)
-    assert p.coeff(tuple(1 if i == z else 0 for i in range(tf3.nvars))) == 1
-    quad = p - Poly.var(tf3.nvars, z)
+    assert p.coeff(tuple(1 if i == w else 0 for i in range(tf3.nvars))) == 1
+    quad = p - Poly.var(tf3.nvars, w)
     assert quad.is_zero() or \
         all(sum(m) == 2 for m in quad.monomials())
 
@@ -81,7 +80,7 @@ def test_cartan_examples(sl3, tf3):
                       [Q(0), Q(1)])
     p0 = gen_cartan(sl3, tf3, h0)
     assert all(sum(m) == 2 for m in p0.monomials())
-    assert p0.coeff(tuple(1 if i == z else 0 for i in range(tf3.nvars))) == 0
+    assert p0.coeff(tuple(1 if i == w else 0 for i in range(tf3.nvars))) == 0
 
 
 def test_cartan_table_in_entries_chart(sl3, tf3, chart_sl3):
@@ -115,7 +114,7 @@ def test_sigma0_vanishes_on_the_half_locus(sl4, tf4):
     od = rs.omega_decompose()
     d2 = rs.id_of((0, 1, 0))
     p = gen_sigma0(sl4, tf4, d2)
-    half_vars = {tf4.coord_index(a): Q(0) for a in od.sigma_half}
+    half_vars = {a: Q(0) for a in od.sigma_half}
     assert p.subs(half_vars).is_zero()
     m = gen_neg_sigma_half(sl4, tf4, rs.id_of((1, 0, 0)))
     assert m.subs(half_vars).is_zero()

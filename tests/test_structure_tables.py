@@ -1,10 +1,13 @@
 """Structure tables of the split algebras.
 
 The library derives the root functionals, the structure constants, the
-Cartan brackets, the theta-scalars and the adjoint realization from the
-sparse entry maps of the basis, bracketing each unordered root pair
-once and recomposing each bracket as a multiple of one basis element;
-only [X_a, X_-a] is decomposed.  Here they are compared with the dense
+Cartan brackets and the theta-scalars from the sparse entry maps of the
+basis, bracketing each unordered root pair once and recomposing each
+bracket as a multiple of one basis element; only [X_a, X_-a] is
+decomposed.  The same loops fill the full-basis bracket table, from
+which the adjoint realization is read; the table is compared with its
+assembly from the three root tables, and the adjoint realization with
+dense brackets of the basis matrices.  The tables are compared with the dense
 derivation (full Fraction matrix products, each result solved for its
 coordinates over all basis matrices), with the sparse derivation that
 decomposes every bracket (``oracles.decomposition_tables``) and with the
@@ -135,15 +138,16 @@ def test_tables_match_dense_oracle(name, request):
 
 def _table_brackets(alg):
     """[e_i, e_j] over the full basis as sparse coefficient maps, read
-    from ``functional``, ``c`` and ``h_of_bracket`` alone."""
+    from ``functional``, ``c`` and ``h_of_bracket`` alone, each root's
+    functional negated for its opposite root."""
     rs, rank = alg.rs, alg.rank
     nroots = 2 * rs.n_pos
     table = [[{} for _ in range(alg.dim)] for _ in range(alg.dim)]
     for a in range(nroots):
         ia = alg.full_index(a)
         for i in range(rank):
-            unit = [Q(int(k == i)) for k in range(rank)]
-            v = alg.alpha_value(a, unit)
+            v = (alg.functional[a][i] if a < rs.n_pos
+                 else -alg.functional[rs.neg(a)][i])
             if v:
                 table[i][ia] = {ia: v}
                 table[ia][i] = {ia: -v}
@@ -158,6 +162,29 @@ def _table_brackets(alg):
                 table[ia][alg.full_index(b)] = {k: x for k, x in enumerate(h)
                                                 if x}
     return table
+
+
+def _assert_structure_matches_oracle(alg):
+    """``structure`` equals ``_table_brackets`` cell for cell, keys in
+    order and value types included, and stores no zero: no empty cell and
+    no zero coefficient.  ``transposed()`` holds the same entries by row."""
+    oracle = _table_brackets(alg)
+    table = alg.structure
+    assert all(cell and all(cell.values()) for cell in table.values())
+    dual: dict[tuple[int, int], dict[int, Q]] = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert [(k, x, type(x)) for k, x in table.get((i, j), {}).items()
+                    ] == [(k, x, type(x)) for k, x in oracle[i][j].items()
+                          ], (i, j)
+            for k, x in oracle[i][j].items():
+                dual.setdefault((k, j), {})[i] = x
+    assert alg.transposed() == dual
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sp2", "sp3"])
+def test_structure_matches_table_oracle(name, request):
+    _assert_structure_matches_oracle(request.getfixturevalue(name))
 
 
 def _bracket(table, u, v):
@@ -176,6 +203,7 @@ def large_algebra(request):
 
 def test_structure_identities_large_rank(large_algebra):
     alg = large_algebra
+    _assert_structure_matches_oracle(alg)
     rs = alg.rs
     ids = range(2 * rs.n_pos)
     for a in ids:
